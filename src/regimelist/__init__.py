@@ -15,14 +15,12 @@ from .domain import (
     GroupAssignment,
     Pattern,
     Predicate,
-    assessment_cost,
     assessment_cost_vector,
     assign,
     feature_set_cost,
     partition,
     pattern_mask,
     satisfy,
-    treatment_cost,
     treatment_cost_vector,
 )
 from .errors import (
@@ -70,7 +68,6 @@ from .search import (
     SearchResult,
     exhaustive_search,
     greedy_baseline,
-    root_parallel_search,
     uct_search,
 )
 from .synth import (

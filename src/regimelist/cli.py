@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import io
 from .domain import Dataset
-from .errors import RegimeListError, ValidationError
+from .errors import RegimeListError, ValidationError, config_values
 from .estimation import (
     DRScoreMatrix,
     OutcomeModel,
@@ -28,13 +28,12 @@ from .estimation import (
 )
 from .mining import CandidateSet, MiningConfig, mine_patterns
 from .objective import ObjectiveWeights, compute_metrics, objective_value
-from .search import (
-    SearchConfig,
-    exhaustive_search,
-    greedy_baseline,
-    root_parallel_search,
-)
+from .search import SearchConfig, exhaustive_search, greedy_baseline, uct_search
 from .synth import default_generator_spec, generate
+
+
+FIT_DEFAULTS = {"l2_reg": 1e-4, "ridge": 1e-6, "clip_epsilon": 0.01,
+                "grad_tol": 1e-6, "max_iters": 5000}
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -121,17 +120,16 @@ def cmd_mine(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     ds, _ = _load_dataset(args)
-    sec = _section(cfg, "models")
-    sec = _override(sec, args,
-                    ["l2_reg", "ridge", "clip_epsilon", "grad_tol", "max_iters"])
+    sec = _override(_section(cfg, "models"), args, list(FIT_DEFAULTS))
+    sec = config_values(sec, FIT_DEFAULTS, "models")
     propensity = fit_propensity(
         ds,
-        l2=float(sec.get("l2_reg", 1e-4)),
-        clip_epsilon=float(sec.get("clip_epsilon", 0.01)),
-        grad_tol=float(sec.get("grad_tol", 1e-6)),
-        max_iters=int(sec.get("max_iters", 5000)),
+        l2=sec["l2_reg"],
+        clip_epsilon=sec["clip_epsilon"],
+        grad_tol=sec["grad_tol"],
+        max_iters=sec["max_iters"],
     )
-    outcome = fit_outcome(ds, ridge=float(sec.get("ridge", 1e-6)))
+    outcome = fit_outcome(ds, ridge=sec["ridge"])
     scores = compute_dr_scores(ds, propensity, outcome)
     out = _out_dir(args)
     io.write_json(propensity.to_dict(), out / "propensity.json")
@@ -152,14 +150,12 @@ def cmd_learn(args: argparse.Namespace) -> int:
     weights = _weights(cfg, args)
     sec = _override(_section(cfg, "search"), args,
                     ["iterations", "c_explore", "seed", "L_max",
-                     "min_new_coverage", "charge_default_full", "rollout"])
-    if args.parallel_roots is not None:
-        sec["n_trees"] = args.parallel_roots
+                     "min_new_coverage", "charge_default_full"])
     sconfig = SearchConfig.from_dict(sec)
 
     log = None
     if args.strategy == "uct":
-        result = root_parallel_search(ds, scores, cands, weights, sconfig)
+        result = uct_search(ds, scores, cands, weights, sconfig)
         dl = result.decision_list
         log = result.log
         extra = {"tree_size": result.tree_size, "n_pruned": result.n_pruned,
@@ -207,8 +203,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     scores = DRScoreMatrix.from_dict(
         io.read_json(_require(args.scores, "scores file")))
     weights = _weights(cfg, args)
-    charge = bool(args.charge_default_full) if args.charge_default_full is not None \
-        else bool(_section(cfg, "search").get("charge_default_full", False))
+    charge = SearchConfig.from_dict(_override(
+        _section(cfg, "search"), args, ["charge_default_full"])).charge_default_full
     report = compute_metrics(ds, dl, scores, weights, charge)
     out = _out_dir(args)
     io.write_json(report.to_dict(), out / "metrics.json")
@@ -287,10 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--charge-default-full", dest="charge_default_full",
                    action=argparse.BooleanOptionalAction,
                    help="bill default-group subjects the full list cost")
-    p.add_argument("--rollout", choices=("uniform", "greedy"),
-                   help="rollout policy (default uniform)")
-    p.add_argument("--parallel-roots", dest="parallel_roots", type=int,
-                   help="independent search trees (default 1)")
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("evaluate", parents=[common, data_args, weight_args],

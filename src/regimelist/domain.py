@@ -359,11 +359,14 @@ def partition(ds: Dataset, dl: DecisionList) -> GroupAssignment:
     return GroupAssignment(group_of=group, cumulative_features=dl.cumulative_features())
 
 
+def group_treatments(dl: DecisionList) -> np.ndarray:
+    """Treatment code of each group: one per rule, then the default's."""
+    return np.asarray([t for _, t in dl.rules] + [dl.default_treatment], dtype=np.int64)
+
+
 def assign(ds: Dataset, dl: DecisionList) -> np.ndarray:
     """Per-subject treatment codes under the regime."""
-    ga = partition(ds, dl)
-    lookup = np.asarray([t for _, t in dl.rules] + [dl.default_treatment], dtype=np.int64)
-    return lookup[ga.group_of]
+    return group_treatments(dl)[partition(ds, dl).group_of]
 
 
 def feature_set_cost(specs: Sequence[CharacteristicSpec], features: Iterable[int]) -> float:
@@ -371,11 +374,24 @@ def feature_set_cost(specs: Sequence[CharacteristicSpec], features: Iterable[int
     return float(sum(specs[f].cost for f in set(features)))
 
 
-def _prefix_costs(ds: Dataset, ga: GroupAssignment) -> np.ndarray:
-    return np.asarray(
-        [feature_set_cost(ds.specs, feats) for feats in ga.cumulative_features],
-        dtype=float,
-    )
+def _with_default(per_rule: list[float], charge_default_full: bool) -> np.ndarray:
+    # the default group pays nothing, or what the last rule's group pays
+    default = per_rule[-1] if per_rule and charge_default_full else 0.0
+    return np.asarray(per_rule + [default], dtype=float)
+
+
+def group_assessment_costs(specs: Sequence[CharacteristicSpec], dl: DecisionList,
+                           charge_default_full: bool = False) -> np.ndarray:
+    """Assessment cost of each group: one per rule, then the default's."""
+    return _with_default(
+        [feature_set_cost(specs, feats) for feats in dl.cumulative_features()],
+        charge_default_full)
+
+
+def group_billed_counts(dl: DecisionList, charge_default_full: bool = False) -> np.ndarray:
+    """Distinct characteristics billed in each group (|N_j|), then the default's."""
+    return _with_default([float(len(f)) for f in dl.cumulative_features()],
+                         charge_default_full)
 
 
 def assessment_cost_vector(
@@ -385,12 +401,7 @@ def assessment_cost_vector(
     characteristic appearing in patterns 1..j.  Default-group subjects pay 0,
     or the full-list cost when ``charge_default_full``."""
     ga = partition(ds, dl)
-    costs = _prefix_costs(ds, ga)
-    if len(dl.rules) == 0:
-        return np.zeros(ds.n_subjects, dtype=float)
-    default_cost = costs[-1] if charge_default_full else 0.0
-    table = np.concatenate([costs, [default_cost]])
-    return table[ga.group_of]
+    return group_assessment_costs(ds.specs, dl, charge_default_full)[ga.group_of]
 
 
 def treatment_cost_vector(ds: Dataset, dl: DecisionList) -> np.ndarray:
@@ -398,24 +409,9 @@ def treatment_cost_vector(ds: Dataset, dl: DecisionList) -> np.ndarray:
     return ds.treatment_costs[assign(ds, dl)]
 
 
-def assessment_cost(
-    ds: Dataset, dl: DecisionList, i: int, charge_default_full: bool = False
-) -> float:
-    return float(assessment_cost_vector(ds, dl, charge_default_full)[i])
-
-
-def treatment_cost(ds: Dataset, dl: DecisionList, i: int) -> float:
-    return float(treatment_cost_vector(ds, dl)[i])
-
-
 def billed_characteristics_vector(
     ds: Dataset, dl: DecisionList, charge_default_full: bool = False
 ) -> np.ndarray:
     """Per-subject count of distinct characteristics billed (|N_j| by group)."""
     ga = partition(ds, dl)
-    counts = np.asarray([len(f) for f in ga.cumulative_features], dtype=float)
-    if len(dl.rules) == 0:
-        return np.zeros(ds.n_subjects, dtype=float)
-    default_count = counts[-1] if charge_default_full else 0.0
-    table = np.concatenate([counts, [default_count]])
-    return table[ga.group_of]
+    return group_billed_counts(dl, charge_default_full)[ga.group_of]

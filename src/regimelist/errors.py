@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the library and the CLI.
+"""Exception hierarchy shared by the library and the CLI, and the check of
+config sections, whose failures are ValidationErrors.
 
 The CLI maps these onto exit codes: ValidationError and its subclasses
 exit with 2, everything else derived from RegimeListError exits with 3.
@@ -35,3 +36,26 @@ class SizeLimitError(RegimeListError):
 
 class EmptyCandidateSetError(RegimeListError):
     """Pattern mining produced no candidates (support threshold too high)."""
+
+
+def config_values(section: dict, defaults: dict, what: str) -> dict:
+    """``defaults`` updated from a config section.
+
+    Every key of ``section`` must name a default, and its value must have
+    the default's type; an int stands for a float, and is converted.
+    """
+    unknown = sorted(set(section) - set(defaults))
+    if unknown:
+        raise ValidationError(
+            f"{what} config: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"known keys are {', '.join(defaults)}")
+    values = dict(defaults)
+    for key, value in section.items():
+        want = type(defaults[key])
+        if want is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise ValidationError(
+                f"{what} config: {key!r} must be {want.__name__}, got {value!r}")
+        values[key] = value
+    return values

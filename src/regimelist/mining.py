@@ -9,14 +9,14 @@ the pattern universe the regime search composes decision lists from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import ceil
 from typing import Sequence
 
 import numpy as np
 
 from .domain import REAL, CharacteristicSpec, Dataset, Pattern, Predicate, pattern_mask
-from .errors import EmptyCandidateSetError, ValidationError
+from .errors import EmptyCandidateSetError, ValidationError, config_values
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,7 @@ class MiningConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MiningConfig":
-        return cls(
-            min_support=float(d.get("min_support", 0.05)),
-            max_predicates=int(d.get("max_predicates", 4)),
-            num_bins=int(d.get("num_bins", 4)),
-        )
+        return cls(**config_values(d, asdict(cls()), "mining"))
 
 
 def discretize(ds: Dataset, num_bins: int = 4) -> dict[int, tuple[float, ...]]:
@@ -160,15 +156,17 @@ def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> Candida
     masks = [pattern_mask(ds, Pattern((a,))) for a in atoms]
 
     frequent: set[frozenset[int]] = set()
+    # surviving patterns and their coverage counts, in discovery order
     found: list[tuple[int, ...]] = []
-    found_masks: list[np.ndarray] = []
+    counts: list[int] = []
     frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
     for j, mask in enumerate(masks):
-        if int(mask.sum()) >= min_count:
+        count = int(mask.sum())
+        if count >= min_count:
             frontier.append(((j,), mask))
             frequent.add(frozenset((j,)))
-    found.extend(ids for ids, _ in frontier)
-    found_masks.extend(m for _, m in frontier)
+            found.append((j,))
+            counts.append(count)
 
     for _ in range(2, config.max_predicates + 1):
         next_frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
@@ -185,20 +183,20 @@ def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> Candida
                 if any(key - {i} not in frequent for i in cand):
                     continue
                 joint = mask & masks[j]
-                if int(joint.sum()) >= min_count:
+                count = int(joint.sum())
+                if count >= min_count:
                     next_frontier.append((cand, joint))
                     frequent.add(key)
+                    found.append(cand)
+                    counts.append(count)
         if not next_frontier:
             break
         frontier = next_frontier
-        found.extend(ids for ids, _ in frontier)
-        found_masks.extend(m for _, m in frontier)
 
     if not found:
         raise EmptyCandidateSetError(
             f"no pattern covers {min_count} of {n} subjects; lower min_support"
         )
     patterns = tuple(Pattern(tuple(atoms[i] for i in ids)) for ids in found)
-    counts = tuple(int(m.sum()) for m in found_masks)
-    return CandidateSet(patterns=patterns, counts=counts, bins=bins,
+    return CandidateSet(patterns=patterns, counts=tuple(counts), bins=bins,
                         n_subjects=n, config=config)

@@ -9,7 +9,7 @@ lambda1*g1 - lambda2*g2 - lambda3*g3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,11 +18,13 @@ from .domain import (
     DecisionList,
     assessment_cost_vector,
     assign,
-    billed_characteristics_vector,
+    group_assessment_costs,
+    group_billed_counts,
+    group_treatments,
     partition,
     treatment_cost_vector,
 )
-from .errors import ValidationError
+from .errors import ValidationError, config_values
 from .estimation import DRScoreMatrix
 
 
@@ -43,8 +45,7 @@ class ObjectiveWeights:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObjectiveWeights":
-        return cls(float(d.get("lambda1", 1.0)), float(d.get("lambda2", 1.0)),
-                   float(d.get("lambda3", 1.0)))
+        return cls(**config_values(d, asdict(cls()), "weights"))
 
 
 def check_scores(ds: Dataset, scores: DRScoreMatrix) -> None:
@@ -81,11 +82,8 @@ def objective_value(
     weights: ObjectiveWeights = ObjectiveWeights(),
     charge_default_full: bool = False,
 ) -> float:
-    return (
-        weights.lambda1 * estimated_outcome(ds, dl, scores)
-        - weights.lambda2 * mean_assessment_cost(ds, dl, charge_default_full)
-        - weights.lambda3 * mean_treatment_cost(ds, dl)
-    )
+    """lambda1*g1 - lambda2*g2 - lambda3*g3, as compute_metrics reports it."""
+    return compute_metrics(ds, dl, scores, weights, charge_default_full).objective
 
 
 @dataclass(frozen=True)
@@ -143,17 +141,18 @@ def compute_metrics(
     charge_default_full: bool = False,
 ) -> MetricsReport:
     check_scores(ds, scores)
-    ga = partition(ds, dl)
-    assigned = assign(ds, dl)
+    # the one partition every term below derives from
+    group_of = partition(ds, dl).group_of
+    assigned = group_treatments(dl)[group_of]
     g1 = scores.mean_value(assigned)
-    g2 = float(assessment_cost_vector(ds, dl, charge_default_full).mean())
+    g2 = float(group_assessment_costs(ds.specs, dl, charge_default_full)[group_of].mean())
     g3 = float(ds.treatment_costs[assigned].mean())
-    sizes = tuple(int((ga.group_of == g).sum()) for g in range(len(dl.rules) + 1))
+    sizes = tuple(int(c) for c in np.bincount(group_of, minlength=len(dl.rules) + 1))
     shares = {
         name: float((assigned == a).mean())
         for a, name in enumerate(ds.treatment_names)
     }
-    avg_chars = float(billed_characteristics_vector(ds, dl, charge_default_full).mean())
+    avg_chars = float(group_billed_counts(dl, charge_default_full)[group_of].mean())
     return MetricsReport(
         objective=weights.lambda1 * g1 - weights.lambda2 * g2 - weights.lambda3 * g3,
         estimated_outcome=g1,

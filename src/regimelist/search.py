@@ -13,13 +13,12 @@ oracle), and a greedy baseline.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .domain import Dataset, DecisionList, feature_set_cost
-from .errors import SizeLimitError, ValidationError
+from .domain import Dataset, DecisionList, feature_set_cost, pattern_mask
+from .errors import SizeLimitError, ValidationError, config_values
 from .estimation import DRScoreMatrix
 from .mining import CandidateSet
 from .objective import ObjectiveWeights, check_scores
@@ -36,8 +35,6 @@ class SearchConfig:
     L_max: int = 4
     min_new_coverage: float = 0.01
     charge_default_full: bool = False
-    rollout: str = "uniform"
-    n_trees: int = 1
     # progressive widening: a node may hold at most ceil(c * visits^alpha)
     # children, so wide action spaces deepen instead of expanding breadth-first
     widen_c: float = 2.0
@@ -55,10 +52,6 @@ class SearchConfig:
             raise ValidationError("widening parameters must be positive")
         if not 0.0 <= self.min_new_coverage <= 1.0:
             raise ValidationError("min_new_coverage must lie in [0, 1]")
-        if self.rollout not in ("uniform", "greedy"):
-            raise ValidationError("rollout must be 'uniform' or 'greedy'")
-        if self.n_trees < 1:
-            raise ValidationError("n_trees must be positive")
 
     def to_dict(self) -> dict:
         return {
@@ -68,16 +61,13 @@ class SearchConfig:
             "L_max": self.L_max,
             "min_new_coverage": self.min_new_coverage,
             "charge_default_full": self.charge_default_full,
-            "rollout": self.rollout,
-            "n_trees": self.n_trees,
             "widen_c": self.widen_c,
             "widen_alpha": self.widen_alpha,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        return cls(**config_values(d, asdict(cls()), "search"))
 
 
 @dataclass
@@ -120,12 +110,11 @@ class SearchProblem:
         self.patterns = cands.patterns
         self.n = ds.n_subjects
         self.m = ds.n_treatments
-        from .domain import pattern_mask
-
-        self.masks = np.zeros((len(self.patterns), self.n), dtype=bool)
+        # pattern coverage as 0/1 in float32, the operand of the products in
+        # ordered_actions; row p as a bool mask is ``masks_f[p] != 0``
+        self.masks_f = np.empty((len(self.patterns), self.n), dtype=np.float32)
         for p, pat in enumerate(self.patterns):
-            self.masks[p] = pattern_mask(ds, pat)
-        self.masks_f = self.masks.astype(np.float32)
+            self.masks_f[p] = pattern_mask(ds, pat)
         # per-subject, per-arm contribution once a rule assigns that arm
         self.value_mat = (weights.lambda1 * scores.scores
                           - weights.lambda3 * ds.treatment_costs[None, :])
@@ -153,27 +142,15 @@ class SearchProblem:
         # a rule matching nothing new is never allowed: it only adds cost
         return max(1, math.ceil(min_new_coverage * self.n))
 
-    def legal_actions(self, state: SearchState, L_max: int,
-                      min_new_coverage: float) -> list[Action]:
-        """Rule actions passing the new-coverage filter, then default actions."""
-        if state.terminal:
-            raise ValidationError("terminal state has no actions")
-        actions: list[Action] = []
-        if state.depth < L_max:
-            used = {p for p, _ in state.prefix}
-            counts = self.new_coverage_counts(state)
-            need = self.required_new(min_new_coverage)
-            for p in range(len(self.patterns)):
-                if p in used or counts[p] < need:
-                    continue
-                actions.extend((p, t) for t in range(self.m))
-        actions.extend((-1, d) for d in range(self.m))
-        return actions
-
     def ordered_actions(self, state: SearchState, L_max: int,
                         min_new_coverage: float) -> list[Action]:
-        """legal_actions ordered for expansion by pop(): defaults first, then
-        rules by decreasing one-step objective gain.
+        """The legal actions of a non-terminal state, ordered for expansion
+        by pop(): defaults first, then rules by decreasing one-step gain.
+
+        Closing the list with any default is always legal.  Below depth
+        L_max, so is appending (p, t) for every treatment t and every unused
+        pattern p that newly covers at least required_new(min_new_coverage)
+        subjects.
 
         The gain of appending (p, t) is measured against closing the list
         right away with its best default: the rule's value on newly covered
@@ -194,7 +171,7 @@ class SearchProblem:
         used = {p for p, _ in state.prefix}
         uncov = ~state.covered
         uncov_f = uncov.astype(np.float32)
-        counts = np.rint(self.masks_f @ uncov_f).astype(np.int64)
+        counts = self.new_coverage_counts(state)
         need = self.required_new(min_new_coverage)
         n_unc = int(uncov.sum())
         lam2 = self.weights.lambda2
@@ -229,12 +206,13 @@ class SearchProblem:
         p, t = action
         if p < 0:
             return replace(state, terminal=True, default_treatment=t)
-        newly = self.masks[p] & ~state.covered
+        mask = self.masks_f[p] != 0
+        newly = mask & ~state.covered
         features = state.features | self.pattern_features[p]
         step_cost = feature_set_cost(self.ds.specs, features)
         return SearchState(
             prefix=state.prefix + ((p, t),),
-            covered=state.covered | self.masks[p],
+            covered=state.covered | mask,
             features=features,
             incurred_assess=state.incurred_assess + step_cost * int(newly.sum()),
             incurred_value=state.incurred_value + float(self.value_mat[newly, t].sum()),
@@ -290,8 +268,9 @@ def check_state_consistency(problem: SearchProblem, state: SearchState) -> None:
     assess = 0.0
     value = 0.0
     for p, t in state.prefix:
-        newly = problem.masks[p] & ~covered
-        covered |= problem.masks[p]
+        mask = problem.masks_f[p] != 0
+        newly = mask & ~covered
+        covered |= mask
         features = features | problem.pattern_features[p]
         assess += feature_set_cost(problem.ds.specs, features) * int(newly.sum())
         value += float(problem.value_mat[newly, t].sum())
@@ -388,7 +367,7 @@ def uct_search(
                 break
             p = active[k // problem.m]
             t = k % problem.m
-            if int((problem.masks[p] & ~state.covered).sum()) < need:
+            if int(((problem.masks_f[p] != 0) & ~state.covered).sum()) < need:
                 active.remove(p)
                 continue
             state = problem.apply(state, (p, t))
@@ -398,22 +377,6 @@ def uct_search(
         obj = problem.terminal_objective(state)
         record_terminal(state, obj)
         return state, obj
-
-    def greedy_rollout(state: SearchState) -> tuple[SearchState, float]:
-        while not state.terminal:
-            actions = problem.legal_actions(state, config.L_max, config.min_new_coverage)
-            best_a, best_v = None, -math.inf
-            for a in actions:
-                nxt = problem.apply(state, a)
-                v = problem.state_bound(nxt)
-                if v > best_v:
-                    best_a, best_v = a, v
-            state = problem.apply(state, best_a)
-        obj = problem.terminal_objective(state)
-        record_terminal(state, obj)
-        return state, obj
-
-    do_rollout = greedy_rollout if config.rollout == "greedy" else rollout
 
     def backup(path: list[SearchNode], reward: float) -> None:
         for node in path:
@@ -469,7 +432,7 @@ def uct_search(
                         record_terminal(child_state, reward)
                         child.fully_explored = True
                     else:
-                        _, reward = do_rollout(child_state)
+                        _, reward = rollout(child_state)
                     path.append(child)
                     expanded = True
                     break
@@ -514,32 +477,6 @@ def uct_search(
         iterations_run=iterations_run,
         seed=config.seed,
     )
-
-
-def root_parallel_search(
-    ds: Dataset,
-    scores: DRScoreMatrix,
-    cands: CandidateSet,
-    weights: ObjectiveWeights = ObjectiveWeights(),
-    config: SearchConfig = SearchConfig(),
-) -> SearchResult:
-    """Independent UCT trees with distinct seeds; best incumbent wins.
-
-    Trees share nothing mutable; ties go to the lowest seed, so the result
-    is deterministic regardless of scheduling.
-    """
-    if config.n_trees == 1:
-        return uct_search(ds, scores, cands, weights, config)
-    configs = [replace(config, seed=config.seed + k, n_trees=1)
-               for k in range(config.n_trees)]
-    with ThreadPoolExecutor(max_workers=config.n_trees) as pool:
-        results = list(pool.map(
-            lambda c: uct_search(ds, scores, cands, weights, c), configs))
-    best = results[0]
-    for r in results[1:]:
-        if r.objective > best.objective:
-            best = r
-    return best
 
 
 @dataclass
@@ -646,7 +583,7 @@ def greedy_baseline(
     while state.depth < L_max:
         step_best: tuple[float, int, int, SearchState] | None = None
         for p in range(len(problem.patterns)):
-            if p in used or not (problem.masks[p] & ~state.covered).any():
+            if p in used or not ((problem.masks_f[p] != 0) & ~state.covered).any():
                 continue
             for t in range(problem.m):
                 child = problem.apply(state, (p, t))

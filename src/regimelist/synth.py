@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 from scipy.stats import norm
@@ -348,6 +349,49 @@ def _first_match(dl: DecisionList, x: tuple, specs) -> int:
     return dl.default_treatment
 
 
+def _features_read(gspec: GeneratorSpec, dl: DecisionList) -> list[int]:
+    """Features that dl or the planted regime reads, ascending."""
+    return sorted({p.feature for source in (dl, gspec.planted_regime)
+                   for pat, _ in source.rules for p in pat.predicates})
+
+
+def _cells(gspec: GeneratorSpec, dl: DecisionList,
+           max_cells: int) -> Iterator[tuple[tuple, float]]:
+    """(point, probability) for each joint cell of nonzero probability.
+
+    The cells are those of the features dl or the planted regime reads, real
+    features split at every threshold either list compares them with; each
+    point holds a representative value for those features and 0.0 for the
+    others.  Refuses more than max_cells cells.
+    """
+    dl.validate(gspec.specs, len(gspec.treatment_names))
+    used = _features_read(gspec, dl)
+    thresholds: dict[int, list[float]] = {f: [] for f in used}
+    for source in (dl, gspec.planted_regime):
+        for pat, _ in source.rules:
+            for p in pat.predicates:
+                if gspec.specs[p.feature].kind == REAL and p.op in ("<", "<=", ">", ">="):
+                    thresholds[p.feature].append(float(p.value))
+    per_feature = [_feature_cells(gspec, f, thresholds[f]) for f in used]
+    n_cells = math.prod(len(cells) for cells in per_feature)
+    if n_cells > max_cells:
+        raise SizeLimitError(
+            f"{n_cells} cells exceeds the exact-summation limit of {max_cells}")
+
+    def points() -> Iterator[tuple[tuple, float]]:
+        base = [0.0] * len(gspec.specs)
+        for combo in product(*per_feature):
+            prob = 1.0
+            x = list(base)
+            for f, (rep, p) in zip(used, combo):
+                x[f] = rep
+                prob *= p
+            if prob != 0.0:
+                yield tuple(x), prob
+
+    return points()
+
+
 def true_value(
     gspec: GeneratorSpec,
     dl: DecisionList,
@@ -364,37 +408,17 @@ def true_value(
     exceeds max_cells, a Monte Carlo fallback with reported standard error
     is available behind allow_monte_carlo; otherwise the call is refused.
     """
-    dl.validate(gspec.specs, len(gspec.treatment_names))
     planted = gspec.planted_regime
-    used = sorted(
-        {p.feature for pat, _ in dl.rules for p in pat.predicates}
-        | {p.feature for pat, _ in planted.rules for p in pat.predicates}
-    )
-    thresholds: dict[int, list[float]] = {f: [] for f in used}
-    for source in (dl, planted):
-        for pat, _ in source.rules:
-            for p in pat.predicates:
-                if gspec.specs[p.feature].kind == REAL and p.op in ("<", "<=", ">", ">="):
-                    thresholds[p.feature].append(float(p.value))
-
-    per_feature = [_feature_cells(gspec, f, thresholds[f]) for f in used]
-    n_cells = 1
-    for cells in per_feature:
-        n_cells *= len(cells)
-
     delta = gspec.matched_mean - gspec.mismatched_mean
-    if n_cells <= max_cells:
-        base = [0.0] * len(gspec.specs)
+    try:
+        cells = _cells(gspec, dl, max_cells)
+    except SizeLimitError as e:
+        if not allow_monte_carlo:
+            raise SizeLimitError(f"{e}; enable the Monte Carlo fallback") from None
+        cells = None
+    if cells is not None:
         agree = 0.0
-        for combo in product(*per_feature):
-            prob = 1.0
-            x = list(base)
-            for f, (rep, p) in zip(used, combo):
-                x[f] = rep
-                prob *= p
-            if prob == 0.0:
-                continue
-            xt = tuple(x)
+        for xt, prob in cells:
             if _first_match(dl, xt, gspec.specs) == _first_match(planted, xt, gspec.specs):
                 agree += prob
         return TrueValue(
@@ -403,14 +427,9 @@ def true_value(
             method="exact",
         )
 
-    if not allow_monte_carlo:
-        raise SizeLimitError(
-            f"{n_cells} cells exceeds the exact-summation limit of {max_cells}; "
-            "enable the Monte Carlo fallback"
-        )
     rng = np.random.default_rng(gspec.seed + 1)
     cols = {}
-    for f in used:
+    for f in _features_read(gspec, dl):
         marg = gspec.marginals[f]
         if marg.kind == UNIFORM:
             cols[f] = rng.uniform(marg.params[0], marg.params[1], size=mc_samples)
@@ -454,43 +473,17 @@ def true_objective(
     Same cell enumeration as true_value, but also accumulating the expected
     assessment and treatment costs of the list itself.
     """
-    dl.validate(gspec.specs, len(gspec.treatment_names))
+    cells = _cells(gspec, dl, max_cells)
     planted = gspec.planted_regime
-    used = sorted(
-        {p.feature for pat, _ in dl.rules for p in pat.predicates}
-        | {p.feature for pat, _ in planted.rules for p in pat.predicates}
-    )
-    thresholds: dict[int, list[float]] = {f: [] for f in used}
-    for source in (dl, planted):
-        for pat, _ in source.rules:
-            for p in pat.predicates:
-                if gspec.specs[p.feature].kind == REAL and p.op in ("<", "<=", ">", ">="):
-                    thresholds[p.feature].append(float(p.value))
-    per_feature = [_feature_cells(gspec, f, thresholds[f]) for f in used]
-    n_cells = 1
-    for cells in per_feature:
-        n_cells *= len(cells)
-    if n_cells > max_cells:
-        raise SizeLimitError(f"{n_cells} cells exceeds the limit of {max_cells}")
-
     prefix_costs = [
         feature_set_cost(gspec.specs, feats) for feats in dl.cumulative_features()
     ]
     full_cost = prefix_costs[-1] if prefix_costs and charge_default_full else 0.0
     costs = np.asarray(gspec.treatment_costs, dtype=float)
-    base = [0.0] * len(gspec.specs)
     value = 0.0
     assess = 0.0
     treat = 0.0
-    for combo in product(*per_feature):
-        prob = 1.0
-        x = list(base)
-        for f, (rep, p) in zip(used, combo):
-            x[f] = rep
-            prob *= p
-        if prob == 0.0:
-            continue
-        xt = tuple(x)
+    for xt, prob in cells:
         group = len(dl.rules)
         for g, (pattern, _) in enumerate(dl.rules):
             if all(p.holds(xt, gspec.specs) for p in pattern.predicates):

@@ -131,7 +131,43 @@ class TestEvaluate:
         assert metrics["avg_num_characteristics"] == 0.0
 
 
+@pytest.fixture(scope="module")
+def learned_run(tmp_path_factory):
+    """Every input file a step can read, from one small pipeline run."""
+    return run_pipeline(tmp_path_factory.mktemp("run"), n=600, iterations=20)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("step, config, key", [
+        ("learn", {"search": {"iterations": "5"}}, "iterations"),
+        ("learn", {"search": {"iteratons": 5}}, "iteratons"),
+        ("learn", {"search": {"rollout": "greedy"}}, "rollout"),
+        ("learn", {"weights": {"lambda1": "x"}}, "lambda1"),
+        ("mine", {"mining": {"min_support": "abc"}}, "min_support"),
+        ("fit", {"models": {"l2_reg": "abc"}}, "l2_reg"),
+        ("evaluate", {"search": {"charge_default_full": "yes"}},
+         "charge_default_full"),
+    ])
+    def test_bad_config_exits_2(self, learned_run, tmp_path, capsys,
+                                step, config, key):
+        out = learned_run
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        inputs = {
+            "mine": [],
+            "fit": [],
+            "learn": ["--candidates", f"{out}/candidates.json",
+                      "--scores", f"{out}/scores.json"],
+            "evaluate": ["--regime", f"{out}/regime.json",
+                         "--scores", f"{out}/scores.json"],
+        }[step]
+        code = main([step, "--schema", f"{out}/schema.json",
+                     "--data", f"{out}/data.csv", *inputs,
+                     "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+
     def test_validation_problem_exits_2(self, tmp_path, capsys):
         out = str(tmp_path)
         assert main(["generate", "--n", "300", "--seed", "1",
