@@ -24,6 +24,7 @@ from .domain import (
     treatment_cost_vector,
 )
 from .errors import (
+    CellError,
     ConvergenceError,
     EmptyCandidateSetError,
     InvalidPredicateError,

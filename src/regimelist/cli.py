@@ -51,12 +51,20 @@ def _override(sec: dict, args: argparse.Namespace, names: list[str]) -> dict:
     return sec
 
 
+CONFIG_SECTIONS = ("mining", "models", "search", "weights")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    data = io.read_json(path)
+    data = io.read_json(_require(path, "config file"))
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(data) - set(CONFIG_SECTIONS))
+    if unknown:
+        raise ValidationError(
+            f"{path}: unknown config section(s) {', '.join(map(repr, unknown))}; "
+            f"known sections are {', '.join(CONFIG_SECTIONS)}")
     return data
 
 
@@ -85,6 +93,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _load_config(args.config)
     gspec = default_generator_spec(
         n_subjects=args.n,
         seed=args.seed if args.seed is not None else 0,

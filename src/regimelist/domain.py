@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidPredicateError, ValidationError
+from .errors import CellError, InvalidPredicateError, ValidationError
 
 REAL = "real"
 BINARY = "binary"
@@ -55,16 +55,6 @@ class CharacteristicSpec:
             raise ValidationError(f"real {self.name!r} must not enumerate levels")
         if len(set(self.levels)) != len(self.levels):
             raise ValidationError(f"duplicate levels for {self.name!r}")
-
-
-def _is_missing(value) -> bool:
-    if value is None:
-        return True
-    if isinstance(value, float) and math.isnan(value):
-        return True
-    if isinstance(value, str) and value.strip() == "":
-        return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -125,11 +115,32 @@ class Dataset:
         treatment_costs: Sequence[float],
         rows: Iterable[tuple[Sequence, str, float]],
     ) -> "Dataset":
-        """Build and validate a dataset from (values, treatment, outcome) rows.
+        """Build a dataset from (values, treatment, outcome) rows; the rows
+        are transposed into columns and checked by ``from_columns``."""
+        rows = list(rows)
+        for r, (values, _, _) in enumerate(rows):
+            if len(values) != len(specs):
+                raise ValidationError(f"row {r}: expected {len(specs)} values, got {len(values)}")
+        values, treatments, outcomes = zip(*rows) if rows else ((), (), ())
+        cells = list(zip(*values)) if values else [()] * len(specs)
+        return cls.from_columns(specs, treatment_names, treatment_costs,
+                                cells, treatments, outcomes)
 
-        Missing values (None, NaN, blank strings) are rejected; every value
-        must conform to its characteristic's kind and levels.
-        """
+    @classmethod
+    def from_columns(
+        cls,
+        specs: Sequence[CharacteristicSpec],
+        treatment_names: Sequence[str],
+        treatment_costs: Sequence[float],
+        cells: Sequence[Sequence],
+        treatments: Sequence[str],
+        outcomes: Sequence,
+    ) -> "Dataset":
+        """Build and validate a dataset from one cell sequence per column:
+        each characteristic's (numbers or numeric strings for reals, level
+        names otherwise), the treatment names and the outcomes.  A missing,
+        non-numeric or non-finite number, or an unknown level or treatment,
+        raises CellError for the first bad row of its column."""
         specs = tuple(specs)
         treatment_names = tuple(treatment_names)
         if len(treatment_names) != len(set(treatment_names)):
@@ -139,55 +150,63 @@ class Dataset:
             raise ValidationError("treatment_costs must match treatment_names")
         if not np.all(costs >= 0):
             raise ValidationError("treatment costs must be >= 0")
-
-        level_index = [
-            {lev: k for k, lev in enumerate(s.levels)} if s.kind != REAL else None
-            for s in specs
-        ]
-        cols: list[list] = [[] for _ in specs]
-        treat: list[int] = []
-        outc: list[float] = []
-        for r, (values, a, y) in enumerate(rows):
-            if len(values) != len(specs):
-                raise ValidationError(f"row {r}: expected {len(specs)} values, got {len(values)}")
-            for f, (spec, v) in enumerate(zip(specs, values)):
-                if _is_missing(v):
-                    raise ValidationError(f"row {r}: missing value for {spec.name!r}")
-                if spec.kind == REAL:
-                    try:
-                        cols[f].append(float(v))
-                    except (TypeError, ValueError):
-                        raise ValidationError(
-                            f"row {r}: non-numeric value {v!r} for real {spec.name!r}"
-                        ) from None
-                else:
-                    try:
-                        cols[f].append(level_index[f][v])
-                    except (KeyError, TypeError):
-                        raise ValidationError(
-                            f"row {r}: value {v!r} not a level of {spec.name!r}"
-                        ) from None
-            if a not in treatment_names:
-                raise ValidationError(f"row {r}: unknown treatment {a!r}")
-            if _is_missing(y):
-                raise ValidationError(f"row {r}: missing outcome")
-            treat.append(treatment_names.index(a))
-            outc.append(float(y))
-        if not treat:
+        n = len(treatments)
+        if n == 0:
             raise ValidationError("dataset needs at least one subject")
-
+        if len(cells) != len(specs) or any(len(c) != n for c in (*cells, outcomes)):
+            raise ValidationError("every column needs one cell per subject")
         columns = tuple(
-            np.asarray(c, dtype=float if s.kind == REAL else np.int64)
-            for s, c in zip(specs, cols)
+            _column(c, f, s.name, None if s.kind == REAL else s.levels)
+            for f, (s, c) in enumerate(zip(specs, cells))
         )
         return cls(
             specs=specs,
             treatment_names=treatment_names,
             treatment_costs=costs,
             columns=columns,
-            treatments=np.asarray(treat, dtype=np.int64),
-            outcomes=np.asarray(outc, dtype=float),
+            treatments=_column(treatments, len(specs), "treatment", treatment_names),
+            outcomes=_column(outcomes, len(specs) + 1, "outcome"),
         )
+
+
+def _column(cells: Sequence, col: int, name: str,
+            names: tuple[str, ...] | None = None) -> np.ndarray:
+    """Finite float64 numbers, or int64 codes into ``names`` when given.
+
+    Converts the whole column at once; only a column that fails is scanned
+    for its first bad cell, which CellError reports as ``col``.
+    """
+    try:
+        if names is None:
+            out = np.asarray(cells, dtype=float)
+            if out.shape == (len(cells),) and np.isfinite(out).all():
+                return out
+        else:
+            code = {v: k for k, v in enumerate(names)}
+            return np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))
+    except (KeyError, TypeError, ValueError):
+        pass
+    for r, value in enumerate(cells):
+        problem = _cell_problem(value, names)
+        if problem:
+            raise CellError(r, col, name, problem)
+    raise ValidationError(f"column {name!r} does not convert")
+
+
+def _cell_problem(value, names: tuple[str, ...] | None) -> str | None:
+    """What is wrong with one cell of a ``_column``, or None."""
+    if names is not None and value in names:
+        return None
+    if value is None or (isinstance(value, float) and math.isnan(value)) \
+            or (isinstance(value, str) and not value.strip()):
+        return f"missing value {value!r}"
+    if names is not None:
+        return f"{value!r} is not one of {', '.join(map(repr, names))}"
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return f"non-numeric value {value!r}"
+    return None if math.isfinite(number) else f"non-finite value {value!r}"
 
 
 @dataclass(frozen=True)

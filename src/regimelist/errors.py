@@ -14,6 +14,18 @@ class ValidationError(RegimeListError):
     """Malformed input: schema violations, out-of-range values, bad files."""
 
 
+class CellError(ValidationError):
+    """A dataset cell that fails validation.
+
+    ``row`` is the subject's 0-based index; ``column`` is the cell's
+    position among the characteristics, then the treatment, then the outcome.
+    """
+
+    def __init__(self, row: int, column: int, name: str, problem: str):
+        super().__init__(f"row {row}, column {name!r}: {problem}")
+        self.row, self.column, self.problem = row, column, problem
+
+
 class InvalidPredicateError(ValidationError):
     """Predicate incompatible with the characteristic it tests."""
 

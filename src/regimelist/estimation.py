@@ -78,11 +78,6 @@ class FeatureEncoder:
                 out[:, j] = (raw == col.level).astype(float)
         return out
 
-    def decode(self, j: int) -> tuple[int, int | None]:
-        """Map encoded column j back to (feature index, level index or None)."""
-        col = self.columns[j]
-        return col.feature, col.level
-
     def to_dict(self) -> dict:
         return {
             "columns": [{"feature": c.feature, "level": c.level, "name": c.name}
@@ -267,18 +262,14 @@ class OutcomeModel:
         )
 
 
-def solve_ridge(design: np.ndarray, y: np.ndarray, ridge: float,
-                penalize: np.ndarray | None = None) -> np.ndarray:
+def solve_ridge(design: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
     """Solve the (optionally ridge-penalized) normal equations by Cholesky.
 
-    ``penalize`` marks which coefficients the penalty applies to; by default
-    all but the last (intercept) column.
+    The penalty applies to every coefficient but the last (intercept) one.
     """
-    d = design.shape[1]
-    if penalize is None:
-        penalize = np.ones(d, dtype=bool)
-        penalize[-1] = False
-    normal = design.T @ design + ridge * np.diag(penalize.astype(float))
+    penalize = np.ones(design.shape[1])
+    penalize[-1] = 0.0
+    normal = design.T @ design + ridge * np.diag(penalize)
     rhs = design.T @ y
     try:
         return cho_solve(cho_factor(normal), rhs)
@@ -337,10 +328,17 @@ class DRScoreMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DRScoreMatrix":
-        return cls(
-            scores=np.asarray(d["scores"], dtype=float),
-            treatment_names=tuple(d["treatment_names"]),
-        )
+        try:
+            scores = np.asarray(d["scores"], dtype=float)
+            names = tuple(d["treatment_names"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValidationError(f"malformed score matrix: {e!r}") from None
+        if scores.ndim != 2 or scores.shape[1] != len(names) \
+                or not np.isfinite(scores).all():
+            raise ValidationError(
+                "malformed score matrix: 'scores' must be rows of finite numbers, "
+                "one per treatment name")
+        return cls(scores=scores, treatment_names=names)
 
 
 def compute_dr_scores(ds: Dataset, propensity: PropensityModel,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +21,7 @@ from .domain import (
     Pattern,
     Predicate,
 )
-from .errors import ValidationError
+from .errors import CellError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -85,89 +84,67 @@ class DataSchema:
                 treatment_column=d.get("treatment_column", "treatment"),
                 outcome_column=d.get("outcome_column", "outcome"),
             )
-        except (KeyError, TypeError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed schema: {e!r}") from None
 
 
 def read_schema(path: str | Path) -> DataSchema:
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{path}: invalid JSON ({e})") from None
-    return DataSchema.from_dict(d)
+    return DataSchema.from_dict(read_json(path))
 
 
 def write_schema(schema: DataSchema, path: str | Path) -> None:
     write_json(schema.to_dict(), path)
 
 
-def _format_cell(spec: CharacteristicSpec, value) -> str:
-    if spec.kind == REAL:
-        return repr(float(value))
-    return str(value)
-
-
 def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
-    """Load and validate a dataset CSV against its schema."""
+    """Load a dataset CSV and check it against its schema.
+
+    Diagnostics name the 1-based file line and the column, and quote the
+    cell as written; data row r is file line r + 2.
+    """
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{csv_path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{csv_path}: empty file")
         col_of = {name: k for k, name in enumerate(header)}
         needed = [s.name for s in schema.specs] + [schema.treatment_column, schema.outcome_column]
         for name in needed:
             if name not in col_of:
-                raise ValidationError(f"{csv_path}: missing column {name!r}")
-        rows = []
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise ValidationError(
-                    f"{csv_path}: line {lineno}: expected {len(header)} cells, got {len(cells)}"
-                )
-            values = []
-            for s in schema.specs:
-                cell = cells[col_of[s.name]]
-                if s.kind == REAL:
-                    try:
-                        values.append(float(cell))
-                    except ValueError:
-                        raise ValidationError(
-                            f"{csv_path}: line {lineno}, field {s.name!r}: non-numeric {cell!r}"
-                        ) from None
-                else:
-                    values.append(cell)
-            a = cells[col_of[schema.treatment_column]]
-            try:
-                y = float(cells[col_of[schema.outcome_column]])
-            except ValueError:
-                raise ValidationError(
-                    f"{csv_path}: line {lineno}, field {schema.outcome_column!r}: "
-                    f"non-numeric {cells[col_of[schema.outcome_column]]!r}"
-                ) from None
-            rows.append((values, a, y))
+                raise ValidationError(f"{csv_path}: line 1: missing column {name!r}")
+        rows = list(reader)
+    for r, cells in enumerate(rows):
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"{csv_path}: line {r + 2}: expected {len(header)} cells, got {len(cells)}"
+            )
+    columns = list(zip(*rows)) if rows else [()] * len(header)
+    *cells, treatments, outcomes = (columns[col_of[name]] for name in needed)
     try:
-        return Dataset.from_rows(schema.specs, schema.treatment_names, schema.treatment_costs, rows)
+        return Dataset.from_columns(schema.specs, schema.treatment_names,
+                                    schema.treatment_costs, cells, treatments, outcomes)
+    except CellError as e:
+        raise ValidationError(
+            f"{csv_path}: line {e.row + 2}, column {needed[e.column]!r}: {e.problem}"
+        ) from None
     except ValidationError as e:
-        # from_rows reports 0-based row indices; translate to file lines
-        msg = re.sub(r"\brow (\d+)", lambda m: f"line {int(m.group(1)) + 2}", str(e))
-        raise ValidationError(f"{csv_path}: {msg}") from None
+        raise ValidationError(f"{csv_path}: {e}") from None
 
 
 def write_dataset_csv(ds: Dataset, path: str | Path,
                       treatment_column: str = "treatment",
                       outcome_column: str = "outcome") -> None:
     """Write a dataset CSV; reals use repr() so output is byte-reproducible."""
+    columns = [
+        map(repr, col.tolist()) if s.kind == REAL else map(s.levels.__getitem__, col.tolist())
+        for s, col in zip(ds.specs, ds.columns)
+    ]
+    columns.append(map(ds.treatment_names.__getitem__, ds.treatments.tolist()))
+    columns.append(map(repr, ds.outcomes.tolist()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([s.name for s in ds.specs] + [treatment_column, outcome_column])
-        for i in range(ds.n_subjects):
-            cells = [_format_cell(s, v) for s, v in zip(ds.specs, ds.row(i))]
-            cells.append(ds.treatment_names[ds.treatments[i]])
-            cells.append(repr(float(ds.outcomes[i])))
-            writer.writerow(cells)
+        writer.writerows(zip(*columns))
 
 
 def decision_list_to_dict(

@@ -137,7 +137,7 @@ class CandidateSet:
                 n_subjects=int(d["n_subjects"]),
                 config=MiningConfig.from_dict(d.get("config", {})),
             )
-        except (KeyError, TypeError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed candidate set: {e!r}") from None
 
 

@@ -207,3 +207,94 @@ class TestExitCodes:
                      "--data", str(bad), "--out-dir", out])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, cell", [
+        ("outcome", "inf"), ("age", "inf"), ("age", "-inf"),
+        ("bmi", "1e400"), ("outcome", "nan"),
+    ])
+    def test_non_finite_cell_exits_2(self, learned_run, tmp_path, capsys,
+                                     column, cell):
+        out = learned_run
+        lines = open(f"{out}/data.csv").read().splitlines()
+        k = lines[0].split(",").index(column)
+        cells = lines[2].split(",")
+        cells[k] = cell
+        lines[2] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["fit", "--schema", f"{out}/schema.json",
+                     "--data", str(bad), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line 3, column {column!r}: non-finite value {cell!r}" in err
+
+    @pytest.mark.parametrize("step", ["learn", "evaluate"])
+    @pytest.mark.parametrize("case", ["no_key", "string", "ragged",
+                                      "top_level_list", "nan"])
+    def test_bad_scores_file_exits_2(self, learned_run, tmp_path, capsys,
+                                     step, case):
+        out = learned_run
+        d = read_json(f"{out}/scores.json")
+        if case == "no_key":
+            del d["scores"]
+        elif case == "string":
+            d["scores"] = "abc"
+        elif case == "ragged":
+            d["scores"][0].pop()
+        elif case == "top_level_list":
+            d = []
+        else:
+            d["scores"][0][0] = float("nan")
+        bad = tmp_path / "scores.json"
+        bad.write_text(json.dumps(d))
+        inputs = {"learn": ["--candidates", f"{out}/candidates.json"],
+                  "evaluate": ["--regime", f"{out}/regime.json"]}[step]
+        code = main([step, "--schema", f"{out}/schema.json",
+                     "--data", f"{out}/data.csv", *inputs,
+                     "--scores", str(bad), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "malformed score matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("bins", []), ("bins", {"age": [30.0, "abc"]}),
+        ("config", []), ("n_subjects", "many"),
+    ])
+    def test_bad_candidates_file_exits_2(self, learned_run, tmp_path, capsys,
+                                         key, value):
+        out = learned_run
+        d = read_json(f"{out}/candidates.json")
+        d[key] = value
+        bad = tmp_path / "candidates.json"
+        bad.write_text(json.dumps(d))
+        code = main(["learn", "--schema", f"{out}/schema.json",
+                     "--data", f"{out}/data.csv", "--candidates", str(bad),
+                     "--scores", f"{out}/scores.json",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "malformed candidate set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["generate", "mine"])
+    def test_unknown_config_section_exits_2(self, learned_run, tmp_path,
+                                            capsys, step):
+        out = learned_run
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"serch": {"iterations": 5}}))
+        inputs = {"generate": ["--n", "50"],
+                  "mine": ["--schema", f"{out}/schema.json",
+                           "--data", f"{out}/data.csv"]}[step]
+        code = main([step, *inputs, "--config", str(cfg),
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "'serch'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["generate", "mine"])
+    def test_missing_config_file_exits_2(self, learned_run, tmp_path, capsys,
+                                         step):
+        out = learned_run
+        inputs = {"generate": ["--n", "50"],
+                  "mine": ["--schema", f"{out}/schema.json",
+                           "--data", f"{out}/data.csv"]}[step]
+        code = main([step, *inputs, "--config", str(tmp_path / "nope.json"),
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "config file not found" in capsys.readouterr().err

@@ -223,6 +223,21 @@ class TestValidation:
                 [((1.0, "yes"), "a", 1.0), ((1.0, "purple"), "a", 1.0)],
             )
 
+    def test_non_finite_number_rejected(self):
+        with pytest.raises(ValidationError, match="row 1, column 'age': non-finite"):
+            Dataset.from_rows(SPECS, ("a",), (1.0,),
+                              [((1.0, "yes"), "a", 1.0), ((float("inf"), "no"), "a", 1.0)])
+
+    def test_from_columns_matches_from_rows(self):
+        ds = tiny_dataset()
+        back = Dataset.from_columns(SPECS, ("a", "b"), (5.0, 7.0),
+                                    [("34.0", "52.0", "41.0"), ("yes", "no", "yes")],
+                                    ("a", "b", "a"), ("10", "20", "30"))
+        for a, b in zip(back.columns, ds.columns):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert np.array_equal(back.treatments, ds.treatments)
+        assert np.array_equal(back.outcomes, ds.outcomes)
+
     def test_treatment_code_range_checked(self):
         ds = tiny_dataset()
         dl = DecisionList(rules=(), default_treatment=5)

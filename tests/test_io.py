@@ -56,6 +56,15 @@ class TestSchema:
             )
 
 
+    @pytest.mark.parametrize("change", [
+        {"treatments": []},
+        {"characteristics": [{"name": "age", "kind": "real", "cost": "abc"}]},
+    ])
+    def test_malformed_schema_rejected(self, change):
+        with pytest.raises(ValidationError, match="malformed schema"):
+            DataSchema.from_dict({**SCHEMA.to_dict(), **change})
+
+
 class TestDatasetCSV:
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -104,6 +113,29 @@ class TestDatasetCSV:
         path.write_text("age,smoker,treatment,outcome\n34.0,yes,a,oops\n")
         with pytest.raises(ValidationError, match="line 2"):
             read_dataset(path, SCHEMA)
+
+    def test_level_cell_quoted_verbatim(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "age,smoker,treatment,outcome\n"
+            "34.0,yes,a,10.0\n"
+            "50.0,row 5,b,20.0\n"
+        )
+        with pytest.raises(ValidationError) as exc:
+            read_dataset(path, SCHEMA)
+        assert "line 3, column 'smoker': 'row 5' is not one of" in str(exc.value)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "nan", "NaN"])
+    @pytest.mark.parametrize("column", ["age", "outcome"])
+    def test_non_finite_number_rejected(self, tmp_path, column, cell):
+        cells = {"age": "34.0", "smoker": "yes", "treatment": "a", "outcome": "10.0"}
+        cells[column] = cell
+        path = tmp_path / "bad.csv"
+        path.write_text("age,smoker,treatment,outcome\n34.0,no,b,1.0\n"
+                        + ",".join(cells.values()) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            read_dataset(path, SCHEMA)
+        assert f"line 3, column {column!r}: non-finite value {cell!r}" in str(exc.value)
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
