@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .domain import REAL, Dataset
 from .errors import ConvergenceError, SingularSystemError, ValidationError
@@ -263,20 +262,21 @@ class OutcomeModel:
 
 
 def solve_ridge(design: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve the (optionally ridge-penalized) normal equations by Cholesky.
+    """Solve the (optionally ridge-penalized) normal equations.
 
-    The penalty applies to every coefficient but the last (intercept) one.
+    The penalty applies to every coefficient but the last (intercept) one;
+    a failed Cholesky factorization marks the system as singular.
     """
     penalize = np.ones(design.shape[1])
     penalize[-1] = 0.0
     normal = design.T @ design + ridge * np.diag(penalize)
-    rhs = design.T @ y
     try:
-        return cho_solve(cho_factor(normal), rhs)
-    except LinAlgError:
+        np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError:
         raise SingularSystemError(
             "normal equations are singular; supply a positive ridge penalty"
         ) from None
+    return np.linalg.solve(normal, design.T @ y)
 
 
 def fit_outcome(ds: Dataset, ridge: float = 1e-6) -> OutcomeModel:

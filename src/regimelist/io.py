@@ -99,8 +99,8 @@ def write_schema(schema: DataSchema, path: str | Path) -> None:
 def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
     """Load a dataset CSV and check it against its schema.
 
-    Diagnostics name the 1-based file line and the column, and quote the
-    cell as written; data row r is file line r + 2.
+    Diagnostics name the 1-based file line where the record starts (quoted
+    cells may hold newlines) and the column, and quote the cell as written.
     """
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -112,12 +112,13 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
         for name in needed:
             if name not in col_of:
                 raise ValidationError(f"{csv_path}: line 1: missing column {name!r}")
-        rows = list(reader)
-    for r, cells in enumerate(rows):
-        if len(cells) != len(header):
-            raise ValidationError(
-                f"{csv_path}: line {r + 2}: expected {len(header)} cells, got {len(cells)}"
-            )
+        rows, first_lines = [], [reader.line_num + 1]
+        for cells in reader:
+            if len(cells) != len(header):
+                raise ValidationError(f"{csv_path}: line {first_lines[-1]}: "
+                                      f"expected {len(header)} cells, got {len(cells)}")
+            rows.append(cells)
+            first_lines.append(reader.line_num + 1)
     columns = list(zip(*rows)) if rows else [()] * len(header)
     *cells, treatments, outcomes = (columns[col_of[name]] for name in needed)
     try:
@@ -125,7 +126,7 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
                                     schema.treatment_costs, cells, treatments, outcomes)
     except CellError as e:
         raise ValidationError(
-            f"{csv_path}: line {e.row + 2}, column {needed[e.column]!r}: {e.problem}"
+            f"{csv_path}: line {first_lines[e.row]}, column {needed[e.column]!r}: {e.problem}"
         ) from None
     except ValidationError as e:
         raise ValidationError(f"{csv_path}: {e}") from None

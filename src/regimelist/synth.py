@@ -19,7 +19,6 @@ from itertools import product
 from typing import Iterator
 
 import numpy as np
-from scipy.stats import norm
 
 from .domain import (
     BINARY,
@@ -74,7 +73,7 @@ class Marginal:
             return min(1.0, max(0.0, (x - lo) / (hi - lo)))
         if self.kind == NORMAL:
             mu, sd = self.params
-            return float(norm.cdf((x - mu) / sd))
+            return 0.5 * math.erfc((mu - x) / (sd * math.sqrt(2.0)))
         raise ValidationError("cdf is only defined for real marginals")
 
     def to_dict(self) -> dict:

@@ -208,6 +208,22 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_singular_outcome_fit_exits_3(self, learned_run, tmp_path, capsys):
+        out = learned_run
+        lines = open(f"{out}/data.csv").read().splitlines()
+        k = lines[0].split(",").index("temperature")
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[k] = "37.0"  # a constant column encodes to all zeros
+            lines[i] = ",".join(cells)
+        flat = tmp_path / "flat.csv"
+        flat.write_text("\n".join(lines) + "\n")
+        args = ["fit", "--schema", f"{out}/schema.json", "--data", str(flat),
+                "--out-dir", str(tmp_path)]
+        assert main([*args, "--ridge", "0"]) == 3
+        assert "normal equations are singular" in capsys.readouterr().err
+        assert main(args) == 0
+
     @pytest.mark.parametrize("column, cell", [
         ("outcome", "inf"), ("age", "inf"), ("age", "-inf"),
         ("bmi", "1e400"), ("outcome", "nan"),

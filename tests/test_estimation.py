@@ -11,7 +11,7 @@ from regimelist.domain import (
     CharacteristicSpec,
     Dataset,
 )
-from regimelist.errors import ConvergenceError, ValidationError
+from regimelist.errors import ConvergenceError, SingularSystemError, ValidationError
 from regimelist.estimation import (
     DRScoreMatrix,
     FeatureEncoder,
@@ -301,3 +301,9 @@ class TestSolveRidge:
         y = design @ beta_true
         beta = solve_ridge(design, y, ridge=0.0)
         assert beta == pytest.approx(beta_true, abs=1e-10)
+
+    def test_all_zero_column_without_ridge_is_singular(self):
+        rng = np.random.default_rng(16)
+        design = np.column_stack([rng.normal(size=(40, 2)), np.zeros(40), np.ones(40)])
+        with pytest.raises(SingularSystemError, match="normal equations are singular"):
+            solve_ridge(design, rng.normal(size=40), ridge=0.0)

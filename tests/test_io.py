@@ -6,6 +6,7 @@ import pytest
 
 from regimelist.domain import (
     BINARY,
+    CATEGORICAL,
     REAL,
     CharacteristicSpec,
     DecisionList,
@@ -136,6 +137,24 @@ class TestDatasetCSV:
         with pytest.raises(ValidationError) as exc:
             read_dataset(path, SCHEMA)
         assert f"line 3, column {column!r}: non-finite value {cell!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("last_record, problem", [
+        ("30.0,maybe,a,t1,5.0", "line 4, column 'smoker': 'maybe'"),
+        ("30.0,no,a,t1", "line 4: expected 5 cells, got 4"),
+    ])
+    def test_line_counts_newlines_in_quoted_cells(self, tmp_path, last_record,
+                                                  problem):
+        schema = DataSchema(
+            specs=SPECS + (CharacteristicSpec("grp", CATEGORICAL, 1.0, ("a", "b")),),
+            treatment_names=("t0", "t1"),
+            treatment_costs=(5.0, 7.0),
+        )
+        path = tmp_path / "bad.csv"
+        path.write_text("age,smoker,grp,treatment,outcome\n"
+                        '"34.0\n",yes,a,t0,10.0\n' + last_record + "\n")
+        with pytest.raises(ValidationError) as exc:
+            read_dataset(path, schema)
+        assert problem in str(exc.value)
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

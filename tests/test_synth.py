@@ -58,6 +58,28 @@ class TestMarginal:
         with pytest.raises(ValidationError):
             Marginal("normal", (0.0, -1.0))
 
+    @pytest.mark.parametrize("z, phi", [
+        (0.0, 0.5),
+        (1.0, 0.8413447460685429),
+        (-1.96, 0.024997895148220435),
+        (3.0, 0.9986501019683699),
+        (-5.0, 2.866515718791939e-07),
+        (8.0, 0.9999999999999993),
+    ])
+    @pytest.mark.parametrize("mu, sd", [(0.0, 1.0), (25.0, 4.0)])
+    def test_normal_cdf_matches_reference(self, mu, sd, z, phi):
+        assert Marginal("normal", (mu, sd)).cdf(mu + z * sd) == pytest.approx(phi, rel=1e-14)
+
+    def test_normal_cdf_symmetric(self):
+        m = Marginal("normal", (25.0, 4.0))
+        for a in (0.1, 1.0, 2.5, 7.0, 40.0):
+            assert m.cdf(25.0 - a) + m.cdf(25.0 + a) == pytest.approx(1.0, abs=1e-15)
+
+    def test_uniform_cdf_clamped(self):
+        m = Marginal("uniform", (2.0, 6.0))
+        assert [m.cdf(x) for x in (-1e9, 1.0, 2.0, 3.0, 6.0, 7.5)] == \
+            [0.0, 0.0, 0.0, 0.25, 1.0, 1.0]
+
 
 class TestGenerate:
     def test_schema_matches_cost_table(self):
