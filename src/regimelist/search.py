@@ -7,7 +7,8 @@ score and treatment cost are final the moment a rule covers it, so a prefix
 carries exact incurred sums plus an optimistic bound on whatever the
 uncovered remainder can still contribute.  Three solvers share this state
 machinery: UCT (the main engine), exhaustive enumeration (small-instance
-oracle), and a greedy baseline.
+oracle), and a greedy baseline.  ``SearchProblem.ordered_actions`` is their
+one legality rule and ``SearchProblem.state_bound`` their one scoring function.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from .objective import ObjectiveWeights, check_scores
 
 Action = tuple[int, int]
 # (pattern index, treatment) appends a rule; (-1, d) closes with default d.
+
+# new_coverage_counts rounds a float32 product, which counts exactly only
+# while every count fits float32's 24-bit significand
+MAX_EXACT_SUBJECTS = 2 ** 24
+EXHAUSTIVE_MAX_PATTERNS = 10
+EXHAUSTIVE_MAX_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,10 @@ class SearchProblem:
         charge_default_full: bool = False,
     ):
         check_scores(ds, scores)
+        if ds.n_subjects > MAX_EXACT_SUBJECTS:
+            raise SizeLimitError(
+                f"{ds.n_subjects} subjects exceeds the exact-coverage limit "
+                f"of {MAX_EXACT_SUBJECTS}")
         self.ds = ds
         self.weights = weights
         self.charge_default_full = charge_default_full
@@ -223,34 +234,22 @@ class SearchProblem:
             return 0.0
         return feature_set_cost(self.ds.specs, state.features)
 
-    def terminal_objective(self, state: SearchState) -> float:
-        """Exact objective of a closed list, from the incurred sums."""
-        if not state.terminal:
-            raise ValidationError("objective of a non-terminal state")
-        d = state.default_treatment
-        uncovered = ~state.covered
-        n_unc = int(uncovered.sum())
-        total = (state.incurred_value
-                 - self.weights.lambda2 * state.incurred_assess
-                 + float(self.value_mat[uncovered, d].sum())
-                 - self.weights.lambda2 * self.default_assessment(state) * n_unc)
-        return total / self.n
+    def state_bound(self, state: SearchState) -> float:
+        """The exact objective of a closed list; for an open prefix, an upper
+        bound on the objective of every completion.
 
-    def state_bound(self, state: SearchState, L_max: int = 0,
-                    min_new_coverage: float = 0.0) -> float:
-        """Upper bound on the objective of every completion of the state.
-
-        Covered subjects are settled; each uncovered subject contributes at
-        most its best score minus the cheapest treatment, and at least the
+        Covered subjects are settled.  An uncovered subject contributes its
+        default's value once the list is closed, and at most its best score
+        minus the cheapest treatment while it is open; either way it pays the
         already-committed default assessment charge when that policy is on.
         """
-        if state.terminal:
-            return self.terminal_objective(state)
+        tail = (self.value_mat[:, state.default_treatment] if state.terminal
+                else self.optimistic)
         uncovered = ~state.covered
         n_unc = int(uncovered.sum())
         total = (state.incurred_value
                  - self.weights.lambda2 * state.incurred_assess
-                 + float(self.optimistic[uncovered].sum())
+                 + float(tail[uncovered].sum())
                  - self.weights.lambda2 * self.default_assessment(state) * n_unc)
         return total / self.n
 
@@ -289,16 +288,15 @@ def check_state_consistency(problem: SearchProblem, state: SearchState) -> None:
 class SearchNode:
     """One prefix in the UCT tree."""
 
-    __slots__ = ("state", "bound", "visits", "total_reward", "best_reward",
-                 "children", "untried", "fully_explored")
+    __slots__ = ("state", "bound", "visits", "total_reward", "children",
+                 "untried", "fully_explored")
 
     def __init__(self, state: SearchState, bound: float):
         self.state = state
         self.bound = bound
         self.visits = 0
         self.total_reward = 0.0
-        self.best_reward = -math.inf
-        self.children: list[tuple[Action, SearchNode]] = []
+        self.children: list[SearchNode] = []
         self.untried: list[Action] | None = None
         self.fully_explored = False
 
@@ -311,7 +309,6 @@ class SearchResult:
     tree_size: int = 0
     n_pruned: int = 0
     iterations_run: int = 0
-    seed: int = 0
 
 
 def uct_search(
@@ -351,7 +348,7 @@ def uct_search(
         rmin = min(rmin, obj)
         rmax = max(rmax, obj)
 
-    def rollout(state: SearchState) -> tuple[SearchState, float]:
+    def rollout(state: SearchState) -> float:
         # Uncovered subjects only shrink along a rollout, so a pattern that
         # failed the coverage filter once stays illegal: drop it and resample.
         used = {p for p, _ in state.prefix}
@@ -374,16 +371,14 @@ def uct_search(
             active.remove(p)
             if config.debug_checks:
                 check_state_consistency(problem, state)
-        obj = problem.terminal_objective(state)
+        obj = problem.state_bound(state)
         record_terminal(state, obj)
-        return state, obj
+        return obj
 
     def backup(path: list[SearchNode], reward: float) -> None:
         for node in path:
             node.visits += 1
             node.total_reward += reward
-            if reward > node.best_reward:
-                node.best_reward = reward
 
     def normalized(mean: float) -> float:
         if rmax > rmin:
@@ -402,9 +397,9 @@ def uct_search(
             if node.untried is None:
                 node.untried = problem.ordered_actions(
                     node.state, config.L_max, config.min_new_coverage)
-            live = [(a, c) for a, c in node.children
+            live = [c for c in node.children
                     if not c.fully_explored and c.bound > best_obj]
-            dropped = [c for _, c in node.children
+            dropped = [c for c in node.children
                        if not c.fully_explored and c.bound <= best_obj]
             for c in dropped:
                 c.fully_explored = True
@@ -412,7 +407,6 @@ def uct_search(
             # progressive widening gates expansion unless nothing is selectable
             limit = max(1, math.ceil(
                 config.widen_c * max(node.visits, 1) ** config.widen_alpha))
-            expanded = False
             if node.untried and (len(node.children) < limit or not live):
                 # pop() takes defaults first, then the best-ordered rules
                 while node.untried:
@@ -426,17 +420,17 @@ def uct_search(
                         continue
                     child = SearchNode(child_state, child_bound)
                     tree_size += 1
-                    node.children.append((action, child))
+                    node.children.append(child)
                     if child_state.terminal:
-                        reward = problem.terminal_objective(child_state)
+                        # a closed list's bound is its exact objective
+                        reward = child_bound
                         record_terminal(child_state, reward)
                         child.fully_explored = True
                     else:
-                        _, reward = rollout(child_state)
+                        reward = rollout(child_state)
                     path.append(child)
-                    expanded = True
                     break
-            if expanded:
+            if reward is not None:
                 break
             if not live:
                 node.fully_explored = True
@@ -448,7 +442,7 @@ def uct_search(
                 continue
             log_n = math.log(node.visits) if node.visits > 0 else 0.0
             best_child, best_ucb = None, -math.inf
-            for a, c in live:
+            for c in live:
                 ucb = (normalized(c.total_reward / c.visits)
                        + config.c_explore * math.sqrt(log_n / c.visits))
                 if ucb > best_ucb:
@@ -467,7 +461,7 @@ def uct_search(
     if best_state is None:
         # only possible with a zero-iteration budget guard; close with arm 0
         best_state = problem.apply(problem.initial_state(), (-1, 0))
-        best_obj = problem.terminal_objective(best_state)
+        best_obj = problem.state_bound(best_state)
     return SearchResult(
         decision_list=problem.decision_list(best_state),
         objective=best_obj,
@@ -475,7 +469,6 @@ def uct_search(
         tree_size=tree_size,
         n_pruned=n_pruned,
         iterations_run=iterations_run,
-        seed=config.seed,
     )
 
 
@@ -501,24 +494,24 @@ def exhaustive_search(
     L_max: int = 3,
     use_bound: bool = False,
     charge_default_full: bool = False,
-    max_patterns: int = 10,
-    max_depth: int = 3,
 ) -> ExhaustiveResult:
-    """Exact argmax by enumerating every ordered rule sequence up to L_max.
+    """Exact argmax by enumerating every legal rule sequence up to L_max.
 
-    Patterns never repeat within a list (a repeat matches nothing new and
-    can only add cost).  Enumeration order is lexicographic with defaults
-    first at each prefix and strict-improvement updates, so ties resolve to
-    the first list in that order.  Instances beyond the safety limits are
-    refused.  With use_bound, subtrees whose optimistic bound cannot beat
-    the incumbent are skipped and counted.
+    A rule is legal when ``ordered_actions`` allows it with no coverage
+    threshold: its pattern is unused and newly covers at least one subject
+    (a rule covering nothing new only adds cost, so no optimum is lost).
+    Each prefix tries the defaults, then rules in ascending (pattern,
+    treatment) order, and only a strict improvement replaces the incumbent,
+    so ties resolve to the first list in that order.  Instances beyond the
+    EXHAUSTIVE_* limits are refused.  With use_bound, subtrees whose
+    optimistic bound cannot beat the incumbent are skipped and counted.
     """
-    if len(cands.patterns) > max_patterns:
+    if len(cands.patterns) > EXHAUSTIVE_MAX_PATTERNS:
         raise SizeLimitError(
             f"{len(cands.patterns)} patterns exceeds the exhaustive limit "
-            f"of {max_patterns}")
-    if L_max > max_depth:
-        raise SizeLimitError(f"L_max {L_max} exceeds the exhaustive limit of {max_depth}")
+            f"of {EXHAUSTIVE_MAX_PATTERNS}")
+    if L_max > EXHAUSTIVE_MAX_DEPTH:
+        raise SizeLimitError(f"L_max {L_max} exceeds the exhaustive limit of {EXHAUSTIVE_MAX_DEPTH}")
 
     problem = SearchProblem(ds, scores, cands, weights, charge_default_full)
     best_obj = -math.inf
@@ -526,28 +519,22 @@ def exhaustive_search(
     n_evaluated = 0
     n_pruned = 0
 
-    def visit(state: SearchState, used: frozenset[int]) -> None:
+    def visit(state: SearchState) -> None:
         nonlocal best_obj, best_state, n_evaluated, n_pruned
-        for d in range(problem.m):
-            term = problem.apply(state, (-1, d))
-            obj = problem.terminal_objective(term)
-            n_evaluated += 1
-            if obj > best_obj:
-                best_obj = obj
-                best_state = term
-        if state.depth >= L_max:
-            return
-        for p in range(len(problem.patterns)):
-            if p in used:
-                continue
-            for t in range(problem.m):
-                child = problem.apply(state, (p, t))
-                if use_bound and problem.state_bound(child) <= best_obj:
-                    n_pruned += 1
-                    continue
-                visit(child, used | {p})
+        for action in sorted(problem.ordered_actions(state, L_max, 0.0)):
+            child = problem.apply(state, action)
+            bound = problem.state_bound(child)
+            if child.terminal:
+                n_evaluated += 1
+                if bound > best_obj:
+                    best_obj = bound
+                    best_state = child
+            elif use_bound and bound <= best_obj:
+                n_pruned += 1
+            else:
+                visit(child)
 
-    visit(problem.initial_state(), frozenset())
+    visit(problem.initial_state())
     return ExhaustiveResult(
         decision_list=problem.decision_list(best_state),
         objective=best_obj,
@@ -566,34 +553,32 @@ def greedy_baseline(
 ) -> BaselineResult:
     """Appends the single rule with the largest exact objective gain.
 
+    Rules are those exhaustive_search enumerates, tried in the same order.
     After each append the default is re-optimized; the loop stops when no
     rule strictly improves the completed list's objective or L_max is hit.
     """
     problem = SearchProblem(ds, scores, cands, weights, charge_default_full)
 
     def best_completion(state: SearchState) -> tuple[float, int]:
-        vals = [problem.terminal_objective(problem.apply(state, (-1, d)))
+        vals = [problem.state_bound(problem.apply(state, (-1, d)))
                 for d in range(problem.m)]
         d = int(np.argmax(vals))
         return vals[d], d
 
     state = problem.initial_state()
-    used: set[int] = set()
     best_obj, best_d = best_completion(state)
-    while state.depth < L_max:
-        step_best: tuple[float, int, int, SearchState] | None = None
-        for p in range(len(problem.patterns)):
-            if p in used or not ((problem.masks_f[p] != 0) & ~state.covered).any():
+    while True:
+        step_best: tuple[float, int, SearchState] | None = None
+        for action in sorted(problem.ordered_actions(state, L_max, 0.0)):
+            if action[0] < 0:
                 continue
-            for t in range(problem.m):
-                child = problem.apply(state, (p, t))
-                obj, d = best_completion(child)
-                if obj > best_obj and (step_best is None or obj > step_best[0]):
-                    step_best = (obj, d, p, child)
+            child = problem.apply(state, action)
+            obj, d = best_completion(child)
+            if obj > best_obj and (step_best is None or obj > step_best[0]):
+                step_best = (obj, d, child)
         if step_best is None:
             break
-        best_obj, best_d, p, state = step_best
-        used.add(p)
+        best_obj, best_d, state = step_best
     final = problem.apply(state, (-1, best_d))
     return BaselineResult(
         decision_list=problem.decision_list(final),

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from regimelist import search
 from regimelist.cli import main
 from regimelist.io import read_json
 
@@ -137,6 +138,31 @@ def learned_run(tmp_path_factory):
     return run_pipeline(tmp_path_factory.mktemp("run"), n=600, iterations=20)
 
 
+class TestExhaustiveStrategy:
+    def test_limit_refused_then_small_set_solved(self, learned_run, tmp_path,
+                                                 capsys):
+        out = learned_run
+        data = ["--schema", f"{out}/schema.json", "--data", f"{out}/data.csv"]
+        learn = ["learn", *data, "--scores", f"{out}/scores.json",
+                 "--strategy", "exhaustive", "--l-max", "3",
+                 "--out-dir", str(tmp_path)]
+        assert main([*learn, "--candidates", f"{out}/candidates.json"]) == 3
+        assert "exceeds the exhaustive limit" in capsys.readouterr().err
+        cands = read_json(f"{out}/candidates.json")
+        cands["patterns"] = cands["patterns"][:8]
+        few = tmp_path / "few.json"
+        few.write_text(json.dumps(cands))
+        assert main([*learn, "--candidates", str(few)]) == 0
+        regime = read_json(str(tmp_path / "regime.json"))
+        assert regime["strategy"] == "exhaustive"
+        assert regime["n_evaluated"] > 0 and regime["n_pruned"] >= 0
+        assert main(["evaluate", *data, "--regime", str(tmp_path / "regime.json"),
+                     "--scores", f"{out}/scores.json",
+                     "--out-dir", str(tmp_path)]) == 0
+        metrics = read_json(str(tmp_path / "metrics.json"))
+        assert abs(regime["objective"] - metrics["objective"]) <= 1e-12
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("step, config, key", [
         ("learn", {"search": {"iterations": "5"}}, "iterations"),
@@ -167,6 +193,18 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and key in err
+
+    def test_subject_count_beyond_exact_coverage_exits_3(
+            self, learned_run, tmp_path, capsys, monkeypatch):
+        out = learned_run
+        monkeypatch.setattr(search, "MAX_EXACT_SUBJECTS", 100)
+        code = main(["learn", "--schema", f"{out}/schema.json",
+                     "--data", f"{out}/data.csv",
+                     "--candidates", f"{out}/candidates.json",
+                     "--scores", f"{out}/scores.json",
+                     "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "exact-coverage limit of 100" in capsys.readouterr().err
 
     def test_validation_problem_exits_2(self, tmp_path, capsys):
         out = str(tmp_path)

@@ -12,6 +12,7 @@ from regimelist.domain import DecisionList, satisfy
 from regimelist.errors import SizeLimitError, ValidationError
 from regimelist.mining import CandidateSet, MiningConfig, mine_patterns
 from regimelist.objective import ObjectiveWeights, objective_value
+from regimelist import search
 from regimelist.search import (
     SearchConfig,
     SearchProblem,
@@ -172,14 +173,23 @@ class TestStateBound:
         ds, cands = small_instance(rng)
         scores = random_scores(rng, ds)
         w = random_weights(rng)
-        problem = SearchProblem(ds, scores, cands, w)
-        state = problem.apply(problem.initial_state(), (0, 1))
-        state = problem.apply(state, (-1, 0))
-        assert state.terminal
-        dl = problem.decision_list(state)
-        want = objective_value(ds, dl, scores, w)
-        assert problem.state_bound(state) == pytest.approx(want, abs=1e-12)
-        assert problem.terminal_objective(state) == pytest.approx(want, abs=1e-12)
+        for full in (False, True):
+            problem = SearchProblem(ds, scores, cands, w,
+                                    charge_default_full=full)
+            for _ in range(12):
+                length = int(rng.integers(0, 4))
+                pats = rng.permutation(len(cands.patterns))[:length]
+                state = problem.initial_state()
+                for p in pats:
+                    state = problem.apply(
+                        state, (int(p), int(rng.integers(ds.n_treatments))))
+                state = problem.apply(
+                    state, (-1, int(rng.integers(ds.n_treatments))))
+                assert state.terminal
+                dl = problem.decision_list(state)
+                want = objective_value(ds, dl, scores, w,
+                                       charge_default_full=full)
+                assert problem.state_bound(state) == pytest.approx(want, abs=1e-12)
 
     def test_single_treatment_empty_prefix_bound_is_policy_value(self):
         rng = np.random.default_rng(65)
@@ -192,6 +202,18 @@ class TestStateBound:
             ds, DecisionList(rules=(), default_treatment=0), scores, w
         )
         assert bound == pytest.approx(only, abs=1e-9)
+
+
+class TestSizeLimit:
+    def test_subject_count_beyond_exact_coverage_refused(self, monkeypatch):
+        rng = np.random.default_rng(109)
+        ds, cands = small_instance(rng)
+        scores = random_scores(rng, ds)
+        monkeypatch.setattr(search, "MAX_EXACT_SUBJECTS", ds.n_subjects)
+        SearchProblem(ds, scores, cands)
+        monkeypatch.setattr(search, "MAX_EXACT_SUBJECTS", ds.n_subjects - 1)
+        with pytest.raises(SizeLimitError, match=str(ds.n_subjects - 1)):
+            SearchProblem(ds, scores, cands)
 
 
 class TestStateConsistency:
@@ -333,13 +355,39 @@ class TestExhaustive:
 
     def test_size_limits_enforced(self):
         rng = np.random.default_rng(97)
-        ds, cands = small_instance(rng, n_patterns=6)
+        ds, cands = small_instance(rng, n_patterns=11)
         scores = random_scores(rng, ds)
-        with pytest.raises(SizeLimitError):
-            exhaustive_search(ds, scores, cands, ObjectiveWeights(),
-                              L_max=2, max_patterns=4)
-        with pytest.raises(SizeLimitError):
-            exhaustive_search(ds, scores, cands, ObjectiveWeights(), L_max=9)
+        with pytest.raises(SizeLimitError, match="11 patterns"):
+            exhaustive_search(ds, scores, cands, ObjectiveWeights(), L_max=2)
+        few = dataclasses.replace(cands, patterns=cands.patterns[:10],
+                                  counts=cands.counts[:10])
+        with pytest.raises(SizeLimitError, match="L_max 4"):
+            exhaustive_search(ds, scores, few, ObjectiveWeights(), L_max=4)
+
+    def test_evaluates_every_list_whose_rules_cover_something_new(self):
+        # oracle: count by satisfy the lists in which every rule newly
+        # covers at least one subject, times the rule and default treatments
+        rng = np.random.default_rng(98)
+        for n_patterns, L_max in ((4, 3), (6, 2), (8, 2)):
+            ds, cands = small_instance(rng, n_patterns=n_patterns)
+            rows = [ds.row(i) for i in range(ds.n_subjects)]
+            sets = [frozenset(i for i, row in enumerate(rows)
+                              if satisfy(row, pat, ds.specs))
+                    for pat in cands.patterns]
+            m = ds.n_treatments
+            n_lists = 0
+            for k in range(L_max + 1):
+                for pats in itertools.permutations(range(n_patterns), k):
+                    covered: frozenset[int] = frozenset()
+                    for p in pats:
+                        if not sets[p] - covered:
+                            break
+                        covered |= sets[p]
+                    else:
+                        n_lists += m ** k * m
+            res = exhaustive_search(ds, random_scores(rng, ds), cands,
+                                    random_weights(rng), L_max=L_max)
+            assert res.n_evaluated == n_lists
 
     def test_deterministic_tie_break(self):
         rng = np.random.default_rng(99)
