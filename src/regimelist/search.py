@@ -9,6 +9,8 @@ uncovered remainder can still contribute.  Three solvers share this state
 machinery: UCT (the main engine), exhaustive enumeration (small-instance
 oracle), and a greedy baseline.  ``SearchProblem.ordered_actions`` is their
 one legality rule and ``SearchProblem.state_bound`` their one scoring function.
+``ordered_actions`` bounds every child of a node in one batched pass, so a
+child is built with ``apply`` only if that bound lets it beat the incumbent.
 """
 
 from __future__ import annotations
@@ -24,14 +26,21 @@ from .estimation import DRScoreMatrix
 from .mining import CandidateSet
 from .objective import ObjectiveWeights, check_scores
 
-Action = tuple[int, int]
-# (pattern index, treatment) appends a rule; (-1, d) closes with default d.
+Action = int
+# p * m + t appends the rule (pattern p, treatment t) and d - m closes the list
+# with default d, so ascending codes run in (pattern, treatment) order with the
+# defaults first.  A prefix stores its rules as (p, t) pairs.
 
-# new_coverage_counts rounds a float32 product, which counts exactly only
-# while every count fits float32's 24-bit significand
+# coverage counts round a float32 product, which counts exactly only while
+# every count fits float32's 24-bit significand
 MAX_EXACT_SUBJECTS = 2 ** 24
 EXHAUSTIVE_MAX_PATTERNS = 10
 EXHAUSTIVE_MAX_DEPTH = 3
+
+
+def _gamma(k: int, unit: float) -> float:
+    """Bound on the relative error of k roundings of the given unit."""
+    return k * unit / (1.0 - k * unit)
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,6 @@ class SearchConfig:
     # children, so wide action spaces deepen instead of expanding breadth-first
     widen_c: float = 2.0
     widen_alpha: float = 0.3
-    debug_checks: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -61,16 +69,7 @@ class SearchConfig:
             raise ValidationError("min_new_coverage must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "c_explore": self.c_explore,
-            "seed": self.seed,
-            "L_max": self.L_max,
-            "min_new_coverage": self.min_new_coverage,
-            "charge_default_full": self.charge_default_full,
-            "widen_c": self.widen_c,
-            "widen_alpha": self.widen_alpha,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchConfig":
@@ -81,6 +80,7 @@ class SearchConfig:
 class SearchState:
     """A rule-list prefix with its exactly-incurred sums.
 
+    features is the bitmask of the characteristics its patterns read;
     incurred_value is the sum over covered subjects of
     lambda1*score - lambda3*treatment_cost for their assigned arm;
     incurred_assess the sum of their prefix assessment costs.
@@ -88,7 +88,7 @@ class SearchState:
 
     prefix: tuple[tuple[int, int], ...]
     covered: np.ndarray
-    features: frozenset[int]
+    features: int
     incurred_assess: float
     incurred_value: float
     terminal: bool = False
@@ -133,106 +133,158 @@ class SearchProblem:
         # taken independently, an upper bound on any actual assignment
         self.optimistic = (weights.lambda1 * scores.scores.max(axis=1)
                            - weights.lambda3 * float(ds.treatment_costs.min()))
-        self.pattern_features = tuple(pat.features for pat in self.patterns)
+        self.pattern_features = tuple(sum(1 << f for f in pat.features)
+                                      for pat in self.patterns)
+        self._costs: dict[int, float] = {}
+        # rounding slack of ordered_actions' bounds, before the division by
+        # n: per newly covered subject, and per bound (see ordered_actions)
+        vo_max = float(np.abs(self.value_mat).max() + np.abs(self.optimistic).max())
+        g32 = _gamma(self.n + 1, 2.0 ** -24)
+        self._slack_per_subject = g32 * vo_max + 2.0 ** -149
+        self._slack = 2 * _gamma(self.n + 16, 2.0 ** -53) * self.n * (
+            (4 + g32) * vo_max
+            + 3 * weights.lambda2 * feature_set_cost(ds.specs, range(len(ds.specs)))
+        ) + 2.0 ** -1000
+        # float32 operand of the batched product, refilled by ordered_actions
+        self._operand = np.empty((self.n, self.m + 2), dtype=np.float32)
 
     def initial_state(self) -> SearchState:
         return SearchState(
             prefix=(),
             covered=np.zeros(self.n, dtype=bool),
-            features=frozenset(),
+            features=0,
             incurred_assess=0.0,
             incurred_value=0.0,
         )
 
-    def new_coverage_counts(self, state: SearchState) -> np.ndarray:
-        """How many not-yet-covered subjects each pattern matches."""
-        uncovered = (~state.covered).astype(np.float32)
-        return np.rint(self.masks_f @ uncovered).astype(np.int64)
+    def feature_cost(self, features: int) -> float:
+        """feature_set_cost of a feature bitmask, memoized per mask."""
+        if features not in self._costs:
+            self._costs[features] = feature_set_cost(
+                self.ds.specs, [f for f in range(len(self.ds.specs)) if features >> f & 1])
+        return self._costs[features]
 
     def required_new(self, min_new_coverage: float) -> int:
         # a rule matching nothing new is never allowed: it only adds cost
         return max(1, math.ceil(min_new_coverage * self.n))
 
     def ordered_actions(self, state: SearchState, L_max: int,
-                        min_new_coverage: float) -> list[Action]:
-        """The legal actions of a non-terminal state, ordered for expansion
-        by pop(): defaults first, then rules by decreasing one-step gain.
+                        min_new_coverage: float) -> tuple[np.ndarray, np.ndarray]:
+        """The legal actions of a non-terminal state, and a bound per child.
 
-        Closing the list with any default is always legal.  Below depth
-        L_max, so is appending (p, t) for every treatment t and every unused
-        pattern p that newly covers at least required_new(min_new_coverage)
-        subjects.
+        Returns int32 action codes and, for each, a float64 ``hi`` >=
+        state_bound(apply(state, code)), ordered for expansion from the end:
+        defaults first, then rules by decreasing one-step gain.  Closing the
+        list with any default is always legal; below depth L_max, so is
+        appending (p, t) for every treatment t and every unused pattern p that
+        newly covers at least required_new(min_new_coverage) subjects.
 
-        The gain of appending (p, t) is measured against closing the list
-        right away with its best default: the rule's value on newly covered
-        subjects versus handing those subjects to that default, minus
-        assessment charges.  The charge counts the marginal feature cost not
-        just against the newly covered subjects but also against the most
-        subjects later rules could still cover (remaining rule slots times
-        the largest remaining coverage), because prefix costs accumulate onto
-        later groups; that pushes expensive features toward later positions.
-        Ordering only affects which action gets expanded first, never which
-        actions exist.
+        The gain of (p, t) is the rule's value on the subjects it newly covers
+        minus what the state's best default would give them, minus assessment
+        charges.  The charge counts the marginal feature cost against the newly
+        covered subjects and against the most subjects later rules could still
+        cover (remaining slots times the largest remaining coverage), because
+        prefix costs accumulate onto later groups; that pushes expensive
+        features toward later positions.  Ordering never changes which actions
+        exist.
+
+        The bounds are batched: one float32 product of the pattern masks with
+        the columns (uncovered, optimistic, each arm's value), zeroed on
+        covered subjects, gives each pattern's new-coverage count cnt and its
+        optimistic and per-arm value sums; one float64 product gives the
+        defaults' sums.  They are sound.  With gamma(k, u) = k*u / (1 - k*u)
+        and V = max|value_mat| + max|optimistic|: k roundings of unit u move a
+        term by a factor within 1 +- gamma(k, u), in any summation order
+        (Higham, Accuracy and Stability of Numerical Algorithms, Sec. 3.1).  A
+        float32 sum has n terms, exact 0/1 products of float32-rounded
+        entries, only cnt of them nonzero, so a pattern's two sums are off by
+        at most g * cnt * V, g = gamma(n, 2^-24), finite and cnt exact as
+        n < 2^24.  The float64 parts of the estimate and of the exact bound
+        each add at most n + 6 terms of at most three roundings, of total
+        magnitude at most T = n * ((4 + g) * V + 3 * lambda2 * C), C the cost
+        of all characteristics, so each is off by at most gamma(n + 9, 2^-53)
+        * T.  Underflow adds at most 2^-150 per float32 entry and 2^-1075 per
+        float64 product.  ``hi`` adds gamma(n + 1, 2^-24) * cnt * V + 2^-149
+        * cnt + 2 * gamma(n + 16, 2^-53) * T + 2^-1000, with room for its own
+        rounding, before the monotone division by n, so it is at least the
+        exact bound; a float32 sum that overflows makes ``hi`` infinite.  A
+        loose slack only costs exact evaluations of the children it lets
+        through.
         """
         if state.terminal:
             raise ValidationError("terminal state has no actions")
-        defaults: list[Action] = [(-1, d) for d in range(self.m)]
-        if state.depth >= L_max:
-            return defaults
-        used = {p for p, _ in state.prefix}
-        uncov = ~state.covered
-        uncov_f = uncov.astype(np.float32)
-        counts = self.new_coverage_counts(state)
-        need = self.required_new(min_new_coverage)
-        n_unc = int(uncov.sum())
         lam2 = self.weights.lambda2
-        cur_cost = feature_set_cost(self.ds.specs, state.features)
-        # val_sums[p, t]: total value of assigning t to the subjects pattern
-        # p would newly cover
-        val_sums = np.empty((len(self.patterns), self.m))
-        for t in range(self.m):
-            col = np.where(uncov, self.value_mat[:, t], 0.0).astype(np.float32)
-            val_sums[:, t] = self.masks_f @ col
-        best_default = int(np.argmax(uncov_f @ self.value_mat.astype(np.float32)))
+        uncov = ~state.covered
+        uncov64 = uncov.astype(np.float64)
+        n_unc = int(np.count_nonzero(uncov))
+        settled = state.incurred_value - lam2 * state.incurred_assess
+        default_sums = uncov64 @ self.value_mat
+        default_codes = np.arange(-self.m, 0, dtype=np.int32)
+        default_his = (settled + default_sums
+                       - lam2 * self.default_assessment(state) * n_unc
+                       + self._slack) / self.n
+        if state.depth >= L_max:
+            return default_codes, default_his
 
-        eligible = [p for p in range(len(self.patterns))
-                    if p not in used and counts[p] >= need]
+        op = self._operand
+        op[:, 0] = uncov
+        op[:, 1:] = 0.0
+        np.copyto(op[:, 1], self.optimistic, casting="same_kind", where=uncov)
+        np.copyto(op[:, 2:], self.value_mat, casting="same_kind",
+                  where=uncov[:, None])
+        sums = (self.masks_f @ op).astype(np.float64)
+        counts = np.rint(sums[:, 0]).astype(np.int64)
+        legal = counts >= self.required_new(min_new_coverage)
+        legal[[p for p, _ in state.prefix]] = False
+        eligible = np.flatnonzero(legal)
+        cnt = counts[eligible]
+        # gains[k, t]: total value of assigning t to the subjects pattern
+        # eligible[k] would newly cover
+        gains = sums[eligible, 2:]
+        new_cost = np.array([self.feature_cost(state.features | self.pattern_features[p])
+                             for p in eligible.tolist()], dtype=np.float64)
+
         slots = max(L_max - state.depth - 1, 0)
-        count_cap = max((int(counts[p]) for p in eligible), default=0)
+        later = np.minimum(n_unc - cnt, slots * int(cnt.max(initial=0)))
+        charge = new_cost * cnt + (new_cost - self.feature_cost(state.features)) * later
+        best_default = int(np.argmax(default_sums))
+        keys = gains - gains[:, best_default, None] - (lam2 * charge)[:, None]
+        # stable: equal keys keep (pattern, treatment) order
+        order = np.argsort(keys, axis=None, kind="stable")
 
-        keyed: list[tuple[float, int, int]] = []
-        for p in eligible:
-            new_cost = feature_set_cost(self.ds.specs,
-                                        state.features | self.pattern_features[p])
-            later = min(n_unc - int(counts[p]), slots * count_cap)
-            charge = new_cost * int(counts[p]) + (new_cost - cur_cost) * later
-            base = float(val_sums[p, best_default])
-            for t in range(self.m):
-                key = float(val_sums[p, t]) - base - lam2 * charge
-                keyed.append((key, p, t))
-        keyed.sort()
-        return [(p, t) for _, p, t in keyed] + defaults
+        child_default = new_cost if self.charge_default_full else 0.0
+        per_pattern = (float(uncov64 @ self.optimistic) - sums[eligible, 1]
+                       - lam2 * new_cost * cnt
+                       - lam2 * child_default * (n_unc - cnt))
+        estimate = settled + gains + per_pattern[:, None]
+        slack = self._slack_per_subject * cnt + self._slack
+        rule_his = (estimate + slack[:, None]) / self.n
+        rule_his[~np.isfinite(rule_his)] = np.inf  # an overflowed float32 sum
+        rule_codes = eligible[:, None] * self.m + np.arange(self.m)
+        return (np.concatenate([rule_codes.ravel()[order].astype(np.int32),
+                                default_codes]),
+                np.concatenate([rule_his.ravel()[order], default_his]))
 
     def apply(self, state: SearchState, action: Action) -> SearchState:
-        p, t = action
-        if p < 0:
-            return replace(state, terminal=True, default_treatment=t)
+        if action < 0:
+            return replace(state, terminal=True, default_treatment=action + self.m)
+        p, t = divmod(action, self.m)
         mask = self.masks_f[p] != 0
         newly = mask & ~state.covered
         features = state.features | self.pattern_features[p]
-        step_cost = feature_set_cost(self.ds.specs, features)
         return SearchState(
             prefix=state.prefix + ((p, t),),
             covered=state.covered | mask,
             features=features,
-            incurred_assess=state.incurred_assess + step_cost * int(newly.sum()),
+            incurred_assess=(state.incurred_assess
+                             + self.feature_cost(features) * int(newly.sum())),
             incurred_value=state.incurred_value + float(self.value_mat[newly, t].sum()),
         )
 
     def default_assessment(self, state: SearchState) -> float:
         if not self.charge_default_full or not state.prefix:
             return 0.0
-        return feature_set_cost(self.ds.specs, state.features)
+        return self.feature_cost(state.features)
 
     def state_bound(self, state: SearchState) -> float:
         """The exact objective of a closed list; for an open prefix, an upper
@@ -260,36 +312,12 @@ class SearchProblem:
         return DecisionList(rules=rules, default_treatment=state.default_treatment)
 
 
-def check_state_consistency(problem: SearchProblem, state: SearchState) -> None:
-    """Recompute covered set and incurred sums from the prefix; must match exactly."""
-    covered = np.zeros(problem.n, dtype=bool)
-    features: frozenset[int] = frozenset()
-    assess = 0.0
-    value = 0.0
-    for p, t in state.prefix:
-        mask = problem.masks_f[p] != 0
-        newly = mask & ~covered
-        covered |= mask
-        features = features | problem.pattern_features[p]
-        assess += feature_set_cost(problem.ds.specs, features) * int(newly.sum())
-        value += float(problem.value_mat[newly, t].sum())
-    if not np.array_equal(covered, state.covered):
-        raise AssertionError("state.covered diverged from prefix recomputation")
-    if features != state.features:
-        raise AssertionError("state.features diverged from prefix recomputation")
-    if assess != state.incurred_assess:
-        raise AssertionError(
-            f"incurred_assess {state.incurred_assess!r} != recomputed {assess!r}")
-    if value != state.incurred_value:
-        raise AssertionError(
-            f"incurred_value {state.incurred_value!r} != recomputed {value!r}")
-
-
 class SearchNode:
-    """One prefix in the UCT tree."""
+    """One prefix in the UCT tree; codes[:cursor] and his[:cursor] of
+    ordered_actions' output are its untried children, taken from the end."""
 
     __slots__ = ("state", "bound", "visits", "total_reward", "children",
-                 "untried", "fully_explored")
+                 "codes", "his", "cursor", "fully_explored")
 
     def __init__(self, state: SearchState, bound: float):
         self.state = state
@@ -297,7 +325,9 @@ class SearchNode:
         self.visits = 0
         self.total_reward = 0.0
         self.children: list[SearchNode] = []
-        self.untried: list[Action] | None = None
+        self.codes: np.ndarray | None = None
+        self.his: np.ndarray | None = None
+        self.cursor = 0
         self.fully_explored = False
 
 
@@ -324,9 +354,12 @@ def uct_search(
     running min/max of terminal rewards), expands one untried action, plays
     uniform-random legal actions to termination, and backs the terminal
     objective up the path.  Terminal expansions are scored exactly.  A child
-    whose optimistic bound cannot beat the incumbent is pruned; a subtree
-    whose actions are all expanded or pruned is marked fully explored, and
-    the search stops early once the root is (every completion has then been
+    is pruned unbuilt when its batched bound ``hi`` from ``ordered_actions``
+    cannot beat the incumbent, else built and pruned when its exact bound
+    cannot; ``hi`` is never below the exact bound, so this prunes exactly
+    the children that testing every exact bound would.  A subtree whose
+    actions are all expanded or pruned is marked fully explored, and the
+    search stops early once the root is (every completion has then been
     either evaluated or soundly excluded).
     """
     problem = SearchProblem(ds, scores, cands, weights, config.charge_default_full)
@@ -335,10 +368,12 @@ def uct_search(
     tree_size = 1
     n_pruned = 0
     best_obj = -math.inf
+    # set by the first iteration, whose first child closes the root
     best_state: SearchState | None = None
     rmin = math.inf
     rmax = -math.inf
     log: list[dict] = []
+    m = problem.m
 
     def record_terminal(state: SearchState, obj: float) -> None:
         nonlocal best_obj, best_state, rmin, rmax
@@ -356,29 +391,21 @@ def uct_search(
         need = problem.required_new(config.min_new_coverage)
         while not state.terminal:
             if state.depth >= config.L_max:
-                state = problem.apply(state, (-1, int(rng.integers(problem.m))))
+                state = problem.apply(state, int(rng.integers(m)) - m)
                 break
-            k = int(rng.integers(len(active) * problem.m + problem.m))
-            if k >= len(active) * problem.m:
-                state = problem.apply(state, (-1, k - len(active) * problem.m))
+            k = int(rng.integers(len(active) * m + m))
+            if k >= len(active) * m:
+                state = problem.apply(state, k - len(active) * m - m)
                 break
-            p = active[k // problem.m]
-            t = k % problem.m
+            p = active[k // m]
             if int(((problem.masks_f[p] != 0) & ~state.covered).sum()) < need:
                 active.remove(p)
                 continue
-            state = problem.apply(state, (p, t))
+            state = problem.apply(state, p * m + k % m)
             active.remove(p)
-            if config.debug_checks:
-                check_state_consistency(problem, state)
         obj = problem.state_bound(state)
         record_terminal(state, obj)
         return obj
-
-    def backup(path: list[SearchNode], reward: float) -> None:
-        for node in path:
-            node.visits += 1
-            node.total_reward += reward
 
     def normalized(mean: float) -> float:
         if rmax > rmin:
@@ -394,26 +421,26 @@ def uct_search(
         node = root
         reward: float | None = None
         while reward is None:
-            if node.untried is None:
-                node.untried = problem.ordered_actions(
+            if node.codes is None:
+                node.codes, node.his = problem.ordered_actions(
                     node.state, config.L_max, config.min_new_coverage)
-            live = [c for c in node.children
-                    if not c.fully_explored and c.bound > best_obj]
-            dropped = [c for c in node.children
-                       if not c.fully_explored and c.bound <= best_obj]
-            for c in dropped:
-                c.fully_explored = True
-                n_pruned += 1
+                node.cursor = len(node.codes)
+            for c in node.children:
+                if not c.fully_explored and c.bound <= best_obj:
+                    c.fully_explored = True
+                    n_pruned += 1
+            live = [c for c in node.children if not c.fully_explored]
             # progressive widening gates expansion unless nothing is selectable
             limit = max(1, math.ceil(
                 config.widen_c * max(node.visits, 1) ** config.widen_alpha))
-            if node.untried and (len(node.children) < limit or not live):
-                # pop() takes defaults first, then the best-ordered rules
-                while node.untried:
-                    action = node.untried.pop()
-                    child_state = problem.apply(node.state, action)
-                    if config.debug_checks and not child_state.terminal:
-                        check_state_consistency(problem, child_state)
+            if node.cursor and (len(node.children) < limit or not live):
+                # from the end: defaults first, then the best-ordered rules
+                while node.cursor:
+                    node.cursor -= 1
+                    if node.his[node.cursor] <= best_obj:
+                        n_pruned += 1
+                        continue
+                    child_state = problem.apply(node.state, int(node.codes[node.cursor]))
                     child_bound = problem.state_bound(child_state)
                     if child_bound <= best_obj:
                         n_pruned += 1
@@ -450,7 +477,9 @@ def uct_search(
             node = best_child
             path.append(node)
         if reward is not None:
-            backup(path, reward)
+            for n in path:
+                n.visits += 1
+                n.total_reward += reward
         log.append({
             "iteration": it,
             "incumbent_objective": best_obj if best_obj > -math.inf else None,
@@ -458,10 +487,6 @@ def uct_search(
             "n_pruned": n_pruned,
         })
 
-    if best_state is None:
-        # only possible with a zero-iteration budget guard; close with arm 0
-        best_state = problem.apply(problem.initial_state(), (-1, 0))
-        best_obj = problem.state_bound(best_state)
     return SearchResult(
         decision_list=problem.decision_list(best_state),
         objective=best_obj,
@@ -521,7 +546,8 @@ def exhaustive_search(
 
     def visit(state: SearchState) -> None:
         nonlocal best_obj, best_state, n_evaluated, n_pruned
-        for action in sorted(problem.ordered_actions(state, L_max, 0.0)):
+        codes, _ = problem.ordered_actions(state, L_max, 0.0)
+        for action in sorted(codes.tolist()):
             child = problem.apply(state, action)
             bound = problem.state_bound(child)
             if child.terminal:
@@ -560,7 +586,7 @@ def greedy_baseline(
     problem = SearchProblem(ds, scores, cands, weights, charge_default_full)
 
     def best_completion(state: SearchState) -> tuple[float, int]:
-        vals = [problem.state_bound(problem.apply(state, (-1, d)))
+        vals = [problem.state_bound(problem.apply(state, d - problem.m))
                 for d in range(problem.m)]
         d = int(np.argmax(vals))
         return vals[d], d
@@ -569,9 +595,8 @@ def greedy_baseline(
     best_obj, best_d = best_completion(state)
     while True:
         step_best: tuple[float, int, SearchState] | None = None
-        for action in sorted(problem.ordered_actions(state, L_max, 0.0)):
-            if action[0] < 0:
-                continue
+        codes, _ = problem.ordered_actions(state, L_max, 0.0)
+        for action in sorted(codes[codes >= 0].tolist()):
             child = problem.apply(state, action)
             obj, d = best_completion(child)
             if obj > best_obj and (step_best is None or obj > step_best[0]):
@@ -579,7 +604,7 @@ def greedy_baseline(
         if step_best is None:
             break
         best_obj, best_d, state = step_best
-    final = problem.apply(state, (-1, best_d))
+    final = problem.apply(state, best_d - problem.m)
     return BaselineResult(
         decision_list=problem.decision_list(final),
         objective=best_obj,

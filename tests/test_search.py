@@ -8,15 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from regimelist.domain import DecisionList, satisfy
+from regimelist.domain import DecisionList, feature_set_cost, satisfy
 from regimelist.errors import SizeLimitError, ValidationError
+from regimelist.estimation import DRScoreMatrix
 from regimelist.mining import CandidateSet, MiningConfig, mine_patterns
 from regimelist.objective import ObjectiveWeights, objective_value
 from regimelist import search
 from regimelist.search import (
     SearchConfig,
     SearchProblem,
-    check_state_consistency,
     exhaustive_search,
     greedy_baseline,
     uct_search,
@@ -45,6 +45,36 @@ def small_instance(rng, n_patterns=6, n_subjects=60, n_features=4, m=2):
             )
             return ds, cands
     raise AssertionError("could not build a small instance")
+
+
+def decode(problem, action):
+    """(pattern, treatment) of a rule's action code, (-1, d) of a default's."""
+    return (-1, action + problem.m) if action < 0 else divmod(action, problem.m)
+
+
+def actions(problem, state, L_max, min_new_coverage):
+    """ordered_actions as (pattern, treatment) pairs, in the same order."""
+    codes, _ = problem.ordered_actions(state, L_max, min_new_coverage)
+    return [decode(problem, c) for c in codes.tolist()]
+
+
+def check_state_consistency(problem, state):
+    """Recompute covered set and incurred sums from the prefix; must match exactly."""
+    covered = np.zeros(problem.n, dtype=bool)
+    features: frozenset[int] = frozenset()
+    assess = 0.0
+    value = 0.0
+    for p, t in state.prefix:
+        mask = problem.masks_f[p] != 0
+        newly = mask & ~covered
+        covered |= mask
+        features = features | problem.patterns[p].features
+        assess += feature_set_cost(problem.ds.specs, features) * int(newly.sum())
+        value += float(problem.value_mat[newly, t].sum())
+    assert np.array_equal(covered, state.covered)
+    assert state.features == sum(1 << f for f in features)
+    assert state.incurred_assess == assess
+    assert state.incurred_value == value
 
 
 def enumerate_completions(problem, state, L_max, scores):
@@ -77,27 +107,28 @@ class TestLegalActions:
         rng = np.random.default_rng(51)
         ds, cands = small_instance(rng, n_patterns=3)
         problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
-        acts = problem.ordered_actions(problem.initial_state(), L_max=3,
-                                     min_new_coverage=0.0)
-        assert len(acts) == 3 * ds.n_treatments + ds.n_treatments
+        codes, his = problem.ordered_actions(problem.initial_state(), L_max=3,
+                                             min_new_coverage=0.0)
+        assert codes.dtype == np.int32 and his.dtype == np.float64
+        assert len(codes) == len(his) == 3 * ds.n_treatments + ds.n_treatments
 
     def test_only_defaults_at_depth_limit(self):
         rng = np.random.default_rng(53)
         ds, cands = small_instance(rng, n_patterns=3)
         problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
         state = problem.initial_state()
-        acts = problem.ordered_actions(state, L_max=0, min_new_coverage=0.0)
+        acts = actions(problem, state, L_max=0, min_new_coverage=0.0)
         assert acts == [(-1, d) for d in range(ds.n_treatments)]
 
     def test_exhausted_coverage_excluded(self):
         rng = np.random.default_rng(55)
         ds, cands = small_instance(rng, n_patterns=4)
         problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
-        state = problem.apply(problem.initial_state(), (0, 0))
-        acts = problem.ordered_actions(state, L_max=4, min_new_coverage=0.0)
+        state = problem.apply(problem.initial_state(), 0)
+        acts = actions(problem, state, L_max=4, min_new_coverage=0.0)
         # pattern 0 is used; a pattern with no new coverage may not reappear
         assert all(p != 0 for p, _ in acts if p >= 0)
-        counts = problem.new_coverage_counts(state)
+        counts = ((problem.masks_f != 0) & ~state.covered).sum(axis=1)
         for p, _ in acts:
             if p >= 0:
                 assert counts[p] >= 1
@@ -109,13 +140,14 @@ class TestLegalActions:
         state = problem.initial_state()
         seen = set()
         while True:
-            acts = [a for a in problem.ordered_actions(state, 3, 0.0) if a[0] >= 0]
-            if not acts:
+            codes, _ = problem.ordered_actions(state, 3, 0.0)
+            rules = [c for c in codes.tolist() if c >= 0]
+            if not rules:
                 break
-            p, t = acts[0]
+            p, _ = decode(problem, rules[0])
             assert p not in seen
             seen.add(p)
-            state = problem.apply(state, (p, t))
+            state = problem.apply(state, rules[0])
 
     def test_ordered_actions_same_set_as_legal(self):
         # oracle: a rule is legal when its pattern is unused and newly covers
@@ -135,15 +167,18 @@ class TestLegalActions:
                     and satisfy(ds.row(i), pattern, ds.specs))
                 if p not in used and newly >= need:
                     legal |= {(p, t) for t in range(ds.n_treatments)}
-            acts = problem.ordered_actions(state, 3, 0.2)
+            codes, _ = problem.ordered_actions(state, 3, 0.2)
+            acts = [decode(problem, c) for c in codes.tolist()]
             assert len(acts) == len(set(acts))
             assert set(acts) == legal
-            rules = [a for a in acts if a[0] >= 0]
-            state = problem.apply(state, rules[-1] if rules else acts[0])
+            rules = [c for c in codes.tolist() if c >= 0]
+            state = problem.apply(state, rules[-1] if rules else int(codes[0]))
 
 
 class TestStateBound:
     def test_bound_dominates_every_completion(self):
+        # the exact bound of a state, and the batched bound hi of each of
+        # its children, against every completion and the child's exact bound
         rng = np.random.default_rng(61)
         for trial in range(10):
             ds, cands = small_instance(rng, n_patterns=3, n_subjects=40)
@@ -152,21 +187,67 @@ class TestStateBound:
             for full in (False, True):
                 problem = SearchProblem(ds, scores, cands, w,
                                         charge_default_full=full)
+
+                def best_completion(state):
+                    if state.terminal:
+                        return objective_value(ds, problem.decision_list(state),
+                                               scores, w, charge_default_full=full)
+                    return max(enumerate_completions(problem, state, 3, scores))
+
                 state = problem.initial_state()
                 # walk a random prefix, checking at each step
                 for _ in range(3):
-                    bound = problem.state_bound(state)
-                    completions = enumerate_completions(problem, state, 3, scores)
                     # tiny slack: the bound and the objective accumulate
                     # floating point sums in different orders
-                    assert bound >= max(completions) - 1e-9
-                    rules = [a for a in problem.ordered_actions(state, 3, 0.0)
-                             if a[0] >= 0]
+                    assert problem.state_bound(state) >= best_completion(state) - 1e-9
+                    codes, his = problem.ordered_actions(state, 3, 0.0)
+                    for code, hi in zip(codes.tolist(), his.tolist()):
+                        child = problem.apply(state, code)
+                        assert hi >= problem.state_bound(child)
+                        assert hi >= best_completion(child) - 1e-9
+                    rules = [c for c in codes.tolist() if c >= 0]
                     if not rules:
                         break
-                    state = problem.apply(
-                        state, rules[int(rng.integers(len(rules)))]
-                    )
+                    state = problem.apply(state, rules[int(rng.integers(len(rules)))])
+
+    def test_batched_bound_covers_float32_rounding(self):
+        # scores near 1e6 over thousands of subjects: the float32 sums behind
+        # hi are off by far more than float64 rounding, and the slack must
+        # still keep hi at or above every child's exact bound
+        rng = np.random.default_rng(62)
+        ds = random_dataset(rng, n_subjects=3000, n_features=5, m=3)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        scores = DRScoreMatrix(
+            scores=rng.normal(1e6, 3e5, size=(ds.n_subjects, ds.n_treatments)),
+            treatment_names=ds.treatment_names)
+        w = random_weights(rng)
+        for full in (False, True):
+            problem = SearchProblem(ds, scores, cands, w, charge_default_full=full)
+            state = problem.initial_state()
+            for _ in range(3):
+                codes, his = problem.ordered_actions(state, 3, 0.0)
+                for code, hi in zip(codes.tolist(), his.tolist()):
+                    assert hi >= problem.state_bound(problem.apply(state, code))
+                rules = [c for c in codes.tolist() if c >= 0]
+                if not rules:
+                    break
+                state = problem.apply(state, rules[int(rng.integers(len(rules)))])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_batched_bound_survives_float32_overflow(self):
+        # a finite score beyond float32's range overflows the batched sums;
+        # the children it touches must then get an infinite bound
+        rng = np.random.default_rng(64)
+        ds, cands = small_instance(rng)
+        scores = random_scores(rng, ds)
+        scores.scores[0, 0] = -1e39
+        problem = SearchProblem(ds, scores, cands, random_weights(rng))
+        state = problem.initial_state()
+        codes, his = problem.ordered_actions(state, 3, 0.0)
+        assert np.isinf(his).any()
+        for code, hi in zip(codes.tolist(), his.tolist()):
+            assert hi >= problem.state_bound(problem.apply(state, code))
 
     def test_terminal_bound_is_exact_objective(self):
         rng = np.random.default_rng(63)
@@ -182,9 +263,8 @@ class TestStateBound:
                 state = problem.initial_state()
                 for p in pats:
                     state = problem.apply(
-                        state, (int(p), int(rng.integers(ds.n_treatments))))
-                state = problem.apply(
-                    state, (-1, int(rng.integers(ds.n_treatments))))
+                        state, int(p) * ds.n_treatments + int(rng.integers(ds.n_treatments)))
+                state = problem.apply(state, int(rng.integers(ds.n_treatments)) - ds.n_treatments)
                 assert state.terminal
                 dl = problem.decision_list(state)
                 want = objective_value(ds, dl, scores, w,
@@ -226,8 +306,8 @@ class TestStateConsistency:
             state = problem.initial_state()
             check_state_consistency(problem, state)
             while True:
-                rules = [a for a in problem.ordered_actions(state, 4, 0.0)
-                         if a[0] >= 0]
+                codes, _ = problem.ordered_actions(state, 4, 0.0)
+                rules = [c for c in codes.tolist() if c >= 0]
                 if not rules:
                     break
                 state = problem.apply(state, rules[int(rng.integers(len(rules)))])
@@ -302,12 +382,44 @@ class TestUCT:
         assert res.decision_list.rules == ()
         assert res.objective == pytest.approx(best, abs=1e-12)
 
-    def test_debug_checks_run_clean(self):
+    def test_every_built_state_is_consistent(self, monkeypatch):
         rng = np.random.default_rng(79)
         ds, cands = small_instance(rng)
+        apply = SearchProblem.apply
+        checked = []
+
+        def checked_apply(problem, state, action):
+            child = apply(problem, state, action)
+            if not child.terminal:
+                check_state_consistency(problem, child)
+                checked.append(child)
+            return child
+
+        monkeypatch.setattr(SearchProblem, "apply", checked_apply)
         uct_search(ds, random_scores(rng, ds), cands, ObjectiveWeights(),
-                   SearchConfig(iterations=200, L_max=2, seed=2,
-                                debug_checks=True))
+                   SearchConfig(iterations=200, L_max=2, seed=2))
+        assert checked
+
+    def test_batched_bounds_skip_building_pruned_children(self, monkeypatch):
+        # a child whose batched bound cannot beat the incumbent is never
+        # scored exactly: state_bound runs for the root, each kept child, each
+        # rollout's end and only the few children the slack lets through
+        rng = np.random.default_rng(0)
+        ds = random_dataset(rng, n_subjects=1000, n_features=6, m=3)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        scores = random_scores(rng, ds)
+        state_bound = SearchProblem.state_bound
+        calls = []
+
+        def counted(problem, state):
+            calls.append(None)
+            return state_bound(problem, state)
+
+        monkeypatch.setattr(SearchProblem, "state_bound", counted)
+        res = uct_search(ds, scores, cands, ObjectiveWeights(),
+                         SearchConfig(iterations=1000, L_max=3, seed=1))
+        assert res.n_pruned >= 1000
+        assert len(calls) < res.tree_size + res.iterations_run + res.n_pruned // 10
 
     def test_log_schema(self):
         rng = np.random.default_rng(83)
@@ -445,6 +557,6 @@ class TestConfigValidation:
         assert cfg.iterations == 5
         for bad in ({"iteratons": 5}, {"iterations": "5"}, {"iterations": 5.0},
                     {"iterations": True}, {"charge_default_full": 1},
-                    {"n_trees": 2}):
+                    {"n_trees": 2}, {"debug_checks": True}):
             with pytest.raises(ValidationError):
                 SearchConfig.from_dict(bad)
