@@ -20,7 +20,6 @@ from .domain import (
     feature_set_cost,
     partition,
     pattern_mask,
-    satisfy,
     treatment_cost_vector,
 )
 from .errors import (

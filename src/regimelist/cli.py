@@ -131,6 +131,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     ds, _ = _load_dataset(args)
     sec = _override(_section(cfg, "models"), args, list(FIT_DEFAULTS))
     sec = config_values(sec, FIT_DEFAULTS, "models")
+    # the cheap outcome fit first, so its errors come before the propensity fit
+    outcome = fit_outcome(ds, ridge=sec["ridge"])
     propensity = fit_propensity(
         ds,
         l2=sec["l2_reg"],
@@ -138,7 +140,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         grad_tol=sec["grad_tol"],
         max_iters=sec["max_iters"],
     )
-    outcome = fit_outcome(ds, ridge=sec["ridge"])
     scores = compute_dr_scores(ds, propensity, outcome)
     out = _out_dir(args)
     io.write_json(propensity.to_dict(), out / "propensity.json")

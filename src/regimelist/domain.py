@@ -15,7 +15,7 @@ All functions here are pure over immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,35 +96,6 @@ class Dataset:
             if spec.name == name:
                 return i
         raise ValidationError(f"unknown characteristic {name!r}")
-
-    def row(self, i: int) -> tuple:
-        """Raw values of subject i (floats for real, level strings otherwise)."""
-        out = []
-        for spec, col in zip(self.specs, self.columns):
-            if spec.kind == REAL:
-                out.append(float(col[i]))
-            else:
-                out.append(spec.levels[int(col[i])])
-        return tuple(out)
-
-    @classmethod
-    def from_rows(
-        cls,
-        specs: Sequence[CharacteristicSpec],
-        treatment_names: Sequence[str],
-        treatment_costs: Sequence[float],
-        rows: Iterable[tuple[Sequence, str, float]],
-    ) -> "Dataset":
-        """Build a dataset from (values, treatment, outcome) rows; the rows
-        are transposed into columns and checked by ``from_columns``."""
-        rows = list(rows)
-        for r, (values, _, _) in enumerate(rows):
-            if len(values) != len(specs):
-                raise ValidationError(f"row {r}: expected {len(specs)} values, got {len(values)}")
-        values, treatments, outcomes = zip(*rows) if rows else ((), (), ())
-        cells = list(zip(*values)) if values else [()] * len(specs)
-        return cls.from_columns(specs, treatment_names, treatment_costs,
-                                cells, treatments, outcomes)
 
     @classmethod
     def from_columns(
@@ -240,28 +211,6 @@ class Predicate:
                     f"value {self.value!r} is not a level of {spec.name!r}"
                 )
 
-    def holds(self, x: Sequence, specs: Sequence[CharacteristicSpec]) -> bool:
-        self.validate(specs)
-        spec = specs[self.feature]
-        v = x[self.feature]
-        if spec.kind == REAL:
-            v = float(v)
-            t = float(self.value)
-            if self.op == "=":
-                return v == t
-            if self.op == "!=":
-                return v != t
-            if self.op == "<=":
-                return v <= t
-            if self.op == ">=":
-                return v >= t
-            if self.op == "<":
-                return v < t
-            return v > t
-        if self.op == "=":
-            return v == self.value
-        return v != self.value
-
 
 @dataclass(frozen=True)
 class Pattern:
@@ -325,12 +274,6 @@ class GroupAssignment:
     subject i, or ``len(rules)`` for the default group."""
 
     group_of: np.ndarray
-    cumulative_features: tuple[frozenset[int], ...]
-
-
-def satisfy(x: Sequence, pattern: Pattern, specs: Sequence[CharacteristicSpec]) -> int:
-    """1 iff every predicate of ``pattern`` holds on subject vector ``x``."""
-    return int(all(p.holds(x, specs) for p in pattern.predicates))
 
 
 def predicate_mask(ds: Dataset, pred: Predicate) -> np.ndarray:
@@ -375,7 +318,7 @@ def partition(ds: Dataset, dl: DecisionList) -> GroupAssignment:
         newly = pattern_mask(ds, pattern) & unassigned
         group[newly] = j
         unassigned &= ~newly
-    return GroupAssignment(group_of=group, cumulative_features=dl.cumulative_features())
+    return GroupAssignment(group_of=group)
 
 
 def group_treatments(dl: DecisionList) -> np.ndarray:

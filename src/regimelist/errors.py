@@ -5,6 +5,8 @@ The CLI maps these onto exit codes: ValidationError and its subclasses
 exit with 2, everything else derived from RegimeListError exits with 3.
 """
 
+import math
+
 
 class RegimeListError(Exception):
     """Base class for all errors raised by this package."""
@@ -54,7 +56,8 @@ def config_values(section: dict, defaults: dict, what: str) -> dict:
     """``defaults`` updated from a config section.
 
     Every key of ``section`` must name a default, and its value must have
-    the default's type; an int stands for a float, and is converted.
+    the default's type; an int stands for a float, and is converted.  A
+    float must be finite.
     """
     unknown = sorted(set(section) - set(defaults))
     if unknown:
@@ -69,5 +72,7 @@ def config_values(section: dict, defaults: dict, what: str) -> dict:
         if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
             raise ValidationError(
                 f"{what} config: {key!r} must be {want.__name__}, got {value!r}")
+        if want is float and not math.isfinite(value):
+            raise ValidationError(f"{what} config: {key!r} must be finite, got {value!r}")
         values[key] = value
     return values

@@ -185,6 +185,14 @@ def fit_propensity(
     iterations; converged when the gradient Frobenius norm drops to grad_tol.
     Raises ConvergenceError (carrying the final norm) past max_iters.
     """
+    if not l2 >= 0:
+        raise ValidationError(f"l2 must be nonnegative, got {l2}")
+    if not 0 < clip_epsilon < 1:
+        raise ValidationError(f"clip_epsilon must lie in (0, 1), got {clip_epsilon}")
+    if not grad_tol > 0:
+        raise ValidationError(f"grad_tol must be positive, got {grad_tol}")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
     counts = np.bincount(ds.treatments, minlength=ds.n_treatments)
     if np.any(counts == 0):
         missing = [ds.treatment_names[k] for k in np.flatnonzero(counts == 0)]
@@ -281,6 +289,8 @@ def solve_ridge(design: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
 
 def fit_outcome(ds: Dataset, ridge: float = 1e-6) -> OutcomeModel:
     """Fit one outcome regression per arm on the rows observed under it."""
+    if not ridge >= 0:
+        raise ValidationError(f"ridge must be nonnegative, got {ridge}")
     encoder = FeatureEncoder.fit(ds)
     design = _with_intercept(encoder.transform(ds))
     d = design.shape[1]

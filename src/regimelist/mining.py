@@ -34,9 +34,7 @@ class MiningConfig:
             raise ValidationError("num_bins must be at least 2")
 
     def to_dict(self) -> dict:
-        return {"min_support": self.min_support,
-                "max_predicates": self.max_predicates,
-                "num_bins": self.num_bins}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MiningConfig":

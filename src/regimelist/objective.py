@@ -40,8 +40,7 @@ class ObjectiveWeights:
                 raise ValidationError(f"{name} must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {"lambda1": self.lambda1, "lambda2": self.lambda2,
-                "lambda3": self.lambda3}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObjectiveWeights":

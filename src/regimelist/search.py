@@ -61,6 +61,8 @@ class SearchConfig:
             raise ValidationError("iterations must be positive")
         if self.c_explore < 0:
             raise ValidationError("c_explore must be nonnegative")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if self.L_max < 0:
             raise ValidationError("L_max must be nonnegative")
         if self.widen_c <= 0 or self.widen_alpha < 0:
@@ -168,6 +170,10 @@ class SearchProblem:
         # a rule matching nothing new is never allowed: it only adds cost
         return max(1, math.ceil(min_new_coverage * self.n))
 
+    # a score beyond float32's range overflows the float32 operand and the
+    # products over it; the bounds already turn that into an infinite hi, so
+    # numpy's overflow and invalid-value warnings carry no news here
+    @np.errstate(over="ignore", invalid="ignore")
     def ordered_actions(self, state: SearchState, L_max: int,
                         min_new_coverage: float) -> tuple[np.ndarray, np.ndarray]:
         """The legal actions of a non-terminal state, and a bound per child.

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
-from typing import Iterator
 
 import numpy as np
 
 from .domain import (
     BINARY,
     CATEGORICAL,
+    ORDERING_OPS,
     REAL,
     CharacteristicSpec,
     Dataset,
@@ -30,7 +29,8 @@ from .domain import (
     Pattern,
     Predicate,
     assign,
-    feature_set_cost,
+    group_assessment_costs,
+    group_treatments,
     partition,
 )
 from .errors import SizeLimitError, ValidationError
@@ -102,6 +102,8 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.n_subjects < 1:
             raise ValidationError("n_subjects must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if len(self.marginals) != len(self.specs):
             raise ValidationError("need one marginal per characteristic")
         for spec, marg in zip(self.specs, self.marginals):
@@ -300,31 +302,24 @@ def generate(gspec: GeneratorSpec) -> tuple[Dataset, GroundTruth]:
         planted_regime=gspec.planted_regime,
         matched_mean=gspec.matched_mean,
         mismatched_mean=gspec.mismatched_mean,
-        planted_true_value=true_value(gspec, gspec.planted_regime).value,
+        planted_true_value=true_value(gspec, gspec.planted_regime),
         best_treatment_share=share,
     )
     return ds, truth
 
 
-@dataclass(frozen=True)
-class TrueValue:
-    value: float
-    standard_error: float | None
-    method: str
-
-
 def _feature_cells(gspec: GeneratorSpec, f: int,
-                   thresholds: list[float]) -> list[tuple[object, float]]:
+                   thresholds: list[float]) -> list[tuple[float | int, float]]:
     """(representative value, probability) pairs partitioning feature f.
 
-    Level features enumerate their levels (as the level strings predicates
-    compare against); real features split into the open intervals between
-    the supplied thresholds, represented by an interior point.
+    Level features enumerate their level codes; real features split into
+    the open intervals between the supplied thresholds, represented by an
+    interior point.
     """
     spec = gspec.specs[f]
     marg = gspec.marginals[f]
     if spec.kind != REAL:
-        return [(level, p) for level, p in zip(spec.levels, marg.params)]
+        return list(enumerate(marg.params))
     ts = sorted(set(thresholds))
     edges = [-math.inf] + ts + [math.inf]
     cells = []
@@ -341,121 +336,77 @@ def _feature_cells(gspec: GeneratorSpec, f: int,
     return cells
 
 
-def _first_match(dl: DecisionList, x: tuple, specs) -> int:
-    for pattern, t in dl.rules:
-        if all(p.holds(x, specs) for p in pattern.predicates):
-            return t
-    return dl.default_treatment
+def _grid(gspec: GeneratorSpec, dl: DecisionList,
+          max_cells: int) -> tuple[Dataset, np.ndarray]:
+    """The population as a Dataset of cells, and each cell's probability.
 
-
-def _features_read(gspec: GeneratorSpec, dl: DecisionList) -> list[int]:
-    """Features that dl or the planted regime reads, ascending."""
-    return sorted({p.feature for source in (dl, gspec.planted_regime)
-                   for pat, _ in source.rules for p in pat.predicates})
-
-
-def _cells(gspec: GeneratorSpec, dl: DecisionList,
-           max_cells: int) -> Iterator[tuple[tuple, float]]:
-    """(point, probability) for each joint cell of nonzero probability.
-
-    The cells are those of the features dl or the planted regime reads, real
-    features split at every threshold either list compares them with; each
-    point holds a representative value for those features and 0.0 for the
-    others.  Refuses more than max_cells cells.
+    A cell picks one level or interval of each feature that dl or the
+    planted regime reads (see _feature_cells; a real feature splits at every
+    threshold either list compares it with), in itertools.product order,
+    with probabilities multiplied feature by feature; cells of probability
+    zero are dropped.  A column no list reads holds zeros, as a view that
+    costs no memory per cell.  Refuses more than max_cells cells.
     """
     dl.validate(gspec.specs, len(gspec.treatment_names))
-    used = _features_read(gspec, dl)
-    thresholds: dict[int, list[float]] = {f: [] for f in used}
-    for source in (dl, gspec.planted_regime):
-        for pat, _ in source.rules:
-            for p in pat.predicates:
-                if gspec.specs[p.feature].kind == REAL and p.op in ("<", "<=", ">", ">="):
-                    thresholds[p.feature].append(float(p.value))
-    per_feature = [_feature_cells(gspec, f, thresholds[f]) for f in used]
+    preds = [p for source in (dl, gspec.planted_regime)
+             for pat, _ in source.rules for p in pat.predicates]
+    used = sorted({p.feature for p in preds})
+    per_feature = [
+        _feature_cells(gspec, f, [float(p.value) for p in preds
+                                  if p.feature == f and p.op in ORDERING_OPS])
+        for f in used]
     n_cells = math.prod(len(cells) for cells in per_feature)
     if n_cells > max_cells:
         raise SizeLimitError(
             f"{n_cells} cells exceeds the exact-summation limit of {max_cells}")
-
-    def points() -> Iterator[tuple[tuple, float]]:
-        base = [0.0] * len(gspec.specs)
-        for combo in product(*per_feature):
-            prob = 1.0
-            x = list(base)
-            for f, (rep, p) in zip(used, combo):
-                x[f] = rep
-                prob *= p
-            if prob != 0.0:
-                yield tuple(x), prob
-
-    return points()
-
-
-def true_value(
-    gspec: GeneratorSpec,
-    dl: DecisionList,
-    allow_monte_carlo: bool = False,
-    mc_samples: int = 10 ** 6,
-    max_cells: int = 2 * 10 ** 6,
-) -> TrueValue:
-    """Exact expected outcome of a decision list under the generator.
-
-    The outcome mean depends on x only through whether dl agrees with the
-    planted map, so it suffices to enumerate the joint cells of the features
-    either list reads (real features split at the thresholds the predicates
-    use; probabilities come from the marginal CDFs).  When the cell count
-    exceeds max_cells, a Monte Carlo fallback with reported standard error
-    is available behind allow_monte_carlo; otherwise the call is refused.
-    """
-    planted = gspec.planted_regime
-    delta = gspec.matched_mean - gspec.mismatched_mean
-    try:
-        cells = _cells(gspec, dl, max_cells)
-    except SizeLimitError as e:
-        if not allow_monte_carlo:
-            raise SizeLimitError(f"{e}; enable the Monte Carlo fallback") from None
-        cells = None
-    if cells is not None:
-        agree = 0.0
-        for xt, prob in cells:
-            if _first_match(dl, xt, gspec.specs) == _first_match(planted, xt, gspec.specs):
-                agree += prob
-        return TrueValue(
-            value=gspec.mismatched_mean + delta * agree,
-            standard_error=None,
-            method="exact",
-        )
-
-    rng = np.random.default_rng(gspec.seed + 1)
-    cols = {}
-    for f in _features_read(gspec, dl):
-        marg = gspec.marginals[f]
-        if marg.kind == UNIFORM:
-            cols[f] = rng.uniform(marg.params[0], marg.params[1], size=mc_samples)
-        elif marg.kind == NORMAL:
-            cols[f] = marg.params[0] + marg.params[1] * rng.standard_normal(mc_samples)
-        else:
-            cols[f] = _sample_codes(rng, np.asarray(marg.params), mc_samples)
-    dummy_cols = [
-        cols.get(f, np.zeros(mc_samples,
-                             dtype=float if s.kind == REAL else np.int64))
-        for f, s in enumerate(gspec.specs)
-    ]
-    shell = Dataset(
+    prob = np.ones(1)
+    for cells in per_feature:
+        prob = np.multiply.outer(prob, [p for _, p in cells]).ravel()
+    kept = np.flatnonzero(prob)
+    n = len(kept)
+    columns = [np.broadcast_to(np.zeros(1, dtype=float if s.kind == REAL else np.int64),
+                               (n,)) for s in gspec.specs]
+    stride = n_cells
+    for f, cells in zip(used, per_feature):
+        stride //= len(cells)
+        columns[f] = np.asarray([rep for rep, _ in cells])[kept // stride % len(cells)]
+    grid = Dataset(
         specs=gspec.specs,
         treatment_names=gspec.treatment_names,
         treatment_costs=np.asarray(gspec.treatment_costs, dtype=float),
-        columns=tuple(dummy_cols),
-        treatments=np.zeros(mc_samples, dtype=np.int64),
-        outcomes=np.zeros(mc_samples, dtype=float),
+        columns=tuple(columns),
+        treatments=np.broadcast_to(np.zeros(1, dtype=np.int64), (n,)),
+        outcomes=np.broadcast_to(np.zeros(1), (n,)),
     )
-    agree_rate = float((assign(shell, dl) == assign(shell, planted)).mean())
-    se_rate = math.sqrt(agree_rate * (1.0 - agree_rate) / mc_samples)
-    return TrueValue(
-        value=gspec.mismatched_mean + delta * agree_rate,
-        standard_error=abs(delta) * se_rate,
-        method="monte_carlo",
-    )
+    return grid, prob[kept]
+
+
+def _regime_cells(gspec: GeneratorSpec, dl: DecisionList, max_cells: int):
+    """Per grid cell: its probability, its group and treatment under dl, and
+    whether that treatment is the planted map's."""
+    grid, prob = _grid(gspec, dl, max_cells)
+    group_of = partition(grid, dl).group_of
+    chosen = group_treatments(dl)[group_of]
+    return prob, group_of, chosen, chosen == assign(grid, gspec.planted_regime)
+
+
+def _total(terms: np.ndarray) -> float:
+    # one sequential pass in cell order, unlike np.sum's pairwise summation
+    return float(np.cumsum(terms)[-1])
+
+
+def true_value(gspec: GeneratorSpec, dl: DecisionList,
+               max_cells: int = 2 * 10 ** 6) -> float:
+    """Exact expected outcome of a decision list under the generator.
+
+    The outcome mean depends on x only through whether dl agrees with the
+    planted map, so it suffices to sum over the joint cells of the features
+    either list reads (see _grid; probabilities come from the marginal
+    CDFs).  More than max_cells cells raise SizeLimitError.
+    """
+    prob, _, _, matched = _regime_cells(gspec, dl, max_cells)
+    delta = gspec.matched_mean - gspec.mismatched_mean
+    return float(gspec.mismatched_mean + delta * _total(np.where(matched, prob, 0.0)))
 
 
 def true_objective(
@@ -469,28 +420,12 @@ def true_objective(
 ) -> float:
     """Exact population objective of a list under the generator's mechanism.
 
-    Same cell enumeration as true_value, but also accumulating the expected
-    assessment and treatment costs of the list itself.
+    The cells of true_value, also charged the expected assessment and
+    treatment costs of the list itself, as compute_metrics charges subjects.
     """
-    cells = _cells(gspec, dl, max_cells)
-    planted = gspec.planted_regime
-    prefix_costs = [
-        feature_set_cost(gspec.specs, feats) for feats in dl.cumulative_features()
-    ]
-    full_cost = prefix_costs[-1] if prefix_costs and charge_default_full else 0.0
-    costs = np.asarray(gspec.treatment_costs, dtype=float)
-    value = 0.0
-    assess = 0.0
-    treat = 0.0
-    for xt, prob in cells:
-        group = len(dl.rules)
-        for g, (pattern, _) in enumerate(dl.rules):
-            if all(p.holds(xt, gspec.specs) for p in pattern.predicates):
-                group = g
-                break
-        chosen = dl.rules[group][1] if group < len(dl.rules) else dl.default_treatment
-        matched = chosen == _first_match(planted, xt, gspec.specs)
-        value += prob * (gspec.matched_mean if matched else gspec.mismatched_mean)
-        assess += prob * (prefix_costs[group] if group < len(dl.rules) else full_cost)
-        treat += prob * costs[chosen]
-    return lambda1 * value - lambda2 * assess - lambda3 * treat
+    prob, group_of, chosen, matched = _regime_cells(gspec, dl, max_cells)
+    means = np.where(matched, gspec.matched_mean, gspec.mismatched_mean)
+    assess = group_assessment_costs(gspec.specs, dl, charge_default_full)[group_of]
+    treat = np.asarray(gspec.treatment_costs, dtype=float)[chosen]
+    return float(lambda1 * _total(prob * means) - lambda2 * _total(prob * assess)
+                 - lambda3 * _total(prob * treat))

@@ -6,7 +6,9 @@ evidence rather than tautology.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +24,34 @@ from regimelist.domain import (
 )
 from regimelist.estimation import DRScoreMatrix
 from regimelist.objective import ObjectiveWeights
+from regimelist.synth import GeneratorSpec
+
+
+# ---------------------------------------------------------------------------
+# row-wise datasets
+
+
+def dataset_from_rows(
+    specs: Sequence[CharacteristicSpec],
+    treatment_names: Sequence[str],
+    treatment_costs: Sequence[float],
+    rows: Iterable[tuple[Sequence, str, float]],
+) -> Dataset:
+    """A dataset from (values, treatment, outcome) rows, transposed into the
+    columns that ``Dataset.from_columns`` checks."""
+    rows = list(rows)
+    for r, (values, _, _) in enumerate(rows):
+        assert len(values) == len(specs), f"row {r} has {len(values)} values"
+    values, treatments, outcomes = zip(*rows) if rows else ((), (), ())
+    cells = list(zip(*values)) if values else [()] * len(specs)
+    return Dataset.from_columns(specs, treatment_names, treatment_costs,
+                                cells, treatments, outcomes)
+
+
+def dataset_row(ds: Dataset, i: int) -> tuple:
+    """Raw values of subject i (floats for real, level strings otherwise)."""
+    return tuple(float(col[i]) if spec.kind == REAL else spec.levels[int(col[i])]
+                 for spec, col in zip(ds.specs, ds.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +96,7 @@ def random_dataset(
         a = treatment_names[int(rng.integers(m))]
         y = float(np.round(rng.normal(50, 20), 3))
         rows.append((values, a, y))
-    return Dataset.from_rows(specs, treatment_names, treatment_costs, rows)
+    return dataset_from_rows(specs, treatment_names, treatment_costs, rows)
 
 
 def random_pattern(rng: np.random.Generator, ds: Dataset, max_preds: int = 2) -> Pattern:
@@ -129,18 +159,26 @@ def oracle_predicate_holds(pred: Predicate, x: tuple, specs) -> bool:
     return v != pred.value
 
 
+def oracle_pattern_holds(pattern: Pattern, x: tuple, specs) -> bool:
+    return all(oracle_predicate_holds(p, x, specs) for p in pattern.predicates)
+
+
+def oracle_group(dl: DecisionList, x: tuple, specs) -> int:
+    """First matching rule index of subject vector x, len(rules) for the default."""
+    for j, (pattern, _) in enumerate(dl.rules):
+        if oracle_pattern_holds(pattern, x, specs):
+            return j
+    return len(dl.rules)
+
+
+def oracle_treatment(dl: DecisionList, x: tuple, specs) -> int:
+    g = oracle_group(dl, x, specs)
+    return dl.rules[g][1] if g < len(dl.rules) else dl.default_treatment
+
+
 def oracle_groups(ds: Dataset, dl: DecisionList) -> list[int]:
     """First matching rule index per subject, len(rules) for the default."""
-    out = []
-    for i in range(ds.n_subjects):
-        x = ds.row(i)
-        g = len(dl.rules)
-        for j, (pattern, _) in enumerate(dl.rules):
-            if all(oracle_predicate_holds(p, x, ds.specs) for p in pattern.predicates):
-                g = j
-                break
-        out.append(g)
-    return out
+    return [oracle_group(dl, dataset_row(ds, i), ds.specs) for i in range(ds.n_subjects)]
 
 
 def oracle_assigned(ds: Dataset, dl: DecisionList) -> list[int]:
@@ -208,3 +246,82 @@ def oracle_quantile_thresholds(values, num_bins: int) -> list[float]:
         if xs[0] < t < xs[-1] and (not out or t != out[-1]):
             out.append(t)
     return out
+
+
+# ---------------------------------------------------------------------------
+# population truth (plain Python, cell by cell)
+
+
+def oracle_cells(gspec: GeneratorSpec, dl: DecisionList):
+    """(point, probability) for each joint cell of nonzero probability.
+
+    The cells are those of the features dl or the planted regime reads, in
+    itertools.product order; a real feature splits at every threshold an
+    ordering predicate of either list compares it with, and is represented
+    by a point inside each interval.  Other features hold 0.0.
+    """
+    lists = (dl, gspec.planted_regime)
+    preds = [p for source in lists for pat, _ in source.rules for p in pat.predicates]
+    used = sorted({p.feature for p in preds})
+    per_feature = []
+    for f in used:
+        spec, marg = gspec.specs[f], gspec.marginals[f]
+        if spec.kind != REAL:
+            per_feature.append(list(zip(spec.levels, marg.params)))
+            continue
+        ts = sorted({float(p.value) for p in preds
+                     if p.feature == f and p.op in ("<", "<=", ">", ">=")})
+        edges = [-math.inf, *ts, math.inf]
+        cells = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if lo == -math.inf:
+                point = hi - 1.0
+            elif hi == math.inf:
+                point = lo + 1.0
+            else:
+                point = (lo + hi) / 2.0
+            p_lo = 0.0 if lo == -math.inf else marg.cdf(lo)
+            p_hi = 1.0 if hi == math.inf else marg.cdf(hi)
+            cells.append((point, p_hi - p_lo))
+        per_feature.append(cells)
+    for combo in itertools.product(*per_feature):
+        x = [0.0] * len(gspec.specs)
+        prob = 1.0
+        for f, (point, p) in zip(used, combo):
+            x[f] = point
+            prob *= p
+        if prob != 0.0:
+            yield tuple(x), prob
+
+
+def oracle_true_value(gspec: GeneratorSpec, dl: DecisionList) -> float:
+    """Mismatched mean plus the gap times P(dl agrees with the planted map)."""
+    agree = 0.0
+    for x, prob in oracle_cells(gspec, dl):
+        if oracle_treatment(dl, x, gspec.specs) == \
+                oracle_treatment(gspec.planted_regime, x, gspec.specs):
+            agree += prob
+    return gspec.mismatched_mean + (gspec.matched_mean - gspec.mismatched_mean) * agree
+
+
+def oracle_true_objective(gspec: GeneratorSpec, dl: DecisionList,
+                          lambda1: float = 1.0, lambda2: float = 1.0,
+                          lambda3: float = 1.0,
+                          charge_default_full: bool = False) -> float:
+    """lambda1 * E[outcome] - lambda2 * E[assessment] - lambda3 * E[treatment
+    cost], each expectation accumulated cell by cell."""
+    prefix_costs = []
+    billed: set[int] = set()
+    for pattern, _ in dl.rules:
+        billed |= {p.feature for p in pattern.predicates}
+        prefix_costs.append(sum(gspec.specs[f].cost for f in billed))
+    default_cost = prefix_costs[-1] if prefix_costs and charge_default_full else 0.0
+    value = assess = treat = 0.0
+    for x, prob in oracle_cells(gspec, dl):
+        g = oracle_group(dl, x, gspec.specs)
+        chosen = oracle_treatment(dl, x, gspec.specs)
+        matched = chosen == oracle_treatment(gspec.planted_regime, x, gspec.specs)
+        value += prob * (gspec.matched_mean if matched else gspec.mismatched_mean)
+        assess += prob * (prefix_costs[g] if g < len(dl.rules) else default_cost)
+        treat += prob * gspec.treatment_costs[chosen]
+    return lambda1 * value - lambda2 * assess - lambda3 * treat

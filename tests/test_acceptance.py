@@ -177,7 +177,7 @@ def test_criterion_2_dr_estimator_consistency(capsys):
         "always-controller": DecisionList(
             rules=(), default_treatment=1 - planted.default_treatment),
     }
-    truth = {k: true_value(base, dl).value for k, dl in lists.items()}
+    truth = {k: true_value(base, dl) for k, dl in lists.items()}
     n_reps = 100
     hits = {k: 0 for k in lists}
     for rep in range(n_reps):

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import regimelist
 from regimelist import search
 from regimelist.cli import main
 from regimelist.io import read_json
@@ -340,6 +345,90 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)])
         assert code == 2
         assert "'serch'" in capsys.readouterr().err
+
+    def test_bad_generate_parameter_exits_2(self, tmp_path, capsys):
+        code = main(["generate", "--n", "50", "--seed", "-1",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--clip-epsilon", "-0.5"], "clip_epsilon"),
+        (["--clip-epsilon", "0"], "clip_epsilon"),
+        (["--clip-epsilon", "1.5"], "clip_epsilon"),
+        (["--ridge", "-1"], "ridge"),
+        (["--grad-tol", "-1"], "grad_tol"),
+        (["--max-iters", "0"], "max_iters"),
+        (["--l2-reg", "-1"], "l2"),
+        (["--l2-reg", "nan"], "l2_reg"),
+    ])
+    def test_bad_fit_parameter_exits_2(self, learned_run, tmp_path, capsys,
+                                       flags, key):
+        out = learned_run
+        code = main(["fit", "--schema", f"{out}/schema.json",
+                     "--data", f"{out}/data.csv", *flags,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+
+    @pytest.mark.parametrize("flags, config, key", [
+        (["--seed", "-1"], None, "seed"),
+        (["--c-explore", "nan"], None, "c_explore"),
+        (["--lambda1", "nan"], None, "lambda1"),
+        (["--lambda2", "inf"], None, "lambda2"),
+        ([], {"search": {"widen_c": float("nan")}}, "widen_c"),
+        ([], {"search": {"widen_c": float("inf")}}, "widen_c"),
+        ([], {"search": {"widen_alpha": float("inf")}}, "widen_alpha"),
+    ])
+    def test_bad_learn_parameter_exits_2(self, learned_run, tmp_path, capsys,
+                                         flags, config, key):
+        out = learned_run
+        if config is not None:
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(cfg)]
+        code = main(["learn", "--schema", f"{out}/schema.json",
+                     "--data", f"{out}/data.csv",
+                     "--candidates", f"{out}/candidates.json",
+                     "--scores", f"{out}/scores.json", "--iterations", "5",
+                     *flags, "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--lambda1", "nan"], "lambda1"),
+        (["--lambda3", "inf"], "lambda3"),
+    ])
+    def test_bad_evaluate_parameter_exits_2(self, learned_run, tmp_path, capsys,
+                                            flags, key):
+        out = learned_run
+        code = main(["evaluate", "--schema", f"{out}/schema.json",
+                     "--data", f"{out}/data.csv",
+                     "--regime", f"{out}/regime.json",
+                     "--scores", f"{out}/scores.json", *flags,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+
+    def test_score_beyond_float32_range_learns_silently(self, learned_run, tmp_path):
+        # the batched float32 bounds overflow; learn must neither fail nor warn
+        out = learned_run
+        d = read_json(f"{out}/scores.json")
+        d["scores"][0][0] = -1e39
+        big = tmp_path / "scores.json"
+        big.write_text(json.dumps(d))
+        env = {**os.environ, "PYTHONPATH": str(Path(regimelist.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "regimelist.cli", "learn",
+             "--schema", f"{out}/schema.json", "--data", f"{out}/data.csv",
+             "--candidates", f"{out}/candidates.json", "--scores", str(big),
+             "--iterations", "20", "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("step", ["generate", "mine"])
     def test_missing_config_file_exits_2(self, learned_run, tmp_path, capsys,

@@ -18,15 +18,18 @@ from regimelist.domain import (
     feature_set_cost,
     partition,
     pattern_mask,
-    satisfy,
+    predicate_mask,
     treatment_cost_vector,
 )
 from regimelist.errors import InvalidPredicateError, ValidationError
 
 from conftest import (
+    dataset_from_rows,
+    dataset_row,
     oracle_assessment_costs,
     oracle_assigned,
     oracle_groups,
+    oracle_pattern_holds,
     random_dataset,
     random_decision_list,
 )
@@ -44,24 +47,26 @@ def tiny_dataset() -> Dataset:
         ((52.0, "no"), "b", 20.0),
         ((41.0, "yes"), "a", 30.0),
     ]
-    return Dataset.from_rows(SPECS, ("a", "b"), (5.0, 7.0), rows)
+    return dataset_from_rows(SPECS, ("a", "b"), (5.0, 7.0), rows)
+
+
+def one_subject(x: tuple) -> Dataset:
+    return dataset_from_rows(SPECS, ("a",), (1.0,), [(x, "a", 0.0)])
 
 
 class TestPredicate:
     def test_real_comparisons(self):
-        x = (40.0, "yes")
-        assert Predicate(0, ">=", 40.0).holds(x, SPECS)
-        assert not Predicate(0, ">", 40.0).holds(x, SPECS)
-        assert Predicate(0, "<=", 40.0).holds(x, SPECS)
-        assert not Predicate(0, "<", 40.0).holds(x, SPECS)
-        assert Predicate(0, "=", 40.0).holds(x, SPECS)
-        assert not Predicate(0, "!=", 40.0).holds(x, SPECS)
+        ds = one_subject((40.0, "yes"))
+        for op, want in ((">=", True), (">", False), ("<=", True),
+                         ("<", False), ("=", True), ("!=", False)):
+            assert predicate_mask(ds, Predicate(0, op, 40.0)).tolist() == [want]
 
     def test_level_equality(self):
-        x = (40.0, "yes")
-        assert Predicate(1, "=", "yes").holds(x, SPECS)
-        assert not Predicate(1, "=", "no").holds(x, SPECS)
-        assert Predicate(1, "!=", "no").holds(x, SPECS)
+        ds = one_subject((40.0, "yes"))
+        assert predicate_mask(ds, Predicate(1, "=", "yes")).tolist() == [True]
+        assert predicate_mask(ds, Predicate(1, "=", "no")).tolist() == [False]
+        assert predicate_mask(ds, Predicate(1, "!=", "no")).tolist() == [True]
+        assert predicate_mask(ds, Predicate(1, "!=", "yes")).tolist() == [False]
 
     def test_unknown_level_rejected(self):
         with pytest.raises(InvalidPredicateError):
@@ -75,20 +80,22 @@ class TestPredicate:
         with pytest.raises(InvalidPredicateError):
             Predicate(9, "=", 1.0).validate(SPECS)
 
-    def test_satisfy_is_conjunction(self):
-        pat = Pattern((Predicate(0, ">=", 40.0), Predicate(1, "=", "yes")))
-        assert satisfy((41.0, "yes"), pat, SPECS) == 1
-        assert satisfy((41.0, "no"), pat, SPECS) == 0
-        assert satisfy((39.0, "yes"), pat, SPECS) == 0
-
 
 class TestPatternMask:
+    def test_mask_is_conjunction(self):
+        ds = dataset_from_rows(SPECS, ("a",), (1.0,), [
+            ((41.0, "yes"), "a", 0.0), ((41.0, "no"), "a", 0.0),
+            ((39.0, "yes"), "a", 0.0)])
+        pat = Pattern((Predicate(0, ">=", 40.0), Predicate(1, "=", "yes")))
+        assert pattern_mask(ds, pat).tolist() == [True, False, False]
+
     def test_matches_row_evaluation(self):
         ds = tiny_dataset()
         pat = Pattern((Predicate(0, ">=", 40.0), Predicate(1, "=", "yes")))
         mask = pattern_mask(ds, pat)
-        expected = [satisfy(ds.row(i), pat, ds.specs) for i in range(ds.n_subjects)]
-        assert mask.tolist() == [bool(e) for e in expected]
+        expected = [oracle_pattern_holds(pat, dataset_row(ds, i), ds.specs)
+                    for i in range(ds.n_subjects)]
+        assert mask.tolist() == expected
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValidationError):
@@ -208,15 +215,15 @@ class TestCosts:
 class TestValidation:
     def test_missing_value_rejected(self):
         with pytest.raises(ValidationError, match="missing"):
-            Dataset.from_rows(SPECS, ("a",), (1.0,), [((None, "yes"), "a", 1.0)])
+            dataset_from_rows(SPECS, ("a",), (1.0,), [((None, "yes"), "a", 1.0)])
 
     def test_unknown_treatment_rejected(self):
         with pytest.raises(ValidationError, match="treatment"):
-            Dataset.from_rows(SPECS, ("a",), (1.0,), [((1.0, "yes"), "zzz", 1.0)])
+            dataset_from_rows(SPECS, ("a",), (1.0,), [((1.0, "yes"), "zzz", 1.0)])
 
     def test_bad_level_mentions_row(self):
         with pytest.raises(ValidationError, match="row 1"):
-            Dataset.from_rows(
+            dataset_from_rows(
                 SPECS,
                 ("a",),
                 (1.0,),
@@ -225,7 +232,7 @@ class TestValidation:
 
     def test_non_finite_number_rejected(self):
         with pytest.raises(ValidationError, match="row 1, column 'age': non-finite"):
-            Dataset.from_rows(SPECS, ("a",), (1.0,),
+            dataset_from_rows(SPECS, ("a",), (1.0,),
                               [((1.0, "yes"), "a", 1.0), ((float("inf"), "no"), "a", 1.0)])
 
     def test_from_columns_matches_from_rows(self):

@@ -9,7 +9,6 @@ from regimelist.domain import (
     CATEGORICAL,
     REAL,
     CharacteristicSpec,
-    Dataset,
 )
 from regimelist.errors import ConvergenceError, SingularSystemError, ValidationError
 from regimelist.estimation import (
@@ -24,7 +23,7 @@ from regimelist.estimation import (
     solve_ridge,
 )
 
-from conftest import random_dataset
+from conftest import dataset_from_rows, random_dataset
 
 
 def logistic_dataset(rng, n=400, m=3, n_features=4):
@@ -44,7 +43,7 @@ def logistic_dataset(rng, n=400, m=3, n_features=4):
         (tuple(float(v) for v in X[i]), names[codes[i]], float(rng.normal(50, 5)))
         for i in range(n)
     ]
-    return Dataset.from_rows(specs, names, tuple(10.0 for _ in range(m)), rows)
+    return dataset_from_rows(specs, names, tuple(10.0 for _ in range(m)), rows)
 
 
 class TestFeatureEncoder:
@@ -60,7 +59,7 @@ class TestFeatureEncoder:
             (("blue", "yes", 3.0), "a", 0.0),
             (("red", "no", 4.0), "a", 0.0),
         ]
-        ds = Dataset.from_rows(specs, ("a",), (1.0,), rows)
+        ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
         enc = FeatureEncoder.fit(ds)
         X = enc.transform(ds)
         # color contributes 2 indicator columns (green, blue), flag 1, x 1
@@ -75,7 +74,7 @@ class TestFeatureEncoder:
     def test_zero_variance_real_column_centred_not_scaled(self):
         specs = (CharacteristicSpec("x", REAL, 1.0),)
         rows = [((5.0,), "a", 0.0) for _ in range(6)]
-        ds = Dataset.from_rows(specs, ("a",), (1.0,), rows)
+        ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
         X = encode_features(ds)
         assert X[:, 0].tolist() == [0.0] * 6
 
@@ -181,7 +180,7 @@ class TestPropensityFit:
         rng = np.random.default_rng(16)
         specs = (CharacteristicSpec("x", REAL, 1.0),)
         rows = [((float(i),), "a", 1.0) for i in range(10)]
-        ds = Dataset.from_rows(specs, ("a", "b"), (1.0, 1.0), rows)
+        ds = dataset_from_rows(specs, ("a", "b"), (1.0, 1.0), rows)
         with pytest.raises(ValidationError, match="never observed"):
             fit_propensity(ds)
 
@@ -225,7 +224,7 @@ class TestOutcomeFit:
         specs = (CharacteristicSpec("x", REAL, 1.0),)
         rng = np.random.default_rng(3)
         rows = [((float(rng.normal()),), "a", 42.0) for _ in range(30)]
-        ds = Dataset.from_rows(specs, ("a",), (1.0,), rows)
+        ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
         model = fit_outcome(ds, ridge=10.0)
         pred = model.predict(ds)
         assert pred[:, 0] == pytest.approx(np.full(30, 42.0), abs=1e-9)
@@ -233,7 +232,7 @@ class TestOutcomeFit:
     def test_empty_arm_rejected(self):
         specs = (CharacteristicSpec("x", REAL, 1.0),)
         rows = [((float(i),), "a", 1.0) for i in range(10)]
-        ds = Dataset.from_rows(specs, ("a", "b"), (1.0, 1.0), rows)
+        ds = dataset_from_rows(specs, ("a", "b"), (1.0, 1.0), rows)
         with pytest.raises(ValidationError):
             fit_outcome(ds)
 

@@ -11,7 +11,6 @@ from regimelist.domain import (
     BINARY,
     REAL,
     CharacteristicSpec,
-    Dataset,
     Pattern,
     pattern_mask,
 )
@@ -24,14 +23,14 @@ from regimelist.mining import (
     mine_patterns,
 )
 
-from conftest import oracle_quantile_thresholds, random_dataset
+from conftest import dataset_from_rows, oracle_quantile_thresholds, random_dataset
 
 
 def real_only_dataset(values, m=2):
     specs = (CharacteristicSpec("x", REAL, 1.0),)
     names = tuple(f"t{a}" for a in range(m))
     rows = [((float(v),), names[i % m], 0.0) for i, v in enumerate(values)]
-    return Dataset.from_rows(specs, names, tuple(1.0 for _ in names), rows)
+    return dataset_from_rows(specs, names, tuple(1.0 for _ in names), rows)
 
 
 class TestConfig:
@@ -82,7 +81,7 @@ class TestDiscretize:
     def test_level_features_not_discretized(self):
         specs = (CharacteristicSpec("b", BINARY, 1.0, ("no", "yes")),)
         rows = [(("yes",), "a", 0.0), (("no",), "a", 0.0)]
-        ds = Dataset.from_rows(specs, ("a",), (1.0,), rows)
+        ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
         assert discretize(ds) == {}
 
 
@@ -90,7 +89,7 @@ class TestAtoms:
     def test_level_atoms_use_level_strings(self):
         specs = (CharacteristicSpec("b", BINARY, 1.0, ("no", "yes")),)
         rows = [(("yes",), "a", 0.0), (("no",), "a", 0.0)]
-        ds = Dataset.from_rows(specs, ("a",), (1.0,), rows)
+        ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
         atoms = build_atoms(ds, discretize(ds))
         assert {(a.op, a.value) for a in atoms} == {("=", "no"), ("=", "yes")}
 
@@ -173,7 +172,7 @@ class TestMinePatterns:
     def test_impossible_support_raises(self):
         specs = (CharacteristicSpec("b", BINARY, 1.0, ("no", "yes")),)
         rows = [(("yes",), "a", 0.0), (("no",), "a", 0.0)]
-        ds = Dataset.from_rows(specs, ("a",), (1.0,), rows)
+        ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
         with pytest.raises(EmptyCandidateSetError):
             mine_patterns(ds, MiningConfig(min_support=1.0))
 

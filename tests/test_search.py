@@ -4,11 +4,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from regimelist.domain import DecisionList, feature_set_cost, satisfy
+from regimelist.domain import DecisionList, feature_set_cost
 from regimelist.errors import SizeLimitError, ValidationError
 from regimelist.estimation import DRScoreMatrix
 from regimelist.mining import CandidateSet, MiningConfig, mine_patterns
@@ -22,7 +23,13 @@ from regimelist.search import (
     uct_search,
 )
 
-from conftest import random_dataset, random_scores, random_weights
+from conftest import (
+    dataset_row,
+    oracle_pattern_holds,
+    random_dataset,
+    random_scores,
+    random_weights,
+)
 
 
 def small_instance(rng, n_patterns=6, n_subjects=60, n_features=4, m=2):
@@ -164,7 +171,7 @@ class TestLegalActions:
                 newly = sum(
                     1 for i in range(ds.n_subjects)
                     if not state.covered[i]
-                    and satisfy(ds.row(i), pattern, ds.specs))
+                    and oracle_pattern_holds(pattern, dataset_row(ds, i), ds.specs))
                 if p not in used and newly >= need:
                     legal |= {(p, t) for t in range(ds.n_treatments)}
             codes, _ = problem.ordered_actions(state, 3, 0.2)
@@ -233,18 +240,18 @@ class TestStateBound:
                     break
                 state = problem.apply(state, rules[int(rng.integers(len(rules)))])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_batched_bound_survives_float32_overflow(self):
         # a finite score beyond float32's range overflows the batched sums;
-        # the children it touches must then get an infinite bound
+        # the children it touches must then get an infinite bound, silently
         rng = np.random.default_rng(64)
         ds, cands = small_instance(rng)
         scores = random_scores(rng, ds)
         scores.scores[0, 0] = -1e39
         problem = SearchProblem(ds, scores, cands, random_weights(rng))
         state = problem.initial_state()
-        codes, his = problem.ordered_actions(state, 3, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes, his = problem.ordered_actions(state, 3, 0.0)
         assert np.isinf(his).any()
         for code, hi in zip(codes.tolist(), his.tolist()):
             assert hi >= problem.state_bound(problem.apply(state, code))
@@ -477,14 +484,14 @@ class TestExhaustive:
             exhaustive_search(ds, scores, few, ObjectiveWeights(), L_max=4)
 
     def test_evaluates_every_list_whose_rules_cover_something_new(self):
-        # oracle: count by satisfy the lists in which every rule newly
+        # oracle: count row by row the lists in which every rule newly
         # covers at least one subject, times the rule and default treatments
         rng = np.random.default_rng(98)
         for n_patterns, L_max in ((4, 3), (6, 2), (8, 2)):
             ds, cands = small_instance(rng, n_patterns=n_patterns)
-            rows = [ds.row(i) for i in range(ds.n_subjects)]
+            rows = [dataset_row(ds, i) for i in range(ds.n_subjects)]
             sets = [frozenset(i for i, row in enumerate(rows)
-                              if satisfy(row, pat, ds.specs))
+                              if oracle_pattern_holds(pat, row, ds.specs))
                     for pat in cands.patterns]
             m = ds.n_treatments
             n_lists = 0

@@ -9,6 +9,7 @@ import pytest
 from regimelist.domain import DecisionList, Pattern, Predicate, assign
 from regimelist.errors import SizeLimitError, ValidationError
 from regimelist.io import write_dataset_csv
+from regimelist.mining import MiningConfig, mine_patterns
 from regimelist.synth import (
     GeneratorSpec,
     Marginal,
@@ -18,6 +19,8 @@ from regimelist.synth import (
     true_value,
 )
 from regimelist.objective import ObjectiveWeights
+
+from conftest import oracle_true_objective, oracle_true_value
 
 
 def planted_match_probability(gspec: GeneratorSpec, arm: int) -> float:
@@ -159,8 +162,8 @@ class TestTrueValue:
     def test_planted_regime_attains_matched_mean(self):
         gspec = default_generator_spec(n_subjects=10)
         tv = true_value(gspec, gspec.planted_regime)
-        assert tv.method == "exact"
-        assert tv.value == pytest.approx(gspec.matched_mean, abs=1e-9)
+        assert isinstance(tv, float)
+        assert tv == pytest.approx(gspec.matched_mean, abs=1e-9)
 
     def test_constant_policies_match_inclusion_exclusion(self):
         gspec = default_generator_spec(n_subjects=10)
@@ -169,36 +172,23 @@ class TestTrueValue:
             dl = DecisionList(rules=(), default_treatment=arm)
             tv = true_value(gspec, dl)
             want = mm + delta * planted_match_probability(gspec, arm)
-            assert tv.value == pytest.approx(want, abs=1e-9)
+            assert tv == pytest.approx(want, abs=1e-9)
 
     def test_planted_beats_every_constant_policy(self):
         gspec = default_generator_spec(n_subjects=10)
-        planted = true_value(gspec, gspec.planted_regime).value
+        planted = true_value(gspec, gspec.planted_regime)
         for arm in range(len(gspec.treatment_names)):
             dl = DecisionList(rules=(), default_treatment=arm)
-            assert planted >= true_value(gspec, dl).value
+            assert planted >= true_value(gspec, dl)
 
     def test_ground_truth_record_carries_planted_value(self):
         gspec = default_generator_spec(n_subjects=50, seed=8)
         _, gt = generate(gspec)
-        assert gt.planted_true_value == pytest.approx(
-            true_value(gspec, gspec.planted_regime).value
-        )
+        assert gt.planted_true_value == true_value(gspec, gspec.planted_regime)
         d = gt.to_dict(gspec.specs, gspec.treatment_names)
         assert d["matched_mean"] == gspec.matched_mean
 
-    def test_monte_carlo_agrees_with_exact(self):
-        gspec = default_generator_spec(n_subjects=10, seed=9)
-        rules = gspec.planted_regime.rules[:2]
-        dl = DecisionList(rules=rules, default_treatment=0)
-        exact = true_value(gspec, dl)
-        mc = true_value(gspec, dl, allow_monte_carlo=True, max_cells=1,
-                        mc_samples=200000)
-        assert mc.method == "monte_carlo"
-        assert mc.standard_error > 0
-        assert abs(mc.value - exact.value) <= 4 * mc.standard_error
-
-    def test_cell_limit_enforced_without_monte_carlo(self):
+    def test_cell_limit_enforced(self):
         gspec = default_generator_spec(n_subjects=10)
         with pytest.raises(SizeLimitError):
             true_value(gspec, gspec.planted_regime, max_cells=1)
@@ -212,8 +202,8 @@ class TestTrueValue:
             rules=(r[1], r[0], r[2]),
             default_treatment=gspec.planted_regime.default_treatment,
         )
-        a = true_value(gspec, gspec.planted_regime).value
-        b = true_value(gspec, reordered).value
+        a = true_value(gspec, gspec.planted_regime)
+        b = true_value(gspec, reordered)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_thresholds_on_reals_supported(self):
@@ -226,7 +216,7 @@ class TestTrueValue:
         tv = true_value(gspec, dl)
         # P(age >= 60) = (90-60)/(90-18); match prob blends with the planted
         # regime, so just sanity-check the range
-        assert gspec.mismatched_mean <= tv.value <= gspec.matched_mean
+        assert gspec.mismatched_mean <= tv <= gspec.matched_mean
 
 
 class TestTrueObjective:
@@ -242,6 +232,45 @@ class TestTrueObjective:
         gspec = default_generator_spec(n_subjects=10)
         dl = gspec.planted_regime
         base = true_objective(gspec, dl, lambda1=1.0, lambda2=0.0, lambda3=0.0)
-        assert base == pytest.approx(true_value(gspec, dl).value, abs=1e-9)
+        assert base == pytest.approx(true_value(gspec, dl), abs=1e-9)
         with_costs = true_objective(gspec, dl)
         assert with_costs < base
+
+
+@pytest.fixture(scope="module")
+def mined_instance():
+    gspec = default_generator_spec(n_subjects=2000, seed=3, confounding_strength=0.5)
+    ds, _ = generate(gspec)
+    cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+    return gspec, cands.patterns
+
+
+class TestTruthOracle:
+    def test_exact_truth_equals_cell_by_cell_oracle(self, mined_instance):
+        # random lists over mined patterns, some rules replaced by a real
+        # threshold no quantile produced, under every operator
+        gspec, patterns = mined_instance
+        reals = [f for f, s in enumerate(gspec.specs) if s.kind == "real"]
+        rng = np.random.default_rng(71)
+        n_real = 0
+        for _ in range(120):
+            rules = []
+            for p in rng.choice(len(patterns), size=int(rng.integers(0, 4)), replace=False):
+                pattern = patterns[int(p)]
+                if rng.random() < 0.3:
+                    f = reals[int(rng.integers(len(reals)))]
+                    a, b = gspec.marginals[f].params
+                    t = rng.uniform(a, b) if gspec.marginals[f].kind == "uniform" \
+                        else a + b * rng.standard_normal()
+                    op = ("=", "!=", "<", "<=", ">", ">=")[int(rng.integers(6))]
+                    pattern = Pattern((Predicate(f, op, float(np.round(t, 2))),))
+                rules.append((pattern, int(rng.integers(2))))
+            dl = DecisionList(rules=tuple(rules), default_treatment=int(rng.integers(2)))
+            n_real += any(gspec.specs[p.feature].kind == "real"
+                          for pat, _ in rules for p in pat.predicates)
+            assert true_value(gspec, dl) == oracle_true_value(gspec, dl)
+            weights = [float(w) for w in np.round(rng.uniform(0.0, 2.0, 3), 3)]
+            for full in (False, True):
+                assert true_objective(gspec, dl, *weights, charge_default_full=full) \
+                    == oracle_true_objective(gspec, dl, *weights, charge_default_full=full)
+        assert n_real >= 60
