@@ -12,15 +12,12 @@ from .domain import (
     CharacteristicSpec,
     Dataset,
     DecisionList,
-    GroupAssignment,
     Pattern,
     Predicate,
-    assessment_cost_vector,
     assign,
     feature_set_cost,
     partition,
     pattern_mask,
-    treatment_cost_vector,
 )
 from .errors import (
     CellError,
@@ -57,9 +54,6 @@ from .objective import (
     MetricsReport,
     ObjectiveWeights,
     compute_metrics,
-    estimated_outcome,
-    mean_assessment_cost,
-    mean_treatment_cost,
     objective_value,
 )
 from .search import (

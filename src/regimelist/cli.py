@@ -20,8 +20,6 @@ from .domain import Dataset
 from .errors import RegimeListError, ValidationError, config_values
 from .estimation import (
     DRScoreMatrix,
-    OutcomeModel,
-    PropensityModel,
     compute_dr_scores,
     fit_outcome,
     fit_propensity,

@@ -45,8 +45,9 @@ class CharacteristicSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown kind {self.kind!r} for {self.name!r}")
-        if not (self.cost >= 0):
-            raise ValidationError(f"cost of {self.name!r} must be >= 0, got {self.cost}")
+        if not 0 <= self.cost < math.inf:
+            raise ValidationError(
+                f"cost of {self.name!r} must be finite and >= 0, got {self.cost}")
         if self.kind == BINARY and len(self.levels) != 2:
             raise ValidationError(f"binary {self.name!r} needs exactly 2 levels")
         if self.kind == CATEGORICAL and len(self.levels) < 2:
@@ -119,8 +120,8 @@ class Dataset:
         costs = np.asarray(treatment_costs, dtype=float)
         if costs.shape != (len(treatment_names),):
             raise ValidationError("treatment_costs must match treatment_names")
-        if not np.all(costs >= 0):
-            raise ValidationError("treatment costs must be >= 0")
+        if not np.all((costs >= 0) & (costs < np.inf)):
+            raise ValidationError("treatment costs must be finite and >= 0")
         n = len(treatments)
         if n == 0:
             raise ValidationError("dataset needs at least one subject")
@@ -247,10 +248,7 @@ class DecisionList:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def validate(self, specs: Sequence[CharacteristicSpec], n_treatments: int,
-                 max_rules: int | None = None) -> None:
-        if max_rules is not None and len(self.rules) > max_rules:
-            raise ValidationError(f"list has {len(self.rules)} rules, limit is {max_rules}")
+    def validate(self, specs: Sequence[CharacteristicSpec], n_treatments: int) -> None:
         for pattern, t in self.rules:
             pattern.validate(specs)
             if not 0 <= t < n_treatments:
@@ -266,14 +264,6 @@ class DecisionList:
             acc = acc | pattern.features
             out.append(acc)
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class GroupAssignment:
-    """First-match rule groups. ``group_of[i]`` is the 0-based rule index of
-    subject i, or ``len(rules)`` for the default group."""
-
-    group_of: np.ndarray
 
 
 def predicate_mask(ds: Dataset, pred: Predicate) -> np.ndarray:
@@ -308,8 +298,9 @@ def pattern_mask(ds: Dataset, pattern: Pattern) -> np.ndarray:
     return mask
 
 
-def partition(ds: Dataset, dl: DecisionList) -> GroupAssignment:
-    """Assign every subject to the first rule it satisfies, else the default."""
+def partition(ds: Dataset, dl: DecisionList) -> np.ndarray:
+    """First-match groups: entry i is the 0-based index of the first rule
+    subject i satisfies, or ``len(dl.rules)`` for the default group."""
     dl.validate(ds.specs, ds.n_treatments)
     n = ds.n_subjects
     group = np.full(n, len(dl.rules), dtype=np.int64)
@@ -318,7 +309,7 @@ def partition(ds: Dataset, dl: DecisionList) -> GroupAssignment:
         newly = pattern_mask(ds, pattern) & unassigned
         group[newly] = j
         unassigned &= ~newly
-    return GroupAssignment(group_of=group)
+    return group
 
 
 def group_treatments(dl: DecisionList) -> np.ndarray:
@@ -328,7 +319,7 @@ def group_treatments(dl: DecisionList) -> np.ndarray:
 
 def assign(ds: Dataset, dl: DecisionList) -> np.ndarray:
     """Per-subject treatment codes under the regime."""
-    return group_treatments(dl)[partition(ds, dl).group_of]
+    return group_treatments(dl)[partition(ds, dl)]
 
 
 def feature_set_cost(specs: Sequence[CharacteristicSpec], features: Iterable[int]) -> float:
@@ -354,26 +345,3 @@ def group_billed_counts(dl: DecisionList, charge_default_full: bool = False) -> 
     """Distinct characteristics billed in each group (|N_j|), then the default's."""
     return _with_default([float(len(f)) for f in dl.cumulative_features()],
                          charge_default_full)
-
-
-def assessment_cost_vector(
-    ds: Dataset, dl: DecisionList, charge_default_full: bool = False
-) -> np.ndarray:
-    """Per-subject assessment cost: subjects in group j pay for every distinct
-    characteristic appearing in patterns 1..j.  Default-group subjects pay 0,
-    or the full-list cost when ``charge_default_full``."""
-    ga = partition(ds, dl)
-    return group_assessment_costs(ds.specs, dl, charge_default_full)[ga.group_of]
-
-
-def treatment_cost_vector(ds: Dataset, dl: DecisionList) -> np.ndarray:
-    """Per-subject cost of the treatment assigned by the regime."""
-    return ds.treatment_costs[assign(ds, dl)]
-
-
-def billed_characteristics_vector(
-    ds: Dataset, dl: DecisionList, charge_default_full: bool = False
-) -> np.ndarray:
-    """Per-subject count of distinct characteristics billed (|N_j| by group)."""
-    ga = partition(ds, dl)
-    return group_billed_counts(dl, charge_default_full)[ga.group_of]

@@ -63,10 +63,6 @@ class FeatureEncoder:
             scales=np.asarray(scales, dtype=float),
         )
 
-    @property
-    def n_columns(self) -> int:
-        return len(self.columns)
-
     def transform(self, ds: Dataset) -> np.ndarray:
         out = np.empty((ds.n_subjects, len(self.columns)), dtype=float)
         for j, col in enumerate(self.columns):
@@ -84,15 +80,6 @@ class FeatureEncoder:
             "means": self.means.tolist(),
             "scales": self.scales.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureEncoder":
-        return cls(
-            columns=tuple(EncodedColumn(c["feature"], c["level"], c["name"])
-                          for c in d["columns"]),
-            means=np.asarray(d["means"], dtype=float),
-            scales=np.asarray(d["scales"], dtype=float),
-        )
 
 
 def encode_features(ds: Dataset) -> np.ndarray:
@@ -159,17 +146,6 @@ class PropensityModel:
             "n_iterations": self.n_iterations,
             "gradient_norm": self.gradient_norm,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PropensityModel":
-        return cls(
-            encoder=FeatureEncoder.from_dict(d["encoder"]),
-            treatment_names=tuple(d["treatment_names"]),
-            weights=np.asarray(d["weights"], dtype=float),
-            clip_epsilon=float(d["clip_epsilon"]),
-            n_iterations=int(d.get("n_iterations", 0)),
-            gradient_norm=float(d.get("gradient_norm", 0.0)),
-        )
 
 
 def fit_propensity(
@@ -258,15 +234,6 @@ class OutcomeModel:
             "coefs": self.coefs.tolist(),
             "ridge": self.ridge,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutcomeModel":
-        return cls(
-            encoder=FeatureEncoder.from_dict(d["encoder"]),
-            treatment_names=tuple(d["treatment_names"]),
-            coefs=np.asarray(d["coefs"], dtype=float),
-            ridge=float(d["ridge"]),
-        )
 
 
 def solve_ridge(design: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -42,6 +43,10 @@ class DataSchema:
             raise ValidationError("duplicate treatment names in schema")
         if len(self.treatment_costs) != len(self.treatment_names):
             raise ValidationError("treatment costs must match treatment names")
+        for name, cost in zip(self.treatment_names, self.treatment_costs):
+            if not 0 <= cost < math.inf:
+                raise ValidationError(
+                    f"cost of treatment {name!r} must be finite and >= 0, got {cost}")
         reserved = {self.treatment_column, self.outcome_column}
         if reserved & set(names):
             raise ValidationError(

@@ -9,6 +9,7 @@ lambda1*g1 - lambda2*g2 - lambda3*g3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -16,13 +17,10 @@ import numpy as np
 from .domain import (
     Dataset,
     DecisionList,
-    assessment_cost_vector,
-    assign,
     group_assessment_costs,
     group_billed_counts,
     group_treatments,
     partition,
-    treatment_cost_vector,
 )
 from .errors import ValidationError, config_values
 from .estimation import DRScoreMatrix
@@ -36,8 +34,8 @@ class ObjectiveWeights:
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and nonnegative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -55,23 +53,6 @@ def check_scores(ds: Dataset, scores: DRScoreMatrix) -> None:
         )
     if scores.treatment_names != ds.treatment_names:
         raise ValidationError("score matrix was built for a different treatment set")
-
-
-def estimated_outcome(ds: Dataset, dl: DecisionList, scores: DRScoreMatrix) -> float:
-    """g1: mean doubly robust score under the list's assignments."""
-    check_scores(ds, scores)
-    return scores.mean_value(assign(ds, dl))
-
-
-def mean_assessment_cost(ds: Dataset, dl: DecisionList,
-                         charge_default_full: bool = False) -> float:
-    """g2: mean per-subject characteristic-assessment cost."""
-    return float(assessment_cost_vector(ds, dl, charge_default_full).mean())
-
-
-def mean_treatment_cost(ds: Dataset, dl: DecisionList) -> float:
-    """g3: mean cost of the treatments the list assigns."""
-    return float(treatment_cost_vector(ds, dl).mean())
 
 
 def objective_value(
@@ -141,7 +122,7 @@ def compute_metrics(
 ) -> MetricsReport:
     check_scores(ds, scores)
     # the one partition every term below derives from
-    group_of = partition(ds, dl).group_of
+    group_of = partition(ds, dl)
     assigned = group_treatments(dl)[group_of]
     g1 = scores.mean_value(assigned)
     g2 = float(group_assessment_costs(ds.specs, dl, charge_default_full)[group_of].mean())

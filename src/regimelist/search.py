@@ -36,6 +36,10 @@ Action = int
 MAX_EXACT_SUBJECTS = 2 ** 24
 EXHAUSTIVE_MAX_PATTERNS = 10
 EXHAUSTIVE_MAX_DEPTH = 3
+# progressive widening: a node may hold at most ceil(c * visits^alpha)
+# children, so wide action spaces deepen instead of expanding breadth-first
+WIDEN_C = 2.0
+WIDEN_ALPHA = 0.3
 
 
 def _gamma(k: int, unit: float) -> float:
@@ -51,22 +55,16 @@ class SearchConfig:
     L_max: int = 4
     min_new_coverage: float = 0.01
     charge_default_full: bool = False
-    # progressive widening: a node may hold at most ceil(c * visits^alpha)
-    # children, so wide action spaces deepen instead of expanding breadth-first
-    widen_c: float = 2.0
-    widen_alpha: float = 0.3
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValidationError("iterations must be positive")
-        if self.c_explore < 0:
-            raise ValidationError("c_explore must be nonnegative")
+        if not 0 <= self.c_explore < math.inf:
+            raise ValidationError("c_explore must be finite and nonnegative")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
         if self.L_max < 0:
             raise ValidationError("L_max must be nonnegative")
-        if self.widen_c <= 0 or self.widen_alpha < 0:
-            raise ValidationError("widening parameters must be positive")
         if not 0.0 <= self.min_new_coverage <= 1.0:
             raise ValidationError("min_new_coverage must lie in [0, 1]")
 
@@ -437,8 +435,7 @@ def uct_search(
                     n_pruned += 1
             live = [c for c in node.children if not c.fully_explored]
             # progressive widening gates expansion unless nothing is selectable
-            limit = max(1, math.ceil(
-                config.widen_c * max(node.visits, 1) ** config.widen_alpha))
+            limit = max(1, math.ceil(WIDEN_C * max(node.visits, 1) ** WIDEN_ALPHA))
             if node.cursor and (len(node.children) < limit or not live):
                 # from the end: defaults first, then the best-ordered rules
                 while node.cursor:

@@ -385,7 +385,7 @@ def _regime_cells(gspec: GeneratorSpec, dl: DecisionList, max_cells: int):
     """Per grid cell: its probability, its group and treatment under dl, and
     whether that treatment is the planted map's."""
     grid, prob = _grid(gspec, dl, max_cells)
-    group_of = partition(grid, dl).group_of
+    group_of = partition(grid, dl)
     chosen = group_treatments(dl)[group_of]
     return prob, group_of, chosen, chosen == assign(grid, gspec.planted_regime)
 

@@ -15,11 +15,10 @@ import pytest
 from regimelist.cli import main as cli_main
 from regimelist.domain import (
     DecisionList,
-    assessment_cost_vector,
     assign,
-    billed_characteristics_vector,
+    group_assessment_costs,
+    group_billed_counts,
     partition,
-    treatment_cost_vector,
 )
 from regimelist.estimation import (
     compute_dr_scores,
@@ -33,7 +32,6 @@ from regimelist.mining import MiningConfig, mine_patterns
 from regimelist.objective import (
     ObjectiveWeights,
     compute_metrics,
-    estimated_outcome,
     objective_value,
 )
 from regimelist.search import (
@@ -141,22 +139,23 @@ def test_criterion_1_regime_semantics_exact(capsys):
             m=int(rng.integers(2, 4)),
         )
         dl = random_decision_list(rng, ds, max_rules=5)
-        ga = partition(ds, dl)
-        assert ga.group_of.tolist() == oracle_groups(ds, dl)
+        # the per-subject terms as compute_metrics indexes them
+        group_of = partition(ds, dl)
+        groups = oracle_groups(ds, dl)
+        assert group_of.tolist() == groups
         assert assign(ds, dl).tolist() == oracle_assigned(ds, dl)
         for full in (False, True):
-            got = assessment_cost_vector(ds, dl, charge_default_full=full)
+            got = group_assessment_costs(ds.specs, dl, full)[group_of]
             assert got.tolist() == oracle_assessment_costs(ds, dl, full)
         # treatment cost and billed-characteristic count per subject
         assigned = oracle_assigned(ds, dl)
         want_phi = [float(ds.treatment_costs[a]) for a in assigned]
-        assert treatment_cost_vector(ds, dl).tolist() == want_phi
-        groups = oracle_groups(ds, dl)
+        assert ds.treatment_costs[assign(ds, dl)].tolist() == want_phi
         cum = dl.cumulative_features()
         want_counts = [
             float(len(cum[g])) if g < len(dl.rules) else 0.0 for g in groups
         ]
-        assert billed_characteristics_vector(ds, dl).tolist() == want_counts
+        assert group_billed_counts(dl)[group_of].tolist() == want_counts
     elapsed = time.perf_counter() - t0
     ok = elapsed < 5.0
     report(capsys, 1, ok,
@@ -187,7 +186,7 @@ def test_criterion_2_dr_estimator_consistency(capsys):
         for key, dl in lists.items():
             assigned = assign(ds, dl)
             picked = scores.scores[np.arange(ds.n_subjects), assigned]
-            g1 = estimated_outcome(ds, dl, scores)
+            g1 = compute_metrics(ds, dl, scores).estimated_outcome
             se = float(np.std(picked, ddof=1) / np.sqrt(ds.n_subjects))
             if abs(g1 - truth[key]) <= 3 * se:
                 hits[key] += 1

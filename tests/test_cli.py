@@ -346,6 +346,32 @@ class TestExitCodes:
         assert code == 2
         assert "'serch'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["mine", "learn"])
+    @pytest.mark.parametrize("where, cost", [
+        ("characteristic", float("inf")),
+        ("treatment", float("inf")),
+        ("treatment", -1.0),
+    ])
+    def test_bad_schema_cost_exits_2(self, learned_run, tmp_path, capsys,
+                                     step, where, cost):
+        # refused while reading schema.json, before the CSV is read
+        out = learned_run
+        d = read_json(f"{out}/schema.json")
+        if where == "characteristic":
+            d["characteristics"][0]["cost"] = cost
+        else:
+            d["treatments"][next(iter(d["treatments"]))] = cost
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(d))
+        inputs = {"mine": [],
+                  "learn": ["--candidates", f"{out}/candidates.json",
+                            "--scores", f"{out}/scores.json"]}[step]
+        code = main([step, "--schema", str(bad), "--data", f"{out}/data.csv",
+                     *inputs, "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "must be finite and >= 0" in err and "data.csv" not in err
+
     def test_bad_generate_parameter_exits_2(self, tmp_path, capsys):
         code = main(["generate", "--n", "50", "--seed", "-1",
                      "--out-dir", str(tmp_path)])

@@ -12,14 +12,13 @@ from regimelist.domain import (
     DecisionList,
     Pattern,
     Predicate,
-    assessment_cost_vector,
     assign,
-    billed_characteristics_vector,
     feature_set_cost,
+    group_assessment_costs,
+    group_billed_counts,
     partition,
     pattern_mask,
     predicate_mask,
-    treatment_cost_vector,
 )
 from regimelist.errors import InvalidPredicateError, ValidationError
 
@@ -121,9 +120,8 @@ class TestFirstMatchPartition:
             ),
             default_treatment=0,
         )
-        ga = partition(ds, dl)
         # subject 0 and 2 hit rule 0; subject 1 hits rule 1
-        assert ga.group_of.tolist() == [0, 1, 0]
+        assert partition(ds, dl).tolist() == [0, 1, 0]
         assert assign(ds, dl).tolist() == [1, 0, 1]
 
     def test_earlier_rule_shadows_later(self):
@@ -137,15 +135,15 @@ class TestFirstMatchPartition:
         ds = tiny_dataset()
         dl = DecisionList(rules=(), default_treatment=1)
         assert assign(ds, dl).tolist() == [1, 1, 1]
-        assert assessment_cost_vector(ds, dl).tolist() == [0.0, 0.0, 0.0]
+        costs = group_assessment_costs(ds.specs, dl)[partition(ds, dl)]
+        assert costs.tolist() == [0.0, 0.0, 0.0]
 
     def test_randomized_against_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             ds = random_dataset(rng, n_subjects=int(rng.integers(1, 60)))
             dl = random_decision_list(rng, ds)
-            ga = partition(ds, dl)
-            assert ga.group_of.tolist() == oracle_groups(ds, dl)
+            assert partition(ds, dl).tolist() == oracle_groups(ds, dl)
             assert assign(ds, dl).tolist() == oracle_assigned(ds, dl)
 
 
@@ -163,7 +161,7 @@ class TestCosts:
             ),
             default_treatment=0,
         )
-        costs = assessment_cost_vector(ds, dl)
+        costs = group_assessment_costs(ds.specs, dl)[partition(ds, dl)]
         # subject 1 is in group 0: pays age only; subjects 0 and 2 fall through
         # to rule 2 and pay age + smoker
         assert costs.tolist() == [3.0, 2.0, 3.0]
@@ -174,7 +172,8 @@ class TestCosts:
             rules=((Pattern((Predicate(0, ">=", 100.0),)), 0),),
             default_treatment=1,
         )
-        assert assessment_cost_vector(ds, dl).tolist() == [0.0, 0.0, 0.0]
+        costs = group_assessment_costs(ds.specs, dl)[partition(ds, dl)]
+        assert costs.tolist() == [0.0, 0.0, 0.0]
 
     def test_default_group_full_charge_switch(self):
         ds = tiny_dataset()
@@ -182,13 +181,13 @@ class TestCosts:
             rules=((Pattern((Predicate(0, ">=", 100.0),)), 0),),
             default_treatment=1,
         )
-        costs = assessment_cost_vector(ds, dl, charge_default_full=True)
-        assert costs.tolist() == [2.0, 2.0, 2.0]
+        per_group = group_assessment_costs(ds.specs, dl, charge_default_full=True)
+        assert per_group[partition(ds, dl)].tolist() == [2.0, 2.0, 2.0]
 
     def test_treatment_costs_follow_assignment(self):
         ds = tiny_dataset()
         dl = DecisionList(rules=(), default_treatment=1)
-        assert treatment_cost_vector(ds, dl).tolist() == [7.0, 7.0, 7.0]
+        assert ds.treatment_costs[assign(ds, dl)].tolist() == [7.0, 7.0, 7.0]
 
     def test_billed_characteristic_counts(self):
         ds = tiny_dataset()
@@ -199,7 +198,7 @@ class TestCosts:
             ),
             default_treatment=0,
         )
-        assert billed_characteristics_vector(ds, dl).tolist() == [2.0, 1.0, 2.0]
+        assert group_billed_counts(dl)[partition(ds, dl)].tolist() == [2.0, 1.0, 2.0]
 
     def test_randomized_against_oracle(self):
         rng = np.random.default_rng(11)
@@ -207,7 +206,7 @@ class TestCosts:
             ds = random_dataset(rng, n_subjects=int(rng.integers(1, 50)))
             dl = random_decision_list(rng, ds)
             for full in (False, True):
-                got = assessment_cost_vector(ds, dl, charge_default_full=full)
+                got = group_assessment_costs(ds.specs, dl, full)[partition(ds, dl)]
                 want = oracle_assessment_costs(ds, dl, charge_default_full=full)
                 assert got.tolist() == pytest.approx(want)
 
@@ -245,15 +244,13 @@ class TestValidation:
         assert np.array_equal(back.treatments, ds.treatments)
         assert np.array_equal(back.outcomes, ds.outcomes)
 
+    @pytest.mark.parametrize("cost", [-1.0, float("inf"), float("nan")])
+    def test_bad_treatment_cost_rejected(self, cost):
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
+            dataset_from_rows(SPECS, ("a",), (cost,), [((1.0, "yes"), "a", 1.0)])
+
     def test_treatment_code_range_checked(self):
         ds = tiny_dataset()
         dl = DecisionList(rules=(), default_treatment=5)
         with pytest.raises(ValidationError):
             assign(ds, dl)
-
-    def test_max_rules_enforced(self):
-        ds = tiny_dataset()
-        pat = Pattern((Predicate(1, "=", "yes"),))
-        dl = DecisionList(rules=((pat, 0), (pat, 1)), default_treatment=0)
-        with pytest.raises(ValidationError):
-            dl.validate(ds.specs, ds.n_treatments, max_rules=1)

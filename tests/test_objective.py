@@ -11,13 +11,12 @@ from regimelist.objective import (
     MetricsReport,
     ObjectiveWeights,
     compute_metrics,
-    estimated_outcome,
-    mean_assessment_cost,
-    mean_treatment_cost,
     objective_value,
 )
 
 from conftest import (
+    oracle_assessment_costs,
+    oracle_assigned,
     oracle_objective,
     random_dataset,
     random_decision_list,
@@ -32,8 +31,10 @@ class TestWeights:
         assert (w.lambda1, w.lambda2, w.lambda3) == (1.0, 1.0, 1.0)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            ObjectiveWeights(lambda1=-0.5)
+        for bad in ({"lambda1": -0.5}, {"lambda1": float("nan")},
+                    {"lambda2": float("nan")}, {"lambda3": float("inf")}):
+            with pytest.raises(ValidationError):
+                ObjectiveWeights(**bad)
 
     def test_round_trip(self):
         w = ObjectiveWeights(0.5, 1.5, 2.0)
@@ -68,8 +69,9 @@ class TestObjectiveValue:
         rng = np.random.default_rng(9)
         ds = random_dataset(rng)
         dl = DecisionList(rules=(), default_treatment=1)
-        assert mean_assessment_cost(ds, dl) == 0.0
-        assert mean_treatment_cost(ds, dl) == float(ds.treatment_costs[1])
+        rep = compute_metrics(ds, dl, random_scores(rng, ds))
+        assert rep.mean_assessment_cost == 0.0
+        assert rep.mean_treatment_cost == float(ds.treatment_costs[1])
 
 
 class TestMetricsReport:
@@ -113,9 +115,14 @@ class TestMetricsReport:
         scores = random_scores(rng, ds)
         w = random_weights(rng)
         rep = compute_metrics(ds, dl, scores, w)
-        assert rep.estimated_outcome == estimated_outcome(ds, dl, scores)
-        assert rep.mean_assessment_cost == mean_assessment_cost(ds, dl)
-        assert rep.mean_treatment_cost == mean_treatment_cost(ds, dl)
+        assigned = oracle_assigned(ds, dl)
+        n = ds.n_subjects
+        g1 = sum(scores.scores[i, a] for i, a in enumerate(assigned)) / n
+        g2 = sum(oracle_assessment_costs(ds, dl)) / n
+        g3 = sum(float(ds.treatment_costs[a]) for a in assigned) / n
+        assert rep.estimated_outcome == pytest.approx(g1, rel=0, abs=1e-12)
+        assert rep.mean_assessment_cost == pytest.approx(g2, rel=0, abs=1e-12)
+        assert rep.mean_treatment_cost == pytest.approx(g3, rel=0, abs=1e-12)
         assert rep.objective == objective_value(ds, dl, scores, w)
 
     def test_text_rendering_mentions_every_term(self):

@@ -551,11 +551,12 @@ class TestConfigValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(ValidationError):
             SearchConfig(iterations=0)
-        with pytest.raises(ValidationError):
-            SearchConfig(c_explore=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                SearchConfig(c_explore=bad)
 
     def test_round_trip(self):
-        cfg = SearchConfig(iterations=123, L_max=2, seed=7, widen_c=3.0)
+        cfg = SearchConfig(iterations=123, L_max=2, seed=7, c_explore=2.5)
         assert SearchConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_from_dict_checks_keys_and_types(self):
@@ -564,6 +565,6 @@ class TestConfigValidation:
         assert cfg.iterations == 5
         for bad in ({"iteratons": 5}, {"iterations": "5"}, {"iterations": 5.0},
                     {"iterations": True}, {"charge_default_full": 1},
-                    {"n_trees": 2}, {"debug_checks": True}):
+                    {"n_trees": 2}, {"debug_checks": True}, {"widen_c": 2.0}):
             with pytest.raises(ValidationError):
                 SearchConfig.from_dict(bad)
