@@ -6,13 +6,14 @@ Numeric parameters resolve in three layers: built-in defaults, then the
 --config JSON file, then command-line flags.
 
 Exit codes: 0 success, 2 for validation problems (bad files, bad
-parameters), 3 for convergence or size failures.
+parameters), 3 for convergence or size failures, out of memory included.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import io
@@ -34,19 +35,15 @@ FIT_DEFAULTS = {"l2_reg": 1e-4, "ridge": 1e-6, "clip_epsilon": 0.01,
                 "grad_tol": 1e-6, "max_iters": 5000}
 
 
-def _section(cfg: dict, name: str) -> dict:
+def _options(cfg: dict, args: argparse.Namespace, name: str, defaults: dict) -> dict:
+    """``defaults`` updated from config section ``name``, then from every
+    flag named after one of its keys (see config_values)."""
     sec = cfg.get(name, {})
     if not isinstance(sec, dict):
         raise ValidationError(f"config section {name!r} must be an object")
-    return dict(sec)
-
-
-def _override(sec: dict, args: argparse.Namespace, names: list[str]) -> dict:
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            sec[name] = value
-    return sec
+    flags = {key: getattr(args, key) for key in defaults
+             if getattr(args, key, None) is not None}
+    return config_values({**sec, **flags}, defaults, name)
 
 
 CONFIG_SECTIONS = ("mining", "models", "search", "weights")
@@ -73,15 +70,17 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
-def _load_dataset(args: argparse.Namespace) -> tuple[Dataset, io.DataSchema]:
+def _load_dataset(args: argparse.Namespace) -> Dataset:
     schema = io.read_schema(_require(args.schema, "schema file"))
-    ds = io.read_dataset(_require(args.data, "dataset file"), schema)
-    return ds, schema
+    return io.read_dataset(_require(args.data, "dataset file"), schema)
 
 
 def _weights(cfg: dict, args: argparse.Namespace) -> ObjectiveWeights:
-    sec = _override(_section(cfg, "weights"), args, ["lambda1", "lambda2", "lambda3"])
-    return ObjectiveWeights.from_dict(sec)
+    return ObjectiveWeights(**_options(cfg, args, "weights", asdict(ObjectiveWeights())))
+
+
+def _search_config(cfg: dict, args: argparse.Namespace) -> SearchConfig:
+    return SearchConfig(**_options(cfg, args, "search", asdict(SearchConfig())))
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -114,10 +113,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_mine(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    ds, _ = _load_dataset(args)
-    sec = _override(_section(cfg, "mining"), args,
-                    ["min_support", "max_predicates", "num_bins"])
-    cands = mine_patterns(ds, MiningConfig.from_dict(sec))
+    ds = _load_dataset(args)
+    config = MiningConfig(**_options(cfg, args, "mining", asdict(MiningConfig())))
+    cands = mine_patterns(ds, config)
     out = _out_dir(args)
     io.write_json(cands.to_dict(ds.specs), out / "candidates.json")
     print(f"wrote {out / 'candidates.json'} ({len(cands)} patterns)")
@@ -126,9 +124,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    ds, _ = _load_dataset(args)
-    sec = _override(_section(cfg, "models"), args, list(FIT_DEFAULTS))
-    sec = config_values(sec, FIT_DEFAULTS, "models")
+    ds = _load_dataset(args)
+    sec = _options(cfg, args, "models", FIT_DEFAULTS)
     # the cheap outcome fit first, so its errors come before the propensity fit
     outcome = fit_outcome(ds, ridge=sec["ridge"])
     propensity = fit_propensity(
@@ -150,16 +147,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    ds, schema = _load_dataset(args)
+    ds = _load_dataset(args)
     cands = CandidateSet.from_dict(
         io.read_json(_require(args.candidates, "candidates file")), ds.specs)
     scores = DRScoreMatrix.from_dict(
         io.read_json(_require(args.scores, "scores file")))
     weights = _weights(cfg, args)
-    sec = _override(_section(cfg, "search"), args,
-                    ["iterations", "c_explore", "seed", "L_max",
-                     "min_new_coverage", "charge_default_full"])
-    sconfig = SearchConfig.from_dict(sec)
+    sconfig = _search_config(cfg, args)
 
     log = None
     if args.strategy == "uct":
@@ -203,7 +197,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    ds, _ = _load_dataset(args)
+    ds = _load_dataset(args)
     record = io.read_json(_require(args.regime, "regime file"))
     if isinstance(record, dict) and "decision_list" in record:
         record = record["decision_list"]
@@ -211,8 +205,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     scores = DRScoreMatrix.from_dict(
         io.read_json(_require(args.scores, "scores file")))
     weights = _weights(cfg, args)
-    charge = SearchConfig.from_dict(_override(
-        _section(cfg, "search"), args, ["charge_default_full"])).charge_default_full
+    charge = _search_config(cfg, args).charge_default_full
     report = compute_metrics(ds, dl, scores, weights, charge)
     out = _out_dir(args)
     io.write_json(report.to_dict(), out / "metrics.json")
@@ -314,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (RegimeListError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"error: out of memory ({e})", file=sys.stderr)
         return 3
 
 

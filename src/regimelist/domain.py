@@ -15,6 +15,7 @@ All functions here are pure over immutable inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,9 +28,12 @@ BINARY = "binary"
 CATEGORICAL = "categorical"
 KINDS = (REAL, BINARY, CATEGORICAL)
 
-#: Comparison operators accepted by predicates. Ordering operators are only
-#: valid for real-valued characteristics.
-OPS = ("=", "!=", "<=", ">=", "<", ">")
+#: Comparison operators accepted by predicates, each with the ufunc that
+#: applies it to a column. Ordering operators are only valid for real-valued
+#: characteristics.
+COMPARE = {"=": np.equal, "!=": np.not_equal, "<=": np.less_equal,
+           ">=": np.greater_equal, "<": np.less, ">": np.greater}
+OPS = tuple(COMPARE)
 ORDERING_OPS = ("<=", ">=", "<", ">")
 
 
@@ -198,10 +202,12 @@ class Predicate:
             raise InvalidPredicateError(f"feature index {self.feature} out of range")
         spec = specs[self.feature]
         if spec.kind == REAL:
-            if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
+            # refuses nan, +-inf and ints beyond the doubles; compares ints exactly
+            if isinstance(self.value, bool) or not isinstance(self.value, (int, float)) \
+                    or not abs(self.value) <= sys.float_info.max:
                 raise InvalidPredicateError(
-                    f"real {spec.name!r} requires a numeric threshold, got {self.value!r}"
-                )
+                    f"real {spec.name!r} requires a finite numeric threshold, "
+                    f"got {self.value!r}")
         else:
             if self.op in ORDERING_OPS:
                 raise InvalidPredicateError(
@@ -270,24 +276,9 @@ def predicate_mask(ds: Dataset, pred: Predicate) -> np.ndarray:
     """Boolean vector over all subjects for a single predicate."""
     pred.validate(ds.specs)
     spec = ds.specs[pred.feature]
-    col = ds.columns[pred.feature]
-    if spec.kind == REAL:
-        t = float(pred.value)
-        if pred.op == "=":
-            return col == t
-        if pred.op == "!=":
-            return col != t
-        if pred.op == "<=":
-            return col <= t
-        if pred.op == ">=":
-            return col >= t
-        if pred.op == "<":
-            return col < t
-        return col > t
-    code = spec.levels.index(pred.value)
-    if pred.op == "=":
-        return col == code
-    return col != code
+    # a level feature's column holds codes, so compare with the level's code
+    value = float(pred.value) if spec.kind == REAL else spec.levels.index(pred.value)
+    return COMPARE[pred.op](ds.columns[pred.feature], value)
 
 
 def pattern_mask(ds: Dataset, pattern: Pattern) -> np.ndarray:

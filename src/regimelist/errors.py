@@ -1,11 +1,13 @@
-"""Exception hierarchy shared by the library and the CLI, and the check of
-config sections, whose failures are ValidationErrors.
+"""Exception hierarchy shared by the library and the CLI, the guard every
+file reader runs under, and the check of config sections; the failures of
+both are ValidationErrors.
 
 The CLI maps these onto exit codes: ValidationError and its subclasses
 exit with 2, everything else derived from RegimeListError exits with 3.
 """
 
 import math
+from contextlib import contextmanager
 
 
 class RegimeListError(Exception):
@@ -52,6 +54,17 @@ class EmptyCandidateSetError(RegimeListError):
     """Pattern mining produced no candidates (support threshold too high)."""
 
 
+@contextmanager
+def malformed(what: str):
+    """Report the errors that reading a wrongly shaped record raises (a
+    missing key, a wrong type, a number no double or int can hold) as one
+    ValidationError naming ``what``."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"malformed {what}: {e!r}") from None
+
+
 def config_values(section: dict, defaults: dict, what: str) -> dict:
     """``defaults`` updated from a config section.
 
@@ -68,7 +81,8 @@ def config_values(section: dict, defaults: dict, what: str) -> dict:
     for key, value in section.items():
         want = type(defaults[key])
         if want is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            with malformed(f"{what} config {key!r}"):
+                value = float(value)
         if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
             raise ValidationError(
                 f"{what} config: {key!r} must be {want.__name__}, got {value!r}")

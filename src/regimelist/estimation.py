@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import REAL, Dataset
-from .errors import ConvergenceError, SingularSystemError, ValidationError
+from .errors import ConvergenceError, SingularSystemError, ValidationError, malformed
 
 
 class EncodedColumn(NamedTuple):
@@ -305,11 +305,9 @@ class DRScoreMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DRScoreMatrix":
-        try:
+        with malformed("score matrix"):
             scores = np.asarray(d["scores"], dtype=float)
             names = tuple(d["treatment_names"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"malformed score matrix: {e!r}") from None
         if scores.ndim != 2 or scores.shape[1] != len(names) \
                 or not np.isfinite(scores).all():
             raise ValidationError(

@@ -22,7 +22,7 @@ from .domain import (
     Pattern,
     Predicate,
 )
-from .errors import CellError, ValidationError
+from .errors import CellError, ValidationError, malformed
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class DataSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DataSchema":
-        try:
+        with malformed("schema"):
             specs = tuple(
                 CharacteristicSpec(
                     name=c["name"],
@@ -89,8 +89,6 @@ class DataSchema:
                 treatment_column=d.get("treatment_column", "treatment"),
                 outcome_column=d.get("outcome_column", "outcome"),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"malformed schema: {e!r}") from None
 
 
 def read_schema(path: str | Path) -> DataSchema:
@@ -137,9 +135,7 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
         raise ValidationError(f"{csv_path}: {e}") from None
 
 
-def write_dataset_csv(ds: Dataset, path: str | Path,
-                      treatment_column: str = "treatment",
-                      outcome_column: str = "outcome") -> None:
+def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
     """Write a dataset CSV; reals use repr() so output is byte-reproducible."""
     columns = [
         map(repr, col.tolist()) if s.kind == REAL else map(s.levels.__getitem__, col.tolist())
@@ -149,8 +145,21 @@ def write_dataset_csv(ds: Dataset, path: str | Path,
     columns.append(map(repr, ds.outcomes.tolist()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([s.name for s in ds.specs] + [treatment_column, outcome_column])
+        writer.writerow([s.name for s in ds.specs] + ["treatment", "outcome"])
         writer.writerows(zip(*columns))
+
+
+def pattern_to_list(pattern: Pattern, specs: Sequence[CharacteristicSpec]) -> list[dict]:
+    """A pattern as the predicate records regime and candidate files hold."""
+    return [{"feature": specs[p.feature].name, "op": p.op, "value": p.value}
+            for p in pattern.predicates]
+
+
+def pattern_from_list(records: list, specs: Sequence[CharacteristicSpec]) -> Pattern:
+    """Inverse of pattern_to_list; run it under ``errors.malformed``."""
+    index = {s.name: i for i, s in enumerate(specs)}
+    return Pattern(tuple(Predicate(index[p["feature"]], p["op"], p["value"])
+                         for p in records))
 
 
 def decision_list_to_dict(
@@ -158,15 +167,9 @@ def decision_list_to_dict(
     specs: Sequence[CharacteristicSpec],
     treatment_names: Sequence[str],
 ) -> dict:
-    def pred_dict(p: Predicate) -> dict:
-        return {"feature": specs[p.feature].name, "op": p.op, "value": p.value}
-
     return {
         "rules": [
-            {
-                "pattern": [pred_dict(p) for p in pattern.predicates],
-                "treatment": treatment_names[t],
-            }
+            {"pattern": pattern_to_list(pattern, specs), "treatment": treatment_names[t]}
             for pattern, t in dl.rules
         ],
         "default_treatment": treatment_names[dl.default_treatment],
@@ -178,22 +181,13 @@ def decision_list_from_dict(
     specs: Sequence[CharacteristicSpec],
     treatment_names: Sequence[str],
 ) -> DecisionList:
-    name_to_idx = {s.name: i for i, s in enumerate(specs)}
     treat_to_code = {n: k for k, n in enumerate(treatment_names)}
-    try:
-        rules = []
-        for r in d["rules"]:
-            preds = tuple(
-                Predicate(feature=name_to_idx[p["feature"]], op=p["op"], value=p["value"])
-                for p in r["pattern"]
-            )
-            rules.append((Pattern(preds), treat_to_code[r["treatment"]]))
+    with malformed("decision list"):
         return DecisionList(
-            rules=tuple(rules),
+            rules=tuple((pattern_from_list(r["pattern"], specs), treat_to_code[r["treatment"]])
+                        for r in d["rules"]),
             default_treatment=treat_to_code[d["default_treatment"]],
         )
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"malformed decision list: {e!r}") from None
 
 
 def format_decision_list(

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .domain import REAL, CharacteristicSpec, Dataset, Pattern, Predicate, pattern_mask
-from .errors import EmptyCandidateSetError, ValidationError, config_values
+from .errors import EmptyCandidateSetError, ValidationError, config_values, malformed
+from .io import pattern_from_list, pattern_to_list
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,9 @@ class MiningConfig:
             raise ValidationError("min_support must lie in [0, 1]")
         if self.max_predicates < 1:
             raise ValidationError("max_predicates must be at least 1")
-        if self.num_bins < 2:
-            raise ValidationError("num_bins must be at least 2")
+        # numpy can hold no more than intp's maximum of discretize's quantiles
+        if not 2 <= self.num_bins <= np.iinfo(np.intp).max:
+            raise ValidationError(f"num_bins must lie in [2, {np.iinfo(np.intp).max}]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -101,42 +103,23 @@ class CandidateSet:
             "n_subjects": self.n_subjects,
             "config": self.config.to_dict(),
             "bins": {specs[f].name: list(ts) for f, ts in self.bins.items()},
-            "patterns": [
-                {
-                    "predicates": [
-                        {"feature": specs[p.feature].name, "op": p.op, "value": p.value}
-                        for p in pat.predicates
-                    ],
-                    "count": c,
-                }
-                for pat, c in zip(self.patterns, self.counts)
-            ],
+            "patterns": [{"predicates": pattern_to_list(pat, specs), "count": c}
+                         for pat, c in zip(self.patterns, self.counts)],
         }
 
     @classmethod
     def from_dict(cls, d: dict, specs: Sequence[CharacteristicSpec]) -> "CandidateSet":
         name_to_idx = {s.name: i for i, s in enumerate(specs)}
-        try:
-            patterns = []
-            counts = []
-            for entry in d["patterns"]:
-                preds = tuple(
-                    Predicate(name_to_idx[p["feature"]], p["op"], p["value"])
-                    for p in entry["predicates"]
-                )
-                patterns.append(Pattern(preds))
-                counts.append(int(entry["count"]))
-            bins = {name_to_idx[name]: tuple(float(t) for t in ts)
-                    for name, ts in d["bins"].items()}
+        with malformed("candidate set"):
+            entries = d["patterns"]
             return cls(
-                patterns=tuple(patterns),
-                counts=tuple(counts),
-                bins=bins,
+                patterns=tuple(pattern_from_list(e["predicates"], specs) for e in entries),
+                counts=tuple(int(e["count"]) for e in entries),
+                bins={name_to_idx[name]: tuple(float(t) for t in ts)
+                      for name, ts in d["bins"].items()},
                 n_subjects=int(d["n_subjects"]),
                 config=MiningConfig.from_dict(d.get("config", {})),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"malformed candidate set: {e!r}") from None
 
 
 def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> CandidateSet:

@@ -86,17 +86,7 @@ class MetricsReport:
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "estimated_outcome": self.estimated_outcome,
-            "mean_assessment_cost": self.mean_assessment_cost,
-            "mean_treatment_cost": self.mean_treatment_cost,
-            "group_sizes": list(self.group_sizes),
-            "treatment_shares": dict(self.treatment_shares),
-            "avg_num_characteristics": self.avg_num_characteristics,
-            "n_subjects": self.n_subjects,
-            "weights": self.weights.to_dict(),
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [

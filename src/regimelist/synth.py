@@ -34,6 +34,10 @@ from .domain import (
     partition,
 )
 from .errors import SizeLimitError, ValidationError
+from .io import decision_list_to_dict
+
+# true_value and true_objective refuse a grid of more cells
+MAX_CELLS = 2 * 10 ** 6
 
 UNIFORM = "uniform"
 NORMAL = "normal"
@@ -76,9 +80,6 @@ class Marginal:
             return 0.5 * math.erfc((mu - x) / (sd * math.sqrt(2.0)))
         raise ValidationError("cdf is only defined for real marginals")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -100,8 +101,9 @@ class GeneratorSpec:
     confound_bias: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_subjects < 1:
-            raise ValidationError("n_subjects must be positive")
+        # numpy can hold no more than intp's maximum of subjects in a column
+        if not 1 <= self.n_subjects <= np.iinfo(np.intp).max:
+            raise ValidationError(f"n_subjects must lie in [1, {np.iinfo(np.intp).max}]")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
         if len(self.marginals) != len(self.specs):
@@ -229,8 +231,6 @@ class GroundTruth:
     best_treatment_share: dict[str, float]
 
     def to_dict(self, specs, treatment_names) -> dict:
-        from .io import decision_list_to_dict
-
         return {
             "planted_regime": decision_list_to_dict(
                 self.planted_regime, specs, treatment_names),
@@ -336,8 +336,7 @@ def _feature_cells(gspec: GeneratorSpec, f: int,
     return cells
 
 
-def _grid(gspec: GeneratorSpec, dl: DecisionList,
-          max_cells: int) -> tuple[Dataset, np.ndarray]:
+def _grid(gspec: GeneratorSpec, dl: DecisionList) -> tuple[Dataset, np.ndarray]:
     """The population as a Dataset of cells, and each cell's probability.
 
     A cell picks one level or interval of each feature that dl or the
@@ -345,7 +344,7 @@ def _grid(gspec: GeneratorSpec, dl: DecisionList,
     threshold either list compares it with), in itertools.product order,
     with probabilities multiplied feature by feature; cells of probability
     zero are dropped.  A column no list reads holds zeros, as a view that
-    costs no memory per cell.  Refuses more than max_cells cells.
+    costs no memory per cell.  Refuses more than MAX_CELLS cells.
     """
     dl.validate(gspec.specs, len(gspec.treatment_names))
     preds = [p for source in (dl, gspec.planted_regime)
@@ -356,9 +355,9 @@ def _grid(gspec: GeneratorSpec, dl: DecisionList,
                                   if p.feature == f and p.op in ORDERING_OPS])
         for f in used]
     n_cells = math.prod(len(cells) for cells in per_feature)
-    if n_cells > max_cells:
+    if n_cells > MAX_CELLS:
         raise SizeLimitError(
-            f"{n_cells} cells exceeds the exact-summation limit of {max_cells}")
+            f"{n_cells} cells exceeds the exact-summation limit of {MAX_CELLS}")
     prob = np.ones(1)
     for cells in per_feature:
         prob = np.multiply.outer(prob, [p for _, p in cells]).ravel()
@@ -381,10 +380,10 @@ def _grid(gspec: GeneratorSpec, dl: DecisionList,
     return grid, prob[kept]
 
 
-def _regime_cells(gspec: GeneratorSpec, dl: DecisionList, max_cells: int):
+def _regime_cells(gspec: GeneratorSpec, dl: DecisionList):
     """Per grid cell: its probability, its group and treatment under dl, and
     whether that treatment is the planted map's."""
-    grid, prob = _grid(gspec, dl, max_cells)
+    grid, prob = _grid(gspec, dl)
     group_of = partition(grid, dl)
     chosen = group_treatments(dl)[group_of]
     return prob, group_of, chosen, chosen == assign(grid, gspec.planted_regime)
@@ -395,16 +394,15 @@ def _total(terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def true_value(gspec: GeneratorSpec, dl: DecisionList,
-               max_cells: int = 2 * 10 ** 6) -> float:
+def true_value(gspec: GeneratorSpec, dl: DecisionList) -> float:
     """Exact expected outcome of a decision list under the generator.
 
     The outcome mean depends on x only through whether dl agrees with the
     planted map, so it suffices to sum over the joint cells of the features
     either list reads (see _grid; probabilities come from the marginal
-    CDFs).  More than max_cells cells raise SizeLimitError.
+    CDFs).  More than MAX_CELLS cells raise SizeLimitError.
     """
-    prob, _, _, matched = _regime_cells(gspec, dl, max_cells)
+    prob, _, _, matched = _regime_cells(gspec, dl)
     delta = gspec.matched_mean - gspec.mismatched_mean
     return float(gspec.mismatched_mean + delta * _total(np.where(matched, prob, 0.0)))
 
@@ -416,14 +414,13 @@ def true_objective(
     lambda2: float = 1.0,
     lambda3: float = 1.0,
     charge_default_full: bool = False,
-    max_cells: int = 2 * 10 ** 6,
 ) -> float:
     """Exact population objective of a list under the generator's mechanism.
 
     The cells of true_value, also charged the expected assessment and
     treatment costs of the list itself, as compute_metrics charges subjects.
     """
-    prob, group_of, chosen, matched = _regime_cells(gspec, dl, max_cells)
+    prob, group_of, chosen, matched = _regime_cells(gspec, dl)
     means = np.where(matched, gspec.matched_mean, gspec.mismatched_mean)
     assess = group_assessment_costs(gspec.specs, dl, charge_default_full)[group_of]
     treat = np.asarray(gspec.treatment_costs, dtype=float)[chosen]

@@ -178,6 +178,9 @@ class TestExitCodes:
         ("fit", {"models": {"l2_reg": "abc"}}, "l2_reg"),
         ("evaluate", {"search": {"charge_default_full": "yes"}},
          "charge_default_full"),
+        ("learn", {"weights": {"lambda1": 10 ** 400}}, "lambda1"),
+        ("fit", {"models": {"l2_reg": 10 ** 400}}, "l2_reg"),
+        ("mine", {"mining": {"num_bins": 10 ** 30}}, "num_bins"),
     ])
     def test_bad_config_exits_2(self, learned_run, tmp_path, capsys,
                                 step, config, key):
@@ -197,7 +200,7 @@ class TestExitCodes:
                      "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "error:" in err and key in err
+        assert "error:" in err and key in err and "Traceback" not in err
 
     def test_subject_count_beyond_exact_coverage_exits_3(
             self, learned_run, tmp_path, capsys, monkeypatch):
@@ -289,7 +292,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("step", ["learn", "evaluate"])
     @pytest.mark.parametrize("case", ["no_key", "string", "ragged",
-                                      "top_level_list", "nan"])
+                                      "top_level_list", "nan", "huge_int"])
     def test_bad_scores_file_exits_2(self, learned_run, tmp_path, capsys,
                                      step, case):
         out = learned_run
@@ -302,8 +305,10 @@ class TestExitCodes:
             d["scores"][0].pop()
         elif case == "top_level_list":
             d = []
-        else:
+        elif case == "nan":
             d["scores"][0][0] = float("nan")
+        else:
+            d["scores"][0][0] = 10 ** 400
         bad = tmp_path / "scores.json"
         bad.write_text(json.dumps(d))
         inputs = {"learn": ["--candidates", f"{out}/candidates.json"],
@@ -312,11 +317,15 @@ class TestExitCodes:
                      "--data", f"{out}/data.csv", *inputs,
                      "--scores", str(bad), "--out-dir", str(tmp_path)])
         assert code == 2
-        assert "malformed score matrix" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed score matrix" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [
         ("bins", []), ("bins", {"age": [30.0, "abc"]}),
         ("config", []), ("n_subjects", "many"),
+        ("n_subjects", 1e400), ("bins", {"age": [10 ** 400]}),
+        ("patterns", [{"predicates": [{"feature": "gender", "op": "=",
+                                       "value": "male"}], "count": 1e400}]),
     ])
     def test_bad_candidates_file_exits_2(self, learned_run, tmp_path, capsys,
                                          key, value):
@@ -330,7 +339,51 @@ class TestExitCodes:
                      "--scores", f"{out}/scores.json",
                      "--out-dir", str(tmp_path)])
         assert code == 2
-        assert "malformed candidate set" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed candidate set" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("step", ["learn", "evaluate"])
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "huge_int"])
+    def test_non_finite_threshold_exits_2(self, learned_run, tmp_path, capsys,
+                                          step, threshold):
+        out = learned_run
+        pattern = [{"feature": "age", "op": ">=", "value": threshold}]
+        if step == "learn":
+            d = read_json(f"{out}/candidates.json")
+            d["patterns"] = [{"predicates": pattern, "count": 1}]
+        else:
+            d = {"rules": [{"pattern": pattern, "treatment": "controller"}],
+                 "default_treatment": "quick_relief"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        inputs = {"learn": ["--candidates", str(bad)],
+                  "evaluate": ["--regime", str(bad)]}[step]
+        code = main([step, "--schema", f"{out}/schema.json",
+                     "--data", f"{out}/data.csv", *inputs,
+                     "--scores", f"{out}/scores.json", "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: real 'age' requires a finite numeric threshold" in err
+
+    @pytest.mark.parametrize("step, flags, want", [
+        ("generate", ["--n", str(10 ** 15)], 3),
+        ("mine", ["--num-bins", str(10 ** 15)], 3),
+        ("generate", ["--n", str(10 ** 30)], 2),
+        ("mine", ["--num-bins", str(10 ** 30)], 2),
+    ], ids=["generate-n", "mine-num_bins", "generate-n-beyond-intp",
+            "mine-num_bins-beyond-intp"])
+    def test_unallocatable_size_exits_nonzero(self, learned_run, tmp_path, capsys,
+                                              step, flags, want):
+        # sizes numpy refuses before it allocates anything
+        out = learned_run
+        inputs = {"generate": [],
+                  "mine": ["--schema", f"{out}/schema.json",
+                           "--data", f"{out}/data.csv"]}[step]
+        code = main([step, *inputs, *flags, "--out-dir", str(tmp_path)])
+        assert code == want
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("step", ["generate", "mine"])
     def test_unknown_config_section_exits_2(self, learned_run, tmp_path,

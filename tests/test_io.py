@@ -64,6 +64,8 @@ class TestSchema:
         {"treatments": {"a": float("inf"), "b": 7.0}},
         {"treatments": {"a": 5.0, "b": -1.0}},
         {"treatments": {"a": 5.0, "b": float("nan")}},
+        {"characteristics": [{"name": "age", "kind": "real", "cost": 10 ** 400}]},
+        {"treatments": {"a": 5.0, "b": 10 ** 400}},
     ])
     def test_malformed_schema_rejected(self, change):
         with pytest.raises(ValidationError,

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from regimelist import synth
 from regimelist.domain import DecisionList, Pattern, Predicate, assign
 from regimelist.errors import SizeLimitError, ValidationError
 from regimelist.io import write_dataset_csv
@@ -188,10 +189,11 @@ class TestTrueValue:
         d = gt.to_dict(gspec.specs, gspec.treatment_names)
         assert d["matched_mean"] == gspec.matched_mean
 
-    def test_cell_limit_enforced(self):
+    def test_cell_limit_enforced(self, monkeypatch):
         gspec = default_generator_spec(n_subjects=10)
+        monkeypatch.setattr(synth, "MAX_CELLS", 1)
         with pytest.raises(SizeLimitError):
-            true_value(gspec, gspec.planted_regime, max_cells=1)
+            true_value(gspec, gspec.planted_regime)
 
     def test_rule_reorder_preserves_value_when_assignment_unchanged(self):
         # planted rules all map to the same treatment, so any order induces
