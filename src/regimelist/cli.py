@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-tol", dest="grad_tol", type=float,
                    help="gradient norm tolerance (default 1e-6)")
     p.add_argument("--max-iters", dest="max_iters", type=int,
-                   help="gradient ascent iteration cap (default 5000)")
+                   help="Newton iteration cap (default 5000)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("learn", parents=[common, data_args, weight_args],

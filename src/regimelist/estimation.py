@@ -1,12 +1,13 @@
 """Nuisance models and per-subject, per-treatment policy-value scores.
 
 Two models are fit on the observational data: a multinomial logistic
-propensity model for the probability of each observed treatment, and one
-ridge regression per treatment arm for the outcome.  They combine into a
-doubly robust score matrix: the observed arm's entry carries an inverse
-propensity weighted residual correction, counterfactual arms are plain
-regression predictions.  The estimate of a regime's mean outcome is then a
-simple column selection over this matrix.
+propensity model for the probability of each observed treatment, fit by
+Newton's method with step-halving, and one ridge regression per treatment
+arm for the outcome.  They combine into a doubly robust score matrix: the
+observed arm's entry carries an inverse propensity weighted residual
+correction, counterfactual arms are plain regression predictions.  The
+estimate of a regime's mean outcome is then a simple column selection over
+this matrix.
 """
 
 from __future__ import annotations
@@ -117,6 +118,27 @@ def propensity_loglik_grad(weights: np.ndarray, design: np.ndarray,
     return value, grad
 
 
+def propensity_loglik_hessian(weights: np.ndarray, design: np.ndarray,
+                              l2: float) -> np.ndarray:
+    """Hessian of the penalized mean log-likelihood, (m·d)×(m·d).
+
+    Rows and columns follow weights.ravel(); block (a, b) is
+    -Xᵀ diag(p_a(δ_ab − p_b)) X / n, minus l2 on the diagonal.
+    """
+    n, d = design.shape
+    m = weights.shape[0]
+    probs = np.exp(_log_softmax(design @ weights.T))
+    hessian = np.empty((m * d, m * d))
+    for a in range(m):
+        for b in range(a, m):
+            w = probs[:, a] * ((a == b) - probs[:, b])
+            block = -(design.T * w) @ design / n
+            hessian[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
+            hessian[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
+    hessian[np.diag_indices(m * d)] -= l2
+    return hessian
+
+
 @dataclass
 class PropensityModel:
     """Multinomial logistic model of treatment given characteristics."""
@@ -155,11 +177,13 @@ def fit_propensity(
     grad_tol: float = 1e-6,
     max_iters: int = 5000,
 ) -> PropensityModel:
-    """Fit the propensity model by full-batch gradient ascent.
+    """Fit the propensity model by Newton's method with step-halving.
 
-    Backtracking line search (Armijo) with the accepted step carried across
-    iterations; converged when the gradient Frobenius norm drops to grad_tol.
-    Raises ConvergenceError (carrying the final norm) past max_iters.
+    Each step is the minimum-norm least-squares solution of the negative
+    Hessian system (singular along the arm shift when l2 = 0), halved from 1
+    until it passes the Armijo test; converged when the gradient Frobenius
+    norm drops to grad_tol.  Raises ConvergenceError (carrying the final
+    norm) past max_iters.
     """
     if not l2 >= 0:
         raise ValidationError(f"l2 must be nonnegative, got {l2}")
@@ -180,19 +204,20 @@ def fit_propensity(
     weights = np.zeros((m, design.shape[1]))
     codes = ds.treatments
 
-    step = 1.0
     value, grad = propensity_loglik_grad(weights, design, codes, l2)
     for it in range(1, max_iters + 1):
         gnorm = float(np.sqrt((grad * grad).sum()))
         if gnorm <= grad_tol:
             return PropensityModel(encoder, ds.treatment_names, weights, clip_epsilon,
                                    n_iterations=it - 1, gradient_norm=gnorm)
-        alpha = min(step * 2.0, 1e6)
-        g2 = gnorm * gnorm
+        hessian = propensity_loglik_hessian(weights, design, l2)
+        direction = np.linalg.lstsq(-hessian, grad.ravel(), rcond=None)[0].reshape(m, -1)
+        slope = float((grad * direction).sum())
+        alpha = 1.0
         while True:
-            candidate = weights + alpha * grad
+            candidate = weights + alpha * direction
             cand_value = propensity_loglik(candidate, design, codes, l2)
-            if cand_value >= value + 1e-4 * alpha * g2:
+            if cand_value >= value + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
             if alpha < 1e-18:
@@ -202,7 +227,6 @@ def fit_propensity(
                     gradient_norm=gnorm,
                 )
         weights = candidate
-        step = alpha
         value, grad = propensity_loglik_grad(weights, design, codes, l2)
 
     gnorm = float(np.sqrt((grad * grad).sum()))

@@ -218,8 +218,7 @@ def format_decision_list(
 
 def write_json(obj, path: str | Path) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def read_json(path: str | Path):

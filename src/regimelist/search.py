@@ -249,7 +249,7 @@ class SearchProblem:
                              for p in eligible.tolist()], dtype=np.float64)
 
         slots = max(L_max - state.depth - 1, 0)
-        later = np.minimum(n_unc - cnt, slots * int(cnt.max(initial=0)))
+        later = np.minimum(n_unc - cnt, min(slots * int(cnt.max(initial=0)), n_unc))
         charge = new_cost * cnt + (new_cost - self.feature_cost(state.features)) * later
         best_default = int(np.argmax(default_sums))
         keys = gains - gains[:, best_default, None] - (lam2 * charge)[:, None]

@@ -22,7 +22,12 @@ from regimelist.domain import (
     Pattern,
     Predicate,
 )
-from regimelist.estimation import DRScoreMatrix
+from regimelist.estimation import (
+    DRScoreMatrix,
+    encode_features,
+    propensity_loglik,
+    propensity_loglik_grad,
+)
 from regimelist.objective import ObjectiveWeights
 from regimelist.synth import GeneratorSpec
 
@@ -246,6 +251,44 @@ def oracle_quantile_thresholds(values, num_bins: int) -> list[float]:
         if xs[0] < t < xs[-1] and (not out or t != out[-1]):
             out.append(t)
     return out
+
+
+# ---------------------------------------------------------------------------
+# propensity fit (first order: gradient ascent, no Hessian)
+
+
+def oracle_fit_propensity(ds: Dataset, l2: float = 1e-4, grad_tol: float = 1e-6,
+                          max_iters: int = 20000) -> np.ndarray:
+    """Raw softmax probabilities, (N, m), of the propensity objective's
+    maximizer found by plain gradient ascent from zero weights.
+
+    Backtracking line search (Armijo) with the accepted step carried across
+    iterations; stops when the gradient Frobenius norm drops to grad_tol.
+    """
+    design = np.column_stack([encode_features(ds), np.ones(ds.n_subjects)])
+    codes = ds.treatments
+    weights = np.zeros((ds.n_treatments, design.shape[1]))
+    step = 1.0
+    value, grad = propensity_loglik_grad(weights, design, codes, l2)
+    for _ in range(max_iters):
+        g2 = float((grad * grad).sum())
+        if math.sqrt(g2) <= grad_tol:
+            break
+        alpha = min(step * 2.0, 1e6)
+        while True:
+            candidate = weights + alpha * grad
+            if propensity_loglik(candidate, design, codes, l2) >= value + 1e-4 * alpha * g2:
+                break
+            alpha *= 0.5
+            assert alpha >= 1e-18, "oracle line search stalled"
+        weights = candidate
+        step = alpha
+        value, grad = propensity_loglik_grad(weights, design, codes, l2)
+    else:
+        raise AssertionError(f"oracle fit did not converge in {max_iters} iterations")
+    logits = design @ weights.T
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

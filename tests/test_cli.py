@@ -168,6 +168,18 @@ class TestExhaustiveStrategy:
         assert abs(regime["objective"] - metrics["objective"]) <= 1e-12
 
 
+@pytest.mark.parametrize("strategy", ["uct", "greedy"])
+def test_l_max_beyond_int64_learns(learned_run, tmp_path, strategy):
+    # the slots-times-coverage charge must not overflow numpy's int64
+    out = learned_run
+    data = ["--schema", f"{out}/schema.json", "--data", f"{out}/data.csv"]
+    assert main(["learn", *data, "--candidates", f"{out}/candidates.json",
+                 "--scores", f"{out}/scores.json", "--strategy", strategy,
+                 "--iterations", "20", "--l-max", str(10 ** 20),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert read_json(str(tmp_path / "regime.json"))["strategy"] == strategy
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("step, config, key", [
         ("learn", {"search": {"iterations": "5"}}, "iterations"),

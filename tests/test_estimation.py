@@ -22,10 +22,11 @@ from regimelist.estimation import (
     fit_propensity,
     propensity_loglik,
     propensity_loglik_grad,
+    propensity_loglik_hessian,
     solve_ridge,
 )
 
-from conftest import dataset_from_rows, random_dataset
+from conftest import dataset_from_rows, oracle_fit_propensity, random_dataset
 
 
 def logistic_dataset(rng, n=400, m=3, n_features=4):
@@ -122,6 +123,34 @@ class TestPropensityGradient:
         v2, _ = propensity_loglik_grad(W, design, ds.treatments, 1e-4)
         assert v1 == pytest.approx(v2, rel=1e-14)
 
+    def test_hessian_matches_central_differences_of_gradient(self):
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(10):
+            ds = random_dataset(
+                rng,
+                n_subjects=int(rng.integers(20, 45)),
+                n_features=int(rng.integers(2, 5)),
+                m=int(rng.integers(2, 4)),
+            )
+            design = np.column_stack([encode_features(ds), np.ones(ds.n_subjects)])
+            W = rng.normal(0, 0.5, size=(ds.n_treatments, design.shape[1]))
+            l2 = float(rng.choice([0.0, 1e-4, 1.0]))
+            hessian = propensity_loglik_hessian(W, design, l2)
+            assert hessian.shape == (W.size, W.size)
+            assert np.allclose(hessian, hessian.T, rtol=0, atol=1e-12)
+            h = 1e-6
+            for k in range(W.size):
+                Wp, Wm = W.copy(), W.copy()
+                Wp.flat[k] += h
+                Wm.flat[k] -= h
+                fd = (propensity_loglik_grad(Wp, design, ds.treatments, l2)[1]
+                      - propensity_loglik_grad(Wm, design, ds.treatments, l2)[1]
+                      ).ravel() / (2 * h)
+                denom = np.maximum(np.abs(hessian[:, k]), 1e-3)
+                worst = max(worst, float(np.max(np.abs(fd - hessian[:, k]) / denom)))
+        assert worst <= 1e-5
+
 
 class TestPropensityFit:
     def test_rows_sum_to_one_before_clipping(self):
@@ -177,6 +206,30 @@ class TestPropensityFit:
         ds = dataset_from_rows(specs, ("a", "b"), (1.0, 1.0), rows)
         with pytest.raises(ValidationError, match="never observed"):
             fit_propensity(ds)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("l2", [0.0, 1e-4, 1.0])
+    def test_newton_agrees_with_gradient_ascent_oracle(self, m, l2):
+        rng = np.random.default_rng(22 + m)
+        ds = logistic_dataset(rng, n=400, m=m)
+        model = fit_propensity(ds, l2=l2)
+        assert model.n_iterations <= 10
+        raw = model.predict_proba_raw(ds)
+        assert np.max(np.abs(raw - oracle_fit_propensity(ds, l2=l2))) <= 1e-5
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_separable_data_without_penalty_converges(self, m):
+        # the unpenalized maximum lies at infinity; the gradient still
+        # vanishes along the way, so the fit stops at grad_tol
+        specs = (CharacteristicSpec("x", REAL, 1.0),)
+        names = tuple(f"t{a}" for a in range(m))
+        rows = [((float(i),), names[i * m // 60], 1.0) for i in range(60)]
+        ds = dataset_from_rows(specs, names, (1.0,) * m, rows)
+        model = fit_propensity(ds, l2=0.0)
+        assert model.gradient_norm <= 1e-6
+        assert np.all(np.isfinite(model.weights))
+        raw = model.predict_proba_raw(ds)
+        assert np.all(raw[np.arange(60), ds.treatments] >= 0.9)
 
     def test_convergence_error_carries_gradient_norm(self):
         rng = np.random.default_rng(18)
