@@ -35,7 +35,6 @@ from .estimation import (
     OutcomeModel,
     PropensityModel,
     compute_dr_scores,
-    encode_features,
     fit_outcome,
     fit_propensity,
 )

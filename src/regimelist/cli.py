@@ -276,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, help="search iterations (default 2000)")
     p.add_argument("--c-explore", dest="c_explore", type=float,
                    help="UCB exploration constant (default 1.414)")
-    p.add_argument("--seed", type=int, help="search seed (default 0)")
+    p.add_argument("--seed", type=int,
+                   help="search seed (default 0); recorded in regime.json, but "
+                        "the search draws no random numbers, so it changes no result")
     p.add_argument("--l-max", dest="L_max", type=int,
                    help="maximum number of rules (default 4)")
     p.add_argument("--min-new-coverage", dest="min_new_coverage", type=float,

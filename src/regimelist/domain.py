@@ -90,18 +90,6 @@ class Dataset:
     def n_treatments(self) -> int:
         return len(self.treatment_names)
 
-    def treatment_code(self, name: str) -> int:
-        try:
-            return self.treatment_names.index(name)
-        except ValueError:
-            raise ValidationError(f"unknown treatment {name!r}") from None
-
-    def feature_index(self, name: str) -> int:
-        for i, spec in enumerate(self.specs):
-            if spec.name == name:
-                return i
-        raise ValidationError(f"unknown characteristic {name!r}")
-
     @classmethod
     def from_columns(
         cls,

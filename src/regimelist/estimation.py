@@ -83,11 +83,6 @@ class FeatureEncoder:
         }
 
 
-def encode_features(ds: Dataset) -> np.ndarray:
-    """Design matrix for a dataset (fit + transform in one step)."""
-    return FeatureEncoder.fit(ds).transform(ds)
-
-
 def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 

@@ -111,6 +111,9 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
         if header is None:
             raise ValidationError(f"{csv_path}: empty file")
         col_of = {name: k for k, name in enumerate(header)}
+        if len(col_of) < len(header):
+            dup = next(name for k, name in enumerate(header) if col_of[name] != k)
+            raise ValidationError(f"{csv_path}: line 1: duplicate column {dup!r}")
         needed = [s.name for s in schema.specs] + [schema.treatment_column, schema.outcome_column]
         for name in needed:
             if name not in col_of:

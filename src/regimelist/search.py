@@ -8,7 +8,9 @@ carries exact incurred sums plus an optimistic bound on whatever the
 uncovered remainder can still contribute.  Three solvers share this state
 machinery: UCT (the main engine), exhaustive enumeration (small-instance
 oracle), and a greedy baseline.  ``SearchProblem.ordered_actions`` is their
-one legality rule and ``SearchProblem.state_bound`` their one scoring function.
+one legality rule and ``SearchProblem.state_bound`` their one scoring function;
+``SearchProblem.close``, which closes a prefix with its best default, is how UCT
+and greedy complete a list.
 ``ordered_actions`` bounds every child of a node in one batched pass, so a
 child is built with ``apply`` only if that bound lets it beat the incumbent.
 """
@@ -51,6 +53,8 @@ def _gamma(k: int, unit: float) -> float:
 class SearchConfig:
     iterations: int = 2000
     c_explore: float = 1.414
+    # accepted and range-checked for existing configs; the search draws no
+    # random numbers, so it does not change the result
     seed: int = 0
     L_max: int = 4
     min_new_coverage: float = 0.01
@@ -290,6 +294,12 @@ class SearchProblem:
             return 0.0
         return self.feature_cost(state.features)
 
+    def close(self, state: SearchState) -> SearchState:
+        """The prefix closed with the default that gives its rules their best
+        list: the largest value summed over the uncovered subjects."""
+        d = int(np.argmax(~state.covered @ self.value_mat))
+        return self.apply(state, d - self.m)
+
     def state_bound(self, state: SearchState) -> float:
         """The exact objective of a closed list; for an open prefix, an upper
         bound on the objective of every completion.
@@ -355,9 +365,10 @@ def uct_search(
     """Monte-Carlo tree search with bound pruning over list prefixes.
 
     Each iteration selects by UCB1 (mean reward normalized to [0, 1] by the
-    running min/max of terminal rewards), expands one untried action, plays
-    uniform-random legal actions to termination, and backs the terminal
-    objective up the path.  Terminal expansions are scored exactly.  A child
+    running min/max of terminal rewards), expands one untried action, closes
+    the new prefix with its best default (``SearchProblem.close``), and backs
+    that list's exact objective up the path.  The search draws no random
+    numbers, so ``config.seed`` does not change the result.  A child
     is pruned unbuilt when its batched bound ``hi`` from ``ordered_actions``
     cannot beat the incumbent, else built and pruned when its exact bound
     cannot; ``hi`` is never below the exact bound, so this prunes exactly
@@ -367,7 +378,6 @@ def uct_search(
     either evaluated or soundly excluded).
     """
     problem = SearchProblem(ds, scores, cands, weights, config.charge_default_full)
-    rng = np.random.default_rng(config.seed)
     root = SearchNode(problem.initial_state(), problem.state_bound(problem.initial_state()))
     tree_size = 1
     n_pruned = 0
@@ -377,7 +387,6 @@ def uct_search(
     rmin = math.inf
     rmax = -math.inf
     log: list[dict] = []
-    m = problem.m
 
     def record_terminal(state: SearchState, obj: float) -> None:
         nonlocal best_obj, best_state, rmin, rmax
@@ -388,25 +397,7 @@ def uct_search(
         rmax = max(rmax, obj)
 
     def rollout(state: SearchState) -> float:
-        # Uncovered subjects only shrink along a rollout, so a pattern that
-        # failed the coverage filter once stays illegal: drop it and resample.
-        used = {p for p, _ in state.prefix}
-        active = [p for p in range(len(problem.patterns)) if p not in used]
-        need = problem.required_new(config.min_new_coverage)
-        while not state.terminal:
-            if state.depth >= config.L_max:
-                state = problem.apply(state, int(rng.integers(m)) - m)
-                break
-            k = int(rng.integers(len(active) * m + m))
-            if k >= len(active) * m:
-                state = problem.apply(state, k - len(active) * m - m)
-                break
-            p = active[k // m]
-            if int(((problem.masks_f[p] != 0) & ~state.covered).sum()) < need:
-                active.remove(p)
-                continue
-            state = problem.apply(state, p * m + k % m)
-            active.remove(p)
+        state = problem.close(state)
         obj = problem.state_bound(state)
         record_terminal(state, obj)
         return obj
@@ -464,7 +455,7 @@ def uct_search(
                 break
             if not live:
                 node.fully_explored = True
-                # dead end: unwind and restart from the root this iteration
+                # dead end: go back one level and choose again there
                 path.pop()
                 if not path:
                     break
@@ -583,32 +574,24 @@ def greedy_baseline(
     """Appends the single rule with the largest exact objective gain.
 
     Rules are those exhaustive_search enumerates, tried in the same order.
-    After each append the default is re-optimized; the loop stops when no
-    rule strictly improves the completed list's objective or L_max is hit.
+    Each candidate is closed with ``SearchProblem.close``; the loop stops
+    when no rule strictly improves the closed list's objective or L_max is hit.
     """
     problem = SearchProblem(ds, scores, cands, weights, charge_default_full)
-
-    def best_completion(state: SearchState) -> tuple[float, int]:
-        vals = [problem.state_bound(problem.apply(state, d - problem.m))
-                for d in range(problem.m)]
-        d = int(np.argmax(vals))
-        return vals[d], d
-
     state = problem.initial_state()
-    best_obj, best_d = best_completion(state)
+    best_obj = problem.state_bound(problem.close(state))
     while True:
-        step_best: tuple[float, int, SearchState] | None = None
+        step_best: tuple[float, SearchState] | None = None
         codes, _ = problem.ordered_actions(state, L_max, 0.0)
         for action in sorted(codes[codes >= 0].tolist()):
             child = problem.apply(state, action)
-            obj, d = best_completion(child)
+            obj = problem.state_bound(problem.close(child))
             if obj > best_obj and (step_best is None or obj > step_best[0]):
-                step_best = (obj, d, child)
+                step_best = (obj, child)
         if step_best is None:
             break
-        best_obj, best_d, state = step_best
-    final = problem.apply(state, best_d - problem.m)
+        best_obj, state = step_best
     return BaselineResult(
-        decision_list=problem.decision_list(final),
+        decision_list=problem.decision_list(problem.close(state)),
         objective=best_obj,
     )

@@ -24,7 +24,7 @@ from regimelist.domain import (
 )
 from regimelist.estimation import (
     DRScoreMatrix,
-    encode_features,
+    FeatureEncoder,
     propensity_loglik,
     propensity_loglik_grad,
 )
@@ -265,7 +265,8 @@ def oracle_fit_propensity(ds: Dataset, l2: float = 1e-4, grad_tol: float = 1e-6,
     Backtracking line search (Armijo) with the accepted step carried across
     iterations; stops when the gradient Frobenius norm drops to grad_tol.
     """
-    design = np.column_stack([encode_features(ds), np.ones(ds.n_subjects)])
+    design = np.column_stack([FeatureEncoder.fit(ds).transform(ds),
+                             np.ones(ds.n_subjects)])
     codes = ds.treatments
     weights = np.zeros((ds.n_treatments, design.shape[1]))
     step = 1.0

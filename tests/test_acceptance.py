@@ -21,8 +21,8 @@ from regimelist.domain import (
     partition,
 )
 from regimelist.estimation import (
+    FeatureEncoder,
     compute_dr_scores,
-    encode_features,
     fit_outcome,
     fit_propensity,
     propensity_loglik,
@@ -255,7 +255,7 @@ def test_criterion_5_ground_truth_recovery(capsys):
     oracle_obj = objective_value(ds, truth.planted_regime, scores, weights)
     ratio = res.objective / oracle_obj
 
-    metha = ds.feature_index("methacholine")
+    metha = [s.name for s in ds.specs].index("methacholine")
     planted_pos = min(
         k for k, (pat, _) in enumerate(truth.planted_regime.rules, start=1)
         if metha in pat.features
@@ -287,7 +287,7 @@ def test_criterion_6_numerical_model_checks(capsys):
             n_features=int(rng.integers(2, 5)),
             m=int(rng.integers(2, 4)),
         )
-        design = np.column_stack([encode_features(ds),
+        design = np.column_stack([FeatureEncoder.fit(ds).transform(ds),
                                   np.ones(ds.n_subjects)])
         W = rng.normal(0, 0.5, size=(ds.n_treatments, design.shape[1]))
         _, grad = propensity_loglik_grad(W, design, ds.treatments, 1e-4)
@@ -310,7 +310,8 @@ def test_criterion_6_numerical_model_checks(capsys):
     for _ in range(5):
         ds = random_dataset(rng, n_subjects=80, n_features=4, m=2)
         model = fit_outcome(ds, ridge=1e-6)
-        design = np.column_stack([encode_features(ds), np.ones(ds.n_subjects)])
+        design = np.column_stack([FeatureEncoder.fit(ds).transform(ds),
+                                 np.ones(ds.n_subjects)])
         for a in range(ds.n_treatments):
             sel = ds.treatments == a
             reg = 1e-6 * np.eye(design.shape[1])

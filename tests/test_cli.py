@@ -266,6 +266,20 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_duplicate_column_exits_2(self, learned_run, tmp_path, capsys):
+        out = learned_run
+        lines = open(f"{out}/data.csv").read().splitlines()
+        header = lines[0].split(",")
+        header[header.index("bmi")] = "age"  # bmi values under a second age
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([",".join(header)] + lines[1:]) + "\n")
+        code = main(["mine", "--schema", f"{out}/schema.json",
+                     "--data", str(bad), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 1: duplicate column 'age'" in err
+        assert "Traceback" not in err
+
     def test_singular_outcome_fit_exits_3(self, learned_run, tmp_path, capsys):
         out = learned_run
         lines = open(f"{out}/data.csv").read().splitlines()

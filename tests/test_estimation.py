@@ -17,7 +17,6 @@ from regimelist.estimation import (
     DRScoreMatrix,
     FeatureEncoder,
     compute_dr_scores,
-    encode_features,
     fit_outcome,
     fit_propensity,
     propensity_loglik,
@@ -78,7 +77,7 @@ class TestFeatureEncoder:
         specs = (CharacteristicSpec("x", REAL, 1.0),)
         rows = [((5.0,), "a", 0.0) for _ in range(6)]
         ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
-        X = encode_features(ds)
+        X = FeatureEncoder.fit(ds).transform(ds)
         assert X[:, 0].tolist() == [0.0] * 6
 
 
@@ -93,7 +92,7 @@ class TestPropensityGradient:
                 n_features=int(rng.integers(2, 5)),
                 m=int(rng.integers(2, 4)),
             )
-            X = encode_features(ds)
+            X = FeatureEncoder.fit(ds).transform(ds)
             design = np.column_stack([X, np.ones(len(X))])
             m = ds.n_treatments
             W = rng.normal(0, 0.5, size=(m, design.shape[1]))
@@ -116,7 +115,7 @@ class TestPropensityGradient:
     def test_loglik_value_agrees_with_grad_companion(self):
         rng = np.random.default_rng(4)
         ds = random_dataset(rng, n_subjects=25)
-        X = encode_features(ds)
+        X = FeatureEncoder.fit(ds).transform(ds)
         design = np.column_stack([X, np.ones(len(X))])
         W = rng.normal(size=(ds.n_treatments, design.shape[1]))
         v1 = propensity_loglik(W, design, ds.treatments, 1e-4)
@@ -133,7 +132,8 @@ class TestPropensityGradient:
                 n_features=int(rng.integers(2, 5)),
                 m=int(rng.integers(2, 4)),
             )
-            design = np.column_stack([encode_features(ds), np.ones(ds.n_subjects)])
+            design = np.column_stack([FeatureEncoder.fit(ds).transform(ds),
+                                     np.ones(ds.n_subjects)])
             W = rng.normal(0, 0.5, size=(ds.n_treatments, design.shape[1]))
             l2 = float(rng.choice([0.0, 1e-4, 1.0]))
             hessian = propensity_loglik_hessian(W, design, l2)
@@ -258,7 +258,7 @@ class TestOutcomeFit:
             ds = random_dataset(rng, n_subjects=60, n_features=4, m=2)
             ridge = 1e-6
             model = fit_outcome(ds, ridge=ridge)
-            X = encode_features(ds)
+            X = FeatureEncoder.fit(ds).transform(ds)
             design = np.column_stack([X, np.ones(len(X))])
             d = design.shape[1]
             for a in range(ds.n_treatments):

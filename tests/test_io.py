@@ -169,6 +169,18 @@ class TestDatasetCSV:
         with pytest.raises(ValidationError):
             read_dataset(path, SCHEMA)
 
+    @pytest.mark.parametrize("header, row, dup", [
+        ("age,smoker,treatment,outcome,age", "34.0,yes,a,10.0,51.0", "age"),
+        ("age,age,smoker,treatment,outcome", "34.0,51.0,yes,a,10.0", "age"),
+        ("age,smoker,treatment,outcome,note,note", "34.0,yes,a,10.0,x,y", "note"),
+    ])
+    def test_duplicate_column_rejected(self, tmp_path, header, row, dup):
+        # mapping names to columns with a dict would let the last repeat win
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n" + row + "\n")
+        with pytest.raises(ValidationError, match=f"line 1: duplicate column '{dup}'"):
+            read_dataset(path, SCHEMA)
+
 
 class TestDecisionListSerialization:
     def test_round_trip_random_lists(self):

@@ -278,6 +278,28 @@ class TestStateBound:
                                        charge_default_full=full)
                 assert problem.state_bound(state) == pytest.approx(want, abs=1e-12)
 
+    def test_close_takes_the_best_default(self):
+        rng = np.random.default_rng(67)
+        for trial in range(6):
+            ds, cands = small_instance(rng, m=2 + trial % 2)
+            scores = random_scores(rng, ds)
+            w = random_weights(rng)
+            m = ds.n_treatments
+            for full in (False, True):
+                problem = SearchProblem(ds, scores, cands, w,
+                                        charge_default_full=full)
+                for _ in range(8):
+                    # every pattern may be used, so coverage can be complete
+                    length = int(rng.integers(0, len(cands.patterns) + 1))
+                    state = problem.initial_state()
+                    for p in rng.permutation(len(cands.patterns))[:length]:
+                        state = problem.apply(state, int(p) * m + int(rng.integers(m)))
+                    closed = problem.close(state)
+                    assert closed.terminal and closed.prefix == state.prefix
+                    best = max(problem.state_bound(problem.apply(state, d - m))
+                               for d in range(m))
+                    assert problem.state_bound(closed) == pytest.approx(best, abs=1e-12)
+
     def test_single_treatment_empty_prefix_bound_is_policy_value(self):
         rng = np.random.default_rng(65)
         ds, cands = small_instance(rng, m=1)
@@ -372,6 +394,22 @@ class TestUCT:
         assert a.decision_list == b.decision_list
         assert a.objective == b.objective
         assert a.log == b.log
+
+    def test_seed_does_not_change_the_search(self):
+        # the search draws no random numbers: every seed walks the same tree
+        rng = np.random.default_rng(76)
+        for _ in range(3):
+            ds, cands = small_instance(rng)
+            scores = random_scores(rng, ds)
+            w = random_weights(rng)
+            runs = [uct_search(ds, scores, cands, w,
+                               SearchConfig(iterations=300, L_max=3, seed=seed))
+                    for seed in range(4)]
+            for res in runs[1:]:
+                assert res.decision_list == runs[0].decision_list
+                assert res.log == runs[0].log
+                assert res.tree_size == runs[0].tree_size
+                assert res.n_pruned == runs[0].n_pruned
 
     def test_zero_candidates_returns_best_default(self):
         rng = np.random.default_rng(77)

@@ -129,9 +129,9 @@ class TestGenerate:
         gspec = default_generator_spec(n_subjects=8000, seed=2,
                                        confounding_strength=0.8)
         ds, _ = generate(gspec)
-        wheezing = ds.feature_index("wheezing")
+        wheezing = [s.name for s in ds.specs].index("wheezing")
         yes = ds.columns[wheezing] == ds.specs[wheezing].levels.index("yes")
-        controller = ds.treatment_code("controller")
+        controller = ds.treatment_names.index("controller")
         p_yes = float(np.mean(ds.treatments[yes] == controller))
         p_no = float(np.mean(ds.treatments[~yes] == controller))
         assert p_yes > p_no + 0.1
