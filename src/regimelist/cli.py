@@ -281,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the search draws no random numbers, so it changes no result")
     p.add_argument("--l-max", dest="L_max", type=int,
                    help="maximum number of rules (default 4)")
-    p.add_argument("--min-new-coverage", dest="min_new_coverage", type=float,
-                   help="fraction of subjects a rule must newly cover (default 0.01)")
     p.add_argument("--charge-default-full", dest="charge_default_full",
                    action=argparse.BooleanOptionalAction,
                    help="bill default-group subjects the full list cost")

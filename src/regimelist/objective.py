@@ -17,6 +17,7 @@ import numpy as np
 from .domain import (
     Dataset,
     DecisionList,
+    feature_set_cost,
     group_assessment_costs,
     group_billed_counts,
     group_treatments,
@@ -45,7 +46,9 @@ class ObjectiveWeights:
         return cls(**config_values(d, asdict(cls()), "weights"))
 
 
-def check_scores(ds: Dataset, scores: DRScoreMatrix) -> None:
+def check_scores(ds: Dataset, scores: DRScoreMatrix, weights: ObjectiveWeights) -> None:
+    """Refuse scores built for another dataset, and weights so large that a
+    sum over the subjects of weighted scores and costs overflows a double."""
     if scores.scores.shape != (ds.n_subjects, ds.n_treatments):
         raise ValidationError(
             f"score matrix shape {scores.scores.shape} does not match "
@@ -53,6 +56,14 @@ def check_scores(ds: Dataset, scores: DRScoreMatrix) -> None:
         )
     if scores.treatment_names != ds.treatment_names:
         raise ValidationError("score matrix was built for a different treatment set")
+    magnitude = ds.n_subjects * (
+        weights.lambda1 * float(np.abs(scores.scores).max(initial=0.0))
+        + weights.lambda2 * feature_set_cost(ds.specs, range(len(ds.specs)))
+        + weights.lambda3 * float(ds.treatment_costs.max(initial=0.0)))
+    if not math.isfinite(magnitude):
+        raise ValidationError(
+            f"weights lambda1={weights.lambda1!r}, lambda2={weights.lambda2!r}, "
+            f"lambda3={weights.lambda3!r} are so large that the objective overflows")
 
 
 def objective_value(
@@ -110,7 +121,7 @@ def compute_metrics(
     weights: ObjectiveWeights = ObjectiveWeights(),
     charge_default_full: bool = False,
 ) -> MetricsReport:
-    check_scores(ds, scores)
+    check_scores(ds, scores, weights)
     # the one partition every term below derives from
     group_of = partition(ds, dl)
     assigned = group_treatments(dl)[group_of]

@@ -57,7 +57,6 @@ class SearchConfig:
     # random numbers, so it does not change the result
     seed: int = 0
     L_max: int = 4
-    min_new_coverage: float = 0.01
     charge_default_full: bool = False
 
     def __post_init__(self) -> None:
@@ -69,8 +68,6 @@ class SearchConfig:
             raise ValidationError("seed must be nonnegative")
         if self.L_max < 0:
             raise ValidationError("L_max must be nonnegative")
-        if not 0.0 <= self.min_new_coverage <= 1.0:
-            raise ValidationError("min_new_coverage must lie in [0, 1]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -114,7 +111,7 @@ class SearchProblem:
         weights: ObjectiveWeights = ObjectiveWeights(),
         charge_default_full: bool = False,
     ):
-        check_scores(ds, scores)
+        check_scores(ds, scores, weights)
         if ds.n_subjects > MAX_EXACT_SUBJECTS:
             raise SizeLimitError(
                 f"{ds.n_subjects} subjects exceeds the exact-coverage limit "
@@ -168,16 +165,12 @@ class SearchProblem:
                 self.ds.specs, [f for f in range(len(self.ds.specs)) if features >> f & 1])
         return self._costs[features]
 
-    def required_new(self, min_new_coverage: float) -> int:
-        # a rule matching nothing new is never allowed: it only adds cost
-        return max(1, math.ceil(min_new_coverage * self.n))
-
     # a score beyond float32's range overflows the float32 operand and the
     # products over it; the bounds already turn that into an infinite hi, so
     # numpy's overflow and invalid-value warnings carry no news here
     @np.errstate(over="ignore", invalid="ignore")
-    def ordered_actions(self, state: SearchState, L_max: int,
-                        min_new_coverage: float) -> tuple[np.ndarray, np.ndarray]:
+    def ordered_actions(self, state: SearchState,
+                        L_max: int) -> tuple[np.ndarray, np.ndarray]:
         """The legal actions of a non-terminal state, and a bound per child.
 
         Returns int32 action codes and, for each, a float64 ``hi`` >=
@@ -185,16 +178,13 @@ class SearchProblem:
         defaults first, then rules by decreasing one-step gain.  Closing the
         list with any default is always legal; below depth L_max, so is
         appending (p, t) for every treatment t and every unused pattern p that
-        newly covers at least required_new(min_new_coverage) subjects.
+        newly covers at least one subject (a rule covering nothing new only
+        adds cost, so no optimum is lost).
 
-        The gain of (p, t) is the rule's value on the subjects it newly covers
-        minus what the state's best default would give them, minus assessment
-        charges.  The charge counts the marginal feature cost against the newly
-        covered subjects and against the most subjects later rules could still
-        cover (remaining slots times the largest remaining coverage), because
-        prefix costs accumulate onto later groups; that pushes expensive
-        features toward later positions.  Ordering never changes which actions
-        exist.
+        The key of (p, t) is its one-step gain: the rule's value on the cnt
+        subjects it newly covers, minus what the state's best default would
+        give them, minus lambda2 times the feature cost of the extended prefix
+        times cnt.  Ordering never changes which actions exist.
 
         The bounds are batched: one float32 product of the pattern masks with
         the columns (uncovered, optimistic, each arm's value), zeroed on
@@ -242,7 +232,7 @@ class SearchProblem:
                   where=uncov[:, None])
         sums = (self.masks_f @ op).astype(np.float64)
         counts = np.rint(sums[:, 0]).astype(np.int64)
-        legal = counts >= self.required_new(min_new_coverage)
+        legal = counts >= 1
         legal[[p for p, _ in state.prefix]] = False
         eligible = np.flatnonzero(legal)
         cnt = counts[eligible]
@@ -251,18 +241,14 @@ class SearchProblem:
         gains = sums[eligible, 2:]
         new_cost = np.array([self.feature_cost(state.features | self.pattern_features[p])
                              for p in eligible.tolist()], dtype=np.float64)
-
-        slots = max(L_max - state.depth - 1, 0)
-        later = np.minimum(n_unc - cnt, min(slots * int(cnt.max(initial=0)), n_unc))
-        charge = new_cost * cnt + (new_cost - self.feature_cost(state.features)) * later
         best_default = int(np.argmax(default_sums))
-        keys = gains - gains[:, best_default, None] - (lam2 * charge)[:, None]
+        charge = lam2 * new_cost * cnt
+        keys = gains - gains[:, best_default, None] - charge[:, None]
         # stable: equal keys keep (pattern, treatment) order
         order = np.argsort(keys, axis=None, kind="stable")
 
         child_default = new_cost if self.charge_default_full else 0.0
-        per_pattern = (float(uncov64 @ self.optimistic) - sums[eligible, 1]
-                       - lam2 * new_cost * cnt
+        per_pattern = (float(uncov64 @ self.optimistic) - sums[eligible, 1] - charge
                        - lam2 * child_default * (n_unc - cnt))
         estimate = settled + gains + per_pattern[:, None]
         slack = self._slack_per_subject * cnt + self._slack
@@ -417,8 +403,7 @@ def uct_search(
         reward: float | None = None
         while reward is None:
             if node.codes is None:
-                node.codes, node.his = problem.ordered_actions(
-                    node.state, config.L_max, config.min_new_coverage)
+                node.codes, node.his = problem.ordered_actions(node.state, config.L_max)
                 node.cursor = len(node.codes)
             for c in node.children:
                 if not c.fully_explored and c.bound <= best_obj:
@@ -516,9 +501,8 @@ def exhaustive_search(
 ) -> ExhaustiveResult:
     """Exact argmax by enumerating every legal rule sequence up to L_max.
 
-    A rule is legal when ``ordered_actions`` allows it with no coverage
-    threshold: its pattern is unused and newly covers at least one subject
-    (a rule covering nothing new only adds cost, so no optimum is lost).
+    A rule is legal when ``ordered_actions`` allows it: its pattern is unused
+    and newly covers at least one subject.
     Each prefix tries the defaults, then rules in ascending (pattern,
     treatment) order, and only a strict improvement replaces the incumbent,
     so ties resolve to the first list in that order.  Instances beyond the
@@ -540,7 +524,7 @@ def exhaustive_search(
 
     def visit(state: SearchState) -> None:
         nonlocal best_obj, best_state, n_evaluated, n_pruned
-        codes, _ = problem.ordered_actions(state, L_max, 0.0)
+        codes, _ = problem.ordered_actions(state, L_max)
         for action in sorted(codes.tolist()):
             child = problem.apply(state, action)
             bound = problem.state_bound(child)
@@ -582,7 +566,7 @@ def greedy_baseline(
     best_obj = problem.state_bound(problem.close(state))
     while True:
         step_best: tuple[float, SearchState] | None = None
-        codes, _ = problem.ordered_actions(state, L_max, 0.0)
+        codes, _ = problem.ordered_actions(state, L_max)
         for action in sorted(codes[codes >= 0].tolist()):
             child = problem.apply(state, action)
             obj = problem.state_bound(problem.close(child))

@@ -207,7 +207,7 @@ def test_criterion_3_uct_matches_exhaustive_oracle(capsys, oracle_instances,
     greedy_ok = True
     for inst, (on, _) in zip(oracle_instances, exhaustive_results):
         cfg = SearchConfig(iterations=10000, L_max=inst["L_max"],
-                           seed=inst["seed"], min_new_coverage=0.0)
+                           seed=inst["seed"])
         res = uct_search(inst["ds"], inst["scores"], inst["cands"],
                          inst["weights"], cfg)
         if abs(res.objective - on.objective) <= 1e-9:

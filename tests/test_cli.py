@@ -170,7 +170,7 @@ class TestExhaustiveStrategy:
 
 @pytest.mark.parametrize("strategy", ["uct", "greedy"])
 def test_l_max_beyond_int64_learns(learned_run, tmp_path, strategy):
-    # the slots-times-coverage charge must not overflow numpy's int64
+    # an L_max beyond numpy's int64 must reach no numpy integer
     out = learned_run
     data = ["--schema", f"{out}/schema.json", "--data", f"{out}/data.csv"]
     assert main(["learn", *data, "--candidates", f"{out}/candidates.json",
@@ -193,6 +193,7 @@ class TestExitCodes:
         ("learn", {"weights": {"lambda1": 10 ** 400}}, "lambda1"),
         ("fit", {"models": {"l2_reg": 10 ** 400}}, "l2_reg"),
         ("mine", {"mining": {"num_bins": 10 ** 30}}, "num_bins"),
+        ("learn", {"search": {"min_new_coverage": 0.01}}, "min_new_coverage"),
     ])
     def test_bad_config_exits_2(self, learned_run, tmp_path, capsys,
                                 step, config, key):
@@ -485,6 +486,10 @@ class TestExitCodes:
         ([], {"search": {"widen_c": float("nan")}}, "widen_c"),
         ([], {"search": {"widen_c": float("inf")}}, "widen_c"),
         ([], {"search": {"widen_alpha": float("inf")}}, "widen_alpha"),
+        # finite weights whose objective sums overflow a double
+        (["--lambda1", "1e307"], None, "lambda1"),
+        (["--strategy", "greedy", "--lambda1", "1e307"], None, "lambda1"),
+        (["--lambda2", "1e307"], None, "lambda2"),
     ])
     def test_bad_learn_parameter_exits_2(self, learned_run, tmp_path, capsys,
                                          flags, config, key):
@@ -501,10 +506,12 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and key in err
+        assert not (tmp_path / "regime.json").exists()
 
     @pytest.mark.parametrize("flags, key", [
         (["--lambda1", "nan"], "lambda1"),
         (["--lambda3", "inf"], "lambda3"),
+        (["--lambda1", "1e308"], "lambda1"),
     ])
     def test_bad_evaluate_parameter_exits_2(self, learned_run, tmp_path, capsys,
                                             flags, key):
@@ -517,6 +524,19 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and key in err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_removed_min_new_coverage_flag_exits_2(self, learned_run, tmp_path,
+                                                   capsys):
+        out = learned_run
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", "--schema", f"{out}/schema.json",
+                  "--data", f"{out}/data.csv",
+                  "--candidates", f"{out}/candidates.json",
+                  "--scores", f"{out}/scores.json",
+                  "--min-new-coverage", "0.01", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--min-new-coverage" in capsys.readouterr().err
 
     def test_score_beyond_float32_range_learns_silently(self, learned_run, tmp_path):
         # the batched float32 bounds overflow; learn must neither fail nor warn

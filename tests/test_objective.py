@@ -65,6 +65,19 @@ class TestObjectiveValue:
         with pytest.raises(ValidationError):
             objective_value(ds, dl, bad, ObjectiveWeights())
 
+    def test_overflowing_weights_rejected(self):
+        # a finite weight whose objective sums overflow exits as bad input,
+        # never as an infinite objective
+        rng = np.random.default_rng(7)
+        ds = random_dataset(rng, n_subjects=10)
+        scores = random_scores(rng, ds)
+        dl = DecisionList(rules=(), default_treatment=0)
+        for name in ("lambda1", "lambda2", "lambda3"):
+            with pytest.raises(ValidationError, match="overflows"):
+                compute_metrics(ds, dl, scores, ObjectiveWeights(**{name: 1e307}))
+        report = compute_metrics(ds, dl, scores, ObjectiveWeights(lambda1=1e300))
+        assert np.isfinite(report.objective)
+
     def test_empty_list_has_zero_assessment(self):
         rng = np.random.default_rng(9)
         ds = random_dataset(rng)

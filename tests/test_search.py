@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import warnings
 
 import numpy as np
@@ -59,9 +58,9 @@ def decode(problem, action):
     return (-1, action + problem.m) if action < 0 else divmod(action, problem.m)
 
 
-def actions(problem, state, L_max, min_new_coverage):
+def actions(problem, state, L_max):
     """ordered_actions as (pattern, treatment) pairs, in the same order."""
-    codes, _ = problem.ordered_actions(state, L_max, min_new_coverage)
+    codes, _ = problem.ordered_actions(state, L_max)
     return [decode(problem, c) for c in codes.tolist()]
 
 
@@ -114,8 +113,7 @@ class TestLegalActions:
         rng = np.random.default_rng(51)
         ds, cands = small_instance(rng, n_patterns=3)
         problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
-        codes, his = problem.ordered_actions(problem.initial_state(), L_max=3,
-                                             min_new_coverage=0.0)
+        codes, his = problem.ordered_actions(problem.initial_state(), L_max=3)
         assert codes.dtype == np.int32 and his.dtype == np.float64
         assert len(codes) == len(his) == 3 * ds.n_treatments + ds.n_treatments
 
@@ -124,7 +122,7 @@ class TestLegalActions:
         ds, cands = small_instance(rng, n_patterns=3)
         problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
         state = problem.initial_state()
-        acts = actions(problem, state, L_max=0, min_new_coverage=0.0)
+        acts = actions(problem, state, L_max=0)
         assert acts == [(-1, d) for d in range(ds.n_treatments)]
 
     def test_exhausted_coverage_excluded(self):
@@ -132,7 +130,7 @@ class TestLegalActions:
         ds, cands = small_instance(rng, n_patterns=4)
         problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
         state = problem.apply(problem.initial_state(), 0)
-        acts = actions(problem, state, L_max=4, min_new_coverage=0.0)
+        acts = actions(problem, state, L_max=4)
         # pattern 0 is used; a pattern with no new coverage may not reappear
         assert all(p != 0 for p, _ in acts if p >= 0)
         counts = ((problem.masks_f != 0) & ~state.covered).sum(axis=1)
@@ -147,7 +145,7 @@ class TestLegalActions:
         state = problem.initial_state()
         seen = set()
         while True:
-            codes, _ = problem.ordered_actions(state, 3, 0.0)
+            codes, _ = problem.ordered_actions(state, 3)
             rules = [c for c in codes.tolist() if c >= 0]
             if not rules:
                 break
@@ -158,11 +156,10 @@ class TestLegalActions:
 
     def test_ordered_actions_same_set_as_legal(self):
         # oracle: a rule is legal when its pattern is unused and newly covers
-        # at least required_new subjects; closing with a default always is
+        # at least one subject; closing with a default always is
         rng = np.random.default_rng(59)
         ds, cands = small_instance(rng)
         problem = SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng))
-        need = max(1, math.ceil(0.2 * ds.n_subjects))
         state = problem.initial_state()
         while not state.terminal:
             used = {p for p, _ in state.prefix}
@@ -172,14 +169,59 @@ class TestLegalActions:
                     1 for i in range(ds.n_subjects)
                     if not state.covered[i]
                     and oracle_pattern_holds(pattern, dataset_row(ds, i), ds.specs))
-                if p not in used and newly >= need:
+                if p not in used and newly >= 1:
                     legal |= {(p, t) for t in range(ds.n_treatments)}
-            codes, _ = problem.ordered_actions(state, 3, 0.2)
+            codes, _ = problem.ordered_actions(state, 3)
             acts = [decode(problem, c) for c in codes.tolist()]
             assert len(acts) == len(set(acts))
             assert set(acts) == legal
             rules = [c for c in codes.tolist() if c >= 0]
             state = problem.apply(state, rules[-1] if rules else int(codes[0]))
+
+    def test_rules_ordered_by_one_step_gain(self):
+        # oracle, row by row: the gain of (p, t) is the value of t on the
+        # subjects p newly covers, minus the best default's value on them,
+        # minus lambda2 times the extended prefix's feature cost per subject.
+        # Expanded from the end, rules come in descending gain, so the codes
+        # ascend in (gain, code).  Integer scores, costs and weights keep
+        # every sum exact, and lambda2 = 0 makes ties.
+        rng = np.random.default_rng(60)
+        for trial in range(12):
+            ds, cands = small_instance(rng, m=2 + trial % 2)
+            m = ds.n_treatments
+            scores = DRScoreMatrix(
+                scores=rng.integers(-50, 100, size=(ds.n_subjects, m)).astype(float),
+                treatment_names=ds.treatment_names)
+            w = ObjectiveWeights(lambda1=float(rng.integers(1, 3)),
+                                 lambda2=float(trial % 3),
+                                 lambda3=float(rng.integers(0, 2)))
+            problem = SearchProblem(ds, scores, cands, w)
+            rows = [dataset_row(ds, i) for i in range(ds.n_subjects)]
+
+            def value(i, t):
+                return w.lambda1 * scores.scores[i, t] - w.lambda3 * ds.treatment_costs[t]
+
+            state = problem.initial_state()
+            while True:
+                codes, _ = problem.ordered_actions(state, 4)
+                rules = [c for c in codes.tolist() if c >= 0]
+                if not rules:
+                    break
+                uncovered = [i for i in range(ds.n_subjects) if not state.covered[i]]
+                best = max(range(m), key=lambda d: sum(value(i, d) for i in uncovered))
+                prefix_features = {f for p, _ in state.prefix
+                                   for f in problem.patterns[p].features}
+                gain = {}
+                for code in rules:
+                    p, t = decode(problem, code)
+                    pattern = problem.patterns[p]
+                    newly = [i for i in uncovered
+                             if oracle_pattern_holds(pattern, rows[i], ds.specs)]
+                    cost = feature_set_cost(ds.specs, prefix_features | set(pattern.features))
+                    gain[code] = (sum(value(i, t) - value(i, best) for i in newly)
+                                  - w.lambda2 * cost * len(newly))
+                assert rules == sorted(rules, key=lambda c: (gain[c], c))
+                state = problem.apply(state, rules[int(rng.integers(len(rules)))])
 
 
 class TestStateBound:
@@ -207,7 +249,7 @@ class TestStateBound:
                     # tiny slack: the bound and the objective accumulate
                     # floating point sums in different orders
                     assert problem.state_bound(state) >= best_completion(state) - 1e-9
-                    codes, his = problem.ordered_actions(state, 3, 0.0)
+                    codes, his = problem.ordered_actions(state, 3)
                     for code, hi in zip(codes.tolist(), his.tolist()):
                         child = problem.apply(state, code)
                         assert hi >= problem.state_bound(child)
@@ -232,7 +274,7 @@ class TestStateBound:
             problem = SearchProblem(ds, scores, cands, w, charge_default_full=full)
             state = problem.initial_state()
             for _ in range(3):
-                codes, his = problem.ordered_actions(state, 3, 0.0)
+                codes, his = problem.ordered_actions(state, 3)
                 for code, hi in zip(codes.tolist(), his.tolist()):
                     assert hi >= problem.state_bound(problem.apply(state, code))
                 rules = [c for c in codes.tolist() if c >= 0]
@@ -251,7 +293,7 @@ class TestStateBound:
         state = problem.initial_state()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            codes, his = problem.ordered_actions(state, 3, 0.0)
+            codes, his = problem.ordered_actions(state, 3)
         assert np.isinf(his).any()
         for code, hi in zip(codes.tolist(), his.tolist()):
             assert hi >= problem.state_bound(problem.apply(state, code))
@@ -335,7 +377,7 @@ class TestStateConsistency:
             state = problem.initial_state()
             check_state_consistency(problem, state)
             while True:
-                codes, _ = problem.ordered_actions(state, 4, 0.0)
+                codes, _ = problem.ordered_actions(state, 4)
                 rules = [c for c in codes.tolist() if c >= 0]
                 if not rules:
                     break
@@ -350,8 +392,7 @@ class TestUCT:
         scores = random_scores(rng, ds)
         w = ObjectiveWeights()
         res = uct_search(ds, scores, cands, w,
-                         SearchConfig(iterations=200, L_max=1, seed=0,
-                                      min_new_coverage=0.0))
+                         SearchConfig(iterations=200, L_max=1, seed=0))
         # best of: 2 default-only lists + 2x2 one-rule lists
         best = -np.inf
         for d in range(2):
@@ -371,8 +412,7 @@ class TestUCT:
             w = random_weights(rng)
             exact = exhaustive_search(ds, scores, cands, w, L_max=2)
             res = uct_search(ds, scores, cands, w,
-                             SearchConfig(iterations=4000, L_max=2, seed=3,
-                                          min_new_coverage=0.0))
+                             SearchConfig(iterations=4000, L_max=2, seed=3))
             assert res.objective == pytest.approx(exact.objective, abs=1e-9)
 
     def test_incumbent_monotone_over_iterations(self):
@@ -603,6 +643,7 @@ class TestConfigValidation:
         assert cfg.iterations == 5
         for bad in ({"iteratons": 5}, {"iterations": "5"}, {"iterations": 5.0},
                     {"iterations": True}, {"charge_default_full": 1},
-                    {"n_trees": 2}, {"debug_checks": True}, {"widen_c": 2.0}):
+                    {"n_trees": 2}, {"debug_checks": True}, {"widen_c": 2.0},
+                    {"min_new_coverage": 0.01}):
             with pytest.raises(ValidationError):
                 SearchConfig.from_dict(bad)
