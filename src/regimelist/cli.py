@@ -187,7 +187,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     record.update(extra)
     io.write_json(record, out / "regime.json")
     text = io.format_decision_list(dl, ds.specs, ds.treatment_names)
-    (out / "regime.txt").write_text(text + "\n")
+    (out / "regime.txt").write_text(text + "\n", encoding="utf-8")
     if log is not None:
         io.write_jsonl(log, out / "search_log.jsonl")
     print(text)
@@ -209,7 +209,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = compute_metrics(ds, dl, scores, weights, charge)
     out = _out_dir(args)
     io.write_json(report.to_dict(), out / "metrics.json")
-    (out / "metrics.txt").write_text(report.to_text() + "\n")
+    (out / "metrics.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     print(report.to_text())
     return 0
 

@@ -92,17 +92,10 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def propensity_loglik(weights: np.ndarray, design: np.ndarray,
-                      codes: np.ndarray, l2: float) -> float:
-    """Mean log-likelihood minus (l2/2)·||weights||² for the softmax model."""
-    logp = _log_softmax(design @ weights.T)
-    n = design.shape[0]
-    return float(logp[np.arange(n), codes].mean() - 0.5 * l2 * (weights * weights).sum())
-
-
-def propensity_loglik_grad(weights: np.ndarray, design: np.ndarray,
-                           codes: np.ndarray, l2: float) -> tuple[float, np.ndarray]:
-    """Penalized mean log-likelihood and its analytic gradient."""
+def propensity_loglik(weights: np.ndarray, design: np.ndarray, codes: np.ndarray,
+                      l2: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean log-likelihood minus (l2/2)·||weights||² for the softmax model,
+    with its analytic gradient and the (N, m) softmax probabilities."""
     n = design.shape[0]
     logp = _log_softmax(design @ weights.T)
     value = float(logp[np.arange(n), codes].mean() - 0.5 * l2 * (weights * weights).sum())
@@ -110,19 +103,18 @@ def propensity_loglik_grad(weights: np.ndarray, design: np.ndarray,
     resid = -probs
     resid[np.arange(n), codes] += 1.0
     grad = resid.T @ design / n - l2 * weights
-    return value, grad
+    return value, grad, probs
 
 
-def propensity_loglik_hessian(weights: np.ndarray, design: np.ndarray,
-                              l2: float) -> np.ndarray:
-    """Hessian of the penalized mean log-likelihood, (m·d)×(m·d).
+def propensity_hessian(probs: np.ndarray, design: np.ndarray, l2: float) -> np.ndarray:
+    """Hessian of the penalized mean log-likelihood, (m·d)×(m·d), at the
+    weights whose softmax probabilities are probs.
 
     Rows and columns follow weights.ravel(); block (a, b) is
     -Xᵀ diag(p_a(δ_ab − p_b)) X / n, minus l2 on the diagonal.
     """
     n, d = design.shape
-    m = weights.shape[0]
-    probs = np.exp(_log_softmax(design @ weights.T))
+    m = probs.shape[1]
     hessian = np.empty((m * d, m * d))
     for a in range(m):
         for b in range(a, m):
@@ -199,19 +191,19 @@ def fit_propensity(
     weights = np.zeros((m, design.shape[1]))
     codes = ds.treatments
 
-    value, grad = propensity_loglik_grad(weights, design, codes, l2)
+    value, grad, probs = propensity_loglik(weights, design, codes, l2)
     for it in range(1, max_iters + 1):
         gnorm = float(np.sqrt((grad * grad).sum()))
         if gnorm <= grad_tol:
             return PropensityModel(encoder, ds.treatment_names, weights, clip_epsilon,
                                    n_iterations=it - 1, gradient_norm=gnorm)
-        hessian = propensity_loglik_hessian(weights, design, l2)
+        hessian = propensity_hessian(probs, design, l2)
         direction = np.linalg.lstsq(-hessian, grad.ravel(), rcond=None)[0].reshape(m, -1)
         slope = float((grad * direction).sum())
         alpha = 1.0
         while True:
             candidate = weights + alpha * direction
-            cand_value = propensity_loglik(candidate, design, codes, l2)
+            cand_value, cand_grad, cand_probs = propensity_loglik(candidate, design, codes, l2)
             if cand_value >= value + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
@@ -221,8 +213,7 @@ def fit_propensity(
                     f"(gradient norm {gnorm:.3e})",
                     gradient_norm=gnorm,
                 )
-        weights = candidate
-        value, grad = propensity_loglik_grad(weights, design, codes, l2)
+        weights, value, grad, probs = candidate, cand_value, cand_grad, cand_probs
 
     gnorm = float(np.sqrt((grad * grad).sum()))
     raise ConvergenceError(

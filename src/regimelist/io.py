@@ -105,26 +105,34 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
     Diagnostics name the 1-based file line where the record starts (quoted
     cells may hold newlines) and the column, and quote the cell as written.
     """
-    with open(csv_path, newline="") as fh:
+    with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{csv_path}: empty file")
-        col_of = {name: k for k, name in enumerate(header)}
-        if len(col_of) < len(header):
-            dup = next(name for k, name in enumerate(header) if col_of[name] != k)
-            raise ValidationError(f"{csv_path}: line 1: duplicate column {dup!r}")
-        needed = [s.name for s in schema.specs] + [schema.treatment_column, schema.outcome_column]
-        for name in needed:
-            if name not in col_of:
-                raise ValidationError(f"{csv_path}: line 1: missing column {name!r}")
-        rows, first_lines = [], [reader.line_num + 1]
-        for cells in reader:
-            if len(cells) != len(header):
-                raise ValidationError(f"{csv_path}: line {first_lines[-1]}: "
-                                      f"expected {len(header)} cells, got {len(cells)}")
-            rows.append(cells)
-            first_lines.append(reader.line_num + 1)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{csv_path}: empty file")
+            col_of = {name: k for k, name in enumerate(header)}
+            if len(col_of) < len(header):
+                dup = next(name for k, name in enumerate(header) if col_of[name] != k)
+                raise ValidationError(f"{csv_path}: line 1: duplicate column {dup!r}")
+            needed = [s.name for s in schema.specs] + [schema.treatment_column,
+                                                       schema.outcome_column]
+            for name in needed:
+                if name not in col_of:
+                    raise ValidationError(f"{csv_path}: line 1: missing column {name!r}")
+            rows, first_lines = [], [reader.line_num + 1]
+            for cells in reader:
+                if len(cells) != len(header):
+                    raise ValidationError(f"{csv_path}: line {first_lines[-1]}: "
+                                          f"expected {len(header)} cells, got {len(cells)}")
+                rows.append(cells)
+                first_lines.append(reader.line_num + 1)
+        except UnicodeDecodeError as e:
+            raise ValidationError(
+                f"{csv_path}: not UTF-8 text after line {reader.line_num} ({e.reason})"
+            ) from None
+        except csv.Error as e:
+            raise ValidationError(f"{csv_path}: line {reader.line_num}: {e}") from None
     columns = list(zip(*rows)) if rows else [()] * len(header)
     *cells, treatments, outcomes = (columns[col_of[name]] for name in needed)
     try:
@@ -146,7 +154,7 @@ def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
     ]
     columns.append(map(ds.treatment_names.__getitem__, ds.treatments.tolist()))
     columns.append(map(repr, ds.outcomes.tolist()))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([s.name for s in ds.specs] + ["treatment", "outcome"])
         writer.writerows(zip(*columns))
@@ -220,20 +228,21 @@ def format_decision_list(
 
 
 def write_json(obj, path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def read_json(path: str | Path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as e:
+        # bad syntax, bytes that are not UTF-8, ints too long for int(), deep nesting
+        except (ValueError, RecursionError) as e:
             raise ValidationError(f"{path}: invalid JSON ({e})") from None
 
 
 def write_jsonl(records: Sequence[dict], path: str | Path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec))
             fh.write("\n")

@@ -177,9 +177,9 @@ class SearchProblem:
         state_bound(apply(state, code)), ordered for expansion from the end:
         defaults first, then rules by decreasing one-step gain.  Closing the
         list with any default is always legal; below depth L_max, so is
-        appending (p, t) for every treatment t and every unused pattern p that
-        newly covers at least one subject (a rule covering nothing new only
-        adds cost, so no optimum is lost).
+        appending (p, t) for every treatment t and every pattern p that newly
+        covers at least one subject (a used pattern newly covers nobody, and a
+        rule covering nothing new only adds cost, so no optimum is lost).
 
         The key of (p, t) is its one-step gain: the rule's value on the cnt
         subjects it newly covers, minus what the state's best default would
@@ -232,9 +232,7 @@ class SearchProblem:
                   where=uncov[:, None])
         sums = (self.masks_f @ op).astype(np.float64)
         counts = np.rint(sums[:, 0]).astype(np.int64)
-        legal = counts >= 1
-        legal[[p for p, _ in state.prefix]] = False
-        eligible = np.flatnonzero(legal)
+        eligible = np.flatnonzero(counts >= 1)
         cnt = counts[eligible]
         # gains[k, t]: total value of assigning t to the subjects pattern
         # eligible[k] would newly cover

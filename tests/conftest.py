@@ -22,12 +22,7 @@ from regimelist.domain import (
     Pattern,
     Predicate,
 )
-from regimelist.estimation import (
-    DRScoreMatrix,
-    FeatureEncoder,
-    propensity_loglik,
-    propensity_loglik_grad,
-)
+from regimelist.estimation import DRScoreMatrix, FeatureEncoder
 from regimelist.objective import ObjectiveWeights
 from regimelist.synth import GeneratorSpec
 
@@ -264,13 +259,26 @@ def oracle_fit_propensity(ds: Dataset, l2: float = 1e-4, grad_tol: float = 1e-6,
 
     Backtracking line search (Armijo) with the accepted step carried across
     iterations; stops when the gradient Frobenius norm drops to grad_tol.
+    The objective is the mean log-likelihood minus (l2/2)·||weights||²,
+    written out here rather than taken from the library.
     """
     design = np.column_stack([FeatureEncoder.fit(ds).transform(ds),
                              np.ones(ds.n_subjects)])
-    codes = ds.treatments
+    n = ds.n_subjects
+    onehot = np.eye(ds.n_treatments)[ds.treatments]
+
+    def evaluate(weights):
+        """Objective, its gradient and the softmax probabilities at weights."""
+        logits = design @ weights.T
+        top = logits.max(axis=1, keepdims=True)
+        log_probs = logits - top - np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
+        probs = np.exp(log_probs)
+        value = float((log_probs * onehot).sum()) / n - 0.5 * l2 * float((weights ** 2).sum())
+        return value, (onehot - probs).T @ design / n - l2 * weights, probs
+
     weights = np.zeros((ds.n_treatments, design.shape[1]))
     step = 1.0
-    value, grad = propensity_loglik_grad(weights, design, codes, l2)
+    value, grad, _ = evaluate(weights)
     for _ in range(max_iters):
         g2 = float((grad * grad).sum())
         if math.sqrt(g2) <= grad_tol:
@@ -278,18 +286,16 @@ def oracle_fit_propensity(ds: Dataset, l2: float = 1e-4, grad_tol: float = 1e-6,
         alpha = min(step * 2.0, 1e6)
         while True:
             candidate = weights + alpha * grad
-            if propensity_loglik(candidate, design, codes, l2) >= value + 1e-4 * alpha * g2:
+            if evaluate(candidate)[0] >= value + 1e-4 * alpha * g2:
                 break
             alpha *= 0.5
             assert alpha >= 1e-18, "oracle line search stalled"
         weights = candidate
         step = alpha
-        value, grad = propensity_loglik_grad(weights, design, codes, l2)
+        value, grad, _ = evaluate(weights)
     else:
         raise AssertionError(f"oracle fit did not converge in {max_iters} iterations")
-    logits = design @ weights.T
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return probs / probs.sum(axis=1, keepdims=True)
+    return evaluate(weights)[2]
 
 
 # ---------------------------------------------------------------------------

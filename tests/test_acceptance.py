@@ -26,7 +26,6 @@ from regimelist.estimation import (
     fit_outcome,
     fit_propensity,
     propensity_loglik,
-    propensity_loglik_grad,
 )
 from regimelist.mining import MiningConfig, mine_patterns
 from regimelist.objective import (
@@ -290,15 +289,15 @@ def test_criterion_6_numerical_model_checks(capsys):
         design = np.column_stack([FeatureEncoder.fit(ds).transform(ds),
                                   np.ones(ds.n_subjects)])
         W = rng.normal(0, 0.5, size=(ds.n_treatments, design.shape[1]))
-        _, grad = propensity_loglik_grad(W, design, ds.treatments, 1e-4)
+        _, grad, _ = propensity_loglik(W, design, ds.treatments, 1e-4)
         h = 1e-6
         for r in range(W.shape[0]):
             for c in range(W.shape[1]):
                 Wp, Wm = W.copy(), W.copy()
                 Wp[r, c] += h
                 Wm[r, c] -= h
-                fd = (propensity_loglik(Wp, design, ds.treatments, 1e-4)
-                      - propensity_loglik(Wm, design, ds.treatments, 1e-4)) / (2 * h)
+                fd = (propensity_loglik(Wp, design, ds.treatments, 1e-4)[0]
+                      - propensity_loglik(Wm, design, ds.treatments, 1e-4)[0]) / (2 * h)
                 worst_grad = max(
                     worst_grad,
                     abs(fd - grad[r, c]) / max(abs(grad[r, c]), 1e-3),

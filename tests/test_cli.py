@@ -317,6 +317,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"line 3, column {column!r}: non-finite value {cell!r}" in err
 
+    @pytest.mark.parametrize("flag, content", [
+        ("--config", b"\xff"),
+        ("--config", b"[" * 100_000 + b"]" * 100_000),
+        ("--config", b'{"mining": {"num_bins": ' + b"9" * 5000 + b"}}"),
+        ("--scores", b'{"treatment_names": ["caf\xe9"]}'),
+    ], ids=["config-0xff", "config-deep", "config-5000-digits", "scores-0xe9"])
+    def test_unreadable_json_exits_2(self, learned_run, tmp_path, capsys,
+                                     flag, content):
+        out = learned_run
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        step = {"--config": ["mine"],
+                "--scores": ["learn", "--candidates", f"{out}/candidates.json"]}[flag]
+        code = main([*step, "--schema", f"{out}/schema.json", "--data", f"{out}/data.csv",
+                     flag, str(bad), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: invalid JSON" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cell, want", [
+        ("f\u00e9male", "not UTF-8 text"),
+        ("x" * 131_073, "line 3: field larger than field limit"),
+    ], ids=["latin-1", "long-field"])
+    def test_unreadable_csv_exits_2(self, learned_run, tmp_path, capsys, cell, want):
+        out = learned_run
+        lines = open(f"{out}/data.csv", encoding="utf-8").read().splitlines()
+        k = lines[0].split(",").index("gender")
+        cells = lines[2].split(",")
+        cells[k] = cell
+        lines[2] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        code = main(["fit", "--schema", f"{out}/schema.json", "--data", str(bad),
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: {want}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("step", ["learn", "evaluate"])
     @pytest.mark.parametrize("case", ["no_key", "string", "ragged",
                                       "top_level_list", "nan", "huge_int"])

@@ -1,6 +1,9 @@
 """Schema, CSV, and decision-list serialization round trips and diagnostics."""
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from regimelist.io import (
     write_json,
     write_schema,
 )
+from regimelist.synth import default_generator_spec
 
 from conftest import random_dataset, random_decision_list
 
@@ -230,6 +234,33 @@ class TestDecisionListSerialization:
     def test_pretty_print_empty_list(self):
         dl = DecisionList(rules=(), default_treatment=1)
         assert format_decision_list(dl, SPECS, ("a", "b")) == "always b"
+
+    def test_readme_example_is_a_valid_list(self):
+        # the regime at the top of the README: every "name op value"
+        # condition must name a characteristic of the default generator and
+        # pass validation, and the listing must print back unchanged
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = re.search(r"```\n(if .*?)\n```", readme, re.S).group(1)
+        gspec = default_generator_spec()
+        index = {s.name: f for f, s in enumerate(gspec.specs)}
+        *rule_lines, default_line = block.splitlines()
+        rules = []
+        for j, line in enumerate(rule_lines):
+            m = re.fullmatch(("if" if j == 0 else "else if") + r" (.+) then (\w+)", line)
+            predicates = []
+            for condition in m.group(1).split(" and "):
+                name, op, value = condition.split(" ")
+                if gspec.specs[index[name]].kind == REAL:
+                    value = float(value)
+                predicate = Predicate(index[name], op, value)
+                predicate.validate(gspec.specs)
+                predicates.append(predicate)
+            rules.append((Pattern(tuple(predicates)),
+                          gspec.treatment_names.index(m.group(2))))
+        default = gspec.treatment_names.index(default_line.removeprefix("else "))
+        dl = DecisionList(rules=tuple(rules), default_treatment=default)
+        assert format_decision_list(dl, gspec.specs, gspec.treatment_names) == block
 
 
 class TestJsonHelpers:
