@@ -67,6 +67,8 @@ def _require(path: str, what: str) -> Path:
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"{what} not found: {path}")
+    if not p.is_file():
+        raise ValidationError(f"{what} is not a file: {path}")
     return p
 
 

@@ -100,11 +100,11 @@ class Dataset:
         treatments: Sequence[str],
         outcomes: Sequence,
     ) -> "Dataset":
-        """Build and validate a dataset from one cell sequence per column:
-        each characteristic's (numbers or numeric strings for reals, level
-        names otherwise), the treatment names and the outcomes.  A missing,
-        non-numeric or non-finite number, or an unknown level or treatment,
-        raises CellError for the first bad row of its column."""
+        """Build and validate a dataset from one cell sequence or array per
+        column: each characteristic's (numbers or numeric strings for reals,
+        level names otherwise), the treatment names and the outcomes.  A
+        missing, non-numeric or non-finite number, or an unknown level or
+        treatment, raises CellError for the first bad row of its column."""
         specs = tuple(specs)
         treatment_names = tuple(treatment_names)
         if len(treatment_names) != len(set(treatment_names)):
@@ -137,14 +137,22 @@ def _column(cells: Sequence, col: int, name: str,
             names: tuple[str, ...] | None = None) -> np.ndarray:
     """Finite float64 numbers, or int64 codes into ``names`` when given.
 
-    Converts the whole column at once; only a column that fails is scanned
-    for its first bad cell, which CellError reports as ``col``.
+    Converts the whole column at once, a string ndarray by one ``==`` per
+    name; only a column that fails is scanned for its first bad cell, which
+    CellError reports as ``col``.
     """
     try:
         if names is None:
-            out = np.asarray(cells, dtype=float)
+            out = np.array(cells, dtype=float)  # never a view of the caller's buffer
             if out.shape == (len(cells),) and np.isfinite(out).all():
                 return out
+        elif isinstance(cells, np.ndarray):
+            codes = np.full(len(cells), -1, dtype=np.int64)
+            for k, v in enumerate(names):
+                codes[cells == v] = k
+            if (codes >= 0).all():
+                return codes
+            cells = cells.tolist()
         else:
             code = {v: k for k, v in enumerate(names)}
             return np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))

@@ -11,8 +11,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from io import BytesIO
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .domain import (
     REAL,
@@ -102,9 +106,76 @@ def write_schema(schema: DataSchema, path: str | Path) -> None:
 def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
     """Load a dataset CSV and check it against its schema.
 
-    Diagnostics name the 1-based file line where the record starts (quoted
-    cells may hold newlines) and the column, and quote the cell as written.
+    A plain file (see ``_plain_columns``) is parsed in one typed numpy pass.
+    Any other file, and any file that pass or the cell checks refuse, is
+    read again by ``csv.reader``, which alone writes the diagnostics: they
+    name the 1-based file line where the record starts (quoted cells may
+    hold newlines) and the column, and quote the cell as written.
     """
+    with open(csv_path, "rb") as fh:
+        data = fh.read()
+    try:
+        columns = _plain_columns(data, schema)
+        if columns is not None:
+            return Dataset.from_columns(schema.specs, schema.treatment_names,
+                                        schema.treatment_costs, *columns)
+    except MemoryError:
+        raise
+    except Exception:  # the exact path below says what is wrong, if anything
+        pass
+    del data
+    return _read_exact(csv_path, schema)
+
+
+def _plain_columns(data: bytes, schema: DataSchema):
+    """The cells, treatments and outcomes of a plain CSV file as arrays, or
+    None when the file is not plain.
+
+    Plain means: UTF-8 text with no quote and no control byte but LF, so no
+    CR, no NUL (numpy strings drop trailing NULs) and none of the separators
+    that loadtxt, unlike float(), strips as whitespace; no line longer than
+    csv's field limit; a header holding every needed column once; and one
+    record per line after it, as loadtxt skips blank lines the exact path
+    refuses.  Real columns and the outcome parse as float64, every other
+    column as a string field one character wider than its longest name, so
+    a longer cell matches no name.  loadtxt raises on a ragged row.
+    """
+    u8 = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(u8 == ord("\n"))
+    n_records = ends.size - data.endswith(b"\n")
+    line_lengths = np.diff(ends, prepend=-1, append=len(data)) - 1
+    if n_records < 1 or b'"' in data or np.count_nonzero(u8 < 0x20) > ends.size \
+            or line_lengths.max() > csv.field_size_limit():
+        return None
+    if not data.isascii():
+        data.decode("utf-8")
+    header = data[:ends[0]].decode("utf-8").split(",")
+    col_of = {name: k for k, name in enumerate(header)}
+    needed = _needed_columns(schema)
+    names = {s.name: s.levels for s in schema.specs if s.kind != REAL}
+    names[schema.treatment_column] = schema.treatment_names
+    if len(col_of) < len(header) or not col_of.keys() >= set(needed) \
+            or any("\x00" in name for levels in names.values() for name in levels):
+        return None
+    formats = [f"U{max(map(len, names[h])) + 1}" if h in names
+               else "f8" if h in needed else "U1" for h in header]
+    table = np.loadtxt(BytesIO(data), skiprows=1, encoding="utf-8", ndmin=1,
+                       dtype={"names": [f"c{k}" for k in range(len(header))],
+                              "formats": formats},
+                       delimiter=",", comments=None, quotechar=None)
+    if table.shape != (n_records,):
+        return None
+    *cells, treatments, outcomes = (table[f"c{col_of[name]}"] for name in needed)
+    return cells, treatments, outcomes
+
+
+def _needed_columns(schema: DataSchema) -> list[str]:
+    """The columns a dataset is built from, in ``Dataset.from_columns`` order."""
+    return [s.name for s in schema.specs] + [schema.treatment_column, schema.outcome_column]
+
+
+def _read_exact(csv_path: str | Path, schema: DataSchema) -> Dataset:
+    """``read_dataset`` by ``csv.reader``: any CSV, with exact diagnostics."""
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -115,8 +186,7 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
             if len(col_of) < len(header):
                 dup = next(name for k, name in enumerate(header) if col_of[name] != k)
                 raise ValidationError(f"{csv_path}: line 1: duplicate column {dup!r}")
-            needed = [s.name for s in schema.specs] + [schema.treatment_column,
-                                                       schema.outcome_column]
+            needed = _needed_columns(schema)
             for name in needed:
                 if name not in col_of:
                     raise ValidationError(f"{csv_path}: line 1: missing column {name!r}")
@@ -228,8 +298,42 @@ def format_decision_list(
 
 
 def write_json(obj, path: str | Path) -> None:
+    """Write ``json.dumps(obj, indent=2)`` and a newline, in those bytes."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+        fh.write(_indented(obj) + "\n")
+
+
+def _indented(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, every line after the first indented
+    by ``pad`` more.
+
+    json runs its C encoder only without indent, and its Python encoder is
+    slow on a large score matrix.  So str-keyed dicts and lists are laid out
+    here, and a list of finite floats, or a list of such lists, is written
+    with one ``float.__repr__`` per entry, as json writes them; any other
+    value is left to json.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        body = sep.join([f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in obj.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if type(obj) is not list or not obj:
+        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    if _finite_floats(obj):
+        body = sep.join(map(float.__repr__, obj))
+    elif set(map(type, obj)) == {list} and all(obj) and _finite_floats(chain.from_iterable(obj)):
+        row_sep = sep + "  "
+        body = sep.join([f"[\n{inner}  {row_sep.join(map(float.__repr__, row))}\n{inner}]"
+                         for row in obj])
+    else:
+        body = sep.join([_indented(v, inner) for v in obj])
+    return f"[\n{inner}{body}\n{pad}]"
+
+
+def _finite_floats(values) -> bool:
+    values = list(values)
+    return set(map(type, values)) == {float} and all(map(math.isfinite, values))
 
 
 def read_json(path: str | Path):

@@ -558,18 +558,25 @@ def greedy_baseline(
     Rules are those exhaustive_search enumerates, tried in the same order.
     Each candidate is closed with ``SearchProblem.close``; the loop stops
     when no rule strictly improves the closed list's objective or L_max is hit.
+    A rule whose ``ordered_actions`` bound is no better than the best
+    objective so far cannot win, as the bound dominates every completion of
+    the rule, so it is skipped unbuilt.
     """
     problem = SearchProblem(ds, scores, cands, weights, charge_default_full)
     state = problem.initial_state()
     best_obj = problem.state_bound(problem.close(state))
     while True:
         step_best: tuple[float, SearchState] | None = None
-        codes, _ = problem.ordered_actions(state, L_max)
-        for action in sorted(codes[codes >= 0].tolist()):
+        threshold = best_obj
+        codes, his = problem.ordered_actions(state, L_max)
+        rules = codes >= 0
+        for action, hi in sorted(zip(codes[rules].tolist(), his[rules].tolist())):
+            if hi <= threshold:
+                continue
             child = problem.apply(state, action)
             obj = problem.state_bound(problem.close(child))
-            if obj > best_obj and (step_best is None or obj > step_best[0]):
-                step_best = (obj, child)
+            if obj > threshold:
+                step_best, threshold = (obj, child), obj
         if step_best is None:
             break
         best_obj, state = step_best

@@ -24,6 +24,7 @@ from regimelist.domain import (
 )
 from regimelist.estimation import DRScoreMatrix, FeatureEncoder
 from regimelist.objective import ObjectiveWeights
+from regimelist.search import SearchProblem
 from regimelist.synth import GeneratorSpec
 
 
@@ -375,3 +376,28 @@ def oracle_true_objective(gspec: GeneratorSpec, dl: DecisionList,
         assess += prob * (prefix_costs[g] if g < len(dl.rules) else default_cost)
         treat += prob * gspec.treatment_costs[chosen]
     return lambda1 * value - lambda2 * assess - lambda3 * treat
+
+
+# ---------------------------------------------------------------------------
+# greedy search without pruning (every rule child built and scored)
+
+
+def oracle_greedy(ds: Dataset, scores: DRScoreMatrix, cands, weights: ObjectiveWeights,
+                  L_max: int) -> tuple[DecisionList, float]:
+    """The greedy loop that scores every legal rule child exactly: per step,
+    the first rule in action-code order whose closed list has the largest
+    objective, kept only when it beats the list so far."""
+    problem = SearchProblem(ds, scores, cands, weights)
+    state = problem.initial_state()
+    best_obj = problem.state_bound(problem.close(state))
+    while True:
+        step_best = None
+        codes, _ = problem.ordered_actions(state, L_max)
+        for action in sorted(codes[codes >= 0].tolist()):
+            child = problem.apply(state, action)
+            obj = problem.state_bound(problem.close(child))
+            if obj > best_obj and (step_best is None or obj > step_best[0]):
+                step_best = (obj, child)
+        if step_best is None:
+            return problem.decision_list(problem.close(state)), best_obj
+        best_obj, state = step_best

@@ -244,6 +244,31 @@ class TestExitCodes:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, what", [
+        ("--schema", "schema file"), ("--data", "dataset file"),
+        ("--candidates", "candidates file"), ("--scores", "scores file"),
+        ("--config", "config file"),
+    ])
+    def test_directory_as_input_file_exits_2(self, learned_run, tmp_path, capsys,
+                                             flag, what):
+        out = learned_run
+        args = {"--schema": f"{out}/schema.json", "--data": f"{out}/data.csv",
+                "--candidates": f"{out}/candidates.json",
+                "--scores": f"{out}/scores.json"}
+        args[flag] = str(tmp_path)
+        code = main(["learn", *(x for kv in args.items() for x in kv),
+                     "--iterations", "5", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"error: {what} is not a file: {tmp_path}" in capsys.readouterr().err
+
+    def test_directory_as_regime_file_exits_2(self, learned_run, tmp_path, capsys):
+        out = learned_run
+        code = main(["evaluate", "--schema", f"{out}/schema.json",
+                     "--data", f"{out}/data.csv", "--regime", str(tmp_path),
+                     "--scores", f"{out}/scores.json", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert f"error: regime file is not a file: {tmp_path}" in capsys.readouterr().err
+
     def test_unsolvable_mining_exits_3(self, tmp_path, capsys):
         out = str(tmp_path)
         assert main(["generate", "--n", "50", "--seed", "1",

@@ -1,6 +1,7 @@
 """Schema, CSV, and decision-list serialization round trips and diagnostics."""
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from regimelist.domain import (
     CATEGORICAL,
     REAL,
     CharacteristicSpec,
+    Dataset,
     DecisionList,
     Pattern,
     Predicate,
 )
+from regimelist import io
 from regimelist.errors import ValidationError
 from regimelist.io import (
     DataSchema,
@@ -186,6 +189,213 @@ class TestDatasetCSV:
             read_dataset(path, SCHEMA)
 
 
+# an unused column too, read by both paths only for its cell count
+PLAIN = ("age,smoker,treatment,outcome,note\n"
+         "34.0,yes,a,10.0,x\n"
+         "50.5,no,b,-2.5,y\n")
+
+
+def fast_path(path: Path, schema: DataSchema) -> Dataset | None:
+    """What read_dataset's typed numpy pass alone makes of a file: its
+    dataset, or None where it declines or raises."""
+    try:
+        columns = io._plain_columns(path.read_bytes(), schema)
+        if columns is None:
+            return None
+        return Dataset.from_columns(schema.specs, schema.treatment_names,
+                                    schema.treatment_costs, *columns)
+    except Exception:
+        return None
+
+
+def exact_path(path: Path, schema: DataSchema) -> Dataset | str:
+    """The csv.reader path's dataset, or its error message."""
+    try:
+        return io._read_exact(path, schema)
+    except ValidationError as e:
+        return str(e)
+
+
+def assert_same_dataset(a: Dataset, b: Dataset) -> None:
+    for x, y in zip((*a.columns, a.treatments, a.outcomes),
+                    (*b.columns, b.treatments, b.outcomes)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def assert_paths_agree(path: Path, schema: DataSchema) -> bool:
+    """The fast path yields the exact path's dataset bitwise or declines,
+    and read_dataset gives the exact path's dataset or message; returns
+    whether the fast path took the file."""
+    exact, fast = exact_path(path, schema), fast_path(path, schema)
+    if isinstance(exact, str):
+        assert fast is None, f"fast path accepts a file the exact path refuses: {exact}"
+        with pytest.raises(ValidationError) as exc:
+            read_dataset(path, schema)
+        assert str(exc.value) == exact
+    else:
+        if fast is not None:
+            assert_same_dataset(fast, exact)
+        assert_same_dataset(read_dataset(path, schema), exact)
+    return fast is not None
+
+
+def edit_cell(text: str, row: int, column: str, cell: str) -> str:
+    lines = text.split("\n")
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = cell
+    lines[row] = ",".join(cells)
+    return "\n".join(lines)
+
+
+class TestFastPathAgreesWithExactPath:
+    """read_dataset parses a plain file with one np.loadtxt call and falls
+    back to csv.reader for everything else; the two must never differ."""
+
+    @pytest.mark.parametrize("column, cell, taken", [
+        ("age", " 34.0 ", True),
+        ("age", "\u30001.5\xa0", True),
+        ("age", "1e-400", True),
+        ("age", "-0.0", True),
+        ("age", "nan", False),
+        ("outcome", "inf", False),
+        ("age", "1e400", False),
+        ("age", "1_000", False),
+        ("age", "0x1p3", False),
+        ("age", "\u0661\u0662", False),
+        ("age", "", False),
+        ("outcome", "   ", False),
+        ("age", "\t34.0", False),
+        ("age", "\x1c34.0", False),
+        ("age", "34.0#1", False),
+        ("age", '"34.0"', False),
+        ("age", '"34.0\n"', False),
+        ("smoker", " yes", False),
+        ("smoker", "yes ", False),
+        ("smoker", "yes#", False),
+        ("smoker", "maybe", False),
+        ("smoker", "yesyes", False),
+        ("smoker", "yes\x00", False),
+        ("treatment", "b\x00", False),
+        ("treatment", "c", False),
+        ("note", "#x", True),
+        ("note", "n\u00f8te \U0001f600", True),
+        ("note", "a long unused cell", True),
+        ("note", '"quoted, note"', False),
+    ])
+    def test_cell(self, tmp_path, column, cell, taken):
+        path = tmp_path / "data.csv"
+        path.write_bytes(edit_cell(PLAIN, 2, column, cell).encode("utf-8"))
+        assert assert_paths_agree(path, SCHEMA) == taken
+
+    @pytest.mark.parametrize("name, text, taken", [
+        ("plain", PLAIN, True),
+        ("no final newline", PLAIN[:-1], True),
+        ("one record", PLAIN.split("\n", 2)[0] + "\n" + PLAIN.split("\n")[1], True),
+        ("CRLF", PLAIN.replace("\n", "\r\n"), False),
+        ("blank line", PLAIN.replace("x\n", "x\n\n"), False),
+        ("blank last line", PLAIN + "\n", False),
+        ("whitespace-only line", PLAIN + "   \n", False),
+        ("ragged long row", PLAIN.replace(",x\n", ",x,z\n"), False),
+        ("ragged short row", PLAIN.replace(",x\n", "\n"), False),
+        ("header only", PLAIN.split("\n")[0] + "\n", False),
+        ("empty file", "", False),
+        ("BOM", "\ufeff" + PLAIN, False),
+        ("duplicate column", PLAIN.replace(",note", ",age"), False),
+        ("missing column", PLAIN.replace("treatment", "arm"), False),
+        # loadtxt's default comments='#' would cut these rows short
+        ("# in the last number", "age,smoker,treatment,outcome\n34.0,yes,a,10.0#1\n", False),
+        ("# in the last level", "age,treatment,outcome,smoker\n34.0,a,1.0,yes#no\n", False),
+        ("quoted comma for a missing cell",
+         "age,smoker,treatment,outcome,note,more\n34.0,yes,a,10.0,\"x,\"\n", False),
+    ])
+    def test_layout(self, tmp_path, name, text, taken):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert assert_paths_agree(path, SCHEMA) == taken
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(edit_cell(PLAIN, 1, "note", "caf\xe9").encode("latin-1"))
+        assert not assert_paths_agree(path, SCHEMA)
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            read_dataset(path, SCHEMA)
+
+    def test_non_ascii_levels_and_treatments(self, tmp_path):
+        schema = DataSchema(
+            specs=(SPECS[0], CharacteristicSpec("smoker", BINARY, 1.0, ("nej", "j\u00e4"))),
+            treatment_names=("\u00e5", "b\U0001f600"),
+            treatment_costs=(5.0, 7.0),
+        )
+        path = tmp_path / "data.csv"
+        path.write_text("age,smoker,treatment,outcome\n34.0,j\u00e4,b\U0001f600,1.0\n"
+                        "35.0,nej,\u00e5,2.0\n", encoding="utf-8")
+        assert assert_paths_agree(path, schema)
+        assert read_dataset(path, schema).treatments.tolist() == [1, 0]
+
+    def test_name_ending_in_nul(self, tmp_path):
+        # numpy strings drop trailing NULs, so "b" would equal "b\x00"
+        schema = DataSchema(specs=SPECS, treatment_names=("a", "b\x00"),
+                            treatment_costs=(5.0, 7.0))
+        path = tmp_path / "data.csv"
+        path.write_text(PLAIN)
+        assert not assert_paths_agree(path, schema)
+
+    def test_numeric_cell_beyond_the_field_limit(self, tmp_path):
+        # csv.reader refuses a field over 131,072 characters; loadtxt would
+        # read this one as 1.0, so the fast path must decline the file
+        path = tmp_path / "data.csv"
+        path.write_text(edit_cell(PLAIN, 1, "age", "1." + "0" * 131_071))
+        exact = exact_path(path, SCHEMA)
+        assert isinstance(exact, str) and "field larger than field limit" in exact
+        assert not assert_paths_agree(path, SCHEMA)
+
+    def test_random_datasets_take_the_fast_path_bitwise(self, tmp_path):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "data.csv"
+        for _ in range(10):
+            ds = random_dataset(rng, n_subjects=int(rng.integers(1, 60)))
+            # full-precision doubles across the exponent range, subnormals too
+            reals = [rng.normal(size=ds.n_subjects) * 10.0 ** rng.integers(-320, 300,
+                                                                           ds.n_subjects)
+                     for _ in ds.columns]
+            ds = Dataset(ds.specs, ds.treatment_names, ds.treatment_costs,
+                         tuple(r if s.kind == REAL else c
+                               for s, c, r in zip(ds.specs, ds.columns, reals)),
+                         ds.treatments, reals[0])
+            schema = DataSchema(ds.specs, ds.treatment_names,
+                                tuple(ds.treatment_costs.tolist()))
+            write_dataset_csv(ds, path)
+            assert assert_paths_agree(path, schema)
+            assert_same_dataset(read_dataset(path, schema), ds)
+
+    def test_random_cell_edits(self, tmp_path):
+        # one cell at a time replaced by a short string of characters each
+        # path treats in its own way; the fast path may decline, never differ
+        alphabet = list("0123456789.eE+-_ #,abfinosy\"") + [
+            "\n", "\r", "\t", "\x00", "\x0b", "\x1c", "\x85", "\xa0", "\u3000",
+            "\u0661", "\u00e9", "yes", "no", "nan", "inf"]
+        rng = np.random.default_rng(12)
+        path = tmp_path / "data.csv"
+        header = PLAIN.split("\n")[0].split(",")
+        taken = 0
+        for _ in range(300):
+            cell = "".join(rng.choice(alphabet, size=int(rng.integers(0, 5))))
+            column = header[int(rng.integers(len(header)))]
+            path.write_bytes(edit_cell(PLAIN, int(rng.integers(1, 3)), column,
+                                       cell).encode("utf-8"))
+            taken += assert_paths_agree(path, SCHEMA)
+        assert taken > 0
+
+    def test_dataset_holds_no_view_of_the_parse(self, tmp_path):
+        # a view of a parsed column would keep the whole parse alive
+        path = tmp_path / "data.csv"
+        path.write_text(PLAIN)
+        ds = read_dataset(path, SCHEMA)
+        for col in (*ds.columns, ds.treatments, ds.outcomes):
+            assert col.base is None and col.flags.c_contiguous
+
+
 class TestDecisionListSerialization:
     def test_round_trip_random_lists(self):
         rng = np.random.default_rng(3)
@@ -269,6 +479,29 @@ class TestJsonHelpers:
         write_json({"a": 1}, path)
         assert path.read_text().endswith("\n")
         assert read_json(path) == {"a": 1}
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_score_matrix_bytes_match_json_dumps(self, tmp_path, m):
+        rng = np.random.default_rng(m)
+        special = [-0.0, 1e-05, 5e-324, 1e16, 1.7976931348623157e308, -1.5, 0.0]
+        scores = rng.normal(size=(40, m)) * 10.0 ** rng.integers(-8, 9, size=(40, m))
+        scores.flat[:len(special)] = special[:scores.size]
+        obj = {"treatment_names": ["\u00e5rm", "b\U0001f600", "c\"\\"][:m],
+               "scores": scores.tolist()}
+        path = tmp_path / "scores.json"
+        write_json(obj, path)
+        assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("obj", [
+        {"a": [1.0, float("nan")], "b": [[float("inf"), 1.0]], "c": [[1.0], []]},
+        {"n": None, "t": True, "i": [1, 2.0], "e": [], "d": {}, "s": "\u00fc"},
+        {"tuple": (1.0, 2.0), "np": [np.float64(0.1)], "deep": [{"x": [[0.5]]}]},
+        {1: 2.0, "k": 3}, [], {}, [[]], 1.5, float("-inf"), "text", None,
+    ])
+    def test_any_value_bytes_match_json_dumps(self, tmp_path, obj):
+        path = tmp_path / "x.json"
+        write_json(obj, path)
+        assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
     def test_invalid_json_diagnostic(self, tmp_path):
         path = tmp_path / "x.json"

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from regimelist.domain import DecisionList, feature_set_cost
+from regimelist.domain import DecisionList, feature_set_cost, pattern_mask
 from regimelist.errors import SizeLimitError, ValidationError
 from regimelist.estimation import DRScoreMatrix
 from regimelist.mining import CandidateSet, MiningConfig, mine_patterns
@@ -24,6 +24,7 @@ from regimelist.search import (
 
 from conftest import (
     dataset_row,
+    oracle_greedy,
     oracle_pattern_holds,
     random_dataset,
     random_scores,
@@ -623,6 +624,29 @@ class TestGreedy:
         a = greedy_baseline(ds, scores, cands, ObjectiveWeights(), L_max=3)
         b = greedy_baseline(ds, scores, cands, ObjectiveWeights(), L_max=3)
         assert a.decision_list == b.decision_list
+
+    def test_bound_skipping_keeps_the_unpruned_result(self):
+        # skipping children whose bound cannot beat the running best must
+        # leave the list and its objective exactly those of scoring them all;
+        # arms tie but for a bonus on two patterns' subjects, so the bounds
+        # are tight enough to skip children
+        rng = np.random.default_rng(107)
+        skipped = 0
+        for trial in range(16):
+            ds, cands = small_instance(rng, n_patterns=8, m=2 + trial % 2)
+            s = np.repeat(rng.normal(0, 10, size=(ds.n_subjects, 1)), ds.n_treatments, axis=1)
+            for p in rng.choice(len(cands.patterns), size=2, replace=False):
+                s[pattern_mask(ds, cands.patterns[p]), rng.integers(ds.n_treatments)] \
+                    += rng.uniform(1, 3)
+            scores = DRScoreMatrix(s, ds.treatment_names)
+            w = ObjectiveWeights(1.0, float(rng.uniform(0, 0.05)), 0.0)
+            problem = SearchProblem(ds, scores, cands, w)
+            codes, his = problem.ordered_actions(problem.initial_state(), 3)
+            best = problem.state_bound(problem.close(problem.initial_state()))
+            skipped += int(np.count_nonzero(his[codes >= 0] <= best))
+            res = greedy_baseline(ds, scores, cands, w, L_max=3)
+            assert (res.decision_list, res.objective) == oracle_greedy(ds, scores, cands, w, 3)
+        assert skipped > 0
 
 
 class TestConfigValidation:
