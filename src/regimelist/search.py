@@ -4,15 +4,15 @@ The construction of a list is a sequential decision process: each action
 appends one (pattern, treatment) rule to the prefix, or closes the list by
 choosing a default treatment.  Because matching is first-match, a subject's
 score and treatment cost are final the moment a rule covers it, so a prefix
-carries exact incurred sums plus an optimistic bound on whatever the
-uncovered remainder can still contribute.  Three solvers share this state
-machinery: UCT (the main engine), exhaustive enumeration (small-instance
-oracle), and a greedy baseline.  ``SearchProblem.ordered_actions`` is their
-one legality rule and ``SearchProblem.state_bound`` their one scoring function;
-``SearchProblem.close``, which closes a prefix with its best default, is how UCT
-and greedy complete a list.
-``ordered_actions`` bounds every child of a node in one batched pass, so a
-child is built with ``apply`` only if that bound lets it beat the incumbent.
+carries exact incurred sums, and its uncovered remainder can add at most an
+optimistic value per subject.  Three solvers share this state machinery: UCT
+(the main engine), exhaustive enumeration (small-instance oracle), and a
+greedy baseline.  ``SearchProblem.ordered_actions`` is their one legality
+rule and their one bound on an open prefix: it bounds every child of a node
+in one batched pass, so a child is built with ``apply`` only if that bound
+lets it beat the incumbent.  ``SearchProblem.state_bound`` scores a closed
+list exactly, and ``SearchProblem.close``, which closes a prefix with its
+best default, is how UCT and greedy complete a list.
 """
 
 from __future__ import annotations
@@ -146,8 +146,11 @@ class SearchProblem:
             (4 + g32) * vo_max
             + 3 * weights.lambda2 * feature_set_cost(ds.specs, range(len(ds.specs)))
         ) + 2.0 ** -1000
-        # float32 operand of the batched product, refilled by ordered_actions
-        self._operand = np.empty((self.n, self.m + 2), dtype=np.float32)
+        # float32 columns of ordered_actions' product; a score beyond
+        # float32's range becomes inf there, as the bounds expect
+        with np.errstate(over="ignore"):
+            self._table = np.column_stack(
+                [np.ones(self.n), self.optimistic, self.value_mat]).astype(np.float32)
 
     def initial_state(self) -> SearchState:
         return SearchState(
@@ -165,30 +168,37 @@ class SearchProblem:
                 self.ds.specs, [f for f in range(len(self.ds.specs)) if features >> f & 1])
         return self._costs[features]
 
-    # a score beyond float32's range overflows the float32 operand and the
-    # products over it; the bounds already turn that into an infinite hi, so
-    # numpy's overflow and invalid-value warnings carry no news here
+    # an inf in the float32 table, or a sum beyond float32's range, overflows
+    # the products over it; the bounds already turn that into an infinite hi,
+    # so numpy's overflow and invalid-value warnings carry no news here
     @np.errstate(over="ignore", invalid="ignore")
     def ordered_actions(self, state: SearchState,
                         L_max: int) -> tuple[np.ndarray, np.ndarray]:
         """The legal actions of a non-terminal state, and a bound per child.
 
-        Returns int32 action codes and, for each, a float64 ``hi`` >=
-        state_bound(apply(state, code)), ordered for expansion from the end:
-        defaults first, then rules by decreasing one-step gain.  Closing the
-        list with any default is always legal; below depth L_max, so is
-        appending (p, t) for every treatment t and every pattern p that newly
-        covers at least one subject (a used pattern newly covers nobody, and a
-        rule covering nothing new only adds cost, so no optimum is lost).
+        Returns int32 action codes and, for each, a float64 ``hi`` at least
+        the objective of every list completing apply(state, code), ordered
+        for expansion from the end: defaults first, then rules by decreasing
+        one-step gain.  Closing the list with any default is always legal;
+        below depth L_max, so is appending (p, t) for every treatment t and
+        every pattern p that newly covers at least one subject (a used pattern
+        newly covers nobody, and a rule covering nothing new only adds cost,
+        so no optimum is lost).
 
         The key of (p, t) is its one-step gain: the rule's value on the cnt
         subjects it newly covers, minus what the state's best default would
         give them, minus lambda2 times the feature cost of the extended prefix
         times cnt.  Ordering never changes which actions exist.
 
+        ``hi`` rounds up an exact bound: a closing child's objective, or a
+        rule child's settled sums plus, per subject it leaves uncovered, the
+        best score minus the cheapest treatment (``optimistic``) minus the
+        child's default assessment charge.  No completion gives that subject
+        more, or bills it less, as later groups bill a superset of features.
+
         The bounds are batched: one float32 product of the pattern masks with
-        the columns (uncovered, optimistic, each arm's value), zeroed on
-        covered subjects, gives each pattern's new-coverage count cnt and its
+        the columns (1, optimistic, each arm's value), zeroed on covered
+        subjects, gives each pattern's new-coverage count cnt and its
         optimistic and per-arm value sums; one float64 product gives the
         defaults' sums.  They are sound.  With gamma(k, u) = k*u / (1 - k*u)
         and V = max|value_mat| + max|optimistic|: k roundings of unit u move a
@@ -206,8 +216,7 @@ class SearchProblem:
         * cnt + 2 * gamma(n + 16, 2^-53) * T + 2^-1000, with room for its own
         rounding, before the monotone division by n, so it is at least the
         exact bound; a float32 sum that overflows makes ``hi`` infinite.  A
-        loose slack only costs exact evaluations of the children it lets
-        through.
+        loose slack only costs building the children it lets through.
         """
         if state.terminal:
             raise ValidationError("terminal state has no actions")
@@ -224,12 +233,7 @@ class SearchProblem:
         if state.depth >= L_max:
             return default_codes, default_his
 
-        op = self._operand
-        op[:, 0] = uncov
-        op[:, 1:] = 0.0
-        np.copyto(op[:, 1], self.optimistic, casting="same_kind", where=uncov)
-        np.copyto(op[:, 2:], self.value_mat, casting="same_kind",
-                  where=uncov[:, None])
+        op = np.where(uncov[:, None], self._table, np.float32(0))
         sums = (self.masks_f @ op).astype(np.float64)
         counts = np.rint(sums[:, 0]).astype(np.int64)
         eligible = np.flatnonzero(counts >= 1)
@@ -285,21 +289,15 @@ class SearchProblem:
         return self.apply(state, d - self.m)
 
     def state_bound(self, state: SearchState) -> float:
-        """The exact objective of a closed list; for an open prefix, an upper
-        bound on the objective of every completion.
-
-        Covered subjects are settled.  An uncovered subject contributes its
-        default's value once the list is closed, and at most its best score
-        minus the cheapest treatment while it is open; either way it pays the
-        already-committed default assessment charge when that policy is on.
-        """
-        tail = (self.value_mat[:, state.default_treatment] if state.terminal
-                else self.optimistic)
+        """The exact objective of a closed list.  An open prefix has none; its
+        children are bounded by ``ordered_actions``."""
+        if not state.terminal:
+            raise ValidationError("only a terminal state has an exact objective")
         uncovered = ~state.covered
         n_unc = int(uncovered.sum())
         total = (state.incurred_value
                  - self.weights.lambda2 * state.incurred_assess
-                 + float(tail[uncovered].sum())
+                 + float(self.value_mat[uncovered, state.default_treatment].sum())
                  - self.weights.lambda2 * self.default_assessment(state) * n_unc)
         return total / self.n
 
@@ -352,17 +350,17 @@ def uct_search(
     running min/max of terminal rewards), expands one untried action, closes
     the new prefix with its best default (``SearchProblem.close``), and backs
     that list's exact objective up the path.  The search draws no random
-    numbers, so ``config.seed`` does not change the result.  A child
-    is pruned unbuilt when its batched bound ``hi`` from ``ordered_actions``
-    cannot beat the incumbent, else built and pruned when its exact bound
-    cannot; ``hi`` is never below the exact bound, so this prunes exactly
-    the children that testing every exact bound would.  A subtree whose
-    actions are all expanded or pruned is marked fully explored, and the
-    search stops early once the root is (every completion has then been
-    either evaluated or soundly excluded).
+    numbers, so ``config.seed`` does not change the result.  A child is
+    pruned unbuilt when its batched bound ``hi`` from ``ordered_actions``
+    cannot beat the incumbent.  A built rule child keeps ``hi`` as its bound;
+    a closing child is scored exactly by ``state_bound``, and pruned if that
+    cannot beat the incumbent.  A subtree whose actions are all expanded or
+    pruned is marked fully explored, and the search stops early once the
+    root is (every completion has then been evaluated or soundly excluded).
     """
     problem = SearchProblem(ds, scores, cands, weights, config.charge_default_full)
-    root = SearchNode(problem.initial_state(), problem.state_bound(problem.initial_state()))
+    # the root is nobody's child, so its bound is never compared
+    root = SearchNode(problem.initial_state(), math.inf)
     tree_size = 1
     n_pruned = 0
     best_obj = -math.inf
@@ -372,19 +370,18 @@ def uct_search(
     rmax = -math.inf
     log: list[dict] = []
 
-    def record_terminal(state: SearchState, obj: float) -> None:
+    def record_terminal(state: SearchState, obj: float) -> float:
         nonlocal best_obj, best_state, rmin, rmax
         if obj > best_obj:
             best_obj = obj
             best_state = state
         rmin = min(rmin, obj)
         rmax = max(rmax, obj)
+        return obj
 
     def rollout(state: SearchState) -> float:
         state = problem.close(state)
-        obj = problem.state_bound(state)
-        record_terminal(state, obj)
-        return obj
+        return record_terminal(state, problem.state_bound(state))
 
     def normalized(mean: float) -> float:
         if rmax > rmin:
@@ -414,22 +411,20 @@ def uct_search(
                 # from the end: defaults first, then the best-ordered rules
                 while node.cursor:
                     node.cursor -= 1
-                    if node.his[node.cursor] <= best_obj:
+                    bound = float(node.his[node.cursor])
+                    if bound > best_obj:
+                        child_state = problem.apply(node.state, int(node.codes[node.cursor]))
+                        if child_state.terminal:
+                            bound = problem.state_bound(child_state)
+                    if bound <= best_obj:
                         n_pruned += 1
                         continue
-                    child_state = problem.apply(node.state, int(node.codes[node.cursor]))
-                    child_bound = problem.state_bound(child_state)
-                    if child_bound <= best_obj:
-                        n_pruned += 1
-                        continue
-                    child = SearchNode(child_state, child_bound)
+                    child = SearchNode(child_state, bound)
                     tree_size += 1
                     node.children.append(child)
                     if child_state.terminal:
-                        # a closed list's bound is its exact objective
-                        reward = child_bound
-                        record_terminal(child_state, reward)
                         child.fully_explored = True
+                        reward = record_terminal(child_state, bound)
                     else:
                         reward = rollout(child_state)
                     path.append(child)
@@ -504,8 +499,9 @@ def exhaustive_search(
     Each prefix tries the defaults, then rules in ascending (pattern,
     treatment) order, and only a strict improvement replaces the incumbent,
     so ties resolve to the first list in that order.  Instances beyond the
-    EXHAUSTIVE_* limits are refused.  With use_bound, subtrees whose
-    optimistic bound cannot beat the incumbent are skipped and counted.
+    EXHAUSTIVE_* limits are refused.  Every closed list is scored exactly by
+    ``state_bound``.  With use_bound, a rule whose ``ordered_actions`` bound
+    ``hi`` cannot beat the incumbent is skipped unbuilt and counted.
     """
     if len(cands.patterns) > EXHAUSTIVE_MAX_PATTERNS:
         raise SizeLimitError(
@@ -522,19 +518,19 @@ def exhaustive_search(
 
     def visit(state: SearchState) -> None:
         nonlocal best_obj, best_state, n_evaluated, n_pruned
-        codes, _ = problem.ordered_actions(state, L_max)
-        for action in sorted(codes.tolist()):
-            child = problem.apply(state, action)
-            bound = problem.state_bound(child)
-            if child.terminal:
+        codes, his = problem.ordered_actions(state, L_max)
+        for action, hi in sorted(zip(codes.tolist(), his.tolist())):
+            if action < 0:
+                child = problem.apply(state, action)
                 n_evaluated += 1
-                if bound > best_obj:
-                    best_obj = bound
+                obj = problem.state_bound(child)
+                if obj > best_obj:
+                    best_obj = obj
                     best_state = child
-            elif use_bound and bound <= best_obj:
+            elif use_bound and hi <= best_obj:
                 n_pruned += 1
             else:
-                visit(child)
+                visit(problem.apply(state, action))
 
     visit(problem.initial_state())
     return ExhaustiveResult(

@@ -230,6 +230,81 @@ def oracle_objective(
     return weights.lambda1 * g1 - weights.lambda2 * g2 - weights.lambda3 * g3
 
 
+def oracle_open_bound(problem: SearchProblem, state, scores: DRScoreMatrix) -> float:
+    """Upper bound on the objective of every list completing an open prefix.
+
+    A subject a rule of the prefix covers is settled: its arm's score and
+    treatment cost, and the characteristics of the rules up to that one.  An
+    uncovered subject gets its best score minus the cheapest treatment, and
+    pays the prefix's characteristics when charge_default_full is on.
+    """
+    ds, w = problem.ds, problem.weights
+    rules = [(problem.patterns[p], t) for p, t in state.prefix]
+    every = {pred.feature for pattern, _ in rules for pred in pattern.predicates}
+    total = 0.0
+    for i in range(ds.n_subjects):
+        x = dataset_row(ds, i)
+        billed: set[int] = set()
+        for pattern, t in rules:
+            billed |= {pred.feature for pred in pattern.predicates}
+            if oracle_pattern_holds(pattern, x, ds.specs):
+                total += (w.lambda1 * scores.scores[i][t]
+                          - w.lambda3 * float(ds.treatment_costs[t])
+                          - w.lambda2 * sum(ds.specs[f].cost for f in billed))
+                break
+        else:
+            charge = (sum(ds.specs[f].cost for f in every)
+                      if problem.charge_default_full and rules else 0.0)
+            total += (w.lambda1 * max(scores.scores[i])
+                      - w.lambda3 * float(min(ds.treatment_costs))
+                      - w.lambda2 * charge)
+    return total / ds.n_subjects
+
+
+def oracle_cover_matrix(problem: SearchProblem) -> np.ndarray:
+    """Subject by pattern: whether each pattern holds, row by row."""
+    ds = problem.ds
+    rows = [dataset_row(ds, i) for i in range(ds.n_subjects)]
+    return np.array([[oracle_pattern_holds(pattern, x, ds.specs)
+                      for pattern in problem.patterns] for x in rows], dtype=bool)
+
+
+def oracle_open_bounds(problem: SearchProblem, state, scores: DRScoreMatrix,
+                       covers: np.ndarray, children) -> np.ndarray:
+    """oracle_open_bound of the prefix plus each rule (p, t) in children, in
+    float64 array sums over the cover matrix instead of row by row."""
+    ds, w = problem.ds, problem.weights
+    values = np.asarray(scores.scores, dtype=np.float64)
+    costs = np.asarray(ds.treatment_costs, dtype=np.float64)
+
+    def features(p: int) -> set[int]:
+        return {pred.feature for pred in problem.patterns[p].predicates}
+
+    def charge(billed: set[int]) -> float:
+        return sum(ds.specs[f].cost for f in billed)
+
+    uncovered = np.ones(ds.n_subjects, dtype=bool)
+    settled, billed = 0.0, set()
+    for p, t in state.prefix:
+        billed |= features(p)
+        newly = uncovered & covers[:, p]
+        settled += np.sum(w.lambda1 * values[newly, t] - w.lambda3 * costs[t]
+                          - w.lambda2 * charge(billed))
+        uncovered &= ~covers[:, p]
+    optimistic = w.lambda1 * values.max(axis=1) - w.lambda3 * costs.min()
+    bounds = []
+    for p, t in children:
+        child_billed = billed | features(p)
+        newly = uncovered & covers[:, p]
+        rest = uncovered & ~covers[:, p]
+        default_charge = charge(child_billed) if problem.charge_default_full else 0.0
+        bounds.append(settled
+                      + np.sum(w.lambda1 * values[newly, t] - w.lambda3 * costs[t]
+                               - w.lambda2 * charge(child_billed))
+                      + np.sum(optimistic[rest] - w.lambda2 * default_charge))
+    return np.array(bounds) / ds.n_subjects
+
+
 def oracle_quantile_thresholds(values, num_bins: int) -> list[float]:
     """Sort-and-interpolate quantile cuts, strictly inside (min, max), deduped."""
     xs = sorted(float(v) for v in values)

@@ -25,6 +25,9 @@ from regimelist.search import (
 from conftest import (
     dataset_row,
     oracle_greedy,
+    oracle_cover_matrix,
+    oracle_open_bound,
+    oracle_open_bounds,
     oracle_pattern_holds,
     random_dataset,
     random_scores,
@@ -82,6 +85,13 @@ def check_state_consistency(problem, state):
     assert state.features == sum(1 << f for f in features)
     assert state.incurred_assess == assess
     assert state.incurred_value == value
+
+
+def exact_bound(problem, state, scores):
+    """A closed list's objective; an open prefix's bound on its completions."""
+    if state.terminal:
+        return problem.state_bound(state)
+    return oracle_open_bound(problem, state, scores)
 
 
 def enumerate_completions(problem, state, L_max, scores):
@@ -227,8 +237,8 @@ class TestLegalActions:
 
 class TestStateBound:
     def test_bound_dominates_every_completion(self):
-        # the exact bound of a state, and the batched bound hi of each of
-        # its children, against every completion and the child's exact bound
+        # the exact bound of an open state, and the batched bound hi of each
+        # of its children, against every completion and the child's exact bound
         rng = np.random.default_rng(61)
         for trial in range(10):
             ds, cands = small_instance(rng, n_patterns=3, n_subjects=40)
@@ -237,6 +247,7 @@ class TestStateBound:
             for full in (False, True):
                 problem = SearchProblem(ds, scores, cands, w,
                                         charge_default_full=full)
+                covers = oracle_cover_matrix(problem)
 
                 def best_completion(state):
                     if state.terminal:
@@ -249,13 +260,21 @@ class TestStateBound:
                 for _ in range(3):
                     # tiny slack: the bound and the objective accumulate
                     # floating point sums in different orders
-                    assert problem.state_bound(state) >= best_completion(state) - 1e-9
+                    assert (oracle_open_bound(problem, state, scores)
+                            >= best_completion(state) - 1e-9)
                     codes, his = problem.ordered_actions(state, 3)
                     for code, hi in zip(codes.tolist(), his.tolist()):
                         child = problem.apply(state, code)
-                        assert hi >= problem.state_bound(child)
+                        assert hi >= exact_bound(problem, child, scores)
                         assert hi >= best_completion(child) - 1e-9
                     rules = [c for c in codes.tolist() if c >= 0]
+                    # the array reference the float32 test relies on agrees
+                    # with the row-by-row one
+                    np.testing.assert_allclose(
+                        oracle_open_bounds(problem, state, scores, covers,
+                                           [divmod(c, problem.m) for c in rules]),
+                        [oracle_open_bound(problem, problem.apply(state, c), scores)
+                         for c in rules], rtol=0, atol=1e-9)
                     if not rules:
                         break
                     state = problem.apply(state, rules[int(rng.integers(len(rules)))])
@@ -263,7 +282,9 @@ class TestStateBound:
     def test_batched_bound_covers_float32_rounding(self):
         # scores near 1e6 over thousands of subjects: the float32 sums behind
         # hi are off by far more than float64 rounding, and the slack must
-        # still keep hi at or above every child's exact bound
+        # still keep hi at or above every child's exact bound; the open
+        # children's come from the cover-matrix reference, as the row-by-row
+        # one takes milliseconds a child
         rng = np.random.default_rng(62)
         ds = random_dataset(rng, n_subjects=3000, n_features=5, m=3)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
@@ -271,14 +292,21 @@ class TestStateBound:
             scores=rng.normal(1e6, 3e5, size=(ds.n_subjects, ds.n_treatments)),
             treatment_names=ds.treatment_names)
         w = random_weights(rng)
+        covers = None
         for full in (False, True):
             problem = SearchProblem(ds, scores, cands, w, charge_default_full=full)
+            if covers is None:
+                covers = oracle_cover_matrix(problem)
             state = problem.initial_state()
             for _ in range(3):
                 codes, his = problem.ordered_actions(state, 3)
-                for code, hi in zip(codes.tolist(), his.tolist()):
-                    assert hi >= problem.state_bound(problem.apply(state, code))
                 rules = [c for c in codes.tolist() if c >= 0]
+                for code, hi in zip(codes.tolist(), his.tolist()):
+                    if code < 0:
+                        assert hi >= problem.state_bound(problem.apply(state, code))
+                bounds = oracle_open_bounds(problem, state, scores, covers,
+                                            [divmod(c, problem.m) for c in rules])
+                assert np.all(his[codes >= 0] >= bounds)
                 if not rules:
                     break
                 state = problem.apply(state, rules[int(rng.integers(len(rules)))])
@@ -290,14 +318,14 @@ class TestStateBound:
         ds, cands = small_instance(rng)
         scores = random_scores(rng, ds)
         scores.scores[0, 0] = -1e39
-        problem = SearchProblem(ds, scores, cands, random_weights(rng))
-        state = problem.initial_state()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            problem = SearchProblem(ds, scores, cands, random_weights(rng))
+            state = problem.initial_state()
             codes, his = problem.ordered_actions(state, 3)
         assert np.isinf(his).any()
         for code, hi in zip(codes.tolist(), his.tolist()):
-            assert hi >= problem.state_bound(problem.apply(state, code))
+            assert hi >= exact_bound(problem, problem.apply(state, code), scores)
 
     def test_terminal_bound_is_exact_objective(self):
         rng = np.random.default_rng(63)
@@ -349,11 +377,27 @@ class TestStateBound:
         scores = random_scores(rng, ds)
         w = ObjectiveWeights(lambda1=1.0, lambda2=0.0, lambda3=1.0)
         problem = SearchProblem(ds, scores, cands, w)
-        bound = problem.state_bound(problem.initial_state())
+        state = problem.initial_state()
         only = objective_value(
             ds, DecisionList(rules=(), default_treatment=0), scores, w
         )
-        assert bound == pytest.approx(only, abs=1e-9)
+        assert oracle_open_bound(problem, state, scores) == pytest.approx(only, abs=1e-9)
+        # with one arm and no assessment cost every list is worth the same,
+        # so each batched bound exceeds that value by its slack alone
+        _, his = problem.ordered_actions(state, 3)
+        assert np.all(his >= only)
+        assert np.all(his <= only + 1e-3)
+
+    def test_open_state_has_no_exact_objective(self):
+        rng = np.random.default_rng(66)
+        ds, cands = small_instance(rng)
+        problem = SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng))
+        state = problem.initial_state()
+        for p in range(2):
+            with pytest.raises(ValidationError, match="terminal"):
+                problem.state_bound(state)
+            state = problem.apply(state, p * problem.m)
+        assert np.isfinite(problem.state_bound(problem.close(state)))
 
 
 class TestSizeLimit:
@@ -487,25 +531,51 @@ class TestUCT:
         assert checked
 
     def test_batched_bounds_skip_building_pruned_children(self, monkeypatch):
-        # a child whose batched bound cannot beat the incumbent is never
-        # scored exactly: state_bound runs for the root, each kept child, each
-        # rollout's end and only the few children the slack lets through
+        # an open prefix is bounded by hi alone: state_bound scores each
+        # rollout's closed list and each closing child whose hi passes, and
+        # no rule child, kept or pruned
         rng = np.random.default_rng(0)
         ds = random_dataset(rng, n_subjects=1000, n_features=6, m=3)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
         scores = random_scores(rng, ds)
-        state_bound = SearchProblem.state_bound
-        calls = []
+        counts = {"state_bound": 0, "closing": 0, "close": 0}
+        originals = {name: getattr(SearchProblem, name)
+                     for name in ("state_bound", "apply", "close")}
 
-        def counted(problem, state):
-            calls.append(None)
-            return state_bound(problem, state)
+        def state_bound(problem, state):
+            counts["state_bound"] += 1
+            return originals["state_bound"](problem, state)
 
-        monkeypatch.setattr(SearchProblem, "state_bound", counted)
+        def apply(problem, state, action):
+            counts["closing"] += action < 0
+            return originals["apply"](problem, state, action)
+
+        def close(problem, state):
+            counts["close"] += 1
+            return originals["close"](problem, state)
+
+        for name, fn in (("state_bound", state_bound), ("apply", apply), ("close", close)):
+            monkeypatch.setattr(SearchProblem, name, fn)
         res = uct_search(ds, scores, cands, ObjectiveWeights(),
                          SearchConfig(iterations=1000, L_max=3, seed=1))
         assert res.n_pruned >= 1000
-        assert len(calls) < res.tree_size + res.iterations_run + res.n_pruned // 10
+        # close applies a default too, so closing children tried are the rest
+        closing_tried = counts["closing"] - counts["close"]
+        assert counts["state_bound"] <= res.iterations_run + closing_tried
+
+    def test_every_iteration_but_the_last_builds_one_node(self):
+        # an iteration backs up the reward of the one child it builds; a
+        # pruned child must leave no reward behind, or the iteration would
+        # back one up without growing the tree
+        rng = np.random.default_rng(85)
+        for trial in range(8):
+            ds, cands = small_instance(rng, n_patterns=4, m=2 + trial % 2)
+            scores, w = random_scores(rng, ds), random_weights(rng)
+            for L_max in (1, 2):
+                res = uct_search(ds, scores, cands, w,
+                                 SearchConfig(iterations=3000, L_max=L_max))
+                steps = np.diff([1] + [rec["tree_size"] for rec in res.log])
+                assert np.all(steps[:-1] == 1) and steps[-1] in (0, 1)
 
     def test_log_schema(self):
         rng = np.random.default_rng(83)
@@ -540,6 +610,40 @@ class TestExhaustive:
             on = exhaustive_search(ds, scores, cands, w, L_max=2, use_bound=True)
             assert abs(on.objective - off.objective) <= 1e-12
             assert on.decision_list == off.decision_list
+            pruned_somewhere += int(on.n_pruned > 0)
+        assert pruned_somewhere >= 3
+
+    def test_bound_prunes_rule_children_unbuilt(self, monkeypatch):
+        # with use_bound, a rule child whose hi cannot beat the incumbent is
+        # never built: every rule child apply builds is then expanded, with
+        # one ordered_actions call, and the list is the unpruned one
+        rng = np.random.default_rng(94)
+        counts = {"rules": 0, "expanded": 0}
+        apply = SearchProblem.apply
+        ordered_actions = SearchProblem.ordered_actions
+
+        def counted_apply(problem, state, action):
+            counts["rules"] += action >= 0
+            return apply(problem, state, action)
+
+        def counted_ordered_actions(problem, state, L_max):
+            counts["expanded"] += 1
+            return ordered_actions(problem, state, L_max)
+
+        pruned_somewhere = 0
+        for _ in range(6):
+            ds, cands = small_instance(rng, n_patterns=5)
+            scores = random_scores(rng, ds)
+            w = random_weights(rng)
+            off = exhaustive_search(ds, scores, cands, w, L_max=3, use_bound=False)
+            with monkeypatch.context() as mp:
+                mp.setattr(SearchProblem, "apply", counted_apply)
+                mp.setattr(SearchProblem, "ordered_actions", counted_ordered_actions)
+                counts.update(rules=0, expanded=0)
+                on = exhaustive_search(ds, scores, cands, w, L_max=3, use_bound=True)
+            # the root is expanded without being built
+            assert counts["rules"] == counts["expanded"] - 1
+            assert (on.decision_list, on.objective) == (off.decision_list, off.objective)
             pruned_somewhere += int(on.n_pruned > 0)
         assert pruned_somewhere >= 3
 
