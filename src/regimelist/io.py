@@ -11,7 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from io import BytesIO
+from io import BytesIO, StringIO
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -217,17 +217,30 @@ def _read_exact(csv_path: str | Path, schema: DataSchema) -> Dataset:
 
 
 def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
-    """Write a dataset CSV; reals use repr() so output is byte-reproducible."""
-    columns = [
-        map(repr, col.tolist()) if s.kind == REAL else map(s.levels.__getitem__, col.tolist())
-        for s, col in zip(ds.specs, ds.columns)
-    ]
-    columns.append(map(ds.treatment_names.__getitem__, ds.treatments.tolist()))
+    """Write a dataset CSV; reals use repr() so output is byte-reproducible.
+
+    The bytes are csv.writer's, but each level and treatment name is quoted
+    once, inside a row of two fields (alone, an empty field is written as
+    ``""``), and the rows are joined directly."""
+    def coded(names: Sequence[str], codes: np.ndarray) -> list[str]:
+        quoted = np.empty(len(names), dtype=object)
+        for i, name in enumerate(names):
+            buf = StringIO()
+            csv.writer(buf, lineterminator="\n").writerow((name, ""))
+            quoted[i] = buf.getvalue()[:-2]
+        return quoted[codes].tolist()
+
+    columns = [map(repr, col.tolist()) if s.kind == REAL else coded(s.levels, col)
+               for s, col in zip(ds.specs, ds.columns)]
+    columns.append(coded(ds.treatment_names, ds.treatments))
     columns.append(map(repr, ds.outcomes.tolist()))
+    body = "\n".join(map(",".join, zip(*columns)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([s.name for s in ds.specs] + ["treatment", "outcome"])
-        writer.writerows(zip(*columns))
+        csv.writer(fh, lineterminator="\n").writerow(
+            [s.name for s in ds.specs] + ["treatment", "outcome"])
+        if body:
+            fh.write(body)
+            fh.write("\n")
 
 
 def pattern_to_list(pattern: Pattern, specs: Sequence[CharacteristicSpec]) -> list[dict]:

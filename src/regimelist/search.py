@@ -9,10 +9,12 @@ optimistic value per subject.  Three solvers share this state machinery: UCT
 (the main engine), exhaustive enumeration (small-instance oracle), and a
 greedy baseline.  ``SearchProblem.ordered_actions`` is their one legality
 rule and their one bound on an open prefix: it bounds every child of a node
-in one batched pass, so a child is built with ``apply`` only if that bound
-lets it beat the incumbent.  ``SearchProblem.state_bound`` scores a closed
-list exactly, and ``SearchProblem.close``, which closes a prefix with its
-best default, is how UCT and greedy complete a list.
+by blocked float32 products over coverage bits packed per subject, a child
+subtracting from its parent's sums only the subjects it newly covers, so a
+child is built with ``apply`` only if that bound lets it beat the incumbent.
+``SearchProblem.state_bound`` scores a closed list exactly, and
+``SearchProblem.close``, which closes a prefix with its best default, is how
+UCT and greedy complete a list.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ Action = int
 # with default d, so ascending codes run in (pattern, treatment) order with the
 # defaults first.  A prefix stores its rules as (p, t) pairs.
 
-# coverage counts round a float32 product, which counts exactly only while
-# every count fits float32's 24-bit significand
-MAX_EXACT_SUBJECTS = 2 ** 24
+# subjects per float32 product of _sums: up to 512 ones add exactly in float32
+BLOCK = 512
 EXHAUSTIVE_MAX_PATTERNS = 10
 EXHAUSTIVE_MAX_DEPTH = 3
 # progressive widening: a node may hold at most ceil(c * visits^alpha)
@@ -94,6 +95,9 @@ class SearchState:
     incurred_value: float
     terminal: bool = False
     default_treatment: int = -1
+    # the state this one was built from; ordered_actions' sums, kept for children
+    parent: SearchState | None = field(default=None, compare=False, repr=False)
+    sums: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def depth(self) -> int:
@@ -112,21 +116,21 @@ class SearchProblem:
         charge_default_full: bool = False,
     ):
         check_scores(ds, scores, weights)
-        if ds.n_subjects > MAX_EXACT_SUBJECTS:
-            raise SizeLimitError(
-                f"{ds.n_subjects} subjects exceeds the exact-coverage limit "
-                f"of {MAX_EXACT_SUBJECTS}")
         self.ds = ds
         self.weights = weights
         self.charge_default_full = charge_default_full
         self.patterns = cands.patterns
         self.n = ds.n_subjects
         self.m = ds.n_treatments
-        # pattern coverage as 0/1 in float32, the operand of the products in
-        # ordered_actions; row p as a bool mask is ``masks_f[p] != 0``
-        self.masks_f = np.empty((len(self.patterns), self.n), dtype=np.float32)
-        for p, pat in enumerate(self.patterns):
-            self.masks_f[p] = pattern_mask(ds, pat)
+        # coverage packed per subject, pattern p in bit 7 - p % 8 of byte p // 8
+        n_patterns = len(self.patterns)
+        self.bits = np.empty((self.n, -(-n_patterns // 8)), dtype=np.uint8)
+        self.coverage = np.empty(n_patterns, dtype=np.int64)
+        for j in range(0, n_patterns, 8):
+            group = np.array([pattern_mask(ds, pat) for pat in self.patterns[j:j + 8]])
+            self.coverage[j:j + 8] = np.count_nonzero(group, axis=1)
+            shifts = np.arange(7, 7 - len(group), -1, dtype=np.uint8)[:, None]
+            self.bits[:, j // 8] = np.bitwise_or.reduce(group.view(np.uint8) << shifts, axis=0)
         # per-subject, per-arm contribution once a rule assigns that arm
         self.value_mat = (weights.lambda1 * scores.scores
                           - weights.lambda3 * ds.treatment_costs[None, :])
@@ -138,28 +142,23 @@ class SearchProblem:
                                       for pat in self.patterns)
         self._costs: dict[int, float] = {}
         # rounding slack of ordered_actions' bounds, before the division by
-        # n: per newly covered subject, and per bound (see ordered_actions)
+        # n: per float32 term of a pattern's sums, and per bound
         vo_max = float(np.abs(self.value_mat).max() + np.abs(self.optimistic).max())
-        g32 = _gamma(self.n + 1, 2.0 ** -24)
-        self._slack_per_subject = g32 * vo_max + 2.0 ** -149
-        self._slack = 2 * _gamma(self.n + 16, 2.0 ** -53) * self.n * (
-            (4 + g32) * vo_max
+        g32 = _gamma(min(self.n, BLOCK) + 1, 2.0 ** -24)
+        self._slack_per_term = g32 * vo_max + 2.0 ** -149
+        self._slack = 2 * _gamma(3 * self.n + 16, 2.0 ** -53) * self.n * (
+            (4 + 2 * g32) * vo_max
             + 3 * weights.lambda2 * feature_set_cost(ds.specs, range(len(ds.specs)))
         ) + 2.0 ** -1000
-        # float32 columns of ordered_actions' product; a score beyond
-        # float32's range becomes inf there, as the bounds expect
+        # the float32 columns (1, optimistic, each arm's value) that _sums
+        # adds up; a score beyond float32's range becomes inf, as hi expects
         with np.errstate(over="ignore"):
             self._table = np.column_stack(
                 [np.ones(self.n), self.optimistic, self.value_mat]).astype(np.float32)
 
     def initial_state(self) -> SearchState:
-        return SearchState(
-            prefix=(),
-            covered=np.zeros(self.n, dtype=bool),
-            features=0,
-            incurred_assess=0.0,
-            incurred_value=0.0,
-        )
+        return SearchState(prefix=(), covered=np.zeros(self.n, dtype=bool), features=0,
+                           incurred_assess=0.0, incurred_value=0.0)
 
     def feature_cost(self, features: int) -> float:
         """feature_set_cost of a feature bitmask, memoized per mask."""
@@ -168,9 +167,8 @@ class SearchProblem:
                 self.ds.specs, [f for f in range(len(self.ds.specs)) if features >> f & 1])
         return self._costs[features]
 
-    # an inf in the float32 table, or a sum beyond float32's range, overflows
-    # the products over it; the bounds already turn that into an infinite hi,
-    # so numpy's overflow and invalid-value warnings carry no news here
+    # an inf in the float32 table, or a float32 sum beyond its range, makes an
+    # infinite hi, so numpy's overflow and invalid-value warnings carry no news
     @np.errstate(over="ignore", invalid="ignore")
     def ordered_actions(self, state: SearchState,
                         L_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,16 +177,13 @@ class SearchProblem:
         Returns int32 action codes and, for each, a float64 ``hi`` at least
         the objective of every list completing apply(state, code), ordered
         for expansion from the end: defaults first, then rules by decreasing
-        one-step gain.  Closing the list with any default is always legal;
-        below depth L_max, so is appending (p, t) for every treatment t and
-        every pattern p that newly covers at least one subject (a used pattern
-        newly covers nobody, and a rule covering nothing new only adds cost,
-        so no optimum is lost).
-
-        The key of (p, t) is its one-step gain: the rule's value on the cnt
-        subjects it newly covers, minus what the state's best default would
-        give them, minus lambda2 times the feature cost of the extended prefix
-        times cnt.  Ordering never changes which actions exist.
+        one-step gain.  Any default is legal; below depth L_max, so is (p, t)
+        for every treatment t and every pattern p that newly covers someone
+        (a used pattern covers nobody new, and a rule covering nobody new only
+        adds cost, so no optimum is lost).  The key of (p, t) is the rule's
+        value on the cnt subjects it newly covers, minus what the state's best
+        default would give them, minus lambda2 * cnt * the feature cost of the
+        extended prefix; it orders the actions and never selects them.
 
         ``hi`` rounds up an exact bound: a closing child's objective, or a
         rule child's settled sums plus, per subject it leaves uncovered, the
@@ -196,27 +191,34 @@ class SearchProblem:
         child's default assessment charge.  No completion gives that subject
         more, or bills it less, as later groups bill a superset of features.
 
-        The bounds are batched: one float32 product of the pattern masks with
-        the columns (1, optimistic, each arm's value), zeroed on covered
-        subjects, gives each pattern's new-coverage count cnt and its
-        optimistic and per-arm value sums; one float64 product gives the
-        defaults' sums.  They are sound.  With gamma(k, u) = k*u / (1 - k*u)
-        and V = max|value_mat| + max|optimistic|: k roundings of unit u move a
-        term by a factor within 1 +- gamma(k, u), in any summation order
-        (Higham, Accuracy and Stability of Numerical Algorithms, Sec. 3.1).  A
-        float32 sum has n terms, exact 0/1 products of float32-rounded
-        entries, only cnt of them nonzero, so a pattern's two sums are off by
-        at most g * cnt * V, g = gamma(n, 2^-24), finite and cnt exact as
-        n < 2^24.  The float64 parts of the estimate and of the exact bound
-        each add at most n + 6 terms of at most three roundings, of total
-        magnitude at most T = n * ((4 + g) * V + 3 * lambda2 * C), C the cost
-        of all characteristics, so each is off by at most gamma(n + 9, 2^-53)
-        * T.  Underflow adds at most 2^-150 per float32 entry and 2^-1075 per
-        float64 product.  ``hi`` adds gamma(n + 1, 2^-24) * cnt * V + 2^-149
-        * cnt + 2 * gamma(n + 16, 2^-53) * T + 2^-1000, with room for its own
-        rounding, before the monotone division by n, so it is at least the
-        exact bound; a float32 sum that overflows makes ``hi`` infinite.  A
-        loose slack only costs building the children it lets through.
+        The bounds are batched: per pattern, float64 sums of the float32
+        columns (1, optimistic, each arm's value) over the subjects it would
+        newly cover give its count cnt and its optimistic and per-arm value
+        sums (``_sums``); one float64 product gives the defaults' sums.  They
+        are sound.  With gamma(k, u) = k*u / (1 - k*u), k roundings of unit u
+        move a term by a factor within 1 +- gamma(k, u) in any summation
+        order (Higham, Accuracy and Stability of Numerical Algorithms, Sec.
+        3.1).  A block sums in float32 at most min(n, 512) exact 0/1 products
+        of entries rounded to float32, each thus off by a factor within 1 +-
+        g, g = gamma(min(n, 512) + 1, 2^-24), plus 2^-150 if subnormal; its
+        count is exact, as are float64 sums of counts, so cnt is exact for
+        any n.  Along the states a state's sums come from, a subject covered
+        by p enters the first product, and one subtraction if a rule newly
+        covers it: p's two sums in the estimate hold at most 2 * count_p -
+        cnt float32 terms (count_p: p's coverage), off by at most (g * V +
+        2^-149) * (2 * count_p - cnt), V = max|value_mat| + max|optimistic|.
+        In float64 a block result passes at most 3n roundings (2n blocks, n
+        subtractions, each after a rule covering someone new), any other term
+        at most 2n, plus 8 in the final expression; the terms total at most T
+        = n * ((3 + 2g) * V + 3 * lambda2 * C), C the cost of all
+        characteristics.  So the estimate, and any float64 evaluation of the
+        exact bound, is off by at most gamma(3n + 8, 2^-53) * T, plus 2^-1075
+        per underflowing product.  ``hi`` adds (g * V + 2^-149) * (2 *
+        count_p - cnt) + 2 * gamma(3n + 16, 2^-53) * n * ((4 + 2g) * V + 3 *
+        lambda2 * C) + 2^-1000, whose excess covers its own rounding, before
+        the monotone division by n.  An overflowed float32 sum, or a nan from
+        subtracting one, makes ``hi`` infinite.  A loose slack only costs
+        building the children it lets through.
         """
         if state.terminal:
             raise ValidationError("terminal state has no actions")
@@ -233,14 +235,15 @@ class SearchProblem:
         if state.depth >= L_max:
             return default_codes, default_his
 
-        op = np.where(uncov[:, None], self._table, np.float32(0))
-        sums = (self.masks_f @ op).astype(np.float64)
-        counts = np.rint(sums[:, 0]).astype(np.int64)
+        sums = self._sums(state)
+        if state.depth + 1 < L_max:  # its children may append rules
+            state.sums = sums
+        counts = sums[0].astype(np.int64)
         eligible = np.flatnonzero(counts >= 1)
         cnt = counts[eligible]
         # gains[k, t]: total value of assigning t to the subjects pattern
         # eligible[k] would newly cover
-        gains = sums[eligible, 2:]
+        gains = sums[2:, eligible].T
         new_cost = np.array([self.feature_cost(state.features | self.pattern_features[p])
                              for p in eligible.tolist()], dtype=np.float64)
         best_default = int(np.argmax(default_sums))
@@ -250,22 +253,36 @@ class SearchProblem:
         order = np.argsort(keys, axis=None, kind="stable")
 
         child_default = new_cost if self.charge_default_full else 0.0
-        per_pattern = (float(uncov64 @ self.optimistic) - sums[eligible, 1] - charge
+        per_pattern = (float(uncov64 @ self.optimistic) - sums[1, eligible] - charge
                        - lam2 * child_default * (n_unc - cnt))
         estimate = settled + gains + per_pattern[:, None]
-        slack = self._slack_per_subject * cnt + self._slack
+        slack = self._slack_per_term * (2 * self.coverage[eligible] - cnt) + self._slack
         rule_his = (estimate + slack[:, None]) / self.n
-        rule_his[~np.isfinite(rule_his)] = np.inf  # an overflowed float32 sum
+        rule_his[~np.isfinite(rule_his)] = np.inf  # float32 overflow, or inf - inf
         rule_codes = eligible[:, None] * self.m + np.arange(self.m)
         return (np.concatenate([rule_codes.ravel()[order].astype(np.int32),
                                 default_codes]),
                 np.concatenate([rule_his.ravel()[order], default_his]))
 
+    def _sums(self, state: SearchState) -> np.ndarray:
+        """Per pattern (column), float64 totals of the float32 table's columns
+        (rows) over the uncovered subjects it covers, in blocks of BLOCK: the
+        parent's kept sums minus those over the newly covered, if it has any."""
+        parent = state.parent
+        incremental = parent is not None and parent.sums is not None
+        rows = np.flatnonzero(state.covered & ~parent.covered if incremental else ~state.covered)
+        sums = np.zeros((self._table.shape[1], len(self.patterns)))
+        for i in range(0, len(rows), BLOCK):
+            block = rows[i:i + BLOCK]
+            covers = np.unpackbits(self.bits[block], axis=1, count=len(self.patterns))
+            sums += self._table[block].T @ covers.astype(np.float32)
+        return parent.sums - sums if incremental else sums
+
     def apply(self, state: SearchState, action: Action) -> SearchState:
         if action < 0:
             return replace(state, terminal=True, default_treatment=action + self.m)
         p, t = divmod(action, self.m)
-        mask = self.masks_f[p] != 0
+        mask = (self.bits[:, p // 8] & (0x80 >> p % 8)) != 0
         newly = mask & ~state.covered
         features = state.features | self.pattern_features[p]
         return SearchState(
@@ -275,6 +292,7 @@ class SearchProblem:
             incurred_assess=(state.incurred_assess
                              + self.feature_cost(features) * int(newly.sum())),
             incurred_value=state.incurred_value + float(self.value_mat[newly, t].sum()),
+            parent=state,
         )
 
     def default_assessment(self, state: SearchState) -> float:

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import regimelist
-from regimelist import search
 from regimelist.cli import main
 from regimelist.io import read_json
 
@@ -214,18 +213,6 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err and key in err and "Traceback" not in err
-
-    def test_subject_count_beyond_exact_coverage_exits_3(
-            self, learned_run, tmp_path, capsys, monkeypatch):
-        out = learned_run
-        monkeypatch.setattr(search, "MAX_EXACT_SUBJECTS", 100)
-        code = main(["learn", "--schema", f"{out}/schema.json",
-                     "--data", f"{out}/data.csv",
-                     "--candidates", f"{out}/candidates.json",
-                     "--scores", f"{out}/scores.json",
-                     "--out-dir", str(tmp_path)])
-        assert code == 3
-        assert "exact-coverage limit of 100" in capsys.readouterr().err
 
     def test_validation_problem_exits_2(self, tmp_path, capsys):
         out = str(tmp_path)

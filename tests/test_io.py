@@ -1,8 +1,10 @@
 """Schema, CSV, and decision-list serialization round trips and diagnostics."""
 from __future__ import annotations
 
+import csv
 import json
 import re
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,28 @@ class TestDatasetCSV:
         write_dataset_csv(ds, p1)
         write_dataset_csv(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_write_matches_csv_writer_rows(self, tmp_path):
+        # every name csv.writer must quote, or writes bare, and reals whose
+        # repr is signed, exponent-form, subnormal or the largest double,
+        # against the row-by-row csv.writer output
+        names = ("a,b", 'say "x"', "cr\rhere", "lf\nhere", " lead", "", "plain")
+        reals = np.array([-0.0, 1e-05, 5e-324, 1e16, 1.7976931348623157e308, 0.5, -2.25])
+        specs = (CharacteristicSpec("x,1", REAL, 1.0),
+                 CharacteristicSpec("level", CATEGORICAL, 1.0, names),
+                 CharacteristicSpec(" y", BINARY, 1.0, ("", "no")))
+        codes = np.arange(len(names))
+        ds = Dataset(specs, names, np.ones(len(names)),
+                     (reals, codes, codes % 2), codes[::-1].copy(), reals[::-1].copy())
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        buf = StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([s.name for s in specs] + ["treatment", "outcome"])
+        for i in range(len(names)):
+            writer.writerow([repr(float(reals[i])), names[codes[i]], ("", "no")[codes[i] % 2],
+                             names[codes[::-1][i]], repr(float(reals[::-1][i]))])
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
     def test_field_count_diagnostic_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

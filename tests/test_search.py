@@ -13,7 +13,6 @@ from regimelist.errors import SizeLimitError, ValidationError
 from regimelist.estimation import DRScoreMatrix
 from regimelist.mining import CandidateSet, MiningConfig, mine_patterns
 from regimelist.objective import ObjectiveWeights, objective_value
-from regimelist import search
 from regimelist.search import (
     SearchConfig,
     SearchProblem,
@@ -68,14 +67,17 @@ def actions(problem, state, L_max):
     return [decode(problem, c) for c in codes.tolist()]
 
 
-def check_state_consistency(problem, state):
-    """Recompute covered set and incurred sums from the prefix; must match exactly."""
+def check_state_consistency(problem, state, covers=None):
+    """Recompute covered set and incurred sums from the prefix; must match
+    exactly.  covers is the problem's oracle_cover_matrix, if already built."""
+    if covers is None:
+        covers = oracle_cover_matrix(problem)
     covered = np.zeros(problem.n, dtype=bool)
     features: frozenset[int] = frozenset()
     assess = 0.0
     value = 0.0
     for p, t in state.prefix:
-        mask = problem.masks_f[p] != 0
+        mask = covers[:, p]
         newly = mask & ~covered
         covered |= mask
         features = features | problem.patterns[p].features
@@ -144,7 +146,7 @@ class TestLegalActions:
         acts = actions(problem, state, L_max=4)
         # pattern 0 is used; a pattern with no new coverage may not reappear
         assert all(p != 0 for p, _ in acts if p >= 0)
-        counts = ((problem.masks_f != 0) & ~state.covered).sum(axis=1)
+        counts = (oracle_cover_matrix(problem) & ~state.covered[:, None]).sum(axis=0)
         for p, _ in acts:
             if p >= 0:
                 assert counts[p] >= 1
@@ -317,15 +319,67 @@ class TestStateBound:
         rng = np.random.default_rng(64)
         ds, cands = small_instance(rng)
         scores = random_scores(rng, ds)
-        scores.scores[0, 0] = -1e39
+        covers = oracle_cover_matrix(SearchProblem(ds, scores, cands))
+        # subject i is covered by patterns p and q, and q covers someone p
+        # does not, so q stays legal after p
+        n_patterns = len(cands.patterns)
+        i, p, q = next((i, p, q) for i, p, q in itertools.product(
+            range(ds.n_subjects), range(n_patterns), range(n_patterns))
+            if p != q and covers[i, p] and covers[i, q]
+            and (covers[:, q] & ~covers[:, p]).any())
+        scores.scores[i, 0] = -1e39
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             problem = SearchProblem(ds, scores, cands, random_weights(rng))
             state = problem.initial_state()
             codes, his = problem.ordered_actions(state, 3)
-        assert np.isinf(his).any()
+            assert np.isinf(his).any()
+            for code, hi in zip(codes.tolist(), his.tolist()):
+                assert hi >= exact_bound(problem, problem.apply(state, code), scores)
+            # one level down, rule (p, 0) has covered subject i, so the
+            # child's arm-0 sum for q is the root's minus its own (inf - inf
+            # is nan), and (q, 0) must still get an infinite bound
+            child = problem.apply(state, p * problem.m)
+            codes, his = problem.ordered_actions(child, 3)
+        assert his[codes.tolist().index(q * problem.m)] == np.inf
         for code, hi in zip(codes.tolist(), his.tolist()):
-            assert hi >= exact_bound(problem, problem.apply(state, code), scores)
+            assert hi >= exact_bound(problem, problem.apply(child, code), scores)
+
+    def test_expanded_parent_and_apply_alone_agree(self):
+        # a child of an expanded parent takes the parent's sums minus those of
+        # the subjects it newly covers; the same child built by apply alone
+        # sums its uncovered subjects afresh; both must give the same actions,
+        # exact counts and sound bounds (1,300 subjects: a ragged last block)
+        rng = np.random.default_rng(70)
+        ds = random_dataset(rng, n_subjects=1300, n_features=5, m=3)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        covers = None
+        for walk in range(4):
+            scores = random_scores(rng, ds)
+            problem = SearchProblem(ds, scores, cands, random_weights(rng),
+                                    charge_default_full=walk % 2 == 1)
+            if covers is None:
+                covers = oracle_cover_matrix(problem)
+            state = problem.initial_state()
+            for _ in range(3):
+                alone = problem.initial_state()
+                for p, t in state.prefix:
+                    alone = problem.apply(alone, p * problem.m + t)
+                want = (covers & ~state.covered[:, None]).sum(axis=0)
+                results = []
+                for built in (state, alone):
+                    codes, his = problem.ordered_actions(built, 4)
+                    assert np.array_equal(built.sums[0], want)
+                    rules = codes >= 0
+                    bounds = oracle_open_bounds(problem, built, scores, covers,
+                                                [divmod(c, problem.m) for c in codes[rules]])
+                    assert np.all(his[rules] >= bounds)
+                    results.append(sorted(codes.tolist()))
+                assert results[0] == results[1]
+                rules = [c for c in results[0] if c >= 0]
+                if not rules:
+                    break
+                state = problem.apply(state, rules[int(rng.integers(len(rules)))])
 
     def test_terminal_bound_is_exact_objective(self):
         rng = np.random.default_rng(63)
@@ -400,16 +454,16 @@ class TestStateBound:
         assert np.isfinite(problem.state_bound(problem.close(state)))
 
 
-class TestSizeLimit:
-    def test_subject_count_beyond_exact_coverage_refused(self, monkeypatch):
-        rng = np.random.default_rng(109)
-        ds, cands = small_instance(rng)
-        scores = random_scores(rng, ds)
-        monkeypatch.setattr(search, "MAX_EXACT_SUBJECTS", ds.n_subjects)
-        SearchProblem(ds, scores, cands)
-        monkeypatch.setattr(search, "MAX_EXACT_SUBJECTS", ds.n_subjects - 1)
-        with pytest.raises(SizeLimitError, match=str(ds.n_subjects - 1)):
-            SearchProblem(ds, scores, cands)
+class TestCoverage:
+    def test_no_array_per_subject_and_pattern(self):
+        # coverage is held as packed bits, so the problem's arrays together
+        # take less than one byte per (subject, pattern) pair
+        rng = np.random.default_rng(71)
+        ds = random_dataset(rng, n_subjects=2000, n_features=6, m=2)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        problem = SearchProblem(ds, random_scores(rng, ds), cands)
+        held = sum(v.nbytes for v in vars(problem).values() if isinstance(v, np.ndarray))
+        assert held < problem.n * len(problem.patterns)
 
 
 class TestStateConsistency:
@@ -515,18 +569,20 @@ class TestUCT:
     def test_every_built_state_is_consistent(self, monkeypatch):
         rng = np.random.default_rng(79)
         ds, cands = small_instance(rng)
+        scores = random_scores(rng, ds)
+        covers = oracle_cover_matrix(SearchProblem(ds, scores, cands))
         apply = SearchProblem.apply
         checked = []
 
         def checked_apply(problem, state, action):
             child = apply(problem, state, action)
             if not child.terminal:
-                check_state_consistency(problem, child)
+                check_state_consistency(problem, child, covers)
                 checked.append(child)
             return child
 
         monkeypatch.setattr(SearchProblem, "apply", checked_apply)
-        uct_search(ds, random_scores(rng, ds), cands, ObjectiveWeights(),
+        uct_search(ds, scores, cands, ObjectiveWeights(),
                    SearchConfig(iterations=200, L_max=2, seed=2))
         assert checked
 
