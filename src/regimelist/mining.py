@@ -140,7 +140,8 @@ def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> Candida
     # surviving patterns and their coverage counts, in discovery order
     found: list[tuple[int, ...]] = []
     counts: list[int] = []
-    frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
+    # a frontier pattern's joint mask, None at the last level (never extended)
+    frontier: list[tuple[tuple[int, ...], np.ndarray | None]] = []
     for j, mask in enumerate(masks):
         count = int(mask.sum())
         if count >= min_count:
@@ -149,8 +150,8 @@ def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> Candida
             found.append((j,))
             counts.append(count)
 
-    for _ in range(2, config.max_predicates + 1):
-        next_frontier: list[tuple[tuple[int, ...], np.ndarray]] = []
+    for level in range(2, config.max_predicates + 1):
+        next_frontier: list[tuple[tuple[int, ...], np.ndarray | None]] = []
         for ids, mask in frontier:
             used = {atoms[i].feature for i in ids}
             for j in range(ids[-1] + 1, len(atoms)):
@@ -166,7 +167,7 @@ def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> Candida
                 joint = mask & masks[j]
                 count = int(joint.sum())
                 if count >= min_count:
-                    next_frontier.append((cand, joint))
+                    next_frontier.append((cand, joint if level < config.max_predicates else None))
                     frequent.add(key)
                     found.append(cand)
                     counts.append(count)

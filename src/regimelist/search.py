@@ -12,6 +12,7 @@ rule and their one bound on an open prefix: it bounds every child of a node
 by blocked float32 products over coverage bits packed per subject, a child
 subtracting from its parent's sums only the subjects it newly covers, so a
 child is built with ``apply`` only if that bound lets it beat the incumbent.
+A state holds its covered set packed like the per-pattern rows it ORs in.
 ``SearchProblem.state_bound`` scores a closed list exactly, and
 ``SearchProblem.close``, which closes a prefix with its best default, is how
 UCT and greedy complete a list.
@@ -82,14 +83,16 @@ class SearchConfig:
 class SearchState:
     """A rule-list prefix with its exactly-incurred sums.
 
-    features is the bitmask of the characteristics its patterns read;
-    incurred_value is the sum over covered subjects of
-    lambda1*score - lambda3*treatment_cost for their assigned arm;
-    incurred_assess the sum of their prefix assessment costs.
+    packed holds the covered subjects in ceil(n / 8) bytes laid out like
+    ``SearchProblem.rows``, and ``covered`` unpacks them; features is the
+    bitmask of the characteristics its patterns read; incurred_value is the
+    sum over covered subjects of lambda1*score - lambda3*treatment_cost for
+    their assigned arm; incurred_assess the sum of their prefix assessment costs.
     """
 
     prefix: tuple[tuple[int, int], ...]
-    covered: np.ndarray
+    packed: np.ndarray
+    n_subjects: int
     features: int
     incurred_assess: float
     incurred_value: float
@@ -102,6 +105,15 @@ class SearchState:
     @property
     def depth(self) -> int:
         return len(self.prefix)
+
+    @property
+    def covered(self) -> np.ndarray:
+        return _unpack(self.packed, self.n_subjects)
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of packbits bytes, as a bool array."""
+    return np.unpackbits(packed, count=n).view(bool)
 
 
 class SearchProblem:
@@ -122,24 +134,32 @@ class SearchProblem:
         self.patterns = cands.patterns
         self.n = ds.n_subjects
         self.m = ds.n_treatments
-        # coverage packed per subject, pattern p in bit 7 - p % 8 of byte p // 8
+        # coverage packed per subject for _sums (pattern p in bit 7 - p % 8 of
+        # byte p // 8) and per pattern for apply (subject i in the same way)
         n_patterns = len(self.patterns)
         self.bits = np.empty((self.n, -(-n_patterns // 8)), dtype=np.uint8)
+        self.rows = np.empty((n_patterns, -(-self.n // 8)), dtype=np.uint8)
         self.coverage = np.empty(n_patterns, dtype=np.int64)
         for j in range(0, n_patterns, 8):
             group = np.array([pattern_mask(ds, pat) for pat in self.patterns[j:j + 8]])
             self.coverage[j:j + 8] = np.count_nonzero(group, axis=1)
+            self.rows[j:j + 8] = np.packbits(group, axis=1)
             shifts = np.arange(7, 7 - len(group), -1, dtype=np.uint8)[:, None]
             self.bits[:, j // 8] = np.bitwise_or.reduce(group.view(np.uint8) << shifts, axis=0)
         # per-subject, per-arm contribution once a rule assigns that arm
         self.value_mat = (weights.lambda1 * scores.scores
                           - weights.lambda3 * ds.treatment_costs[None, :])
+        # contiguous arm columns: np.compress sums value_mat[mask, t] bit for bit
+        self.value_cols = np.ascontiguousarray(self.value_mat.T)
         # optimistic per-subject future value: best score and cheapest arm
         # taken independently, an upper bound on any actual assignment
         self.optimistic = (weights.lambda1 * scores.scores.max(axis=1)
                            - weights.lambda3 * float(ds.treatment_costs.min()))
         self.pattern_features = tuple(sum(1 << f for f in pat.features)
                                       for pat in self.patterns)
+        # distinct pattern feature masks, priced once per ordered_actions call
+        self._feature_masks, self._feature_index = np.unique(
+            np.array(self.pattern_features, dtype=object), return_inverse=True)
         self._costs: dict[int, float] = {}
         # rounding slack of ordered_actions' bounds, before the division by
         # n: per float32 term of a pattern's sums, and per bound
@@ -157,7 +177,8 @@ class SearchProblem:
                 [np.ones(self.n), self.optimistic, self.value_mat]).astype(np.float32)
 
     def initial_state(self) -> SearchState:
-        return SearchState(prefix=(), covered=np.zeros(self.n, dtype=bool), features=0,
+        return SearchState(prefix=(), packed=np.zeros(-(-self.n // 8), dtype=np.uint8),
+                           n_subjects=self.n, features=0,
                            incurred_assess=0.0, incurred_value=0.0)
 
     def feature_cost(self, features: int) -> float:
@@ -223,7 +244,7 @@ class SearchProblem:
         if state.terminal:
             raise ValidationError("terminal state has no actions")
         lam2 = self.weights.lambda2
-        uncov = ~state.covered
+        uncov = _unpack(~state.packed, self.n)
         uncov64 = uncov.astype(np.float64)
         n_unc = int(np.count_nonzero(uncov))
         settled = state.incurred_value - lam2 * state.incurred_assess
@@ -244,8 +265,9 @@ class SearchProblem:
         # gains[k, t]: total value of assigning t to the subjects pattern
         # eligible[k] would newly cover
         gains = sums[2:, eligible].T
-        new_cost = np.array([self.feature_cost(state.features | self.pattern_features[p])
-                             for p in eligible.tolist()], dtype=np.float64)
+        mask_cost = np.array([self.feature_cost(state.features | f)
+                              for f in self._feature_masks], dtype=np.float64)
+        new_cost = mask_cost[self._feature_index[eligible]]
         best_default = int(np.argmax(default_sums))
         charge = lam2 * new_cost * cnt
         keys = gains - gains[:, best_default, None] - charge[:, None]
@@ -270,7 +292,8 @@ class SearchProblem:
         parent's kept sums minus those over the newly covered, if it has any."""
         parent = state.parent
         incremental = parent is not None and parent.sums is not None
-        rows = np.flatnonzero(state.covered & ~parent.covered if incremental else ~state.covered)
+        rows = np.flatnonzero(_unpack(
+            state.packed & ~parent.packed if incremental else ~state.packed, self.n))
         sums = np.zeros((self._table.shape[1], len(self.patterns)))
         for i in range(0, len(rows), BLOCK):
             block = rows[i:i + BLOCK]
@@ -282,16 +305,17 @@ class SearchProblem:
         if action < 0:
             return replace(state, terminal=True, default_treatment=action + self.m)
         p, t = divmod(action, self.m)
-        mask = (self.bits[:, p // 8] & (0x80 >> p % 8)) != 0
-        newly = mask & ~state.covered
+        newly = _unpack(self.rows[p] & ~state.packed, self.n)
         features = state.features | self.pattern_features[p]
         return SearchState(
             prefix=state.prefix + ((p, t),),
-            covered=state.covered | mask,
+            packed=state.packed | self.rows[p],
+            n_subjects=self.n,
             features=features,
             incurred_assess=(state.incurred_assess
                              + self.feature_cost(features) * int(newly.sum())),
-            incurred_value=state.incurred_value + float(self.value_mat[newly, t].sum()),
+            incurred_value=(state.incurred_value
+                            + float(np.compress(newly, self.value_cols[t]).sum())),
             parent=state,
         )
 
@@ -303,7 +327,7 @@ class SearchProblem:
     def close(self, state: SearchState) -> SearchState:
         """The prefix closed with the default that gives its rules their best
         list: the largest value summed over the uncovered subjects."""
-        d = int(np.argmax(~state.covered @ self.value_mat))
+        d = int(np.argmax(_unpack(~state.packed, self.n) @ self.value_mat))
         return self.apply(state, d - self.m)
 
     def state_bound(self, state: SearchState) -> float:
@@ -311,11 +335,11 @@ class SearchProblem:
         children are bounded by ``ordered_actions``."""
         if not state.terminal:
             raise ValidationError("only a terminal state has an exact objective")
-        uncovered = ~state.covered
+        uncovered = _unpack(~state.packed, self.n)
         n_unc = int(uncovered.sum())
         total = (state.incurred_value
                  - self.weights.lambda2 * state.incurred_assess
-                 + float(self.value_mat[uncovered, state.default_treatment].sum())
+                 + float(np.compress(uncovered, self.value_cols[state.default_treatment]).sum())
                  - self.weights.lambda2 * self.default_assessment(state) * n_unc)
         return total / self.n
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,22 @@ class TestMinePatterns:
         b = mine_patterns(ds, MiningConfig(min_support=0.1))
         assert a.patterns == b.patterns
         assert a.counts == b.counts
+
+    def test_last_level_keeps_no_masks(self):
+        # a pattern of the last level is never extended, so mining must not
+        # keep its n-byte joint mask: the peak stays below one byte per
+        # (subject, level-2 pattern), which holding them all would exceed
+        rng = np.random.default_rng(5)
+        ds = random_dataset(rng, n_subjects=20000, n_features=6, m=2)
+        tracemalloc.start()
+        try:
+            cands = mine_patterns(ds, MiningConfig(max_predicates=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        level2 = sum(len(pat.predicates) == 2 for pat in cands.patterns)
+        assert level2 >= 100
+        assert peak < level2 * ds.n_subjects
 
     def test_round_trip(self):
         rng = np.random.default_rng(43)

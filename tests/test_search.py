@@ -84,9 +84,38 @@ def check_state_consistency(problem, state, covers=None):
         assess += feature_set_cost(problem.ds.specs, features) * int(newly.sum())
         value += float(problem.value_mat[newly, t].sum())
     assert np.array_equal(covered, state.covered)
+    assert np.array_equal(np.packbits(covered), state.packed)
     assert state.features == sum(1 << f for f in features)
     assert state.incurred_assess == assess
     assert state.incurred_value == value
+
+
+def per_pattern_actions(problem, state, sums):
+    """ordered_actions' rule codes and his for a state whose rule sums are
+    ``sums``, pricing each eligible pattern's extended feature set on its own."""
+    lam2 = problem.weights.lambda2
+    uncov64 = (~state.covered).astype(np.float64)
+    n_unc = int(np.count_nonzero(~state.covered))
+    settled = state.incurred_value - lam2 * state.incurred_assess
+    default_sums = uncov64 @ problem.value_mat
+    counts = sums[0].astype(np.int64)
+    eligible = np.flatnonzero(counts >= 1)
+    cnt = counts[eligible]
+    gains = sums[2:, eligible].T
+    new_cost = np.array([problem.feature_cost(state.features | problem.pattern_features[p])
+                         for p in eligible.tolist()], dtype=np.float64)
+    charge = lam2 * new_cost * cnt
+    keys = gains - gains[:, int(np.argmax(default_sums)), None] - charge[:, None]
+    order = np.argsort(keys, axis=None, kind="stable")
+    child_default = new_cost if problem.charge_default_full else 0.0
+    per_pattern = (float(uncov64 @ problem.optimistic) - sums[1, eligible] - charge
+                   - lam2 * child_default * (n_unc - cnt))
+    estimate = settled + gains + per_pattern[:, None]
+    slack = problem._slack_per_term * (2 * problem.coverage[eligible] - cnt) + problem._slack
+    rule_his = (estimate + slack[:, None]) / problem.n
+    rule_his[~np.isfinite(rule_his)] = np.inf
+    codes = (eligible[:, None] * problem.m + np.arange(problem.m)).ravel()[order]
+    return codes, rule_his.ravel()[order]
 
 
 def exact_bound(problem, state, scores):
@@ -235,6 +264,28 @@ class TestLegalActions:
                                   - w.lambda2 * cost * len(newly))
                 assert rules == sorted(rules, key=lambda c: (gain[c], c))
                 state = problem.apply(state, rules[int(rng.integers(len(rules)))])
+
+    def test_feature_charges_priced_per_mask_equal_per_pattern(self):
+        # ordered_actions prices each distinct pattern feature mask once; its
+        # order (from the keys) and his must be those of pricing each pattern
+        rng = np.random.default_rng(61)
+        ds = random_dataset(rng, n_subjects=400, n_features=6, m=3)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        assert len(set(SearchProblem(ds, random_scores(rng, ds), cands).pattern_features)) > 1
+        for full in (False, True):
+            for _ in range(3):
+                problem = SearchProblem(ds, random_scores(rng, ds), cands,
+                                        random_weights(rng), charge_default_full=full)
+                state = problem.initial_state()
+                for _ in range(3):
+                    codes, his = problem.ordered_actions(state, 4)
+                    rules = codes >= 0
+                    want_codes, want_his = per_pattern_actions(problem, state, state.sums)
+                    assert np.array_equal(codes[rules], want_codes)
+                    assert his[rules].tobytes() == want_his.tobytes()
+                    if not rules.any():
+                        break
+                    state = problem.apply(state, int(rng.choice(codes[rules])))
 
 
 class TestStateBound:
@@ -464,6 +515,42 @@ class TestCoverage:
         problem = SearchProblem(ds, random_scores(rng, ds), cands)
         held = sum(v.nbytes for v in vars(problem).values() if isinstance(v, np.ndarray))
         assert held < problem.n * len(problem.patterns)
+
+    def test_pattern_rows_unpack_to_cover_matrix(self):
+        rng = np.random.default_rng(72)
+        ds = random_dataset(rng, n_subjects=203, n_features=5, m=2)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        problem = SearchProblem(ds, random_scores(rng, ds), cands)
+        covers = oracle_cover_matrix(problem)
+        assert problem.rows.shape == (len(problem.patterns), -(-problem.n // 8))
+        for p in range(len(problem.patterns)):
+            assert np.array_equal(np.unpackbits(problem.rows[p], count=problem.n), covers[:, p])
+            assert not np.unpackbits(problem.rows[p])[problem.n:].any()
+
+    def test_no_array_per_subject_and_node(self, monkeypatch):
+        # a state holds its coverage packed, ceil(n / 8) bytes, and no other
+        # array but its per-pattern sums
+        rng = np.random.default_rng(73)
+        ds = random_dataset(rng, n_subjects=2000, n_features=6, m=2)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        scores = random_scores(rng, ds)
+        apply = SearchProblem.apply
+        states = []
+
+        def recording_apply(problem, state, action):
+            states.append(apply(problem, state, action))
+            return states[-1]
+
+        monkeypatch.setattr(SearchProblem, "apply", recording_apply)
+        uct_search(ds, scores, cands, ObjectiveWeights(),
+                   SearchConfig(iterations=300, L_max=3, seed=1))
+        assert len(states) > 300
+        for state in states:
+            arrays = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)
+                      if isinstance(getattr(state, f.name), np.ndarray)}
+            sums = arrays.pop("sums", None)
+            assert sum(a.nbytes for a in arrays.values()) <= -(-ds.n_subjects // 8)
+            assert sums is None or sums.shape == (ds.n_treatments + 2, len(cands))
 
 
 class TestStateConsistency:
