@@ -139,7 +139,8 @@ def _column(cells: Sequence, col: int, name: str,
 
     Converts the whole column at once, a string ndarray by one ``==`` per
     name; only a column that fails is scanned for its first bad cell, which
-    CellError reports as ``col``.
+    CellError reports as ``col``.  A bytes (``S``) ndarray of ASCII text is
+    compared with names' UTF-8 bytes: numpy finds no bytes equal to a str.
     """
     try:
         if names is None:
@@ -149,10 +150,10 @@ def _column(cells: Sequence, col: int, name: str,
         elif isinstance(cells, np.ndarray):
             codes = np.full(len(cells), -1, dtype=np.int64)
             for k, v in enumerate(names):
-                codes[cells == v] = k
+                codes[cells == (v.encode() if cells.dtype.kind == "S" else v)] = k
             if (codes >= 0).all():
                 return codes
-            cells = cells.tolist()
+            cells = cells.astype(str).tolist()
         else:
             code = {v: k for k, v in enumerate(names)}
             return np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))

@@ -65,7 +65,13 @@ class FeatureEncoder:
         )
 
     def transform(self, ds: Dataset) -> np.ndarray:
-        out = np.empty((ds.n_subjects, len(self.columns)), dtype=float)
+        """The encoded columns, (N, d): ``design(ds)`` without its intercept."""
+        return self.design(ds)[:, :-1]
+
+    def design(self, ds: Dataset) -> np.ndarray:
+        """The encoded columns then an intercept of ones, (N, d + 1), one array."""
+        out = np.empty((ds.n_subjects, len(self.columns) + 1), dtype=float)
+        out[:, -1] = 1.0
         for j, col in enumerate(self.columns):
             raw = ds.columns[col.feature]
             if col.level is None:
@@ -81,10 +87,6 @@ class FeatureEncoder:
             "means": self.means.tolist(),
             "scales": self.scales.tolist(),
         }
-
-
-def _with_intercept(X: np.ndarray) -> np.ndarray:
-    return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -139,7 +141,7 @@ class PropensityModel:
 
     def predict_proba_raw(self, ds: Dataset) -> np.ndarray:
         """Softmax probabilities; every row sums to 1."""
-        design = _with_intercept(self.encoder.transform(ds))
+        design = self.encoder.design(ds)
         return np.exp(_log_softmax(design @ self.weights.T))
 
     def predict_proba(self, ds: Dataset) -> np.ndarray:
@@ -186,7 +188,7 @@ def fit_propensity(
         raise ValidationError(f"treatments never observed in data: {missing}")
 
     encoder = FeatureEncoder.fit(ds)
-    design = _with_intercept(encoder.transform(ds))
+    design = encoder.design(ds)
     m = ds.n_treatments
     weights = np.zeros((m, design.shape[1]))
     codes = ds.treatments
@@ -234,7 +236,7 @@ class OutcomeModel:
 
     def predict(self, ds: Dataset) -> np.ndarray:
         """Predicted outcome for every subject under every treatment, (N, m)."""
-        design = _with_intercept(self.encoder.transform(ds))
+        design = self.encoder.design(ds)
         return design @ self.coefs.T
 
     def to_dict(self) -> dict:
@@ -269,7 +271,7 @@ def fit_outcome(ds: Dataset, ridge: float = 1e-6) -> OutcomeModel:
     if not ridge >= 0:
         raise ValidationError(f"ridge must be nonnegative, got {ridge}")
     encoder = FeatureEncoder.fit(ds)
-    design = _with_intercept(encoder.transform(ds))
+    design = encoder.design(ds)
     d = design.shape[1]
     coefs = np.empty((ds.n_treatments, d))
     for a in range(ds.n_treatments):
@@ -308,9 +310,11 @@ class DRScoreMatrix:
         return float(self.scores[np.arange(self.n_subjects), assigned].mean())
 
     def to_dict(self) -> dict:
+        """Names and the scores ndarray itself, which ``io.write_json`` writes
+        by blocks of rows as json.dumps would its ``tolist()``."""
         return {
             "treatment_names": list(self.treatment_names),
-            "scores": self.scores.tolist(),
+            "scores": self.scores,
         }
 
     @classmethod

@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from io import BytesIO, StringIO
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -28,6 +27,11 @@ from .domain import (
 )
 from .errors import CellError, ValidationError, malformed
 
+# bytes per step of _plain_columns' scan; rows per piece that write_json
+# makes of a 2-D ndarray, and that write_dataset_csv formats and writes
+SCAN_BLOCK = 1 << 20
+ROW_BLOCK = 1024
+CSV_BLOCK = 8192
 
 @dataclass(frozen=True)
 class DataSchema:
@@ -112,10 +116,9 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
     name the 1-based file line where the record starts (quoted cells may
     hold newlines) and the column, and quote the cell as written.
     """
-    with open(csv_path, "rb") as fh:
-        data = fh.read()
     try:
-        columns = _plain_columns(data, schema)
+        with open(csv_path, "rb") as fh:  # the file's bytes live only in the pass
+            columns = _plain_columns(fh.read(), schema)
         if columns is not None:
             return Dataset.from_columns(schema.specs, schema.treatment_names,
                                         schema.treatment_costs, *columns)
@@ -123,7 +126,6 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
         raise
     except Exception:  # the exact path below says what is wrong, if anything
         pass
-    del data
     return _read_exact(csv_path, schema)
 
 
@@ -138,16 +140,23 @@ def _plain_columns(data: bytes, schema: DataSchema):
     record per line after it, as loadtxt skips blank lines the exact path
     refuses.  Real columns and the outcome parse as float64, every other
     column as a string field one character wider than its longest name, so
-    a longer cell matches no name.  loadtxt raises on a ragged row.
+    a longer cell matches no name: bytes (``S``) in an ASCII file, else
+    ``U`` (loadtxt would fill ``S`` with latin-1), at 4 bytes a character.
+    loadtxt raises on a ragged row.  The scan for LFs and control bytes
+    goes by blocks, so its temporaries do not grow with the file.
     """
     u8 = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(u8 == ord("\n"))
+    starts = range(0, len(data), SCAN_BLOCK)
+    ends = np.concatenate([np.empty(0, dtype=np.intp)] + [
+        np.flatnonzero(u8[i:i + SCAN_BLOCK] == ord("\n")) + i for i in starts])
+    n_control = sum(np.count_nonzero(u8[i:i + SCAN_BLOCK] < 0x20) for i in starts)
     n_records = ends.size - data.endswith(b"\n")
     line_lengths = np.diff(ends, prepend=-1, append=len(data)) - 1
-    if n_records < 1 or b'"' in data or np.count_nonzero(u8 < 0x20) > ends.size \
+    if n_records < 1 or b'"' in data or n_control > ends.size \
             or line_lengths.max() > csv.field_size_limit():
         return None
-    if not data.isascii():
+    is_ascii = data.isascii()
+    if not is_ascii:
         data.decode("utf-8")
     header = data[:ends[0]].decode("utf-8").split(",")
     col_of = {name: k for k, name in enumerate(header)}
@@ -157,8 +166,9 @@ def _plain_columns(data: bytes, schema: DataSchema):
     if len(col_of) < len(header) or not col_of.keys() >= set(needed) \
             or any("\x00" in name for levels in names.values() for name in levels):
         return None
-    formats = [f"U{max(map(len, names[h])) + 1}" if h in names
-               else "f8" if h in needed else "U1" for h in header]
+    kind, size = ("S", lambda name: len(name.encode())) if is_ascii else ("U", len)
+    formats = [f"{kind}{max(map(size, names[h])) + 1}" if h in names
+               else "f8" if h in needed else f"{kind}1" for h in header]
     table = np.loadtxt(BytesIO(data), skiprows=1, encoding="utf-8", ndmin=1,
                        dtype={"names": [f"c{k}" for k in range(len(header))],
                               "formats": formats},
@@ -221,25 +231,25 @@ def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
 
     The bytes are csv.writer's, but each level and treatment name is quoted
     once, inside a row of two fields (alone, an empty field is written as
-    ``""``), and the rows are joined directly."""
-    def coded(names: Sequence[str], codes: np.ndarray) -> list[str]:
-        quoted = np.empty(len(names), dtype=object)
+    ``""``), and the rows are joined directly, CSV_BLOCK at a time."""
+    def quoted(names: Sequence[str]) -> np.ndarray:
+        out = np.empty(len(names), dtype=object)
         for i, name in enumerate(names):
             buf = StringIO()
             csv.writer(buf, lineterminator="\n").writerow((name, ""))
-            quoted[i] = buf.getvalue()[:-2]
-        return quoted[codes].tolist()
+            out[i] = buf.getvalue()[:-2]
+        return out
 
-    columns = [map(repr, col.tolist()) if s.kind == REAL else coded(s.levels, col)
+    columns = [(col, None if s.kind == REAL else quoted(s.levels))
                for s, col in zip(ds.specs, ds.columns)]
-    columns.append(coded(ds.treatment_names, ds.treatments))
-    columns.append(map(repr, ds.outcomes.tolist()))
-    body = "\n".join(map(",".join, zip(*columns)))
+    columns += [(ds.treatments, quoted(ds.treatment_names)), (ds.outcomes, None)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(
             [s.name for s in ds.specs] + ["treatment", "outcome"])
-        if body:
-            fh.write(body)
+        for i in range(0, ds.n_subjects, CSV_BLOCK):
+            cells = [map(repr, col[i:i + CSV_BLOCK].tolist()) if names is None
+                     else names[col[i:i + CSV_BLOCK]].tolist() for col, names in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))))
             fh.write("\n")
 
 
@@ -311,37 +321,53 @@ def format_decision_list(
 
 
 def write_json(obj, path: str | Path) -> None:
-    """Write ``json.dumps(obj, indent=2)`` and a newline, in those bytes."""
+    """Write ``json.dumps(obj, indent=2)`` and a newline, in those bytes,
+    piece by piece.
+
+    ``obj`` may hold ndarrays where json takes only their ``tolist()``; a
+    finite 2-D float one is laid out ROW_BLOCK rows at a time, so neither
+    the file's text nor the array's Python floats are ever held whole.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_indented(obj) + "\n")
+        fh.writelines(_indented(obj))
+        fh.write("\n")
 
 
-def _indented(obj, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2)``, every line after the first indented
-    by ``pad`` more.
+def _indented(obj, pad: str = ""):
+    """The pieces of ``json.dumps(obj, indent=2)``, every line after the
+    first indented by ``pad`` more.
 
     json runs its C encoder only without indent, and its Python encoder is
     slow on a large score matrix.  So str-keyed dicts and lists are laid out
-    here, and a list of finite floats, or a list of such lists, is written
-    with one ``float.__repr__`` per entry, as json writes them; any other
-    value is left to json.
+    here, and a list of finite floats, or a finite 2-D float ndarray, is
+    written with one ``float.__repr__`` per entry, as json writes them; any
+    other value is left to json.
     """
     inner = pad + "  "
     sep = ",\n" + inner
     if type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        body = sep.join([f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in obj.items()])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    if type(obj) is not list or not obj:
-        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-    if _finite_floats(obj):
-        body = sep.join(map(float.__repr__, obj))
-    elif set(map(type, obj)) == {list} and all(obj) and _finite_floats(chain.from_iterable(obj)):
+        opener = "{\n" + inner
+        for k, v in obj.items():
+            yield f"{opener}{json.dumps(k)}: "
+            yield from _indented(v, inner)
+            opener = sep
+        yield f"\n{pad}}}"
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size \
+            and obj.dtype.kind == "f" and np.isfinite(obj).all():
         row_sep = sep + "  "
-        body = sep.join([f"[\n{inner}  {row_sep.join(map(float.__repr__, row))}\n{inner}]"
-                         for row in obj])
+        for i in range(0, len(obj), ROW_BLOCK):
+            yield (sep if i else "[\n" + inner) + sep.join(
+                [f"[\n{inner}  {row_sep.join(map(float.__repr__, row))}\n{inner}]"
+                 for row in obj[i:i + ROW_BLOCK].tolist()])
+        yield f"\n{pad}]"
+    elif isinstance(obj, np.ndarray):
+        yield from _indented(obj.tolist(), pad)
+    elif type(obj) is not list or not obj:
+        yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+    elif _finite_floats(obj):
+        yield f"[\n{inner}{sep.join(map(float.__repr__, obj))}\n{pad}]"
     else:
-        body = sep.join([_indented(v, inner) for v in obj])
-    return f"[\n{inner}{body}\n{pad}]"
+        yield f"[\n{inner}{sep.join(''.join(_indented(v, inner)) for v in obj)}\n{pad}]"
 
 
 def _finite_floats(values) -> bool:

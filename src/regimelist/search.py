@@ -101,6 +101,8 @@ class SearchState:
     # the state this one was built from; ordered_actions' sums, kept for children
     parent: SearchState | None = field(default=None, compare=False, repr=False)
     sums: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # SearchProblem.default_sums, from close until ordered_actions takes it
+    default_sums: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def depth(self) -> int:
@@ -248,7 +250,7 @@ class SearchProblem:
         uncov64 = uncov.astype(np.float64)
         n_unc = int(np.count_nonzero(uncov))
         settled = state.incurred_value - lam2 * state.incurred_assess
-        default_sums = uncov64 @ self.value_mat
+        default_sums, state.default_sums = self.default_sums(state), None
         default_codes = np.arange(-self.m, 0, dtype=np.int32)
         default_his = (settled + default_sums
                        - lam2 * self.default_assessment(state) * n_unc
@@ -324,11 +326,18 @@ class SearchProblem:
             return 0.0
         return self.feature_cost(state.features)
 
+    def default_sums(self, state: SearchState) -> np.ndarray:
+        """Per arm, value_mat summed over the uncovered subjects: one product
+        per state, which ``close`` keeps for ``ordered_actions``."""
+        if state.default_sums is None:
+            state.default_sums = tuple(
+                (_unpack(~state.packed, self.n).astype(np.float64) @ self.value_mat).tolist())
+        return np.array(state.default_sums)
+
     def close(self, state: SearchState) -> SearchState:
         """The prefix closed with the default that gives its rules their best
         list: the largest value summed over the uncovered subjects."""
-        d = int(np.argmax(_unpack(~state.packed, self.n) @ self.value_mat))
-        return self.apply(state, d - self.m)
+        return self.apply(state, int(np.argmax(self.default_sums(state))) - self.m)
 
     def state_bound(self, state: SearchState) -> float:
         """The exact objective of a closed list.  An open prefix has none; its

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from regimelist.estimation import (
     propensity_loglik,
     solve_ridge,
 )
+
+from regimelist.synth import default_generator_spec, generate
 
 from conftest import dataset_from_rows, oracle_fit_propensity, random_dataset
 
@@ -78,6 +81,25 @@ class TestFeatureEncoder:
         ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
         X = FeatureEncoder.fit(ds).transform(ds)
         assert X[:, 0].tolist() == [0.0] * 6
+
+    def test_design_is_one_allocation(self):
+        # the intercept column is filled in place: a prediction builds its
+        # (n, d + 1) design once, where stacking ones onto the encoded
+        # columns would hold two copies of it at the peak
+        ds, _ = generate(default_generator_spec(n_subjects=20_000, seed=0))
+        model = fit_outcome(ds)
+        design_bytes = ds.n_subjects * (len(model.encoder.columns) + 1) * 8
+        tracemalloc.start()
+        try:
+            predicted = model.predict(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert predicted.shape == (ds.n_subjects, ds.n_treatments)
+        assert peak < 1.5 * design_bytes
+        design = model.encoder.design(ds)
+        assert design.flags.c_contiguous and design[:, -1].tolist() == [1.0] * ds.n_subjects
+        assert np.array_equal(design[:, :-1], model.encoder.transform(ds))
 
 
 class TestPropensityGradient:

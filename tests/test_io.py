@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+import tracemalloc
 from io import StringIO
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from regimelist.domain import (
 )
 from regimelist import io
 from regimelist.errors import ValidationError
+from regimelist.estimation import DRScoreMatrix
 from regimelist.io import (
     DataSchema,
     decision_list_from_dict,
@@ -34,7 +36,7 @@ from regimelist.io import (
     write_json,
     write_schema,
 )
-from regimelist.synth import default_generator_spec
+from regimelist.synth import default_generator_spec, generate
 
 from conftest import random_dataset, random_decision_list
 
@@ -128,6 +130,41 @@ class TestDatasetCSV:
             writer.writerow([repr(float(reals[i])), names[codes[i]], ("", "no")[codes[i] % 2],
                              names[codes[::-1][i]], repr(float(reals[::-1][i]))])
         assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_write_in_blocks_matches_csv_writer_rows(self, tmp_path, extra):
+        # rows around the CSV_BLOCK boundary: no row lost, doubled or joined
+        rng = np.random.default_rng(3 + extra)
+        ds = random_dataset(rng, n_subjects=io.CSV_BLOCK + extra)
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        buf = StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([s.name for s in ds.specs] + ["treatment", "outcome"])
+        for i in range(ds.n_subjects):
+            writer.writerow([repr(float(col[i])) if s.kind == REAL else s.levels[col[i]]
+                             for s, col in zip(ds.specs, ds.columns)]
+                            + [ds.treatment_names[ds.treatments[i]], repr(float(ds.outcomes[i]))])
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+    def test_read_peak_stays_near_the_file_size(self, tmp_path):
+        # the typed pass holds the file's bytes, a table with one byte per
+        # level character of an ASCII file, and the scan's 1 MiB blocks;
+        # file-sized scan temporaries or 4-byte characters pass 2.5 times
+        gspec = default_generator_spec(n_subjects=20_000, seed=0)
+        ds, _ = generate(gspec)
+        schema = DataSchema(gspec.specs, gspec.treatment_names,
+                            tuple(float(c) for c in gspec.treatment_costs))
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        tracemalloc.start()
+        try:
+            back = read_dataset(path, schema)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_dataset(back, ds)
+        assert peak < 2.5 * path.stat().st_size
 
     def test_field_count_diagnostic_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -299,6 +336,9 @@ class TestFastPathAgreesWithExactPath:
         ("smoker", "yes#", False),
         ("smoker", "maybe", False),
         ("smoker", "yesyes", False),
+        # one byte longer than "yes" fills the 4-byte field, and matches nothing
+        ("smoker", "yesx", False),
+        ("treatment", "ab", False),
         ("smoker", "yes\x00", False),
         ("treatment", "b\x00", False),
         ("treatment", "c", False),
@@ -356,6 +396,31 @@ class TestFastPathAgreesWithExactPath:
                         "35.0,nej,\u00e5,2.0\n", encoding="utf-8")
         assert assert_paths_agree(path, schema)
         assert read_dataset(path, schema).treatments.tolist() == [1, 0]
+
+    def test_non_ascii_level_in_an_ascii_file(self, tmp_path):
+        # an ASCII file's cells are bytes, compared with each name's UTF-8
+        schema = DataSchema(
+            specs=(SPECS[0], CharacteristicSpec("smoker", BINARY, 1.0, ("yes", "n\u00f6"))),
+            treatment_names=("a", "b"),
+            treatment_costs=(5.0, 7.0),
+        )
+        path = tmp_path / "data.csv"
+        path.write_text(PLAIN.replace(",no,", ",yes,"))
+        assert assert_paths_agree(path, schema)
+        assert read_dataset(path, schema).columns[1].tolist() == [0, 0]
+        path.write_text(PLAIN)
+        assert not assert_paths_agree(path, schema)
+
+    @pytest.mark.parametrize("cell, taken", [("bbb", True), ("bbbb", False), ("bb", False)])
+    def test_treatment_name_at_the_field_width(self, tmp_path, cell, taken):
+        # the treatment field is one byte wider than "bbb", the longest name
+        schema = DataSchema(specs=SPECS, treatment_names=("a", "bbb"),
+                            treatment_costs=(5.0, 7.0))
+        path = tmp_path / "data.csv"
+        path.write_text(edit_cell(PLAIN, 2, "treatment", cell))
+        assert assert_paths_agree(path, schema) == taken
+        if taken:
+            assert read_dataset(path, schema).treatments.tolist() == [0, 1]
 
     def test_name_ending_in_nul(self, tmp_path):
         # numpy strings drop trailing NULs, so "b" would equal "b\x00"
@@ -515,6 +580,47 @@ class TestJsonHelpers:
         path = tmp_path / "scores.json"
         write_json(obj, path)
         assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [io.ROW_BLOCK - 1, io.ROW_BLOCK, io.ROW_BLOCK + 1])
+    def test_score_array_bytes_match_json_dumps(self, tmp_path, n, m):
+        # an ndarray is written a block of rows at a time, as json writes
+        # its tolist(); special values at both ends, so in the last block too
+        rng = np.random.default_rng(n * 4 + m)
+        special = [-0.0, 5e-324, 1e16, 1.7976931348623157e308]
+        scores = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-8, 9, size=(n, m))
+        scores.flat[:len(special)] = special
+        scores.flat[-len(special):] = special
+        obj = DRScoreMatrix(scores, ("\u00e5rm", "b\U0001f600", "c\"\\")[:m]).to_dict()
+        path = tmp_path / "scores.json"
+        write_json(obj, path)
+        expected = json.dumps({**obj, "scores": scores.tolist()}, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("array", [
+        np.array([[1.0, float("nan")], [float("inf"), 2.0]]), np.arange(6).reshape(2, 3),
+        np.zeros((0, 2)), np.zeros((2, 0)), np.array([0.5, -0.0]), np.array(1.5),
+        np.array([[0.1, 3e38]], dtype=np.float32), np.array([[True], [False]]),
+    ])
+    def test_other_arrays_bytes_match_json_dumps(self, tmp_path, array):
+        path = tmp_path / "x.json"
+        write_json({"a": array, "b": [array]}, path)
+        expected = json.dumps({"a": array.tolist(), "b": [array.tolist()]}, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_score_matrix_write_holds_no_copy_of_it(self, tmp_path):
+        # neither the matrix as Python floats nor the file's text is held
+        # whole, so the write's peak stays below the matrix's own bytes
+        scores = np.random.default_rng(4).normal(size=(40_000, 3))
+        obj = DRScoreMatrix(scores, ("a", "b", "c")).to_dict()
+        tracemalloc.start()
+        try:
+            write_json(obj, tmp_path / "scores.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < scores.nbytes
+        assert np.array_equal(read_json(tmp_path / "scores.json")["scores"], scores)
 
     @pytest.mark.parametrize("obj", [
         {"a": [1.0, float("nan")], "b": [[float("inf"), 1.0]], "c": [[1.0], []]},

@@ -552,6 +552,39 @@ class TestCoverage:
             assert sum(a.nbytes for a in arrays.values()) <= -(-ds.n_subjects // 8)
             assert sums is None or sums.shape == (ds.n_treatments + 2, len(cands))
 
+    def test_one_default_product_per_state(self, monkeypatch):
+        # close multiplies a new child's uncovered set into value_mat, and
+        # ordered_actions reuses that product when the child is selected
+        class CountingMatrix(np.ndarray):
+            products = 0
+
+            def __rmatmul__(self, other):
+                CountingMatrix.products += 1
+                return np.asarray(other) @ np.asarray(self)
+
+        rng = np.random.default_rng(79)
+        ds = random_dataset(rng, n_subjects=500, n_features=5, m=3)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        scores = random_scores(rng, ds)
+        init, apply = SearchProblem.__init__, SearchProblem.apply
+        states = []
+
+        def counting_init(problem, *args, **kwargs):
+            init(problem, *args, **kwargs)
+            problem.value_mat = problem.value_mat.view(CountingMatrix)
+
+        def recording_apply(problem, state, action):
+            states.append(apply(problem, state, action))
+            return states[-1]
+
+        monkeypatch.setattr(SearchProblem, "__init__", counting_init)
+        monkeypatch.setattr(SearchProblem, "apply", recording_apply)
+        uct_search(ds, scores, cands, ObjectiveWeights(),
+                   SearchConfig(iterations=300, L_max=3, seed=1))
+        open_states = sum(not state.terminal for state in states)
+        assert open_states > 100
+        assert CountingMatrix.products <= 1 + open_states
+
 
 class TestStateConsistency:
     def test_incremental_sums_match_recomputation(self):
