@@ -337,22 +337,16 @@ def _indented(obj, pad: str = ""):
     """The pieces of ``json.dumps(obj, indent=2)``, every line after the
     first indented by ``pad`` more.
 
-    json runs its C encoder only without indent, and its Python encoder is
-    slow on a large score matrix.  So str-keyed dicts and lists are laid out
-    here, and a list of finite floats, or a finite 2-D float ndarray, is
-    written with one ``float.__repr__`` per entry, as json writes them; any
-    other value is left to json.
+    A value that holds no ndarray is left to json's encoder, piece by piece.
+    Around an ndarray, str-keyed dicts and lists are laid out here; a finite
+    2-D float ndarray is written with one ``float.__repr__`` per entry, as
+    json writes them, and any other one as its ``tolist()``.  (json runs its
+    C encoder only without indent, and its Python encoder is slow on a large
+    score matrix.)
     """
     inner = pad + "  "
     sep = ",\n" + inner
-    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
-        opener = "{\n" + inner
-        for k, v in obj.items():
-            yield f"{opener}{json.dumps(k)}: "
-            yield from _indented(v, inner)
-            opener = sep
-        yield f"\n{pad}}}"
-    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size \
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size \
             and obj.dtype.kind == "f" and np.isfinite(obj).all():
         row_sep = sep + "  "
         for i in range(0, len(obj), ROW_BLOCK):
@@ -362,17 +356,28 @@ def _indented(obj, pad: str = ""):
         yield f"\n{pad}]"
     elif isinstance(obj, np.ndarray):
         yield from _indented(obj.tolist(), pad)
-    elif type(obj) is not list or not obj:
-        yield json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-    elif _finite_floats(obj):
-        yield f"[\n{inner}{sep.join(map(float.__repr__, obj))}\n{pad}]"
+    # json also takes a dict with keys other than str, and raises on its array
+    elif not _holds_array(obj) or isinstance(obj, dict) and not all(
+            isinstance(k, str) for k in obj):
+        for piece in json.JSONEncoder(indent=2).iterencode(obj):
+            yield piece.replace("\n", "\n" + pad)
+    elif isinstance(obj, dict):
+        opener = "{\n" + inner
+        for k, v in obj.items():
+            yield f"{opener}{json.dumps(k)}: "
+            yield from _indented(v, inner)
+            opener = sep
+        yield f"\n{pad}}}"
     else:
         yield f"[\n{inner}{sep.join(''.join(_indented(v, inner)) for v in obj)}\n{pad}]"
 
 
-def _finite_floats(values) -> bool:
-    values = list(values)
-    return set(map(type, values)) == {float} and all(map(math.isfinite, values))
+def _holds_array(obj) -> bool:
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return isinstance(obj, np.ndarray)
+    return any(map(_holds_array, obj))
 
 
 def read_json(path: str | Path):

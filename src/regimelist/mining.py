@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import REAL, CharacteristicSpec, Dataset, Pattern, Predicate, pattern_mask
+from .domain import REAL, CharacteristicSpec, Dataset, Pattern, Predicate, predicate_mask
 from .errors import EmptyCandidateSetError, ValidationError, config_values, malformed
 from .io import pattern_from_list, pattern_to_list
 
@@ -134,7 +134,8 @@ def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> Candida
     min_count = max(1, ceil(config.min_support * n))
     bins = discretize(ds, config.num_bins)
     atoms = build_atoms(ds, bins)
-    masks = [pattern_mask(ds, Pattern((a,))) for a in atoms]
+    # packed atom masks: a joint mask is their AND, a count its popcount
+    masks = [np.packbits(predicate_mask(ds, a)) for a in atoms]
 
     frequent: set[frozenset[int]] = set()
     # surviving patterns and their coverage counts, in discovery order
@@ -143,7 +144,7 @@ def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> Candida
     # a frontier pattern's joint mask, None at the last level (never extended)
     frontier: list[tuple[tuple[int, ...], np.ndarray | None]] = []
     for j, mask in enumerate(masks):
-        count = int(mask.sum())
+        count = int(np.bitwise_count(mask).sum())
         if count >= min_count:
             frontier.append(((j,), mask))
             frequent.add(frozenset((j,)))
@@ -165,7 +166,7 @@ def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> Candida
                 if any(key - {i} not in frequent for i in cand):
                     continue
                 joint = mask & masks[j]
-                count = int(joint.sum())
+                count = int(np.bitwise_count(joint).sum())
                 if count >= min_count:
                     next_frontier.append((cand, joint if level < config.max_predicates else None))
                     frequent.add(key)

@@ -12,7 +12,8 @@ rule and their one bound on an open prefix: it bounds every child of a node
 by blocked float32 products over coverage bits packed per subject, a child
 subtracting from its parent's sums only the subjects it newly covers, so a
 child is built with ``apply`` only if that bound lets it beat the incumbent.
-A state holds its covered set packed like the per-pattern rows it ORs in.
+A state holds its covered set packed like a pattern's row, which ``apply``
+ORs in: ``SearchProblem.row`` ANDs it from packed predicate masks.
 ``SearchProblem.state_bound`` scores a closed list exactly, and
 ``SearchProblem.close``, which closes a prefix with its best default, is how
 UCT and greedy complete a list.
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .domain import Dataset, DecisionList, feature_set_cost, pattern_mask
+from .domain import Dataset, DecisionList, Predicate, feature_set_cost, predicate_mask
 from .errors import SizeLimitError, ValidationError, config_values
 from .estimation import DRScoreMatrix
 from .mining import CandidateSet
@@ -84,7 +85,7 @@ class SearchState:
     """A rule-list prefix with its exactly-incurred sums.
 
     packed holds the covered subjects in ceil(n / 8) bytes laid out like
-    ``SearchProblem.rows``, and ``covered`` unpacks them; features is the
+    ``SearchProblem.row``'s, and ``covered`` unpacks them; features is the
     bitmask of the characteristics its patterns read; incurred_value is the
     sum over covered subjects of lambda1*score - lambda3*treatment_cost for
     their assigned arm; incurred_assess the sum of their prefix assessment costs.
@@ -136,18 +137,29 @@ class SearchProblem:
         self.patterns = cands.patterns
         self.n = ds.n_subjects
         self.m = ds.n_treatments
-        # coverage packed per subject for _sums (pattern p in bit 7 - p % 8 of
-        # byte p // 8) and per pattern for apply (subject i in the same way)
+        # each distinct predicate's mask, packed like SearchState.packed, and
+        # each pattern's predicate rows there, which row ANDs on demand
+        index: dict[Predicate, int] = {}
+        self._pattern_preds = [[index.setdefault(pred, len(index)) for pred in pat.predicates]
+                               for pat in self.patterns]
+        self._pred_rows = np.empty((len(index), -(-self.n // 8)), dtype=np.uint8)
+        for pred, q in index.items():
+            self._pred_rows[q] = np.packbits(predicate_mask(ds, pred))
+        self._pred_rows.flags.writeable = False
+        # coverage packed per subject for _sums: pattern p in bit 7 - p % 8 of
+        # byte p // 8, set 64 patterns (8 whole bytes) at a time
         n_patterns = len(self.patterns)
         self.bits = np.empty((self.n, -(-n_patterns // 8)), dtype=np.uint8)
-        self.rows = np.empty((n_patterns, -(-self.n // 8)), dtype=np.uint8)
         self.coverage = np.empty(n_patterns, dtype=np.int64)
-        for j in range(0, n_patterns, 8):
-            group = np.array([pattern_mask(ds, pat) for pat in self.patterns[j:j + 8]])
-            self.coverage[j:j + 8] = np.count_nonzero(group, axis=1)
-            self.rows[j:j + 8] = np.packbits(group, axis=1)
-            shifts = np.arange(7, 7 - len(group), -1, dtype=np.uint8)[:, None]
-            self.bits[:, j // 8] = np.bitwise_or.reduce(group.view(np.uint8) << shifts, axis=0)
+        group = np.empty((8, self.n), dtype=np.uint8)
+        for j in range(0, n_patterns, 64):
+            group[:] = 0
+            for p in range(j, min(j + 64, n_patterns)):
+                row = self.row(p)
+                self.coverage[p] = np.bitwise_count(row).sum()
+                group[(p - j) // 8] |= np.unpackbits(row, count=self.n) << (7 - p % 8)
+            block = self.bits[:, j // 8:j // 8 + 8]
+            block[:] = group[:block.shape[1]].T
         # per-subject, per-arm contribution once a rule assigns that arm
         self.value_mat = (weights.lambda1 * scores.scores
                           - weights.lambda3 * ds.treatment_costs[None, :])
@@ -177,6 +189,14 @@ class SearchProblem:
         with np.errstate(over="ignore"):
             self._table = np.column_stack(
                 [np.ones(self.n), self.optimistic, self.value_mat]).astype(np.float32)
+
+    def row(self, p: int) -> np.ndarray:
+        """Pattern p's coverage, packed like ``SearchState.packed`` (read-only)."""
+        first, *rest = self._pattern_preds[p]
+        row = self._pred_rows[first]
+        for q in rest:
+            row = row & self._pred_rows[q]
+        return row
 
     def initial_state(self) -> SearchState:
         return SearchState(prefix=(), packed=np.zeros(-(-self.n // 8), dtype=np.uint8),
@@ -247,7 +267,6 @@ class SearchProblem:
             raise ValidationError("terminal state has no actions")
         lam2 = self.weights.lambda2
         uncov = _unpack(~state.packed, self.n)
-        uncov64 = uncov.astype(np.float64)
         n_unc = int(np.count_nonzero(uncov))
         settled = state.incurred_value - lam2 * state.incurred_assess
         default_sums, state.default_sums = self.default_sums(state), None
@@ -277,7 +296,8 @@ class SearchProblem:
         order = np.argsort(keys, axis=None, kind="stable")
 
         child_default = new_cost if self.charge_default_full else 0.0
-        per_pattern = (float(uncov64 @ self.optimistic) - sums[1, eligible] - charge
+        per_pattern = (float(uncov.astype(np.float64) @ self.optimistic)
+                       - sums[1, eligible] - charge
                        - lam2 * child_default * (n_unc - cnt))
         estimate = settled + gains + per_pattern[:, None]
         slack = self._slack_per_term * (2 * self.coverage[eligible] - cnt) + self._slack
@@ -307,15 +327,16 @@ class SearchProblem:
         if action < 0:
             return replace(state, terminal=True, default_treatment=action + self.m)
         p, t = divmod(action, self.m)
-        newly = _unpack(self.rows[p] & ~state.packed, self.n)
+        row = self.row(p)
+        newly = _unpack(row & ~state.packed, self.n)
         features = state.features | self.pattern_features[p]
         return SearchState(
             prefix=state.prefix + ((p, t),),
-            packed=state.packed | self.rows[p],
+            packed=state.packed | row,
             n_subjects=self.n,
             features=features,
             incurred_assess=(state.incurred_assess
-                             + self.feature_cost(features) * int(newly.sum())),
+                             + self.feature_cost(features) * np.count_nonzero(newly)),
             incurred_value=(state.incurred_value
                             + float(np.compress(newly, self.value_cols[t]).sum())),
             parent=state,

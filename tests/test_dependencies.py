@@ -39,3 +39,13 @@ def test_pyproject_depends_on_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+
+
+
+def test_numpy_floor_covers_bitwise_count():
+    # np.bitwise_count arrived in numpy 2.0
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    (floor,) = [d.split(">=")[1] for d in project["dependencies"] if d.startswith("numpy>=")]
+    if any("bitwise_count" in path.read_text() for path in (SRC / "regimelist").glob("*.py")):
+        assert int(floor.split(".")[0]) >= 2

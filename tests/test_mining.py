@@ -149,6 +149,17 @@ class TestMinePatterns:
         for pat, count in zip(cands.patterns, cands.counts):
             assert int(pattern_mask(ds, pat).sum()) == count
 
+    @pytest.mark.parametrize("max_predicates", [1, 2, 3])
+    def test_packed_counts_are_true_coverage(self, max_predicates):
+        # counts are popcounts of packed masks; 2,003 subjects leave five
+        # bits of the last byte unused, which no count may include
+        rng = np.random.default_rng(36)
+        ds = random_dataset(rng, n_subjects=2003)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.02, max_predicates=max_predicates))
+        assert max(len(pat.predicates) for pat in cands.patterns) == max_predicates
+        for pat, count in zip(cands.patterns, cands.counts):
+            assert int(pattern_mask(ds, pat).sum()) == count
+
     def test_downward_closure(self):
         # every sub-pattern of a mined pattern must itself meet min support
         rng = np.random.default_rng(37)
@@ -187,8 +198,8 @@ class TestMinePatterns:
 
     def test_last_level_keeps_no_masks(self):
         # a pattern of the last level is never extended, so mining must not
-        # keep its n-byte joint mask: the peak stays below one byte per
-        # (subject, level-2 pattern), which holding them all would exceed
+        # keep its joint mask: the peak stays below one byte per (subject,
+        # level-2 pattern), which holding them all unpacked would exceed
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, n_subjects=20000, n_features=6, m=2)
         tracemalloc.start()

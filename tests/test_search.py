@@ -3,12 +3,20 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from regimelist.domain import DecisionList, feature_set_cost, pattern_mask
+from regimelist.domain import (
+    REAL,
+    DecisionList,
+    Pattern,
+    Predicate,
+    feature_set_cost,
+    pattern_mask,
+)
 from regimelist.errors import SizeLimitError, ValidationError
 from regimelist.estimation import DRScoreMatrix
 from regimelist.mining import CandidateSet, MiningConfig, mine_patterns
@@ -505,16 +513,74 @@ class TestStateBound:
         assert np.isfinite(problem.state_bound(problem.close(state)))
 
 
+def shared_predicate_patterns(rng, ds, n_patterns):
+    """n_patterns distinct patterns of 1 to 3 predicates, drawn from a few
+    per feature (two thresholds per real one), so that patterns share them."""
+    pool = [[Predicate(f, op, v) for op in (">=", "<") for v in (0.0, 1.0)]
+            if spec.kind == REAL else
+            [Predicate(f, op, v) for op in ("=", "!=") for v in spec.levels[:2]]
+            for f, spec in enumerate(ds.specs)]
+    patterns: dict[Pattern, None] = {}
+    while len(patterns) < n_patterns:
+        feats = sorted(rng.choice(len(pool), size=int(rng.integers(1, 4)), replace=False))
+        patterns[Pattern(tuple(pool[f][int(rng.integers(len(pool[f])))] for f in feats))] = None
+    return tuple(patterns)
+
+
 class TestCoverage:
+    @pytest.mark.parametrize("n_patterns", [0, 70])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 1029])
+    def test_bits_rows_and_coverage_match_cover_matrix(self, n, n_patterns):
+        # 70 patterns fill one 64-pattern group of bits and part of a byte
+        # of the next; rows have a partial last byte unless 8 divides n
+        rng = np.random.default_rng(n * 100 + n_patterns)
+        ds = random_dataset(rng, n_subjects=n, n_features=5, m=2)
+        patterns = shared_predicate_patterns(rng, ds, n_patterns)
+        cands = CandidateSet(patterns=patterns,
+                             counts=tuple(int(pattern_mask(ds, pat).sum()) for pat in patterns),
+                             bins={}, n_subjects=n, config=MiningConfig())
+        problem = SearchProblem(ds, random_scores(rng, ds), cands)
+        covers = oracle_cover_matrix(problem).reshape(n, n_patterns)
+        assert problem.bits.shape == (n, -(-n_patterns // 8))
+        assert np.array_equal(np.unpackbits(problem.bits, axis=1, count=n_patterns), covers)
+        assert not np.unpackbits(problem.bits, axis=1)[:, n_patterns:].any()
+        assert np.array_equal(problem.coverage, covers.sum(axis=0))
+        for p in range(n_patterns):
+            row = problem.row(p)
+            assert row.dtype == np.uint8 and row.shape == (-(-n // 8),)
+            assert np.array_equal(np.unpackbits(row, count=n), covers[:, p])
+            assert not np.unpackbits(row)[n:].any()
+
+    def test_build_holds_no_coverage_sized_temporary(self):
+        # the bits are set 64 patterns at a time from packed predicate rows,
+        # so building the problem needs, beyond what it keeps, only a few
+        # bytes per subject (the float64 columns _table is cast from), far
+        # less than bits.nbytes
+        rng = np.random.default_rng(74)
+        ds = random_dataset(rng, n_subjects=20000, n_features=6, m=2)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.01, max_predicates=3))
+        scores = random_scores(rng, ds)
+        tracemalloc.start()
+        try:
+            problem = SearchProblem(ds, scores, cands)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert problem.bits.nbytes > 128 * problem.n
+        assert peak - kept < 64 * problem.n
+
     def test_no_array_per_subject_and_pattern(self):
-        # coverage is held as packed bits, so the problem's arrays together
-        # take less than one byte per (subject, pattern) pair
+        # coverage is held once, packed subject by subject, plus one packed
+        # row per distinct predicate; a pattern-major copy would double it
         rng = np.random.default_rng(71)
         ds = random_dataset(rng, n_subjects=2000, n_features=6, m=2)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
         problem = SearchProblem(ds, random_scores(rng, ds), cands)
-        held = sum(v.nbytes for v in vars(problem).values() if isinstance(v, np.ndarray))
-        assert held < problem.n * len(problem.patterns)
+        held = sum(v.nbytes for v in vars(problem).values()
+                   if isinstance(v, np.ndarray) and v.dtype == np.uint8)
+        n_preds = len({pred for pat in problem.patterns for pred in pat.predicates})
+        assert n_preds < len(problem.patterns) / 8
+        assert held <= -(-len(problem.patterns) // 8) * problem.n + n_preds * -(-problem.n // 8)
 
     def test_pattern_rows_unpack_to_cover_matrix(self):
         rng = np.random.default_rng(72)
@@ -522,10 +588,10 @@ class TestCoverage:
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
         problem = SearchProblem(ds, random_scores(rng, ds), cands)
         covers = oracle_cover_matrix(problem)
-        assert problem.rows.shape == (len(problem.patterns), -(-problem.n // 8))
         for p in range(len(problem.patterns)):
-            assert np.array_equal(np.unpackbits(problem.rows[p], count=problem.n), covers[:, p])
-            assert not np.unpackbits(problem.rows[p])[problem.n:].any()
+            assert problem.row(p).shape == (-(-problem.n // 8),)
+            assert np.array_equal(np.unpackbits(problem.row(p), count=problem.n), covers[:, p])
+            assert not np.unpackbits(problem.row(p))[problem.n:].any()
 
     def test_no_array_per_subject_and_node(self, monkeypatch):
         # a state holds its coverage packed, ceil(n / 8) bytes, and no other
