@@ -157,23 +157,20 @@ def cmd_learn(args: argparse.Namespace) -> int:
     weights = _weights(cfg, args)
     sconfig = _search_config(cfg, args)
 
-    log = None
     if args.strategy == "uct":
         result = uct_search(ds, scores, cands, weights, sconfig)
-        dl = result.decision_list
-        log = result.log
         extra = {"tree_size": result.tree_size, "n_pruned": result.n_pruned,
                  "iterations_run": result.iterations_run}
     elif args.strategy == "greedy":
-        dl = greedy_baseline(ds, scores, cands, weights, sconfig.L_max,
-                             sconfig.charge_default_full).decision_list
+        result = greedy_baseline(ds, scores, cands, weights, sconfig.L_max,
+                                 sconfig.charge_default_full)
         extra = {}
     else:
-        res = exhaustive_search(ds, scores, cands, weights, sconfig.L_max,
-                                use_bound=True,
-                                charge_default_full=sconfig.charge_default_full)
-        dl = res.decision_list
-        extra = {"n_evaluated": res.n_evaluated, "n_pruned": res.n_pruned}
+        result = exhaustive_search(ds, scores, cands, weights, sconfig.L_max,
+                                   use_bound=True,
+                                   charge_default_full=sconfig.charge_default_full)
+        extra = {"n_evaluated": result.n_evaluated, "n_pruned": result.n_pruned}
+    dl = result.decision_list
 
     # report the objective through the same code path evaluate uses
     objective = objective_value(ds, dl, scores, weights,
@@ -190,8 +187,8 @@ def cmd_learn(args: argparse.Namespace) -> int:
     io.write_json(record, out / "regime.json")
     text = io.format_decision_list(dl, ds.specs, ds.treatment_names)
     (out / "regime.txt").write_text(text + "\n", encoding="utf-8")
-    if log is not None:
-        io.write_jsonl(log, out / "search_log.jsonl")
+    if args.strategy == "uct":
+        io.write_jsonl(result.log, out / "search_log.jsonl")
     print(text)
     print(f"objective {objective!r}")
     return 0

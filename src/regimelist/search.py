@@ -8,20 +8,21 @@ carries exact incurred sums, and its uncovered remainder can add at most an
 optimistic value per subject.  Three solvers share this state machinery: UCT
 (the main engine), exhaustive enumeration (small-instance oracle), and a
 greedy baseline.  ``SearchProblem.ordered_actions`` is their one legality
-rule and their one bound on an open prefix: it bounds every child of a node
-by blocked float32 products over coverage bits packed per subject, a child
-subtracting from its parent's sums only the subjects it newly covers, so a
-child is built with ``apply`` only if that bound lets it beat the incumbent.
-A state holds its covered set packed like a pattern's row, which ``apply``
-ORs in: ``SearchProblem.row`` ANDs it from packed predicate masks.
-``SearchProblem.state_bound`` scores a closed list exactly, and
-``SearchProblem.close``, which closes a prefix with its best default, is how
-UCT and greedy complete a list.
+rule and their one bound on an open prefix, batched over all children in
+float32 products of coverage bits packed per subject.  ``Frontier.take`` is
+their one expansion step: it builds with ``apply`` only a child whose bound
+can beat the incumbent, scores a closing child exactly with
+``SearchProblem.state_bound``, and counts every child it skips.  A state
+holds its covered set packed like a pattern's row, which ``apply`` ORs in:
+``SearchProblem.row`` ANDs it from packed predicate masks.
+``SearchProblem.close``, closing a prefix with its best default, is how UCT
+and greedy complete a list.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -186,9 +187,11 @@ class SearchProblem:
         ) + 2.0 ** -1000
         # the float32 columns (1, optimistic, each arm's value) that _sums
         # adds up; a score beyond float32's range becomes inf, as hi expects
+        self._table = np.empty((self.n, self.m + 2), dtype=np.float32)
         with np.errstate(over="ignore"):
-            self._table = np.column_stack(
-                [np.ones(self.n), self.optimistic, self.value_mat]).astype(np.float32)
+            self._table[:, 0] = 1.0
+            self._table[:, 1] = self.optimistic
+            self._table[:, 2:] = self.value_mat
 
     def row(self, p: int) -> np.ndarray:
         """Pattern p's coverage, packed like ``SearchState.packed`` (read-only)."""
@@ -366,7 +369,7 @@ class SearchProblem:
         if not state.terminal:
             raise ValidationError("only a terminal state has an exact objective")
         uncovered = _unpack(~state.packed, self.n)
-        n_unc = int(uncovered.sum())
+        n_unc = np.count_nonzero(uncovered)
         total = (state.incurred_value
                  - self.weights.lambda2 * state.incurred_assess
                  + float(np.compress(uncovered, self.value_cols[state.default_treatment]).sum())
@@ -380,12 +383,51 @@ class SearchProblem:
         return DecisionList(rules=rules, default_treatment=state.default_treatment)
 
 
+class Frontier:
+    """A state's untried children: action codes and their bounds his, as
+    ``ordered_actions`` returns them or reordered, taken from the end."""
+
+    __slots__ = ("state", "codes", "his", "cursor")
+
+    def __init__(self, state: SearchState, codes: np.ndarray, his: np.ndarray):
+        self.state, self.codes, self.his = state, codes, his
+        self.cursor = len(codes)
+
+    @classmethod
+    def by_code(cls, state: SearchState, codes: np.ndarray, his: np.ndarray) -> Frontier:
+        """The children taken in ascending code order: the defaults, then the
+        rules in (pattern, treatment) order."""
+        order = np.argsort(codes)[::-1]
+        return cls(state, codes[order], his[order])
+
+    def take(self, problem: SearchProblem, incumbent: float,
+             pruned: Counter) -> tuple[SearchState, float] | None:
+        """The next child that can beat the incumbent, with its bound; None
+        once none is left.  A child is skipped unbuilt if its ``hi``, which
+        bounds every list completing it, cannot (counted under "hi").  A built
+        rule child keeps ``hi``; a closing child is bounded by its exact
+        objective, ``state_bound``, and skipped if that cannot ("closed")."""
+        while self.cursor:
+            self.cursor -= 1
+            bound = float(self.his[self.cursor])
+            if bound <= incumbent:
+                pruned["hi"] += 1
+                continue
+            child = problem.apply(self.state, int(self.codes[self.cursor]))
+            if child.terminal:
+                bound = problem.state_bound(child)
+                if bound <= incumbent:
+                    pruned["closed"] += 1
+                    continue
+            return child, bound
+        return None
+
+
 class SearchNode:
-    """One prefix in the UCT tree; codes[:cursor] and his[:cursor] of
-    ordered_actions' output are its untried children, taken from the end."""
+    """One prefix in the UCT tree; its frontier is made when first selected."""
 
     __slots__ = ("state", "bound", "visits", "total_reward", "children",
-                 "codes", "his", "cursor", "fully_explored")
+                 "frontier", "fully_explored")
 
     def __init__(self, state: SearchState, bound: float):
         self.state = state
@@ -393,20 +435,21 @@ class SearchNode:
         self.visits = 0
         self.total_reward = 0.0
         self.children: list[SearchNode] = []
-        self.codes: np.ndarray | None = None
-        self.his: np.ndarray | None = None
-        self.cursor = 0
+        self.frontier: Frontier | None = None
         self.fully_explored = False
 
 
 @dataclass
 class SearchResult:
+    """n_pruned: children skipped by a bound; n_evaluated: closed lists exhaustive_search kept."""
+
     decision_list: DecisionList
     objective: float
     log: list[dict] = field(default_factory=list)
     tree_size: int = 0
     n_pruned: int = 0
     iterations_run: int = 0
+    n_evaluated: int = 0
 
 
 def uct_search(
@@ -419,46 +462,29 @@ def uct_search(
     """Monte-Carlo tree search with bound pruning over list prefixes.
 
     Each iteration selects by UCB1 (mean reward normalized to [0, 1] by the
-    running min/max of terminal rewards), expands one untried action, closes
-    the new prefix with its best default (``SearchProblem.close``), and backs
-    that list's exact objective up the path.  The search draws no random
-    numbers, so ``config.seed`` does not change the result.  A child is
-    pruned unbuilt when its batched bound ``hi`` from ``ordered_actions``
-    cannot beat the incumbent.  A built rule child keeps ``hi`` as its bound;
-    a closing child is scored exactly by ``state_bound``, and pruned if that
-    cannot beat the incumbent.  A subtree whose actions are all expanded or
-    pruned is marked fully explored, and the search stops early once the
-    root is (every completion has then been evaluated or soundly excluded).
+    running min/max of terminal rewards), takes the node's next child by
+    ``Frontier.take`` in ``ordered_actions``' order, closes a new prefix
+    with its best default (``SearchProblem.close``), and backs that list's
+    exact objective up the path.  The search draws no random numbers, so
+    ``config.seed`` does not change the result.  A built child keeps its
+    bound, and is pruned at selection once that cannot beat the incumbent.
+    A node whose children are all taken or pruned is fully explored; the
+    search stops once the root is, every completion evaluated or excluded.
     """
     problem = SearchProblem(ds, scores, cands, weights, config.charge_default_full)
     # the root is nobody's child, so its bound is never compared
     root = SearchNode(problem.initial_state(), math.inf)
     tree_size = 1
-    n_pruned = 0
+    # take's skips, and under "node" the built children pruned at selection
+    pruned: Counter[str] = Counter()
     best_obj = -math.inf
     # set by the first iteration, whose first child closes the root
     best_state: SearchState | None = None
-    rmin = math.inf
-    rmax = -math.inf
+    rmin, rmax = math.inf, -math.inf
     log: list[dict] = []
 
-    def record_terminal(state: SearchState, obj: float) -> float:
-        nonlocal best_obj, best_state, rmin, rmax
-        if obj > best_obj:
-            best_obj = obj
-            best_state = state
-        rmin = min(rmin, obj)
-        rmax = max(rmax, obj)
-        return obj
-
-    def rollout(state: SearchState) -> float:
-        state = problem.close(state)
-        return record_terminal(state, problem.state_bound(state))
-
     def normalized(mean: float) -> float:
-        if rmax > rmin:
-            return (mean - rmin) / (rmax - rmin)
-        return 0.5
+        return (mean - rmin) / (rmax - rmin) if rmax > rmin else 0.5
 
     iterations_run = 0
     for it in range(1, config.iterations + 1):
@@ -468,41 +494,35 @@ def uct_search(
         path = [root]
         node = root
         reward: float | None = None
-        while reward is None:
-            if node.codes is None:
-                node.codes, node.his = problem.ordered_actions(node.state, config.L_max)
-                node.cursor = len(node.codes)
+        while True:
+            if node.frontier is None:
+                node.frontier = Frontier(node.state,
+                                         *problem.ordered_actions(node.state, config.L_max))
             for c in node.children:
                 if not c.fully_explored and c.bound <= best_obj:
                     c.fully_explored = True
-                    n_pruned += 1
+                    pruned["node"] += 1
             live = [c for c in node.children if not c.fully_explored]
             # progressive widening gates expansion unless nothing is selectable
             limit = max(1, math.ceil(WIDEN_C * max(node.visits, 1) ** WIDEN_ALPHA))
-            if node.cursor and (len(node.children) < limit or not live):
-                # from the end: defaults first, then the best-ordered rules
-                while node.cursor:
-                    node.cursor -= 1
-                    bound = float(node.his[node.cursor])
-                    if bound > best_obj:
-                        child_state = problem.apply(node.state, int(node.codes[node.cursor]))
-                        if child_state.terminal:
-                            bound = problem.state_bound(child_state)
-                    if bound <= best_obj:
-                        n_pruned += 1
-                        continue
-                    child = SearchNode(child_state, bound)
+            if len(node.children) < limit or not live:
+                taken = node.frontier.take(problem, best_obj, pruned)
+                if taken is not None:
+                    state, bound = taken
+                    child = SearchNode(state, bound)
                     tree_size += 1
                     node.children.append(child)
-                    if child_state.terminal:
-                        child.fully_explored = True
-                        reward = record_terminal(child_state, bound)
-                    else:
-                        reward = rollout(child_state)
                     path.append(child)
+                    if state.terminal:
+                        child.fully_explored = True
+                        reward = bound
+                    else:
+                        state = problem.close(state)
+                        reward = problem.state_bound(state)
+                    if reward > best_obj:
+                        best_obj, best_state = reward, state
+                    rmin, rmax = min(rmin, reward), max(rmax, reward)
                     break
-            if reward is not None:
-                break
             if not live:
                 node.fully_explored = True
                 # dead end: go back one level and choose again there
@@ -528,7 +548,7 @@ def uct_search(
             "iteration": it,
             "incumbent_objective": best_obj if best_obj > -math.inf else None,
             "tree_size": tree_size,
-            "n_pruned": n_pruned,
+            "n_pruned": pruned.total(),
         })
 
     return SearchResult(
@@ -536,23 +556,9 @@ def uct_search(
         objective=best_obj,
         log=log,
         tree_size=tree_size,
-        n_pruned=n_pruned,
+        n_pruned=pruned.total(),
         iterations_run=iterations_run,
     )
-
-
-@dataclass
-class ExhaustiveResult:
-    decision_list: DecisionList
-    objective: float
-    n_evaluated: int = 0
-    n_pruned: int = 0
-
-
-@dataclass
-class BaselineResult:
-    decision_list: DecisionList
-    objective: float
 
 
 def exhaustive_search(
@@ -563,17 +569,17 @@ def exhaustive_search(
     L_max: int = 3,
     use_bound: bool = False,
     charge_default_full: bool = False,
-) -> ExhaustiveResult:
+) -> SearchResult:
     """Exact argmax by enumerating every legal rule sequence up to L_max.
 
     A rule is legal when ``ordered_actions`` allows it: its pattern is unused
-    and newly covers at least one subject.
-    Each prefix tries the defaults, then rules in ascending (pattern,
-    treatment) order, and only a strict improvement replaces the incumbent,
-    so ties resolve to the first list in that order.  Instances beyond the
-    EXHAUSTIVE_* limits are refused.  Every closed list is scored exactly by
-    ``state_bound``.  With use_bound, a rule whose ``ordered_actions`` bound
-    ``hi`` cannot beat the incumbent is skipped unbuilt and counted.
+    and newly covers at least one subject.  Each prefix takes its children
+    by ``Frontier.take`` in ascending code order, the defaults and then the
+    rules in (pattern, treatment) order, and only a strict improvement
+    replaces the incumbent, so ties resolve to the first list in that order.
+    Instances beyond the EXHAUSTIVE_* limits are refused.  With use_bound,
+    ``take`` skips every child that cannot beat the incumbent; without, its
+    incumbent is -inf, so every legal list is scored.
     """
     if len(cands.patterns) > EXHAUSTIVE_MAX_PATTERNS:
         raise SizeLimitError(
@@ -586,30 +592,26 @@ def exhaustive_search(
     best_obj = -math.inf
     best_state: SearchState | None = None
     n_evaluated = 0
-    n_pruned = 0
+    pruned: Counter[str] = Counter()
 
     def visit(state: SearchState) -> None:
-        nonlocal best_obj, best_state, n_evaluated, n_pruned
-        codes, his = problem.ordered_actions(state, L_max)
-        for action, hi in sorted(zip(codes.tolist(), his.tolist())):
-            if action < 0:
-                child = problem.apply(state, action)
-                n_evaluated += 1
-                obj = problem.state_bound(child)
-                if obj > best_obj:
-                    best_obj = obj
-                    best_state = child
-            elif use_bound and hi <= best_obj:
-                n_pruned += 1
-            else:
-                visit(problem.apply(state, action))
+        nonlocal best_obj, best_state, n_evaluated
+        frontier = Frontier.by_code(state, *problem.ordered_actions(state, L_max))
+        while taken := frontier.take(problem, best_obj if use_bound else -math.inf, pruned):
+            child, obj = taken
+            if not child.terminal:
+                visit(child)
+                continue
+            n_evaluated += 1
+            if obj > best_obj:
+                best_obj, best_state = obj, child
 
     visit(problem.initial_state())
-    return ExhaustiveResult(
+    return SearchResult(
         decision_list=problem.decision_list(best_state),
         objective=best_obj,
         n_evaluated=n_evaluated,
-        n_pruned=n_pruned,
+        n_pruned=pruned.total(),
     )
 
 
@@ -620,35 +622,32 @@ def greedy_baseline(
     weights: ObjectiveWeights = ObjectiveWeights(),
     L_max: int = 4,
     charge_default_full: bool = False,
-) -> BaselineResult:
+) -> SearchResult:
     """Appends the single rule with the largest exact objective gain.
 
-    Rules are those exhaustive_search enumerates, tried in the same order.
-    Each candidate is closed with ``SearchProblem.close``; the loop stops
-    when no rule strictly improves the closed list's objective or L_max is hit.
-    A rule whose ``ordered_actions`` bound is no better than the best
-    objective so far cannot win, as the bound dominates every completion of
-    the rule, so it is skipped unbuilt.
+    Each step takes the rule children by ``Frontier.take`` in the order
+    exhaustive_search tries them, against the best objective so far, and
+    closes each with ``SearchProblem.close``; it stops when no rule
+    strictly improves the closed list's objective or L_max is hit.
     """
     problem = SearchProblem(ds, scores, cands, weights, charge_default_full)
     state = problem.initial_state()
     best_obj = problem.state_bound(problem.close(state))
+    pruned: Counter[str] = Counter()
     while True:
-        step_best: tuple[float, SearchState] | None = None
-        threshold = best_obj
         codes, his = problem.ordered_actions(state, L_max)
         rules = codes >= 0
-        for action, hi in sorted(zip(codes[rules].tolist(), his[rules].tolist())):
-            if hi <= threshold:
-                continue
-            child = problem.apply(state, action)
-            obj = problem.state_bound(problem.close(child))
+        frontier = Frontier.by_code(state, codes[rules], his[rules])
+        step, threshold = None, best_obj
+        while taken := frontier.take(problem, threshold, pruned):
+            obj = problem.state_bound(problem.close(taken[0]))
             if obj > threshold:
-                step_best, threshold = (obj, child), obj
-        if step_best is None:
+                step, threshold = taken[0], obj
+        if step is None:
             break
-        best_obj, state = step_best
-    return BaselineResult(
+        best_obj, state = threshold, step
+    return SearchResult(
         decision_list=problem.decision_list(problem.close(state)),
         objective=best_obj,
+        n_pruned=pruned.total(),
     )

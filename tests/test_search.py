@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from regimelist.estimation import DRScoreMatrix
 from regimelist.mining import CandidateSet, MiningConfig, mine_patterns
 from regimelist.objective import ObjectiveWeights, objective_value
 from regimelist.search import (
+    Frontier,
     SearchConfig,
     SearchProblem,
     exhaustive_search,
@@ -773,9 +776,9 @@ class TestUCT:
         assert checked
 
     def test_batched_bounds_skip_building_pruned_children(self, monkeypatch):
-        # an open prefix is bounded by hi alone: state_bound scores each
-        # rollout's closed list and each closing child whose hi passes, and
-        # no rule child, kept or pruned
+        # an open prefix is bounded by hi alone: state_bound scores the list
+        # that closes each new rule child and each closing child whose hi
+        # passes, and no rule child, kept or pruned
         rng = np.random.default_rng(0)
         ds = random_dataset(rng, n_subjects=1000, n_features=6, m=3)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
@@ -858,19 +861,36 @@ class TestExhaustive:
     def test_bound_prunes_rule_children_unbuilt(self, monkeypatch):
         # with use_bound, a rule child whose hi cannot beat the incumbent is
         # never built: every rule child apply builds is then expanded, with
-        # one ordered_actions call, and the list is the unpruned one
+        # one ordered_actions call, and the list is the unpruned one.  Nor is
+        # a default child whose hi cannot beat the incumbent, which is the
+        # best exact objective state_bound has returned so far.
         rng = np.random.default_rng(94)
-        counts = {"rules": 0, "expanded": 0}
+        counts = {"rules": 0, "expanded": 0, "defaults": 0, "defaults_offered": 0}
         apply = SearchProblem.apply
         ordered_actions = SearchProblem.ordered_actions
+        state_bound = SearchProblem.state_bound
+        # per expanded state, kept alive so that its id stays its own
+        his_of: dict[int, tuple] = {}
+        incumbent = [-math.inf]
 
         def counted_apply(problem, state, action):
             counts["rules"] += action >= 0
+            if action < 0:
+                counts["defaults"] += 1
+                assert his_of[id(state)][1][action] > incumbent[0]
             return apply(problem, state, action)
 
         def counted_ordered_actions(problem, state, L_max):
             counts["expanded"] += 1
-            return ordered_actions(problem, state, L_max)
+            codes, his = ordered_actions(problem, state, L_max)
+            counts["defaults_offered"] += int(np.count_nonzero(codes < 0))
+            his_of[id(state)] = (state, dict(zip(codes.tolist(), his.tolist())))
+            return codes, his
+
+        def counted_state_bound(problem, state):
+            obj = state_bound(problem, state)
+            incumbent[0] = max(incumbent[0], obj)
+            return obj
 
         pruned_somewhere = 0
         for _ in range(6):
@@ -881,13 +901,17 @@ class TestExhaustive:
             with monkeypatch.context() as mp:
                 mp.setattr(SearchProblem, "apply", counted_apply)
                 mp.setattr(SearchProblem, "ordered_actions", counted_ordered_actions)
+                mp.setattr(SearchProblem, "state_bound", counted_state_bound)
                 counts.update(rules=0, expanded=0)
+                his_of.clear()
+                incumbent[0] = -math.inf
                 on = exhaustive_search(ds, scores, cands, w, L_max=3, use_bound=True)
             # the root is expanded without being built
             assert counts["rules"] == counts["expanded"] - 1
             assert (on.decision_list, on.objective) == (off.decision_list, off.objective)
             pruned_somewhere += int(on.n_pruned > 0)
         assert pruned_somewhere >= 3
+        assert counts["defaults"] < counts["defaults_offered"]
 
     def test_cost_only_objective_prefers_empty_list(self):
         rng = np.random.default_rng(95)
@@ -993,6 +1017,93 @@ class TestGreedy:
             res = greedy_baseline(ds, scores, cands, w, L_max=3)
             assert (res.decision_list, res.objective) == oracle_greedy(ds, scores, cands, w, 3)
         assert skipped > 0
+
+
+def same_state(a, b):
+    """Two states with the same list, covered set and incurred sums."""
+    return (a.prefix == b.prefix and np.array_equal(a.packed, b.packed)
+            and (a.features, a.terminal, a.default_treatment)
+            == (b.features, b.terminal, b.default_treatment)
+            and (a.incurred_assess, a.incurred_value) == (b.incurred_assess, b.incurred_value))
+
+
+class TestFrontier:
+    def problem(self, seed):
+        rng = np.random.default_rng(seed)
+        ds, cands = small_instance(rng, n_patterns=5, m=3)
+        return SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng))
+
+    def take_all(self, problem, frontier, incumbent):
+        pruned: Counter[str] = Counter()
+        taken = []
+        while (t := frontier.take(problem, incumbent, pruned)) is not None:
+            taken.append(t)
+        return taken, pruned
+
+    def test_children_come_from_the_end_and_match_apply(self):
+        for seed in range(4):
+            problem = self.problem(200 + seed)
+            state = problem.initial_state()
+            codes, his = problem.ordered_actions(state, 2)
+            taken, pruned = self.take_all(problem, Frontier(state, codes, his), -math.inf)
+            assert not pruned and len(taken) == len(codes)
+            for k, (child, bound) in zip(range(len(codes) - 1, -1, -1), taken):
+                want = problem.apply(state, int(codes[k]))
+                assert same_state(child, want)
+                if not child.terminal:
+                    assert bound == his[k]
+            # by_code takes the same children in ascending code order
+            taken, _ = self.take_all(problem, Frontier.by_code(state, codes, his), -math.inf)
+            for code, (child, _) in zip(sorted(codes.tolist()), taken):
+                assert same_state(child, problem.apply(state, code))
+
+    def test_child_whose_hi_cannot_beat_the_incumbent_is_never_built(self, monkeypatch):
+        apply = SearchProblem.apply
+        built = []
+
+        def counted_apply(problem, state, action):
+            built.append(action)
+            return apply(problem, state, action)
+
+        monkeypatch.setattr(SearchProblem, "apply", counted_apply)
+        for seed in range(4):
+            problem = self.problem(210 + seed)
+            state = problem.initial_state()
+            codes, his = problem.ordered_actions(state, 2)
+            incumbent = float(np.median(his))
+            built.clear()
+            _, pruned = self.take_all(problem, Frontier(state, codes, his), incumbent)
+            assert sorted(built) == sorted(codes[his > incumbent].tolist())
+            assert pruned["hi"] == np.count_nonzero(his <= incumbent) > 0
+
+    def test_closing_child_carries_its_exact_state_bound(self):
+        for seed in range(4):
+            problem = self.problem(220 + seed)
+            state = problem.initial_state()
+            codes, _ = problem.ordered_actions(state, 1)
+            state = problem.apply(state, int(codes[codes >= 0][-1]))
+            codes, his = problem.ordered_actions(state, 1)
+            assert np.all(codes < 0)
+            taken, _ = self.take_all(problem, Frontier(state, codes, his), -math.inf)
+            exact = [problem.state_bound(problem.apply(state, c)) for c in codes.tolist()]
+            assert [bound for _, bound in taken] == exact[::-1]
+            # the best closed list passes its hi but not its own objective
+            taken, pruned = self.take_all(problem, Frontier(state, codes, his), max(exact))
+            assert not taken and pruned["closed"] >= 1
+
+    def test_reason_counts_add_up_to_the_skips(self):
+        for seed in range(6):
+            problem = self.problem(230 + seed)
+            state = problem.initial_state()
+            codes, his = problem.ordered_actions(state, 2)
+            closed = [problem.state_bound(problem.apply(state, c))
+                      for c in codes[codes < 0].tolist()]
+            for incumbent in (float(np.median(his)), max(closed), -math.inf):
+                taken, pruned = self.take_all(problem, Frontier(state, codes, his), incumbent)
+                assert set(pruned) <= {"hi", "closed"}
+                assert len(taken) + pruned.total() == len(codes)
+                assert pruned["closed"] == sum(hi > incumbent >= obj for hi, obj
+                                               in zip(his[codes < 0].tolist(), closed))
 
 
 class TestConfigValidation:
