@@ -1,18 +1,22 @@
 """Decision-list optimization over a mined candidate set.
 
 The construction of a list is a sequential decision process: each action
-appends one (pattern, treatment) rule to the prefix, or closes the list by
-choosing a default treatment.  Because matching is first-match, a subject's
-score and treatment cost are final the moment a rule covers it, so a prefix
-carries exact incurred sums, and its uncovered remainder can add at most an
-optimistic value per subject.  Three solvers share this state machinery: UCT
-(the main engine), exhaustive enumeration (small-instance oracle), and a
-greedy baseline.  ``SearchProblem.ordered_actions`` is their one legality
-rule and their one bound on an open prefix, batched over all children in
-float32 products of coverage bits packed per subject.  ``Frontier.take`` is
-their one expansion step: it builds with ``apply`` only a child whose bound
-can beat the incumbent, scores a closing child exactly with
-``SearchProblem.state_bound``, and counts every child it skips.  A state
+appends one rule on a pattern to the prefix, or closes the list by choosing a
+default treatment.  Because matching is first-match, a subject's score and
+treatment cost are final the moment a rule covers it, so a prefix carries
+exact incurred sums, and its uncovered remainder can add at most an
+optimistic value per subject.  A rule's treatment changes only the value of
+the subjects it newly covers, and no assessment cost depends on it, so an
+optimal list gives each rule the arm of largest value over them, as CORELS
+and SBRL fix a rule's label (arXiv 1704.01701, 1602.08610): a state has one
+rule child per pattern, and ``apply`` picks its arm.  Three solvers share
+this state machinery: UCT (the main engine), exhaustive enumeration
+(small-instance oracle), and a greedy baseline.  ``SearchProblem.ordered_actions``
+is their one legality rule and their one bound on an open prefix, batched
+over all children in float32 products of coverage bits packed per subject.
+``Frontier.take`` is their one expansion step: it builds with ``apply`` only
+a child whose bound can beat the incumbent, scores a closing child exactly
+with ``SearchProblem.state_bound``, and counts every child it skips.  A state
 holds its covered set packed like a pattern's row, which ``apply`` ORs in:
 ``SearchProblem.row`` ANDs it from packed predicate masks.
 ``SearchProblem.close``, closing a prefix with its best default, is how UCT
@@ -34,9 +38,9 @@ from .mining import CandidateSet
 from .objective import ObjectiveWeights, check_scores
 
 Action = int
-# p * m + t appends the rule (pattern p, treatment t) and d - m closes the list
-# with default d, so ascending codes run in (pattern, treatment) order with the
-# defaults first.  A prefix stores its rules as (p, t) pairs.
+# p >= 0 appends a rule on pattern p, whose arm apply picks, and d - m closes
+# the list with default d, so ascending codes run in pattern order with the
+# defaults first.  A prefix stores its rules as (pattern, treatment) pairs.
 
 # subjects per float32 product of _sums: up to 512 ones add exactly in float32
 BLOCK = 512
@@ -223,19 +227,25 @@ class SearchProblem:
         Returns int32 action codes and, for each, a float64 ``hi`` at least
         the objective of every list completing apply(state, code), ordered
         for expansion from the end: defaults first, then rules by decreasing
-        one-step gain.  Any default is legal; below depth L_max, so is (p, t)
-        for every treatment t and every pattern p that newly covers someone
-        (a used pattern covers nobody new, and a rule covering nobody new only
-        adds cost, so no optimum is lost).  The key of (p, t) is the rule's
-        value on the cnt subjects it newly covers, minus what the state's best
-        default would give them, minus lambda2 * cnt * the feature cost of the
-        extended prefix; it orders the actions and never selects them.
+        one-step gain.  Any default is legal; below depth L_max, so is the
+        rule on every pattern p that newly covers someone (a used pattern
+        covers nobody new, and a rule covering nobody new only adds cost, so
+        no optimum is lost).  The key of p is the largest over treatments t
+        of the value of (p, t) on the cnt subjects p newly covers, minus what
+        the state's best default would give them, minus lambda2 * cnt * the
+        feature cost of the extended prefix; it orders the actions and never
+        selects them.
 
-        ``hi`` rounds up an exact bound: a closing child's objective, or a
-        rule child's settled sums plus, per subject it leaves uncovered, the
-        best score minus the cheapest treatment (``optimistic``) minus the
-        child's default assessment charge.  No completion gives that subject
-        more, or bills it less, as later groups bill a superset of features.
+        ``hi`` rounds up an exact bound: a closing child's objective, or the
+        largest over t of a rule (p, t)'s settled sums plus, per subject it
+        leaves uncovered, the best score minus the cheapest treatment
+        (``optimistic``) minus the child's default assessment charge.  No
+        completion gives that subject more, or bills it less, as later groups
+        bill a superset of features.  The one child ``apply`` builds for p is
+        the rule (p, t*) for some arm t*, so the largest of the per-arm bounds
+        bounds its completions; and fixing t* loses no optimum, as swapping a
+        rule's arm for t* changes only the value of its newly covered
+        subjects, and never lowers it.
 
         The bounds are batched: per pattern, float64 sums of the float32
         columns (1, optimistic, each arm's value) over the subjects it would
@@ -294,9 +304,9 @@ class SearchProblem:
         new_cost = mask_cost[self._feature_index[eligible]]
         best_default = int(np.argmax(default_sums))
         charge = lam2 * new_cost * cnt
-        keys = gains - gains[:, best_default, None] - charge[:, None]
-        # stable: equal keys keep (pattern, treatment) order
-        order = np.argsort(keys, axis=None, kind="stable")
+        keys = (gains - gains[:, best_default, None] - charge[:, None]).max(axis=1)
+        # stable: equal keys keep pattern order
+        order = np.argsort(keys, kind="stable")
 
         child_default = new_cost if self.charge_default_full else 0.0
         per_pattern = (float(uncov.astype(np.float64) @ self.optimistic)
@@ -306,10 +316,8 @@ class SearchProblem:
         slack = self._slack_per_term * (2 * self.coverage[eligible] - cnt) + self._slack
         rule_his = (estimate + slack[:, None]) / self.n
         rule_his[~np.isfinite(rule_his)] = np.inf  # float32 overflow, or inf - inf
-        rule_codes = eligible[:, None] * self.m + np.arange(self.m)
-        return (np.concatenate([rule_codes.ravel()[order].astype(np.int32),
-                                default_codes]),
-                np.concatenate([rule_his.ravel()[order], default_his]))
+        return (np.concatenate([eligible[order].astype(np.int32), default_codes]),
+                np.concatenate([rule_his.max(axis=1)[order], default_his]))
 
     def _sums(self, state: SearchState) -> np.ndarray:
         """Per pattern (column), float64 totals of the float32 table's columns
@@ -327,21 +335,25 @@ class SearchProblem:
         return parent.sums - sums if incremental else sums
 
     def apply(self, state: SearchState, action: Action) -> SearchState:
+        """The child of an action: a closed list, or the prefix extended by a
+        rule on pattern ``action`` with the arm of largest exact value over
+        the subjects it newly covers, the lowest arm on a tie."""
         if action < 0:
             return replace(state, terminal=True, default_treatment=action + self.m)
-        p, t = divmod(action, self.m)
-        row = self.row(p)
+        row = self.row(action)
         newly = _unpack(row & ~state.packed, self.n)
-        features = state.features | self.pattern_features[p]
+        # each arm's sum, bit for bit np.compress(newly, value_cols[t]).sum()
+        values = np.compress(newly, self.value_cols, axis=1).sum(axis=1)
+        t = int(np.argmax(values))
+        features = state.features | self.pattern_features[action]
         return SearchState(
-            prefix=state.prefix + ((p, t),),
+            prefix=state.prefix + ((action, t),),
             packed=state.packed | row,
             n_subjects=self.n,
             features=features,
             incurred_assess=(state.incurred_assess
                              + self.feature_cost(features) * np.count_nonzero(newly)),
-            incurred_value=(state.incurred_value
-                            + float(np.compress(newly, self.value_cols[t]).sum())),
+            incurred_value=state.incurred_value + float(values[t]),
             parent=state,
         )
 
@@ -396,7 +408,7 @@ class Frontier:
     @classmethod
     def by_code(cls, state: SearchState, codes: np.ndarray, his: np.ndarray) -> Frontier:
         """The children taken in ascending code order: the defaults, then the
-        rules in (pattern, treatment) order."""
+        rules in pattern order."""
         order = np.argsort(codes)[::-1]
         return cls(state, codes[order], his[order])
 
@@ -570,13 +582,15 @@ def exhaustive_search(
     use_bound: bool = False,
     charge_default_full: bool = False,
 ) -> SearchResult:
-    """Exact argmax by enumerating every legal rule sequence up to L_max.
+    """Exact argmax by enumerating every legal pattern sequence up to L_max.
 
     A rule is legal when ``ordered_actions`` allows it: its pattern is unused
-    and newly covers at least one subject.  Each prefix takes its children
+    and newly covers at least one subject.  Each rule takes the arm ``apply``
+    picks, which loses no optimum, so every sequence is closed with each
+    default and no other treatment is tried.  Each prefix takes its children
     by ``Frontier.take`` in ascending code order, the defaults and then the
-    rules in (pattern, treatment) order, and only a strict improvement
-    replaces the incumbent, so ties resolve to the first list in that order.
+    rules in pattern order, and only a strict improvement replaces the
+    incumbent, so ties resolve to the first list in that order.
     Instances beyond the EXHAUSTIVE_* limits are refused.  With use_bound,
     ``take`` skips every child that cannot beat the incumbent; without, its
     incumbent is -inf, so every legal list is scored.

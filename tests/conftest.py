@@ -24,7 +24,7 @@ from regimelist.domain import (
 )
 from regimelist.estimation import DRScoreMatrix, FeatureEncoder
 from regimelist.objective import ObjectiveWeights
-from regimelist.search import SearchProblem
+from regimelist.search import SearchProblem, SearchState
 from regimelist.synth import GeneratorSpec
 
 
@@ -454,25 +454,49 @@ def oracle_true_objective(gspec: GeneratorSpec, dl: DecisionList,
 
 
 # ---------------------------------------------------------------------------
-# greedy search without pruning (every rule child built and scored)
+# greedy search over every (pattern, treatment) rule, without pruning
+
+
+def rule_child(problem: SearchProblem, state: SearchState, p: int, t: int) -> SearchState:
+    """The prefix extended by the rule (p, t), whichever arm apply would give
+    p: the covered set ORed with p's row, plus t's value and the extended
+    prefix's assessment cost over the newly covered subjects, in apply's
+    float64 arithmetic."""
+    row = problem.row(p)
+    newly = np.unpackbits(row & ~state.packed, count=problem.n).view(bool)
+    features = state.features | problem.pattern_features[p]
+    return SearchState(
+        prefix=state.prefix + ((p, t),),
+        packed=state.packed | row,
+        n_subjects=problem.n,
+        features=features,
+        incurred_assess=(state.incurred_assess
+                         + problem.feature_cost(features) * np.count_nonzero(newly)),
+        incurred_value=(state.incurred_value
+                        + float(np.compress(newly, problem.value_cols[t]).sum())),
+    )
 
 
 def oracle_greedy(ds: Dataset, scores: DRScoreMatrix, cands, weights: ObjectiveWeights,
                   L_max: int) -> tuple[DecisionList, float]:
-    """The greedy loop that scores every legal rule child exactly: per step,
-    the first rule in action-code order whose closed list has the largest
-    objective, kept only when it beats the list so far."""
+    """The greedy loop that scores every rule (p, t) on an unused pattern
+    exactly, built by rule_child: per step, the first in ascending (p, t)
+    order whose closed list has the largest objective, kept only when it
+    beats the list so far."""
     problem = SearchProblem(ds, scores, cands, weights)
     state = problem.initial_state()
     best_obj = problem.state_bound(problem.close(state))
-    while True:
+    while state.depth < L_max:
         step_best = None
-        codes, _ = problem.ordered_actions(state, L_max)
-        for action in sorted(codes[codes >= 0].tolist()):
-            child = problem.apply(state, action)
+        used = {p for p, _ in state.prefix}
+        for p, t in itertools.product(range(len(problem.patterns)), range(problem.m)):
+            if p in used:
+                continue
+            child = rule_child(problem, state, p, t)
             obj = problem.state_bound(problem.close(child))
             if obj > best_obj and (step_best is None or obj > step_best[0]):
                 step_best = (obj, child)
         if step_best is None:
-            return problem.decision_list(problem.close(state)), best_obj
+            break
         best_obj, state = step_best
+    return problem.decision_list(problem.close(state)), best_obj

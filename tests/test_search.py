@@ -68,12 +68,13 @@ def small_instance(rng, n_patterns=6, n_subjects=60, n_features=4, m=2):
 
 
 def decode(problem, action):
-    """(pattern, treatment) of a rule's action code, (-1, d) of a default's."""
-    return (-1, action + problem.m) if action < 0 else divmod(action, problem.m)
+    """(pattern, None) of a rule's action code, whose arm apply picks, and
+    (-1, d) of a default's."""
+    return (-1, action + problem.m) if action < 0 else (action, None)
 
 
 def actions(problem, state, L_max):
-    """ordered_actions as (pattern, treatment) pairs, in the same order."""
+    """ordered_actions decoded, in the same order."""
     codes, _ = problem.ordered_actions(state, L_max)
     return [decode(problem, c) for c in codes.tolist()]
 
@@ -116,8 +117,8 @@ def per_pattern_actions(problem, state, sums):
     new_cost = np.array([problem.feature_cost(state.features | problem.pattern_features[p])
                          for p in eligible.tolist()], dtype=np.float64)
     charge = lam2 * new_cost * cnt
-    keys = gains - gains[:, int(np.argmax(default_sums)), None] - charge[:, None]
-    order = np.argsort(keys, axis=None, kind="stable")
+    keys = (gains - gains[:, int(np.argmax(default_sums)), None] - charge[:, None]).max(axis=1)
+    order = np.argsort(keys, kind="stable")
     child_default = new_cost if problem.charge_default_full else 0.0
     per_pattern = (float(uncov64 @ problem.optimistic) - sums[1, eligible] - charge
                    - lam2 * child_default * (n_unc - cnt))
@@ -125,8 +126,7 @@ def per_pattern_actions(problem, state, sums):
     slack = problem._slack_per_term * (2 * problem.coverage[eligible] - cnt) + problem._slack
     rule_his = (estimate + slack[:, None]) / problem.n
     rule_his[~np.isfinite(rule_his)] = np.inf
-    codes = (eligible[:, None] * problem.m + np.arange(problem.m)).ravel()[order]
-    return codes, rule_his.ravel()[order]
+    return eligible[order], rule_his.max(axis=1)[order]
 
 
 def exact_bound(problem, state, scores):
@@ -134,6 +134,14 @@ def exact_bound(problem, state, scores):
     if state.terminal:
         return problem.state_bound(state)
     return oracle_open_bound(problem, state, scores)
+
+
+def every_arm_bound(problem, state, scores, covers, rules):
+    """Per rule code, the largest over arms t of the oracle_open_bounds of
+    the prefix extended by (pattern, t): what the rule's hi must reach."""
+    bounds = oracle_open_bounds(problem, state, scores, covers,
+                                [(p, t) for p in rules for t in range(problem.m)])
+    return bounds.reshape(len(rules), problem.m).max(axis=1)
 
 
 def enumerate_completions(problem, state, L_max, scores):
@@ -168,7 +176,7 @@ class TestLegalActions:
         problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
         codes, his = problem.ordered_actions(problem.initial_state(), L_max=3)
         assert codes.dtype == np.int32 and his.dtype == np.float64
-        assert len(codes) == len(his) == 3 * ds.n_treatments + ds.n_treatments
+        assert len(codes) == len(his) == 3 + ds.n_treatments
 
     def test_only_defaults_at_depth_limit(self):
         rng = np.random.default_rng(53)
@@ -223,7 +231,7 @@ class TestLegalActions:
                     if not state.covered[i]
                     and oracle_pattern_holds(pattern, dataset_row(ds, i), ds.specs))
                 if p not in used and newly >= 1:
-                    legal |= {(p, t) for t in range(ds.n_treatments)}
+                    legal.add((p, None))
             codes, _ = problem.ordered_actions(state, 3)
             acts = [decode(problem, c) for c in codes.tolist()]
             assert len(acts) == len(set(acts))
@@ -231,13 +239,37 @@ class TestLegalActions:
             rules = [c for c in codes.tolist() if c >= 0]
             state = problem.apply(state, rules[-1] if rules else int(codes[0]))
 
+    def test_one_rule_code_per_pattern_that_covers_someone_new(self):
+        # the rule codes are the indices of the patterns that newly cover
+        # someone, once each, and each hi bounds the rule with every arm
+        rng = np.random.default_rng(58)
+        for trial in range(6):
+            ds, cands = small_instance(rng, m=2 + trial % 2)
+            scores = random_scores(rng, ds)
+            problem = SearchProblem(ds, scores, cands, random_weights(rng),
+                                    charge_default_full=trial >= 3)
+            covers = oracle_cover_matrix(problem)
+            state = problem.initial_state()
+            while True:
+                # no depth limit below the pattern count: rules run out only
+                # once no pattern covers anyone new
+                codes, his = problem.ordered_actions(state, len(cands.patterns) + 1)
+                rules = codes[codes >= 0].tolist()
+                newly = (covers & ~state.covered[:, None]).sum(axis=0)
+                assert sorted(rules) == np.flatnonzero(newly >= 1).tolist()
+                assert np.all(his[codes >= 0] >= every_arm_bound(problem, state, scores,
+                                                                 covers, rules))
+                if not rules:
+                    break
+                state = problem.apply(state, rules[int(rng.integers(len(rules)))])
+
     def test_rules_ordered_by_one_step_gain(self):
-        # oracle, row by row: the gain of (p, t) is the value of t on the
-        # subjects p newly covers, minus the best default's value on them,
-        # minus lambda2 times the extended prefix's feature cost per subject.
-        # Expanded from the end, rules come in descending gain, so the codes
-        # ascend in (gain, code).  Integer scores, costs and weights keep
-        # every sum exact, and lambda2 = 0 makes ties.
+        # oracle, row by row: the gain of p is the largest over arms t of the
+        # value of t on the subjects p newly covers, minus the best default's
+        # value on them, minus lambda2 times the extended prefix's feature
+        # cost per subject.  Expanded from the end, rules come in descending
+        # gain, so the codes ascend in (gain, code).  Integer scores, costs
+        # and weights keep every sum exact, and lambda2 = 0 makes ties.
         rng = np.random.default_rng(60)
         for trial in range(12):
             ds, cands = small_instance(rng, m=2 + trial % 2)
@@ -266,13 +298,13 @@ class TestLegalActions:
                                    for f in problem.patterns[p].features}
                 gain = {}
                 for code in rules:
-                    p, t = decode(problem, code)
+                    p, _ = decode(problem, code)
                     pattern = problem.patterns[p]
                     newly = [i for i in uncovered
                              if oracle_pattern_holds(pattern, rows[i], ds.specs)]
                     cost = feature_set_cost(ds.specs, prefix_features | set(pattern.features))
-                    gain[code] = (sum(value(i, t) - value(i, best) for i in newly)
-                                  - w.lambda2 * cost * len(newly))
+                    gain[code] = max(sum(value(i, t) - value(i, best) for i in newly)
+                                     - w.lambda2 * cost * len(newly) for t in range(m))
                 assert rules == sorted(rules, key=lambda c: (gain[c], c))
                 state = problem.apply(state, rules[int(rng.integers(len(rules)))])
 
@@ -334,11 +366,12 @@ class TestStateBound:
                     rules = [c for c in codes.tolist() if c >= 0]
                     # the array reference the float32 test relies on agrees
                     # with the row-by-row one
+                    children = [problem.apply(state, c) for c in rules]
                     np.testing.assert_allclose(
                         oracle_open_bounds(problem, state, scores, covers,
-                                           [divmod(c, problem.m) for c in rules]),
-                        [oracle_open_bound(problem, problem.apply(state, c), scores)
-                         for c in rules], rtol=0, atol=1e-9)
+                                           [child.prefix[-1] for child in children]),
+                        [oracle_open_bound(problem, child, scores) for child in children],
+                        rtol=0, atol=1e-9)
                     if not rules:
                         break
                     state = problem.apply(state, rules[int(rng.integers(len(rules)))])
@@ -368,9 +401,8 @@ class TestStateBound:
                 for code, hi in zip(codes.tolist(), his.tolist()):
                     if code < 0:
                         assert hi >= problem.state_bound(problem.apply(state, code))
-                bounds = oracle_open_bounds(problem, state, scores, covers,
-                                            [divmod(c, problem.m) for c in rules])
-                assert np.all(his[codes >= 0] >= bounds)
+                assert np.all(his[codes >= 0] >= every_arm_bound(problem, state, scores,
+                                                                 covers, rules))
                 if not rules:
                     break
                 state = problem.apply(state, rules[int(rng.integers(len(rules)))])
@@ -398,12 +430,12 @@ class TestStateBound:
             assert np.isinf(his).any()
             for code, hi in zip(codes.tolist(), his.tolist()):
                 assert hi >= exact_bound(problem, problem.apply(state, code), scores)
-            # one level down, rule (p, 0) has covered subject i, so the
+            # one level down, the rule on p has covered subject i, so the
             # child's arm-0 sum for q is the root's minus its own (inf - inf
-            # is nan), and (q, 0) must still get an infinite bound
-            child = problem.apply(state, p * problem.m)
+            # is nan), and q must still get an infinite bound
+            child = problem.apply(state, p)
             codes, his = problem.ordered_actions(child, 3)
-        assert his[codes.tolist().index(q * problem.m)] == np.inf
+        assert his[codes.tolist().index(q)] == np.inf
         for code, hi in zip(codes.tolist(), his.tolist()):
             assert hi >= exact_bound(problem, problem.apply(child, code), scores)
 
@@ -425,17 +457,17 @@ class TestStateBound:
             state = problem.initial_state()
             for _ in range(3):
                 alone = problem.initial_state()
-                for p, t in state.prefix:
-                    alone = problem.apply(alone, p * problem.m + t)
+                for p, _ in state.prefix:
+                    alone = problem.apply(alone, p)
+                assert alone.prefix == state.prefix
                 want = (covers & ~state.covered[:, None]).sum(axis=0)
                 results = []
                 for built in (state, alone):
                     codes, his = problem.ordered_actions(built, 4)
                     assert np.array_equal(built.sums[0], want)
                     rules = codes >= 0
-                    bounds = oracle_open_bounds(problem, built, scores, covers,
-                                                [divmod(c, problem.m) for c in codes[rules]])
-                    assert np.all(his[rules] >= bounds)
+                    assert np.all(his[rules] >= every_arm_bound(problem, built, scores, covers,
+                                                                codes[rules].tolist()))
                     results.append(sorted(codes.tolist()))
                 assert results[0] == results[1]
                 rules = [c for c in results[0] if c >= 0]
@@ -456,8 +488,7 @@ class TestStateBound:
                 pats = rng.permutation(len(cands.patterns))[:length]
                 state = problem.initial_state()
                 for p in pats:
-                    state = problem.apply(
-                        state, int(p) * ds.n_treatments + int(rng.integers(ds.n_treatments)))
+                    state = problem.apply(state, int(p))
                 state = problem.apply(state, int(rng.integers(ds.n_treatments)) - ds.n_treatments)
                 assert state.terminal
                 dl = problem.decision_list(state)
@@ -480,7 +511,7 @@ class TestStateBound:
                     length = int(rng.integers(0, len(cands.patterns) + 1))
                     state = problem.initial_state()
                     for p in rng.permutation(len(cands.patterns))[:length]:
-                        state = problem.apply(state, int(p) * m + int(rng.integers(m)))
+                        state = problem.apply(state, int(p))
                     closed = problem.close(state)
                     assert closed.terminal and closed.prefix == state.prefix
                     best = max(problem.state_bound(problem.apply(state, d - m))
@@ -512,7 +543,7 @@ class TestStateBound:
         for p in range(2):
             with pytest.raises(ValidationError, match="terminal"):
                 problem.state_bound(state)
-            state = problem.apply(state, p * problem.m)
+            state = problem.apply(state, p)
         assert np.isfinite(problem.state_bound(problem.close(state)))
 
 
@@ -656,6 +687,41 @@ class TestCoverage:
 
 
 class TestStateConsistency:
+    def test_rule_takes_the_arm_of_largest_value_on_its_new_subjects(self):
+        rng = np.random.default_rng(68)
+        for trial in range(8):
+            ds, cands = small_instance(rng, m=2 + trial % 2)
+            problem = SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng))
+            covers = oracle_cover_matrix(problem)
+            state = problem.initial_state()
+            for p in rng.permutation(len(cands.patterns))[:4].tolist():
+                newly = covers[:, p] & ~state.covered
+                values = [float(problem.value_mat[newly, t].sum()) for t in range(problem.m)]
+                child = problem.apply(state, p)
+                # max returns the first of equal values: the lowest arm
+                assert child.prefix == state.prefix + ((p, max(range(problem.m),
+                                                               key=values.__getitem__)),)
+                check_state_consistency(problem, child, covers)
+                state = child
+
+    def test_lowest_arm_wins_an_exact_tie(self):
+        # arms 1 and 2 have identical scores and costs and beat arm 0 on
+        # every subject, so every rule takes arm 1
+        rng = np.random.default_rng(69)
+        ds, cands = small_instance(rng, m=3)
+        ds = dataclasses.replace(ds, treatment_costs=np.full(3, 4.0))
+        base = rng.normal(0, 10, size=ds.n_subjects)
+        scores = DRScoreMatrix(np.column_stack([base - 5.0, base, base]), ds.treatment_names)
+        problem = SearchProblem(ds, scores, cands, random_weights(rng))
+        covers = oracle_cover_matrix(problem)
+        state = problem.initial_state()
+        for p in range(len(cands.patterns)):
+            if not (covers[:, p] & ~state.covered).any():
+                continue
+            state = problem.apply(state, p)
+            assert state.prefix[-1] == (p, 1)
+            check_state_consistency(problem, state, covers)
+
     def test_incremental_sums_match_recomputation(self):
         rng = np.random.default_rng(67)
         for _ in range(5):
@@ -835,14 +901,20 @@ class TestUCT:
 
 class TestExhaustive:
     def test_beats_every_enumerated_list(self):
+        # enumerate_completions tries every treatment of every rule, which
+        # the search does not; its best list must still reach their maximum
         rng = np.random.default_rng(91)
-        ds, cands = small_instance(rng, n_patterns=3)
-        scores = random_scores(rng, ds)
-        w = random_weights(rng)
-        res = exhaustive_search(ds, scores, cands, w, L_max=2)
-        problem = SearchProblem(ds, scores, cands, w)
-        everything = enumerate_completions(problem, problem.initial_state(), 2, scores)
-        assert res.objective == pytest.approx(max(everything), abs=1e-12)
+        for trial in range(8):
+            m, full = 2 + trial % 2, trial // 2 % 2 == 1
+            ds, cands = small_instance(rng, n_patterns=6 if m == 2 else 5, m=m)
+            scores = random_scores(rng, ds)
+            w = random_weights(rng)
+            problem = SearchProblem(ds, scores, cands, w, charge_default_full=full)
+            best = max(enumerate_completions(problem, problem.initial_state(), 3, scores))
+            for use_bound in (False, True):
+                res = exhaustive_search(ds, scores, cands, w, L_max=3, use_bound=use_bound,
+                                        charge_default_full=full)
+                assert res.objective == pytest.approx(best, abs=1e-12)
 
     def test_pruning_preserves_the_optimum(self):
         rng = np.random.default_rng(93)
@@ -933,8 +1005,9 @@ class TestExhaustive:
             exhaustive_search(ds, scores, few, ObjectiveWeights(), L_max=4)
 
     def test_evaluates_every_list_whose_rules_cover_something_new(self):
-        # oracle: count row by row the lists in which every rule newly
-        # covers at least one subject, times the rule and default treatments
+        # oracle: count row by row the pattern sequences in which every rule
+        # newly covers at least one subject, times the default treatments;
+        # each rule takes the one arm apply picks
         rng = np.random.default_rng(98)
         for n_patterns, L_max in ((4, 3), (6, 2), (8, 2)):
             ds, cands = small_instance(rng, n_patterns=n_patterns)
@@ -952,7 +1025,7 @@ class TestExhaustive:
                             break
                         covered |= sets[p]
                     else:
-                        n_lists += m ** k * m
+                        n_lists += m
             res = exhaustive_search(ds, random_scores(rng, ds), cands,
                                     random_weights(rng), L_max=L_max)
             assert res.n_evaluated == n_lists
