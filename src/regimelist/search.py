@@ -13,7 +13,10 @@ rule child per pattern, and ``apply`` picks its arm.  Three solvers share
 this state machinery: UCT (the main engine), exhaustive enumeration
 (small-instance oracle), and a greedy baseline.  ``SearchProblem.ordered_actions``
 is their one legality rule and their one bound on an open prefix, batched
-over all children in float32 products of coverage bits packed per subject.
+over all children in float32 products of bits packed per subject: a pattern
+is a prefix, the AND of all its predicates but the last, and its last
+predicate, so one product of prefix bits into predicate bits times the
+summed columns prices every pattern.
 ``Frontier.take`` is their one expansion step: it builds with ``apply`` only
 a child whose bound can beat the incumbent, scores a closing child exactly
 with ``SearchProblem.state_bound``, and counts every child it skips.  A state
@@ -124,6 +127,16 @@ def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(packed, count=n).view(bool)
 
 
+def _by_subject(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows of packed bits over n subjects, packed subject by subject instead:
+    row j in bit 7 - j % 8 of byte j // 8, transposed BLOCK subjects at a time."""
+    out = np.empty((n, -(-len(rows) // 8)), dtype=np.uint8)
+    for i in range(0, n, BLOCK):
+        bits = np.unpackbits(rows[:, i // 8:(i + BLOCK) // 8], axis=1, count=min(BLOCK, n - i))
+        out[i:i + BLOCK] = np.packbits(bits.T, axis=1)
+    return out
+
+
 class SearchProblem:
     """Shared precomputation and transition logic for all three solvers."""
 
@@ -151,20 +164,22 @@ class SearchProblem:
         for pred, q in index.items():
             self._pred_rows[q] = np.packbits(predicate_mask(ds, pred))
         self._pred_rows.flags.writeable = False
-        # coverage packed per subject for _sums: pattern p in bit 7 - p % 8 of
-        # byte p // 8, set 64 patterns (8 whole bytes) at a time
-        n_patterns = len(self.patterns)
-        self.bits = np.empty((self.n, -(-n_patterns // 8)), dtype=np.uint8)
-        self.coverage = np.empty(n_patterns, dtype=np.int64)
-        group = np.empty((8, self.n), dtype=np.uint8)
-        for j in range(0, n_patterns, 64):
-            group[:] = 0
-            for p in range(j, min(j + 64, n_patterns)):
-                row = self.row(p)
-                self.coverage[p] = np.bitwise_count(row).sum()
-                group[(p - j) // 8] |= np.unpackbits(row, count=self.n) << (7 - p % 8)
-            block = self.bits[:, j // 8:j // 8 + 8]
-            block[:] = group[:block.shape[1]].T
+        self.coverage = np.array([np.bitwise_count(self.row(p)).sum()
+                                  for p in range(len(self.patterns))], dtype=np.int64)
+        # a pattern is its prefix, the AND of all its predicates but the last
+        # (prefix 0: none, so every subject), and its last predicate
+        prefixes: dict[tuple[int, ...], int] = {(): 0}
+        self._prefix_of = np.array([prefixes.setdefault(tuple(qs[:-1]), len(prefixes))
+                                    for qs in self._pattern_preds], dtype=np.intp)
+        self._last_of = np.array([qs[-1] for qs in self._pattern_preds], dtype=np.intp)
+        self._n_prefixes = len(prefixes)
+        prefix_rows = np.full((len(prefixes), self._pred_rows.shape[1]), 255, dtype=np.uint8)
+        for qs, k in prefixes.items():
+            for q in qs:
+                prefix_rows[k] &= self._pred_rows[q]
+        # predicates and prefixes packed per subject, for _sums
+        self._pred_bits = _by_subject(self._pred_rows, self.n)
+        self._prefix_bits = _by_subject(prefix_rows, self.n)
         # per-subject, per-arm contribution once a rule assigns that arm
         self.value_mat = (weights.lambda1 * scores.scores
                           - weights.lambda3 * ds.treatment_costs[None, :])
@@ -254,11 +269,12 @@ class SearchProblem:
         are sound.  With gamma(k, u) = k*u / (1 - k*u), k roundings of unit u
         move a term by a factor within 1 +- gamma(k, u) in any summation
         order (Higham, Accuracy and Stability of Numerical Algorithms, Sec.
-        3.1).  A block sums in float32 at most min(n, 512) exact 0/1 products
-        of entries rounded to float32, each thus off by a factor within 1 +-
-        g, g = gamma(min(n, 512) + 1, 2^-24), plus 2^-150 if subnormal; its
-        count is exact, as are float64 sums of counts, so cnt is exact for
-        any n.  Along the states a state's sums come from, a subject covered
+        3.1).  A block sums in float32 at most min(n, 512) exact products, a
+        subject's prefix bit times its last-predicate bit times an entry
+        rounded to float32, each thus off by a factor within 1 +- g, g =
+        gamma(min(n, 512) + 1, 2^-24), plus 2^-150 if subnormal; its count
+        is exact, as are float64 sums of counts, so cnt is exact for any n.
+        Along the states a state's sums come from, a subject covered
         by p enters the first product, and one subtraction if a rule newly
         covers it: p's two sums in the estimate hold at most 2 * count_p -
         cnt float32 terms (count_p: p's coverage), off by at most (g * V +
@@ -272,9 +288,10 @@ class SearchProblem:
         per underflowing product.  ``hi`` adds (g * V + 2^-149) * (2 *
         count_p - cnt) + 2 * gamma(3n + 16, 2^-53) * n * ((4 + 2g) * V + 3 *
         lambda2 * C) + 2^-1000, whose excess covers its own rounding, before
-        the monotone division by n.  An overflowed float32 sum, or a nan from
-        subtracting one, makes ``hi`` infinite.  A loose slack only costs
-        building the children it lets through.
+        the monotone division by n.  An infinite float32 entry or sum, or the
+        nan of a 0 bit times one or of subtracting one, makes ``hi``
+        infinite.  A loose slack only costs building the children it lets
+        through.
         """
         if state.terminal:
             raise ValidationError("terminal state has no actions")
@@ -315,23 +332,33 @@ class SearchProblem:
         estimate = settled + gains + per_pattern[:, None]
         slack = self._slack_per_term * (2 * self.coverage[eligible] - cnt) + self._slack
         rule_his = (estimate + slack[:, None]) / self.n
-        rule_his[~np.isfinite(rule_his)] = np.inf  # float32 overflow, or inf - inf
+        rule_his[~np.isfinite(rule_his)] = np.inf  # float32 overflow, 0 * inf or inf - inf
         return (np.concatenate([eligible[order].astype(np.int32), default_codes]),
                 np.concatenate([rule_his.max(axis=1)[order], default_his]))
 
     def _sums(self, state: SearchState) -> np.ndarray:
         """Per pattern (column), float64 totals of the float32 table's columns
-        (rows) over the uncovered subjects it covers, in blocks of BLOCK: the
-        parent's kept sums minus those over the newly covered, if it has any."""
+        (rows) over the uncovered subjects it covers: the parent's kept sums
+        minus those over the newly covered, if it has any.  Per block of
+        BLOCK subjects, one float32 product of the prefix bits into each
+        table column times each predicate bit sums every column over every
+        (prefix, last predicate) pair; a pattern takes its pair's sums."""
         parent = state.parent
         incremental = parent is not None and parent.sums is not None
         rows = np.flatnonzero(_unpack(
             state.packed & ~parent.packed if incremental else ~state.packed, self.n))
-        sums = np.zeros((self._table.shape[1], len(self.patterns)))
+        n_cols, n_preds = self._table.shape[1], len(self._pred_rows)
+        gram = np.zeros((self._n_prefixes, n_cols * n_preds))
         for i in range(0, len(rows), BLOCK):
             block = rows[i:i + BLOCK]
-            covers = np.unpackbits(self.bits[block], axis=1, count=len(self.patterns))
-            sums += self._table[block].T @ covers.astype(np.float32)
+            left = np.unpackbits(self._prefix_bits[block], axis=1,
+                                 count=self._n_prefixes).astype(np.float32)
+            preds = np.unpackbits(self._pred_bits[block], axis=1,
+                                  count=n_preds).astype(np.float32)
+            right = self._table[block][:, :, None] * preds[:, None, :]
+            gram += left.T @ right.reshape(len(block), n_cols * n_preds)
+        pairs = gram.reshape(self._n_prefixes, n_cols, n_preds)
+        sums = pairs[self._prefix_of, :, self._last_of].T
         return parent.sums - sums if incremental else sums
 
     def apply(self, state: SearchState, action: Action) -> SearchState:

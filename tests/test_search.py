@@ -24,6 +24,7 @@ from regimelist.estimation import DRScoreMatrix
 from regimelist.mining import CandidateSet, MiningConfig, mine_patterns
 from regimelist.objective import ObjectiveWeights, objective_value
 from regimelist.search import (
+    BLOCK,
     Frontier,
     SearchConfig,
     SearchProblem,
@@ -39,6 +40,7 @@ from conftest import (
     oracle_open_bound,
     oracle_open_bounds,
     oracle_pattern_holds,
+    oracle_predicate_holds,
     random_dataset,
     random_scores,
     random_weights,
@@ -561,23 +563,51 @@ def shared_predicate_patterns(rng, ds, n_patterns):
     return tuple(patterns)
 
 
+def shared_instance(n, n_patterns, seed, m=2):
+    """A random dataset of n subjects, its shared_predicate_patterns as the
+    candidates, and random scores."""
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, n_subjects=n, n_features=5, m=m)
+    patterns = shared_predicate_patterns(rng, ds, n_patterns)
+    cands = CandidateSet(patterns=patterns,
+                         counts=tuple(int(pattern_mask(ds, pat).sum()) for pat in patterns),
+                         bins={}, n_subjects=n, config=MiningConfig())
+    return rng, ds, cands, random_scores(rng, ds)
+
+
+def prefixes_and_predicates(patterns):
+    """The distinct prefixes (all predicates but the last; the empty one
+    first) and the distinct predicates, each in order of first appearance:
+    the column order of _prefix_bits and _pred_bits."""
+    prefixes = dict.fromkeys([()] + [pat.predicates[:-1] for pat in patterns])
+    preds = dict.fromkeys(pred for pat in patterns for pred in pat.predicates)
+    return list(prefixes), list(preds)
+
+
 class TestCoverage:
     @pytest.mark.parametrize("n_patterns", [0, 70])
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 1029])
     def test_bits_rows_and_coverage_match_cover_matrix(self, n, n_patterns):
-        # 70 patterns fill one 64-pattern group of bits and part of a byte
-        # of the next; rows have a partial last byte unless 8 divides n
-        rng = np.random.default_rng(n * 100 + n_patterns)
-        ds = random_dataset(rng, n_subjects=n, n_features=5, m=2)
-        patterns = shared_predicate_patterns(rng, ds, n_patterns)
-        cands = CandidateSet(patterns=patterns,
-                             counts=tuple(int(pattern_mask(ds, pat).sum()) for pat in patterns),
-                             bins={}, n_subjects=n, config=MiningConfig())
-        problem = SearchProblem(ds, random_scores(rng, ds), cands)
+        # 70 patterns hold tens of predicates and prefixes, so their columns
+        # fill whole bytes and part of one more; rows have a partial last
+        # byte unless 8 divides n
+        _, ds, cands, scores = shared_instance(n, n_patterns, n * 100 + n_patterns)
+        problem = SearchProblem(ds, scores, cands)
         covers = oracle_cover_matrix(problem).reshape(n, n_patterns)
-        assert problem.bits.shape == (n, -(-n_patterns // 8))
-        assert np.array_equal(np.unpackbits(problem.bits, axis=1, count=n_patterns), covers)
-        assert not np.unpackbits(problem.bits, axis=1)[:, n_patterns:].any()
+        prefixes, preds = prefixes_and_predicates(problem.patterns)
+        rows = [dataset_row(ds, i) for i in range(n)]
+        want_preds = np.array([[oracle_predicate_holds(pred, x, ds.specs) for pred in preds]
+                               for x in rows], dtype=bool).reshape(n, len(preds))
+        want_prefixes = np.array([[all(oracle_predicate_holds(pred, x, ds.specs) for pred in pre)
+                                   for pre in prefixes] for x in rows], dtype=bool)
+        for bits, want in ((problem._pred_bits, want_preds),
+                           (problem._prefix_bits, want_prefixes)):
+            assert bits.dtype == np.uint8 and bits.shape == (n, -(-want.shape[1] // 8))
+            assert np.array_equal(np.unpackbits(bits, axis=1, count=want.shape[1]), want)
+            assert not np.unpackbits(bits, axis=1)[:, want.shape[1]:].any()
+        for p, pat in enumerate(problem.patterns):
+            k, q = prefixes.index(pat.predicates[:-1]), preds.index(pat.predicates[-1])
+            assert np.array_equal(want_prefixes[:, k] & want_preds[:, q], covers[:, p])
         assert np.array_equal(problem.coverage, covers.sum(axis=0))
         for p in range(n_patterns):
             row = problem.row(p)
@@ -586,10 +616,11 @@ class TestCoverage:
             assert not np.unpackbits(row)[n:].any()
 
     def test_build_holds_no_coverage_sized_temporary(self):
-        # the bits are set 64 patterns at a time from packed predicate rows,
-        # so building the problem needs, beyond what it keeps, only a few
-        # bytes per subject (the float64 columns _table is cast from), far
-        # less than bits.nbytes
+        # the per-subject bits are transposed BLOCK subjects at a time from
+        # packed predicate and prefix rows, so building the problem needs,
+        # beyond what it keeps, only a few bytes per subject (the prefix rows
+        # and the float64 columns _table is cast from), far less than a
+        # subject by pattern bit matrix
         rng = np.random.default_rng(74)
         ds = random_dataset(rng, n_subjects=20000, n_features=6, m=2)
         cands = mine_patterns(ds, MiningConfig(min_support=0.01, max_predicates=3))
@@ -600,21 +631,23 @@ class TestCoverage:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert problem.bits.nbytes > 128 * problem.n
+        assert len(problem.patterns) > 8 * 128
         assert peak - kept < 64 * problem.n
 
     def test_no_array_per_subject_and_pattern(self):
-        # coverage is held once, packed subject by subject, plus one packed
-        # row per distinct predicate; a pattern-major copy would double it
+        # coverage is held once, as one packed row per distinct predicate,
+        # plus the predicates and prefixes packed subject by subject; a
+        # subject by pattern bit matrix would hold many times more
         rng = np.random.default_rng(71)
         ds = random_dataset(rng, n_subjects=2000, n_features=6, m=2)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
         problem = SearchProblem(ds, random_scores(rng, ds), cands)
         held = sum(v.nbytes for v in vars(problem).values()
                    if isinstance(v, np.ndarray) and v.dtype == np.uint8)
-        n_preds = len({pred for pat in problem.patterns for pred in pat.predicates})
-        assert n_preds < len(problem.patterns) / 8
-        assert held <= -(-len(problem.patterns) // 8) * problem.n + n_preds * -(-problem.n // 8)
+        prefixes, preds = prefixes_and_predicates(problem.patterns)
+        assert len(preds) < len(problem.patterns) / 8
+        assert held <= ((-(-len(preds) // 8) + -(-len(prefixes) // 8)) * problem.n
+                        + len(preds) * -(-problem.n // 8))
 
     def test_pattern_rows_unpack_to_cover_matrix(self):
         rng = np.random.default_rng(72)
@@ -684,6 +717,79 @@ class TestCoverage:
         open_states = sum(not state.terminal for state in states)
         assert open_states > 100
         assert CountingMatrix.products <= 1 + open_states
+
+
+class TestSums:
+    @pytest.mark.parametrize("n_patterns", [0, 70])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 1029, 1537])
+    def test_sums_match_float64_oracle_along_a_walk(self, n, n_patterns):
+        # the root sums its subjects afresh, a child and a grandchild take
+        # their parent's kept sums minus their newly covered subjects'; 1,537
+        # subjects end in a one-subject block
+        rng, ds, cands, scores = shared_instance(n, n_patterns, n * 100 + n_patterns + 1, m=3)
+        w = random_weights(rng)
+        problem = SearchProblem(ds, scores, cands, w)
+        covers = oracle_cover_matrix(problem).reshape(n, n_patterns)
+        values = w.lambda1 * scores.scores - w.lambda3 * ds.treatment_costs
+        optimistic = (w.lambda1 * scores.scores.max(axis=1)
+                      - w.lambda3 * ds.treatment_costs.min())
+        table = np.column_stack([np.ones(n), optimistic, values])
+        state = problem.initial_state()
+        for depth in range(3):
+            codes, _ = problem.ordered_actions(state, 4)
+            newly = covers & ~state.covered[:, None]
+            want = table.T @ newly
+            cnt = newly.sum(axis=0)
+            assert state.sums.shape == want.shape
+            assert np.array_equal(state.sums[0], cnt)
+            slack = problem._slack_per_term * (2 * covers.sum(axis=0) - cnt)
+            assert np.all(np.abs(state.sums[1:] - want[1:]) <= slack)
+            rules = codes[codes >= 0]
+            if not len(rules):
+                break
+            state = problem.apply(state, int(rng.choice(rules)))
+        assert n_patterns == 0 or depth > 0
+
+    def test_score_beyond_float32_makes_every_rule_hi_infinite(self):
+        # one subject's float32 table entries overflow to inf; every pattern
+        # either sums it or multiplies it by a 0 bit (nan), at the root and
+        # in the sums its descendants subtract from
+        rng, ds, cands, scores = shared_instance(1029, 70, 75)
+        scores.scores[int(rng.integers(ds.n_subjects)), 1] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem = SearchProblem(ds, scores, cands, random_weights(rng))
+            state = problem.initial_state()
+            for depth in range(3):
+                codes, his = problem.ordered_actions(state, 4)
+                rules = codes[codes >= 0]
+                assert len(rules) and np.all(his[codes >= 0] == np.inf)
+                assert np.all(np.isfinite(his[codes < 0]))
+                state = problem.apply(state, int(rng.choice(rules)))
+
+    def test_root_sums_hold_no_block_per_pattern(self):
+        # a block of subjects is unpacked into prefix and predicate columns,
+        # not pattern columns: beyond what it keeps, a root's ordered_actions
+        # peaks at a few of those blocks and of the P x (m + 2) sums, far
+        # below one float32 block of BLOCK subjects by P patterns
+        rng = np.random.default_rng(74)
+        ds = random_dataset(rng, n_subjects=20000, n_features=6, m=2)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.01, max_predicates=3))
+        problem = SearchProblem(ds, random_scores(rng, ds), cands)
+        prefixes, preds = prefixes_and_predicates(problem.patterns)
+        n_cols = problem.m + 2
+        bound = 3 * (4 * BLOCK * (len(prefixes) + n_cols * len(preds))
+                     + 8 * len(problem.patterns) * n_cols)
+        assert bound < 4 * BLOCK * len(problem.patterns)
+        state = problem.initial_state()
+        problem.default_sums(state)
+        tracemalloc.start()
+        try:
+            problem.ordered_actions(state, 3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < bound
 
 
 class TestStateConsistency:
