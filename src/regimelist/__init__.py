@@ -45,6 +45,7 @@ from .io import (
     format_decision_list,
     read_dataset,
     read_schema,
+    read_scores,
     write_dataset_csv,
     write_schema,
 )

@@ -19,12 +19,7 @@ from pathlib import Path
 from . import io
 from .domain import Dataset
 from .errors import RegimeListError, ValidationError, config_values
-from .estimation import (
-    DRScoreMatrix,
-    compute_dr_scores,
-    fit_outcome,
-    fit_propensity,
-)
+from .estimation import compute_dr_scores, fit_outcome, fit_propensity
 from .mining import CandidateSet, MiningConfig, mine_patterns
 from .objective import ObjectiveWeights, compute_metrics, objective_value
 from .search import SearchConfig, exhaustive_search, greedy_baseline, uct_search
@@ -152,8 +147,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
     cands = CandidateSet.from_dict(
         io.read_json(_require(args.candidates, "candidates file")), ds.specs)
-    scores = DRScoreMatrix.from_dict(
-        io.read_json(_require(args.scores, "scores file")))
+    scores = io.read_scores(_require(args.scores, "scores file"))
     weights = _weights(cfg, args)
     sconfig = _search_config(cfg, args)
 
@@ -201,8 +195,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if isinstance(record, dict) and "decision_list" in record:
         record = record["decision_list"]
     dl = io.decision_list_from_dict(record, ds.specs, ds.treatment_names)
-    scores = DRScoreMatrix.from_dict(
-        io.read_json(_require(args.scores, "scores file")))
+    scores = io.read_scores(_require(args.scores, "scores file"))
     weights = _weights(cfg, args)
     charge = _search_config(cfg, args).charge_default_full
     report = compute_metrics(ds, dl, scores, weights, charge)

@@ -8,6 +8,10 @@ observed arm's entry carries an inverse propensity weighted residual
 correction, counterfactual arms are plain regression predictions.  The
 estimate of a regime's mean outcome is then a simple column selection over
 this matrix.
+
+Every Xᵀ diag(w) X the fits need (the propensity Hessian's blocks, each
+arm's normal equations) is summed over blocks of at most GRAM_BLOCK rows, so
+a fit holds its one (N, d + 1) design and no second array of that size.
 """
 
 from __future__ import annotations
@@ -19,6 +23,12 @@ import numpy as np
 
 from .domain import REAL, Dataset
 from .errors import ConvergenceError, SingularSystemError, ValidationError, malformed
+
+# rows per block of weighted_gram: a (d + 1) x GRAM_BLOCK temporary, 0.3 MB
+# at d + 1 = 19.  With 100k rows and 2 cores each Gram matrix took 5-8 ms in
+# 2,048-row blocks; in 8,192-row blocks (multithreaded products) 11-14 ms,
+# but ~96 ms a call through about the first ten calls of some processes.
+GRAM_BLOCK = 2048
 
 
 class EncodedColumn(NamedTuple):
@@ -108,6 +118,23 @@ def propensity_loglik(weights: np.ndarray, design: np.ndarray, codes: np.ndarray
     return value, grad, probs
 
 
+def weighted_gram(design: np.ndarray, w: np.ndarray,
+                  y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Xᵀ diag(w) X for X = design, and Xᵀ diag(w) y (zeros without y),
+    summed over blocks of GRAM_BLOCK rows, so the only temporary is one
+    block of Xᵀ diag(w)."""
+    n, d = design.shape
+    gram, moment = np.zeros((d, d)), np.zeros(d)
+    buffer = np.empty((min(n, GRAM_BLOCK), d)).T
+    for i in range(0, n, GRAM_BLOCK):
+        block = design[i:i + GRAM_BLOCK]
+        scaled = np.multiply(block.T, w[i:i + GRAM_BLOCK], out=buffer[:, :len(block)])
+        gram += scaled @ block
+        if y is not None:
+            moment += scaled @ y[i:i + GRAM_BLOCK]
+    return gram, moment
+
+
 def propensity_hessian(probs: np.ndarray, design: np.ndarray, l2: float) -> np.ndarray:
     """Hessian of the penalized mean log-likelihood, (m·d)×(m·d), at the
     weights whose softmax probabilities are probs.
@@ -121,7 +148,7 @@ def propensity_hessian(probs: np.ndarray, design: np.ndarray, l2: float) -> np.n
     for a in range(m):
         for b in range(a, m):
             w = probs[:, a] * ((a == b) - probs[:, b])
-            block = -(design.T * w) @ design / n
+            block = -weighted_gram(design, w)[0] / n
             hessian[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
             hessian[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
     hessian[np.diag_indices(m * d)] -= l2
@@ -248,26 +275,28 @@ class OutcomeModel:
         }
 
 
-def solve_ridge(design: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve the (optionally ridge-penalized) normal equations.
+def solve_normal(gram: np.ndarray, moment: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve the (optionally ridge-penalized) normal equations
+    (XᵀX + ridge·P) β = Xᵀy, given gram = XᵀX and moment = Xᵀy.
 
     The penalty applies to every coefficient but the last (intercept) one;
     a failed Cholesky factorization marks the system as singular.
     """
-    penalize = np.ones(design.shape[1])
+    penalize = np.ones(len(gram))
     penalize[-1] = 0.0
-    normal = design.T @ design + ridge * np.diag(penalize)
+    normal = gram + ridge * np.diag(penalize)
     try:
         np.linalg.cholesky(normal)
     except np.linalg.LinAlgError:
         raise SingularSystemError(
             "normal equations are singular; supply a positive ridge penalty"
         ) from None
-    return np.linalg.solve(normal, design.T @ y)
+    return np.linalg.solve(normal, moment)
 
 
 def fit_outcome(ds: Dataset, ridge: float = 1e-6) -> OutcomeModel:
-    """Fit one outcome regression per arm on the rows observed under it."""
+    """Fit one outcome regression per arm on the rows observed under it,
+    weighting the rows of the one design by the arm's 0/1 mask."""
     if not ridge >= 0:
         raise ValidationError(f"ridge must be nonnegative, got {ridge}")
     encoder = FeatureEncoder.fit(ds)
@@ -286,7 +315,7 @@ def fit_outcome(ds: Dataset, ridge: float = 1e-6) -> OutcomeModel:
                 f"arm {ds.treatment_names[a]!r} has {n_arm} rows for {d} coefficients; "
                 "use a positive ridge penalty"
             )
-        coefs[a] = solve_ridge(design[rows], ds.outcomes[rows], ridge)
+        coefs[a] = solve_normal(*weighted_gram(design, rows, ds.outcomes), ridge)
     return OutcomeModel(encoder, ds.treatment_names, coefs, ridge)
 
 

@@ -1,4 +1,5 @@
-"""File formats: dataset CSV + schema JSON, decision-list JSON, pretty print.
+"""File formats: dataset CSV + schema JSON, decision-list JSON, score
+matrix JSON, pretty print.
 
 The dataset lives in two files: a CSV with a header row, and a companion
 schema JSON describing each column (kind, levels, assessment cost), the
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from io import BytesIO, StringIO
 from pathlib import Path
@@ -26,12 +28,20 @@ from .domain import (
     Predicate,
 )
 from .errors import CellError, ValidationError, malformed
+from .estimation import DRScoreMatrix
 
-# bytes per step of _plain_columns' scan; rows per piece that write_json
-# makes of a 2-D ndarray, and that write_dataset_csv formats and writes
+# bytes per step of a scan for one byte value; rows per piece that
+# write_json makes of a 2-D ndarray and read_scores parses, and that
+# write_dataset_csv formats and writes
 SCAN_BLOCK = 1 << 20
 ROW_BLOCK = 1024
 CSV_BLOCK = 8192
+
+# json's whitespace, and the text around the rows of a last "scores" key
+_WS = rb"[ \t\n\r]*"
+_SCORES_KEY = re.compile(rb'"scores"' + _WS + rb":" + _WS + rb"\[")
+_ROW_SEP = re.compile(_WS + rb",")
+_SCORES_END = re.compile(_WS + rb"\]" + _WS + rb"\}" + _WS)
 
 @dataclass(frozen=True)
 class DataSchema:
@@ -146,10 +156,9 @@ def _plain_columns(data: bytes, schema: DataSchema):
     goes by blocks, so its temporaries do not grow with the file.
     """
     u8 = np.frombuffer(data, dtype=np.uint8)
-    starts = range(0, len(data), SCAN_BLOCK)
-    ends = np.concatenate([np.empty(0, dtype=np.intp)] + [
-        np.flatnonzero(u8[i:i + SCAN_BLOCK] == ord("\n")) + i for i in starts])
-    n_control = sum(np.count_nonzero(u8[i:i + SCAN_BLOCK] < 0x20) for i in starts)
+    ends = _positions(u8, ord("\n"))
+    n_control = sum(np.count_nonzero(u8[i:i + SCAN_BLOCK] < 0x20)
+                    for i in range(0, len(data), SCAN_BLOCK))
     n_records = ends.size - data.endswith(b"\n")
     line_lengths = np.diff(ends, prepend=-1, append=len(data)) - 1
     if n_records < 1 or b'"' in data or n_control > ends.size \
@@ -177,6 +186,14 @@ def _plain_columns(data: bytes, schema: DataSchema):
         return None
     *cells, treatments, outcomes = (table[f"c{col_of[name]}"] for name in needed)
     return cells, treatments, outcomes
+
+
+def _positions(u8: np.ndarray, byte: int) -> np.ndarray:
+    """The indices of every ``byte`` in u8, found SCAN_BLOCK bytes at a time
+    so the temporaries do not grow with u8."""
+    return np.concatenate([np.empty(0, dtype=np.intp)] + [
+        np.flatnonzero(u8[i:i + SCAN_BLOCK] == byte) + i
+        for i in range(0, len(u8), SCAN_BLOCK)])
 
 
 def _needed_columns(schema: DataSchema) -> list[str]:
@@ -387,6 +404,76 @@ def read_json(path: str | Path):
         # bad syntax, bytes that are not UTF-8, ints too long for int(), deep nesting
         except (ValueError, RecursionError) as e:
             raise ValidationError(f"{path}: invalid JSON ({e})") from None
+
+
+def read_scores(path: str | Path) -> DRScoreMatrix:
+    """Load a score matrix file: ``DRScoreMatrix.to_dict`` as JSON, in any
+    layout.
+
+    When ``"scores"`` is the file's last key (as ``write_json`` lays it
+    out), its rows are parsed by ``json.loads`` ROW_BLOCK at a time, each
+    piece written straight into one (n, m) float64 array, so the file never
+    becomes one Python float per entry (see ``_plain_scores``).  Any other
+    file, and any file that pass refuses, is read by ``read_json``, which
+    alone writes the diagnostics.
+    """
+    try:
+        with open(path, "rb") as fh:  # the file's bytes live only in the pass
+            record = _plain_scores(fh.read())
+        if record is not None:
+            return DRScoreMatrix.from_dict(record)
+    except MemoryError:
+        raise
+    except Exception:  # the json path below says what is wrong, if anything
+        pass
+    return DRScoreMatrix.from_dict(read_json(path))
+
+
+def _plain_scores(data: bytes) -> dict | None:
+    """``json.loads(data)`` with its ``"scores"`` rows as a float64 ndarray,
+    as ``np.asarray(rows, dtype=float)`` gives it, or None when "scores" is
+    not the last key or its value is not rows of m entries.
+
+    The text before the last ``"scores"`` is parsed with ``"scores": []}``
+    appended.  When that object's own last pair is ("scores", []), the key
+    starts there (had that ``"`` been inside a string, the pair's key would
+    be longer).  Every ``]`` after the key's ``[`` but the last ends a row,
+    and only whitespace and the closing ``}`` may follow the last.  A piece
+    of rows of another shape, or separated from the next piece by more
+    than a comma, refuses the file, as does a row holding a ``]`` itself.
+    """
+    key = data.rfind(b'"scores"')
+    opener = _SCORES_KEY.match(data, key) if key >= 0 else None
+    if opener is None:
+        return None
+    objects = []  # every object's pairs, in the order the objects close
+    record = json.loads(data[:key].decode("utf-8") + '"scores": []}',
+                        object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
+    if objects[-1][-1] != ("scores", []):
+        return None
+    start = opener.end()
+    row_ends = _positions(np.frombuffer(data, dtype=np.uint8)[start:], ord("]"))[:-1] + start
+    n = len(row_ends)
+    if n == 0 or not _SCORES_END.fullmatch(data, row_ends[-1] + 1):
+        return None
+    scores = None
+    for i in range(0, n, ROW_BLOCK):
+        k = min(ROW_BLOCK, n - i)
+        stop = row_ends[i + k - 1] + 1
+        rows = np.asarray(json.loads("[" + data[start:stop].decode("utf-8") + "]"),
+                          dtype=float)
+        if scores is None:
+            scores = np.empty((n, rows.shape[-1]))
+        if rows.shape != (k, scores.shape[1]):
+            return None
+        scores[i:i + k] = rows
+        if i + k < n:
+            separator = _ROW_SEP.match(data, stop)
+            if separator is None:
+                return None
+            start = separator.end()
+    record["scores"] = scores
+    return record
 
 
 def write_jsonl(records: Sequence[dict], path: str | Path) -> None:

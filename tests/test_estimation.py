@@ -15,6 +15,7 @@ from regimelist.domain import (
 )
 from regimelist.errors import ConvergenceError, SingularSystemError, ValidationError
 from regimelist.estimation import (
+    GRAM_BLOCK,
     DRScoreMatrix,
     FeatureEncoder,
     compute_dr_scores,
@@ -22,7 +23,8 @@ from regimelist.estimation import (
     fit_propensity,
     propensity_hessian,
     propensity_loglik,
-    solve_ridge,
+    solve_normal,
+    weighted_gram,
 )
 
 from regimelist.synth import default_generator_spec, generate
@@ -355,18 +357,59 @@ class TestDRScores:
         assert np.array_equal(back.scores, scores.scores)
 
 
-class TestSolveRidge:
+class TestSolveNormal:
     def test_plain_least_squares_when_ridge_zero(self):
         rng = np.random.default_rng(15)
         X = rng.normal(size=(40, 3))
         design = np.column_stack([X, np.ones(40)])
         beta_true = np.array([1.0, -2.0, 0.5, 3.0])
         y = design @ beta_true
-        beta = solve_ridge(design, y, ridge=0.0)
+        beta = solve_normal(*weighted_gram(design, np.ones(40), y), ridge=0.0)
         assert beta == pytest.approx(beta_true, abs=1e-10)
 
     def test_all_zero_column_without_ridge_is_singular(self):
         rng = np.random.default_rng(16)
         design = np.column_stack([rng.normal(size=(40, 2)), np.zeros(40), np.ones(40)])
         with pytest.raises(SingularSystemError, match="normal equations are singular"):
-            solve_ridge(design, rng.normal(size=40), ridge=0.0)
+            solve_normal(*weighted_gram(design, np.ones(40), rng.normal(size=40)),
+                         ridge=0.0)
+
+
+class TestWeightedGram:
+    @pytest.mark.parametrize("n", [1, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 20_000])
+    @pytest.mark.parametrize("weights", ["mixed_sign", "mask"])
+    def test_matches_one_product(self, n, weights):
+        rng = np.random.default_rng(n)
+        X = np.column_stack([rng.normal(size=(n, 18)), np.ones(n)])
+        y = rng.normal(size=n)
+        w = rng.normal(size=n) if weights == "mixed_sign" else rng.random(n) < 0.4
+        gram, moment = weighted_gram(X, w, y)
+        want = (X.T * w) @ X
+        assert np.abs(gram - want).max() <= 1e-12 * np.abs(want).max()
+        want = (X.T * w) @ y
+        assert np.abs(moment - want).max() <= 1e-12 * np.abs(want).max()
+        assert not weighted_gram(X, w)[1].any()
+
+
+class TestFitMemory:
+    """A fit holds its one design, one Gram block and a few (n, m) arrays,
+    never a second design-sized array: a ``(design.T * w)`` product doubles
+    the design (9.5 (n, m) arrays at d + 1 = 19, m = 2), and an arm's
+    ``design[rows]`` adds its share of it."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return generate(default_generator_spec(n_subjects=20_000, seed=0))[0]
+
+    # (n, m) float64 arrays each fit may hold besides its design: the Gram
+    # block (one at n = 20k) and the softmax pass's temporaries, or the block
+    @pytest.mark.parametrize("fit, n_by_m", [(fit_propensity, 7), (fit_outcome, 3)])
+    def test_peak_is_the_design_and_a_few_score_sized_arrays(self, ds, fit, n_by_m):
+        design_bytes = ds.n_subjects * (len(FeatureEncoder.fit(ds).columns) + 1) * 8
+        tracemalloc.start()
+        try:
+            fit(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < design_bytes + n_by_m * ds.n_subjects * ds.n_treatments * 8

@@ -32,6 +32,7 @@ from regimelist.io import (
     read_dataset,
     read_json,
     read_schema,
+    read_scores,
     write_dataset_csv,
     write_json,
     write_schema,
@@ -638,3 +639,177 @@ class TestJsonHelpers:
         path.write_text("{nope")
         with pytest.raises(ValidationError, match="invalid JSON"):
             read_json(path)
+
+
+def json_scores(path: Path) -> DRScoreMatrix | str:
+    """The read_json path's score matrix, or its error message."""
+    try:
+        return DRScoreMatrix.from_dict(read_json(path))
+    except ValidationError as e:
+        return str(e)
+
+
+def chunked_scores(path: Path) -> DRScoreMatrix | None:
+    """What read_scores' chunked pass alone makes of a file: its matrix, or
+    None where it declines or raises."""
+    try:
+        record = io._plain_scores(path.read_bytes())
+        return None if record is None else DRScoreMatrix.from_dict(record)
+    except Exception:
+        return None
+
+
+def assert_same_scores(a: DRScoreMatrix, b: DRScoreMatrix) -> None:
+    assert a.treatment_names == b.treatment_names
+    assert a.scores.dtype == b.scores.dtype and a.scores.shape == b.scores.shape
+    assert a.scores.tobytes() == b.scores.tobytes()
+
+
+def assert_score_paths_agree(path: Path) -> bool:
+    """The chunked pass yields the read_json path's matrix bitwise or
+    declines, and read_scores gives that path's matrix or message; returns
+    whether the chunked pass took the file."""
+    want, chunked = json_scores(path), chunked_scores(path)
+    if isinstance(want, str):
+        assert chunked is None, f"chunked pass accepts a file read_json refuses: {want}"
+        with pytest.raises(ValidationError) as exc:
+            read_scores(path)
+        assert str(exc.value) == want
+    else:
+        if chunked is not None:
+            assert_same_scores(chunked, want)
+        assert_same_scores(read_scores(path), want)
+    return chunked is not None
+
+
+def score_record(n: int, m: int = 2, names: tuple[str, ...] = ()) -> dict:
+    rng = np.random.default_rng(n * 8 + m)
+    scores = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-8, 9, size=(n, m))
+    scores.flat[:4] = [-0.0, 5e-324, 1e16, 1.7976931348623157e308][:scores.size]
+    return {"treatment_names": list(names or (f"t{k}" for k in range(m))),
+            "scores": scores.tolist()}
+
+
+def rows_text(rows: list) -> str:
+    return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]"
+
+
+B = io.ROW_BLOCK
+
+
+def edited_rows(edit) -> str:
+    """A file of B + 3 rows, after ``edit`` changed them in place."""
+    record = score_record(B + 3)
+    edit(record["scores"])
+    return json.dumps(record, indent=2)
+
+
+class TestScoresReaderAgreesWithJson:
+    """read_scores parses the rows of a last "scores" key ROW_BLOCK at a
+    time and falls back to read_json for everything else; the two must never
+    differ, in the matrix's bits or in the error message."""
+
+    @pytest.mark.parametrize("name, text, taken", [
+        ("indent=2, as write_json writes it", json.dumps(score_record(B + 7), indent=2) + "\n",
+         True),
+        ("compact", json.dumps(score_record(50)), True),
+        ("indent=4", json.dumps(score_record(50), indent=4), True),
+        ("scores first", json.dumps(dict(reversed(score_record(50).items()))), False),
+        ("duplicate key, last wins",
+         '{"scores": 1, ' + json.dumps(score_record(50))[1:], True),
+        ("duplicate key, first is the matrix",
+         json.dumps(score_record(50))[:-1] + ', "scores": 1}', False),
+        ("escaped key", json.dumps(score_record(5)).replace('"scores"', '"\\u0073cores"'),
+         False),
+        ("names holding [ ] , and the key",
+         json.dumps(score_record(50, 4, ("[a", "b]", "c,d", '"scores": [')), indent=2), True),
+        ("name ending in the key",
+         json.dumps(score_record(50, 2, ('x"scores', "y")), indent=2), True),
+        ("later key ending in the key",
+         '{"treatment_names": ["a"], "scores": [[1]], "x\\"scores": [[2]]}', False),
+        ("later key ending in the key, no matrix",
+         '{"scores": [], "x\\"scores": [[2]], "treatment_names": ["a"]}', False),
+        ("spaced key", json.dumps(score_record(50)).replace('"scores": ', '"scores" \r\n:\t'),
+         True),
+        ("CRLF", json.dumps(score_record(50), indent=1).replace("\n", "\r\n"), True),
+        ("integer and exponent cells",
+         '{"treatment_names": ["a", "b"], "scores": [[1, -0], [2e3, 1E-5], '
+         '[12345678901234567890, 1.5e308], [true, 7]]}', True),
+        ("string cell", '{"treatment_names": ["a"], "scores": [["1.5"], [2]]}', True),
+        ("empty names and rows", '{"treatment_names": [], "scores": [[], []]}', True),
+        ("one row", json.dumps(score_record(1)), True),
+        (f"{B - 1} rows", json.dumps(score_record(B - 1), indent=2), True),
+        (f"{B} rows", json.dumps(score_record(B), indent=2), True),
+        (f"{B + 1} rows", json.dumps(score_record(B + 1), indent=2), True),
+        # malformed files
+        ("doubled comma at the block boundary",
+         '{"treatment_names": ["a", "b"], "scores": '
+         + rows_text(score_record(B + 1)["scores"]).replace("],\n", "],,\n").replace(
+             "],,\n", "],\n", B - 1) + "}", False),
+        ("missing comma at the block boundary",
+         '{"treatment_names": ["a", "b"], "scores": '
+         + rows_text(score_record(B + 1)["scores"]).replace("],\n", "] \n").replace(
+             "] \n", "],\n", B - 1) + "}", False),
+        ("trailing comma",
+         json.dumps(score_record(5))[:-2] + ",]}", False),
+        ("ragged row in the first block", edited_rows(lambda rows: rows[B - 5].pop()), False),
+        ("ragged row after the block boundary",
+         edited_rows(lambda rows: rows[B + 1].pop()), False),
+        ("narrower rows after the block boundary",
+         edited_rows(lambda rows: [row.pop() for row in rows[B:]]), False),
+        ("nested row", '{"treatment_names": ["a", "b"], "scores": [[1, 2], [[3], [4]]]}', False),
+        ("row holding ]", '{"treatment_names": ["a", "b"], "scores": [[1, 2], ["]", 4]]}',
+         False),
+        ("NaN", '{"treatment_names": ["a", "b"], "scores": [[1, 2], [NaN, 3]]}', False),
+        ("400-digit integer",
+         '{"treatment_names": ["a"], "scores": [[' + "9" * 400 + "]]}", False),
+        ("5000-digit integer",
+         '{"treatment_names": ["a"], "scores": [[' + "9" * 5000 + "]]}", False),
+        ("no rows", '{"treatment_names": ["a"], "scores": []}', False),
+        ("flat list", '{"treatment_names": ["a"], "scores": [1, 2]}', False),
+        ("too few names", '{"treatment_names": ["a"], "scores": [[1, 2]]}', False),
+        ("no names", '{"scores": [[1, 2]]}', False),
+        ("text after the object", json.dumps(score_record(5)) + " x", False),
+        ("unclosed object", json.dumps(score_record(5))[:-1], False),
+        ("BOM", "\ufeff" + json.dumps(score_record(5)), False),
+        ("top-level list", "[" + json.dumps(score_record(5)) + "]", False),
+        ("deep names", '{"treatment_names": ' + "[" * 100_000 + "]" * 100_000
+         + ', "scores": [[1]]}', False),
+    ])
+    def test_layout(self, tmp_path, name, text, taken):
+        path = tmp_path / "scores.json"
+        path.write_text(text, encoding="utf-8")
+        assert assert_score_paths_agree(path) == taken
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "scores.json"
+        for text in (b'{"treatment_names": ["caf\xe9"], "scores": [[1.0]]}',
+                     b'{"treatment_names": ["a"], "scores": [[1.0], [\xe9]]}'):
+            path.write_bytes(text)
+            assert not assert_score_paths_agree(path)
+
+    def test_random_matrices_round_trip_through_write_json(self, tmp_path):
+        rng = np.random.default_rng(21)
+        path = tmp_path / "scores.json"
+        for n in (1, B // 2, 2 * B + 1, 3 * B):
+            m = int(rng.integers(1, 5))
+            scores = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-300, 300, size=(n, m))
+            write_json(DRScoreMatrix(scores, tuple("abcd"[:m])).to_dict(), path)
+            assert assert_score_paths_agree(path)
+            assert read_scores(path).scores.tobytes() == scores.tobytes()
+
+    def test_read_peak_is_the_file_and_the_matrix(self, tmp_path):
+        # json.load would hold the text and a Python float per entry, about
+        # seven matrices' worth at m = 3; the chunked pass holds the file's
+        # bytes, the matrix, an index per row and one block of rows
+        scores = np.random.default_rng(4).normal(size=(40_000, 3))
+        path = tmp_path / "scores.json"
+        write_json(DRScoreMatrix(scores, ("a", "b", "c")).to_dict(), path)
+        tracemalloc.start()
+        try:
+            read = read_scores(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read.scores.tobytes() == scores.tobytes()
+        assert peak < path.stat().st_size + 2 * scores.nbytes
