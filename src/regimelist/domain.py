@@ -83,10 +83,6 @@ class Dataset:
         return int(self.treatments.shape[0])
 
     @property
-    def n_features(self) -> int:
-        return len(self.specs)
-
-    @property
     def n_treatments(self) -> int:
         return len(self.treatment_names)
 
@@ -139,7 +135,7 @@ def _column(cells: Sequence, col: int, name: str,
 
     Converts the whole column at once, a string ndarray by one ``==`` per
     name; only a column that fails is scanned for its first bad cell, which
-    CellError reports as ``col``.  A bytes (``S``) ndarray of ASCII text is
+    CellError reports as ``col``.  A bytes (``S``) ndarray of UTF-8 text is
     compared with names' UTF-8 bytes: numpy finds no bytes equal to a str.
     """
     try:

@@ -9,25 +9,28 @@ correction, counterfactual arms are plain regression predictions.  The
 estimate of a regime's mean outcome is then a simple column selection over
 this matrix.
 
-Every Xᵀ diag(w) X the fits need (the propensity Hessian's blocks, each
-arm's normal equations) is summed over blocks of at most GRAM_BLOCK rows, so
-a fit holds its one (N, d + 1) design and no second array of that size.
+No (N, d + 1) design matrix is ever built: ``FeatureEncoder.design_blocks``
+fills one reused buffer with GRAM_BLOCK rows at a time, and every consumer
+works block by block.  One pass gives a propensity trial's value, gradient
+and Hessian; one pass gives every arm's normal equations; one pass fills
+the (N, m) score matrix, as it does each model's predictions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .domain import REAL, Dataset
 from .errors import ConvergenceError, SingularSystemError, ValidationError, malformed
 
-# rows per block of weighted_gram: a (d + 1) x GRAM_BLOCK temporary, 0.3 MB
-# at d + 1 = 19.  With 100k rows and 2 cores each Gram matrix took 5-8 ms in
-# 2,048-row blocks; in 8,192-row blocks (multithreaded products) 11-14 ms,
-# but ~96 ms a call through about the first ten calls of some processes.
+# rows per design block: a (d + 1) x GRAM_BLOCK buffer, 0.3 MB at d + 1 = 19,
+# and per Gram sum the block's weighted copies.  With 100k rows and 2 cores
+# each Gram matrix took 5-8 ms in 2,048-row blocks; in 8,192-row blocks
+# (multithreaded products) 11-14 ms, but ~96 ms a call through about the
+# first ten calls of some processes.
 GRAM_BLOCK = 2048
 
 
@@ -74,21 +77,29 @@ class FeatureEncoder:
             scales=np.asarray(scales, dtype=float),
         )
 
-    def transform(self, ds: Dataset) -> np.ndarray:
-        """The encoded columns, (N, d): ``design(ds)`` without its intercept."""
-        return self.design(ds)[:, :-1]
+    def design_blocks(self, ds: Dataset) -> Iterator[tuple[slice, np.ndarray]]:
+        """The design, the encoded columns then an intercept of ones, as
+        (rows, block) pairs over at most GRAM_BLOCK consecutive subjects;
+        block is (rows' length, d + 1).
 
-    def design(self, ds: Dataset) -> np.ndarray:
-        """The encoded columns then an intercept of ones, (N, d + 1), one array."""
-        out = np.empty((ds.n_subjects, len(self.columns) + 1), dtype=float)
-        out[:, -1] = 1.0
-        for j, col in enumerate(self.columns):
-            raw = ds.columns[col.feature]
-            if col.level is None:
-                out[:, j] = (raw - self.means[j]) / self.scales[j]
-            else:
-                out[:, j] = (raw == col.level).astype(float)
-        return out
+        Every block is a view of one buffer that the next block overwrites,
+        so a caller is done with a block before it asks for the next.
+        """
+        n, width = ds.n_subjects, len(self.columns) + 1
+        # column-major, so each encoded column fills contiguous memory
+        buffer = np.empty(width * min(n, GRAM_BLOCK))
+        for start in range(0, n, GRAM_BLOCK):
+            rows = slice(start, min(start + GRAM_BLOCK, n))
+            block = buffer[:width * (rows.stop - start)].reshape(width, -1)
+            for j, col in enumerate(self.columns):
+                raw = ds.columns[col.feature][rows]
+                if col.level is None:
+                    np.subtract(raw, self.means[j], out=block[j])
+                    np.divide(block[j], self.scales[j], out=block[j])
+                else:
+                    np.equal(raw, col.level, out=block[j])
+            block[-1] = 1.0
+            yield rows, block.T
 
     def to_dict(self) -> dict:
         return {
@@ -100,59 +111,65 @@ class FeatureEncoder:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Log-softmax over the first axis: z is (m, rows) logits."""
+    shifted = z - z.max(axis=0)
+    return shifted - np.log(np.exp(shifted).sum(axis=0))
 
 
-def propensity_loglik(weights: np.ndarray, design: np.ndarray, codes: np.ndarray,
-                      l2: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean log-likelihood minus (l2/2)·||weights||² for the softmax model,
-    with its analytic gradient and the (N, m) softmax probabilities."""
-    n = design.shape[0]
-    logp = _log_softmax(design @ weights.T)
-    value = float(logp[np.arange(n), codes].mean() - 0.5 * l2 * (weights * weights).sum())
-    probs = np.exp(logp)
-    resid = -probs
-    resid[np.arange(n), codes] += 1.0
-    grad = resid.T @ design / n - l2 * weights
-    return value, grad, probs
+def _fill_rows(encoder: FeatureEncoder, ds: Dataset, width: int,
+               of_block: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The (N, width) array whose rows are of_block of each design block."""
+    out = np.empty((ds.n_subjects, width))
+    for rows, block in encoder.design_blocks(ds):
+        out[rows] = of_block(block)
+    return out
 
 
-def weighted_gram(design: np.ndarray, w: np.ndarray,
+def weighted_gram(rows: np.ndarray, weights: np.ndarray,
                   y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Xᵀ diag(w) X for X = design, and Xᵀ diag(w) y (zeros without y),
-    summed over blocks of GRAM_BLOCK rows, so the only temporary is one
-    block of Xᵀ diag(w)."""
-    n, d = design.shape
-    gram, moment = np.zeros((d, d)), np.zeros(d)
-    buffer = np.empty((min(n, GRAM_BLOCK), d)).T
-    for i in range(0, n, GRAM_BLOCK):
-        block = design[i:i + GRAM_BLOCK]
-        scaled = np.multiply(block.T, w[i:i + GRAM_BLOCK], out=buffer[:, :len(block)])
-        gram += scaled @ block
-        if y is not None:
-            moment += scaled @ y[i:i + GRAM_BLOCK]
+    """Xᵀ diag(w) X for X = rows, and Xᵀ diag(w) y (zeros without y), for
+    each weight vector w along the last axis of weights, by one product for
+    them all; its temporary is the weighted copies of Xᵀ, so callers pass
+    one design block."""
+    scaled = np.multiply(rows.T, np.asarray(weights)[..., None, :])
+    flat = scaled.reshape(-1, len(rows))
+    gram = (flat @ rows).reshape(scaled.shape[:-1] + rows.shape[1:])
+    moment = np.zeros(scaled.shape[:-1]) if y is None else (flat @ y).reshape(scaled.shape[:-1])
     return gram, moment
 
 
-def propensity_hessian(probs: np.ndarray, design: np.ndarray, l2: float) -> np.ndarray:
-    """Hessian of the penalized mean log-likelihood, (m·d)×(m·d), at the
-    weights whose softmax probabilities are probs.
+def propensity_loglik(weights: np.ndarray, encoder: FeatureEncoder, ds: Dataset,
+                      l2: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean log-likelihood minus (l2/2)·||weights||² for the softmax model,
+    with its analytic gradient and Hessian, from one pass over the design.
 
-    Rows and columns follow weights.ravel(); block (a, b) is
-    -Xᵀ diag(p_a(δ_ab − p_b)) X / n, minus l2 on the diagonal.
+    The Hessian's rows and columns follow weights.ravel(); its block (a, b)
+    is -Xᵀ diag(p_a(δ_ab − p_b)) X / n, minus l2 on the diagonal, for the
+    softmax probabilities p at weights.  Each design block adds its share of
+    the value, the gradient and all m(m+1)/2 weighted Gram sums.
     """
-    n, d = design.shape
-    m = probs.shape[1]
-    hessian = np.empty((m * d, m * d))
-    for a in range(m):
-        for b in range(a, m):
-            w = probs[:, a] * ((a == b) - probs[:, b])
-            block = -weighted_gram(design, w)[0] / n
-            hessian[a * d:(a + 1) * d, b * d:(b + 1) * d] = block
-            hessian[b * d:(b + 1) * d, a * d:(a + 1) * d] = block.T
-    hessian[np.diag_indices(m * d)] -= l2
-    return hessian
+    n = ds.n_subjects
+    m, width = weights.shape
+    upper_a, upper_b = np.triu_indices(m)
+    diagonal = (upper_a == upper_b)[:, None]
+    value, grad = 0.0, np.zeros_like(weights)
+    grams = np.zeros((len(upper_a), width, width))
+    for rows, block in encoder.design_blocks(ds):
+        picked = ds.treatments[rows], np.arange(rows.stop - rows.start)
+        logp = _log_softmax(weights @ block.T)
+        value += float(logp[picked].sum())
+        probs = np.exp(logp)
+        resid = -probs
+        resid[picked] += 1.0
+        grad += resid @ block
+        grams += weighted_gram(block, probs[upper_a] * (diagonal - probs[upper_b]))[0]
+    hessian = np.empty((m, width, m, width))
+    hessian[upper_b, :, upper_a] = -grams.transpose(0, 2, 1) / n
+    hessian[upper_a, :, upper_b] = -grams / n
+    hessian = hessian.reshape(m * width, m * width)
+    hessian[np.diag_indices(m * width)] -= l2
+    return (value / n - 0.5 * l2 * float((weights * weights).sum()),
+            grad / n - l2 * weights, hessian)
 
 
 @dataclass
@@ -166,14 +183,17 @@ class PropensityModel:
     n_iterations: int = 0
     gradient_norm: float = 0.0
 
+    def _proba_rows(self, block: np.ndarray) -> np.ndarray:
+        return np.exp(_log_softmax(self.weights @ block.T)).T
+
     def predict_proba_raw(self, ds: Dataset) -> np.ndarray:
         """Softmax probabilities; every row sums to 1."""
-        design = self.encoder.design(ds)
-        return np.exp(_log_softmax(design @ self.weights.T))
+        return _fill_rows(self.encoder, ds, len(self.weights), self._proba_rows)
 
     def predict_proba(self, ds: Dataset) -> np.ndarray:
         """Probabilities floored at clip_epsilon (rows may then exceed 1)."""
-        return np.maximum(self.predict_proba_raw(ds), self.clip_epsilon)
+        raw = self.predict_proba_raw(ds)
+        return np.maximum(raw, self.clip_epsilon, out=raw)
 
     def to_dict(self) -> dict:
         return {
@@ -198,8 +218,10 @@ def fit_propensity(
     Each step is the minimum-norm least-squares solution of the negative
     Hessian system (singular along the arm shift when l2 = 0), halved from 1
     until it passes the Armijo test; converged when the gradient Frobenius
-    norm drops to grad_tol.  Raises ConvergenceError (carrying the final
-    norm) past max_iters.
+    norm drops to grad_tol.  Every trial point costs one pass over the
+    design, which also gives the Hessian that the next step uses if the
+    trial is accepted.  Raises ConvergenceError (carrying the final norm)
+    past max_iters.
     """
     if not l2 >= 0:
         raise ValidationError(f"l2 must be nonnegative, got {l2}")
@@ -215,25 +237,22 @@ def fit_propensity(
         raise ValidationError(f"treatments never observed in data: {missing}")
 
     encoder = FeatureEncoder.fit(ds)
-    design = encoder.design(ds)
     m = ds.n_treatments
-    weights = np.zeros((m, design.shape[1]))
-    codes = ds.treatments
+    weights = np.zeros((m, len(encoder.columns) + 1))
 
-    value, grad, probs = propensity_loglik(weights, design, codes, l2)
+    value, grad, hessian = propensity_loglik(weights, encoder, ds, l2)
     for it in range(1, max_iters + 1):
         gnorm = float(np.sqrt((grad * grad).sum()))
         if gnorm <= grad_tol:
             return PropensityModel(encoder, ds.treatment_names, weights, clip_epsilon,
                                    n_iterations=it - 1, gradient_norm=gnorm)
-        hessian = propensity_hessian(probs, design, l2)
         direction = np.linalg.lstsq(-hessian, grad.ravel(), rcond=None)[0].reshape(m, -1)
         slope = float((grad * direction).sum())
         alpha = 1.0
         while True:
             candidate = weights + alpha * direction
-            cand_value, cand_grad, cand_probs = propensity_loglik(candidate, design, codes, l2)
-            if cand_value >= value + 1e-4 * alpha * slope:
+            trial = propensity_loglik(candidate, encoder, ds, l2)
+            if trial[0] >= value + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
             if alpha < 1e-18:
@@ -242,7 +261,7 @@ def fit_propensity(
                     f"(gradient norm {gnorm:.3e})",
                     gradient_norm=gnorm,
                 )
-        weights, value, grad, probs = candidate, cand_value, cand_grad, cand_probs
+        weights, (value, grad, hessian) = candidate, trial
 
     gnorm = float(np.sqrt((grad * grad).sum()))
     raise ConvergenceError(
@@ -261,10 +280,12 @@ class OutcomeModel:
     coefs: np.ndarray
     ridge: float
 
+    def _predict_rows(self, block: np.ndarray) -> np.ndarray:
+        return block @ self.coefs.T
+
     def predict(self, ds: Dataset) -> np.ndarray:
         """Predicted outcome for every subject under every treatment, (N, m)."""
-        design = self.encoder.design(ds)
-        return design @ self.coefs.T
+        return _fill_rows(self.encoder, ds, len(self.coefs), self._predict_rows)
 
     def to_dict(self) -> dict:
         return {
@@ -295,27 +316,31 @@ def solve_normal(gram: np.ndarray, moment: np.ndarray, ridge: float) -> np.ndarr
 
 
 def fit_outcome(ds: Dataset, ridge: float = 1e-6) -> OutcomeModel:
-    """Fit one outcome regression per arm on the rows observed under it,
-    weighting the rows of the one design by the arm's 0/1 mask."""
+    """Fit one outcome regression per arm on the rows observed under it:
+    one pass over the design sums every arm's normal equations, weighting
+    each block's rows by the arm's 0/1 mask."""
     if not ridge >= 0:
         raise ValidationError(f"ridge must be nonnegative, got {ridge}")
     encoder = FeatureEncoder.fit(ds)
-    design = encoder.design(ds)
-    d = design.shape[1]
-    coefs = np.empty((ds.n_treatments, d))
-    for a in range(ds.n_treatments):
-        rows = ds.treatments == a
-        n_arm = int(rows.sum())
-        if n_arm == 0:
+    m, width = ds.n_treatments, len(encoder.columns) + 1
+    counts = np.bincount(ds.treatments, minlength=m)
+    for a in range(m):
+        if counts[a] == 0:
             raise ValidationError(
                 f"treatment {ds.treatment_names[a]!r} has no observations"
             )
-        if ridge <= 0 and n_arm < d:
+        if ridge <= 0 and counts[a] < width:
             raise ValidationError(
-                f"arm {ds.treatment_names[a]!r} has {n_arm} rows for {d} coefficients; "
-                "use a positive ridge penalty"
+                f"arm {ds.treatment_names[a]!r} has {counts[a]} rows for {width} "
+                "coefficients; use a positive ridge penalty"
             )
-        coefs[a] = solve_normal(*weighted_gram(design, rows, ds.outcomes), ridge)
+    arms = np.arange(m)[:, None]
+    grams, moments = np.zeros((m, width, width)), np.zeros((m, width))
+    for rows, block in encoder.design_blocks(ds):
+        gram, moment = weighted_gram(block, ds.treatments[rows] == arms, ds.outcomes[rows])
+        grams += gram
+        moments += moment
+    coefs = np.array([solve_normal(grams[a], moments[a], ridge) for a in range(m)])
     return OutcomeModel(encoder, ds.treatment_names, coefs, ridge)
 
 
@@ -361,14 +386,17 @@ class DRScoreMatrix:
 
 def compute_dr_scores(ds: Dataset, propensity: PropensityModel,
                       outcome: OutcomeModel) -> DRScoreMatrix:
-    """Fill the score matrix from fitted models (same schema and treatments)."""
+    """Fill the score matrix from fitted models (same schema and treatments)
+    in one pass over the design blocks of both models' encoders."""
     if propensity.treatment_names != ds.treatment_names or \
             outcome.treatment_names != ds.treatment_names:
         raise ValidationError("models were fit with a different treatment set")
-    predicted = outcome.predict(ds)
-    probs = propensity.predict_proba(ds)
-    scores = predicted.copy()
-    idx = np.arange(ds.n_subjects)
-    observed = ds.treatments
-    scores[idx, observed] += (ds.outcomes - predicted[idx, observed]) / probs[idx, observed]
+    scores = np.empty((ds.n_subjects, ds.n_treatments))
+    for (rows, block), (_, prop_block) in zip(outcome.encoder.design_blocks(ds),
+                                              propensity.encoder.design_blocks(ds)):
+        predicted = outcome._predict_rows(block)
+        probs = np.maximum(propensity._proba_rows(prop_block), propensity.clip_epsilon)
+        picked = np.arange(len(predicted)), ds.treatments[rows]
+        predicted[picked] += (ds.outcomes[rows] - predicted[picked]) / probs[picked]
+        scores[rows] = predicted
     return DRScoreMatrix(scores=scores, treatment_names=ds.treatment_names)

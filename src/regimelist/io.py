@@ -149,11 +149,14 @@ def _plain_columns(data: bytes, schema: DataSchema):
     csv's field limit; a header holding every needed column once; and one
     record per line after it, as loadtxt skips blank lines the exact path
     refuses.  Real columns and the outcome parse as float64, every other
-    column as a string field one character wider than its longest name, so
-    a longer cell matches no name: bytes (``S``) in an ASCII file, else
-    ``U`` (loadtxt would fill ``S`` with latin-1), at 4 bytes a character.
-    loadtxt raises on a ragged row.  The scan for LFs and control bytes
-    goes by blocks, so its temporaries do not grow with the file.
+    column as a bytes (``S``) field one byte wider than its longest name's
+    UTF-8, so a longer cell matches no name.  loadtxt reads the file as
+    latin-1, so each cell keeps its UTF-8 bytes for ``_column`` to compare.
+    A number cell holding non-ASCII text then holds a latin-1 letter and
+    fails to parse; only then is a non-ASCII file parsed again, its numbers
+    by ``_utf8_number``.  loadtxt raises on a ragged row.  The scans for LFs
+    and control bytes, and the UTF-8 check, go by blocks, so their
+    temporaries do not grow with the file.
     """
     u8 = np.frombuffer(data, dtype=np.uint8)
     ends = _positions(u8, ord("\n"))
@@ -166,7 +169,7 @@ def _plain_columns(data: bytes, schema: DataSchema):
         return None
     is_ascii = data.isascii()
     if not is_ascii:
-        data.decode("utf-8")
+        _check_utf8(data, u8)
     header = data[:ends[0]].decode("utf-8").split(",")
     col_of = {name: k for k, name in enumerate(header)}
     needed = _needed_columns(schema)
@@ -175,17 +178,49 @@ def _plain_columns(data: bytes, schema: DataSchema):
     if len(col_of) < len(header) or not col_of.keys() >= set(needed) \
             or any("\x00" in name for levels in names.values() for name in levels):
         return None
-    kind, size = ("S", lambda name: len(name.encode())) if is_ascii else ("U", len)
-    formats = [f"{kind}{max(map(size, names[h])) + 1}" if h in names
-               else "f8" if h in needed else f"{kind}1" for h in header]
-    table = np.loadtxt(BytesIO(data), skiprows=1, encoding="utf-8", ndmin=1,
-                       dtype={"names": [f"c{k}" for k in range(len(header))],
-                              "formats": formats},
-                       delimiter=",", comments=None, quotechar=None)
+    formats = [f"S{max(len(name.encode()) for name in names[h]) + 1}" if h in names
+               else "f8" if h in needed else "S1" for h in header]
+
+    def parse(converters):
+        return np.loadtxt(BytesIO(data), skiprows=1, encoding="latin-1", ndmin=1,
+                          converters=converters,
+                          dtype={"names": [f"c{k}" for k in range(len(header))],
+                                 "formats": formats},
+                          delimiter=",", comments=None, quotechar=None)
+
+    try:
+        table = parse(None)
+    except ValueError:
+        if is_ascii:
+            raise
+        table = parse({col_of[h]: _utf8_number for h in needed if h not in names})
     if table.shape != (n_records,):
         return None
     *cells, treatments, outcomes = (table[f"c{col_of[name]}"] for name in needed)
     return cells, treatments, outcomes
+
+
+def _utf8_number(cell: str) -> float:
+    """A number cell of a UTF-8 file read as latin-1: float() of its text,
+    which must be ASCII once stripped of (Unicode) spaces."""
+    text = cell.encode("latin-1").decode("utf-8").strip()
+    if not text.isascii():
+        raise ValueError(f"non-ASCII number {text!r}")
+    return float(text)
+
+
+def _check_utf8(data: bytes, u8: np.ndarray) -> None:
+    """Raise UnicodeDecodeError unless data is UTF-8, decoding it in pieces
+    of about SCAN_BLOCK bytes, each cut before a character's lead byte."""
+    view, start = memoryview(data), 0
+    while start < len(data):
+        stop = min(start + SCAN_BLOCK, len(data))
+        # a continuation byte is 10xxxxxx, and UTF-8 has at most three in a row
+        for _ in range(3):
+            if stop < len(data) and u8[stop] & 0xC0 == 0x80:
+                stop -= 1
+        str(view[start:stop], "utf-8")
+        start = stop
 
 
 def _positions(u8: np.ndarray, byte: int) -> np.ndarray:

@@ -93,10 +93,10 @@ class SearchState:
     """A rule-list prefix with its exactly-incurred sums.
 
     packed holds the covered subjects in ceil(n / 8) bytes laid out like
-    ``SearchProblem.row``'s, and ``covered`` unpacks them; features is the
-    bitmask of the characteristics its patterns read; incurred_value is the
-    sum over covered subjects of lambda1*score - lambda3*treatment_cost for
-    their assigned arm; incurred_assess the sum of their prefix assessment costs.
+    ``SearchProblem.row``'s; features is the bitmask of the characteristics
+    its patterns read; incurred_value is the sum over covered subjects of
+    lambda1*score - lambda3*treatment_cost for their assigned arm;
+    incurred_assess the sum of their prefix assessment costs.
     """
 
     prefix: tuple[tuple[int, int], ...]
@@ -116,10 +116,6 @@ class SearchState:
     @property
     def depth(self) -> int:
         return len(self.prefix)
-
-    @property
-    def covered(self) -> np.ndarray:
-        return _unpack(self.packed, self.n_subjects)
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
@@ -195,6 +191,8 @@ class SearchProblem:
         self._feature_masks, self._feature_index = np.unique(
             np.array(self.pattern_features, dtype=object), return_inverse=True)
         self._costs: dict[int, float] = {}
+        # per state feature mask, feature_cost of it joined with each mask
+        self._mask_costs: dict[int, np.ndarray] = {}
         # rounding slack of ordered_actions' bounds, before the division by
         # n: per float32 term of a pattern's sums, and per bound
         vo_max = float(np.abs(self.value_mat).max() + np.abs(self.optimistic).max())
@@ -316,8 +314,11 @@ class SearchProblem:
         # gains[k, t]: total value of assigning t to the subjects pattern
         # eligible[k] would newly cover
         gains = sums[2:, eligible].T
-        mask_cost = np.array([self.feature_cost(state.features | f)
-                              for f in self._feature_masks], dtype=np.float64)
+        mask_cost = self._mask_costs.get(state.features)
+        if mask_cost is None:
+            mask_cost = self._mask_costs[state.features] = np.array(
+                [self.feature_cost(state.features | f) for f in self._feature_masks],
+                dtype=np.float64)
         new_cost = mask_cost[self._feature_index[eligible]]
         best_default = int(np.argmax(default_sums))
         charge = lam2 * new_cost * cnt

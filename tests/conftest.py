@@ -55,6 +55,11 @@ def dataset_row(ds: Dataset, i: int) -> tuple:
                  for spec, col in zip(ds.specs, ds.columns))
 
 
+def n_features(ds: Dataset) -> int:
+    """The number of characteristics each subject has."""
+    return len(ds.specs)
+
+
 # ---------------------------------------------------------------------------
 # random instances
 
@@ -102,7 +107,7 @@ def random_dataset(
 
 def random_pattern(rng: np.random.Generator, ds: Dataset, max_preds: int = 2) -> Pattern:
     n_preds = int(rng.integers(1, max_preds + 1))
-    feats = rng.choice(ds.n_features, size=min(n_preds, ds.n_features), replace=False)
+    feats = rng.choice(n_features(ds), size=min(n_preds, n_features(ds)), replace=False)
     preds = []
     for f in sorted(int(x) for x in feats):
         spec = ds.specs[f]
@@ -325,6 +330,100 @@ def oracle_quantile_thresholds(values, num_bins: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# estimation on the whole (N, d + 1) design, which the library streams in blocks
+
+
+def design_matrix(ds: Dataset, encoder: FeatureEncoder | None = None) -> np.ndarray:
+    """The whole design of encoder (fit on ds when None): its encoded
+    columns built one at a time from the dataset's columns, then an
+    intercept of ones."""
+    if encoder is None:
+        encoder = FeatureEncoder.fit(ds)
+    columns = [(ds.columns[col.feature] - encoder.means[j]) / encoder.scales[j]
+               if col.level is None else (ds.columns[col.feature] == col.level).astype(float)
+               for j, col in enumerate(encoder.columns)]
+    return np.column_stack(columns + [np.ones(ds.n_subjects)])
+
+
+def softmax_objective(design: np.ndarray, codes: np.ndarray, weights: np.ndarray,
+                      l2: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The propensity objective, the mean log-likelihood minus
+    (l2/2)·||weights||², its gradient and the softmax probabilities, (N, m),
+    over whole N-row arrays, written out here rather than taken from the
+    library."""
+    n = len(design)
+    onehot = np.eye(len(weights))[codes]
+    logits = design @ weights.T
+    top = logits.max(axis=1, keepdims=True)
+    log_probs = logits - top - np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
+    probs = np.exp(log_probs)
+    value = float((log_probs * onehot).sum()) / n - 0.5 * l2 * float((weights ** 2).sum())
+    return value, (onehot - probs).T @ design / n - l2 * weights, probs
+
+
+def oracle_newton_propensity(ds: Dataset, l2: float = 1e-4, grad_tol: float = 1e-6,
+                             max_iters: int = 5000) -> tuple[np.ndarray, int]:
+    """The weights ``fit_propensity``'s method reaches on the whole design,
+    and its number of Newton steps.
+
+    Each Hessian block (a, b) is one -(Xᵀ · p_a(δ_ab − p_b)) @ X / n product,
+    minus l2 on the diagonal; each step is the minimum-norm solution of the
+    negative Hessian system, halved from 1 until the Armijo test passes.
+    """
+    design = design_matrix(ds)
+    n, width = design.shape
+    m = ds.n_treatments
+    weights = np.zeros((m, width))
+    value, grad, probs = softmax_objective(design, ds.treatments, weights, l2)
+    for it in range(max_iters + 1):
+        if math.sqrt(float((grad * grad).sum())) <= grad_tol:
+            return weights, it
+        hessian = -l2 * np.eye(m * width)
+        for a in range(m):
+            for b in range(m):
+                w = probs[:, a] * ((a == b) - probs[:, b])
+                hessian[a * width:(a + 1) * width, b * width:(b + 1) * width] -= \
+                    (design.T * w) @ design / n
+        direction = np.linalg.lstsq(-hessian, grad.ravel(), rcond=None)[0].reshape(m, width)
+        slope = float((grad * direction).sum())
+        alpha = 1.0
+        while softmax_objective(design, ds.treatments, weights + alpha * direction,
+                                l2)[0] < value + 1e-4 * alpha * slope:
+            alpha *= 0.5
+            assert alpha >= 1e-18, "oracle line search stalled"
+        weights = weights + alpha * direction
+        value, grad, probs = softmax_objective(design, ds.treatments, weights, l2)
+    raise AssertionError(f"oracle Newton fit did not converge in {max_iters} steps")
+
+
+def oracle_outcome_coefs(ds: Dataset, ridge: float = 1e-6) -> np.ndarray:
+    """Per arm, the ridge solution on the whole design's rows under that
+    arm, by one dense solve; the intercept is not penalized."""
+    design = design_matrix(ds)
+    reg = ridge * np.eye(design.shape[1])
+    reg[-1, -1] = 0.0
+    coefs = []
+    for a in range(ds.n_treatments):
+        rows = ds.treatments == a
+        coefs.append(np.linalg.solve(design[rows].T @ design[rows] + reg,
+                                     design[rows].T @ ds.outcomes[rows]))
+    return np.array(coefs)
+
+
+def oracle_dr_scores(ds: Dataset, weights: np.ndarray, coefs: np.ndarray,
+                     clip_epsilon: float) -> np.ndarray:
+    """The doubly robust scores, (N, m), of the given model parameters: the
+    whole design's predictions, and on each subject's observed arm the
+    residual over its clipped softmax probability, subject by subject."""
+    design = design_matrix(ds)
+    _, _, probs = softmax_objective(design, ds.treatments, weights, 0.0)
+    scores = design @ coefs.T
+    for i, a in enumerate(ds.treatments.tolist()):
+        scores[i, a] += (ds.outcomes[i] - scores[i, a]) / max(probs[i, a], clip_epsilon)
+    return scores
+
+
+# ---------------------------------------------------------------------------
 # propensity fit (first order: gradient ascent, no Hessian)
 
 
@@ -335,22 +434,13 @@ def oracle_fit_propensity(ds: Dataset, l2: float = 1e-4, grad_tol: float = 1e-6,
 
     Backtracking line search (Armijo) with the accepted step carried across
     iterations; stops when the gradient Frobenius norm drops to grad_tol.
-    The objective is the mean log-likelihood minus (l2/2)·||weights||²,
-    written out here rather than taken from the library.
+    The objective is ``softmax_objective``'s.
     """
-    design = np.column_stack([FeatureEncoder.fit(ds).transform(ds),
-                             np.ones(ds.n_subjects)])
-    n = ds.n_subjects
-    onehot = np.eye(ds.n_treatments)[ds.treatments]
+    design = design_matrix(ds)
 
     def evaluate(weights):
         """Objective, its gradient and the softmax probabilities at weights."""
-        logits = design @ weights.T
-        top = logits.max(axis=1, keepdims=True)
-        log_probs = logits - top - np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
-        probs = np.exp(log_probs)
-        value = float((log_probs * onehot).sum()) / n - 0.5 * l2 * float((weights ** 2).sum())
-        return value, (onehot - probs).T @ design / n - l2 * weights, probs
+        return softmax_objective(design, ds.treatments, weights, l2)
 
     weights = np.zeros((ds.n_treatments, design.shape[1]))
     step = 1.0
@@ -455,6 +545,11 @@ def oracle_true_objective(gspec: GeneratorSpec, dl: DecisionList,
 
 # ---------------------------------------------------------------------------
 # greedy search over every (pattern, treatment) rule, without pruning
+
+
+def covered(state: SearchState) -> np.ndarray:
+    """The subjects a state's prefix covers, its packed bits as bools."""
+    return np.unpackbits(state.packed, count=state.n_subjects).view(bool)
 
 
 def rule_child(problem: SearchProblem, state: SearchState, p: int, t: int) -> SearchState:

@@ -42,6 +42,7 @@ from regimelist.search import (
 from regimelist.synth import default_generator_spec, generate, true_value
 
 from conftest import (
+    design_matrix,
     oracle_assessment_costs,
     oracle_assigned,
     oracle_groups,
@@ -286,18 +287,17 @@ def test_criterion_6_numerical_model_checks(capsys):
             n_features=int(rng.integers(2, 5)),
             m=int(rng.integers(2, 4)),
         )
-        design = np.column_stack([FeatureEncoder.fit(ds).transform(ds),
-                                  np.ones(ds.n_subjects)])
-        W = rng.normal(0, 0.5, size=(ds.n_treatments, design.shape[1]))
-        _, grad, _ = propensity_loglik(W, design, ds.treatments, 1e-4)
+        enc = FeatureEncoder.fit(ds)
+        W = rng.normal(0, 0.5, size=(ds.n_treatments, len(enc.columns) + 1))
+        _, grad, _ = propensity_loglik(W, enc, ds, 1e-4)
         h = 1e-6
         for r in range(W.shape[0]):
             for c in range(W.shape[1]):
                 Wp, Wm = W.copy(), W.copy()
                 Wp[r, c] += h
                 Wm[r, c] -= h
-                fd = (propensity_loglik(Wp, design, ds.treatments, 1e-4)[0]
-                      - propensity_loglik(Wm, design, ds.treatments, 1e-4)[0]) / (2 * h)
+                fd = (propensity_loglik(Wp, enc, ds, 1e-4)[0]
+                      - propensity_loglik(Wm, enc, ds, 1e-4)[0]) / (2 * h)
                 worst_grad = max(
                     worst_grad,
                     abs(fd - grad[r, c]) / max(abs(grad[r, c]), 1e-3),
@@ -309,8 +309,7 @@ def test_criterion_6_numerical_model_checks(capsys):
     for _ in range(5):
         ds = random_dataset(rng, n_subjects=80, n_features=4, m=2)
         model = fit_outcome(ds, ridge=1e-6)
-        design = np.column_stack([FeatureEncoder.fit(ds).transform(ds),
-                                 np.ones(ds.n_subjects)])
+        design = design_matrix(ds)
         for a in range(ds.n_treatments):
             sel = ds.treatments == a
             reg = 1e-6 * np.eye(design.shape[1])

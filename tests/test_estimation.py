@@ -21,7 +21,6 @@ from regimelist.estimation import (
     compute_dr_scores,
     fit_outcome,
     fit_propensity,
-    propensity_hessian,
     propensity_loglik,
     solve_normal,
     weighted_gram,
@@ -29,7 +28,15 @@ from regimelist.estimation import (
 
 from regimelist.synth import default_generator_spec, generate
 
-from conftest import dataset_from_rows, oracle_fit_propensity, random_dataset
+from conftest import (
+    dataset_from_rows,
+    design_matrix,
+    oracle_dr_scores,
+    oracle_fit_propensity,
+    oracle_newton_propensity,
+    oracle_outcome_coefs,
+    random_dataset,
+)
 
 
 def logistic_dataset(rng, n=400, m=3, n_features=4):
@@ -67,7 +74,7 @@ class TestFeatureEncoder:
         ]
         ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
         enc = FeatureEncoder.fit(ds)
-        X = enc.transform(ds)
+        X = design_matrix(ds, enc)[:, :-1]
         # color contributes 2 indicator columns (green, blue), flag 1, x 1
         assert X.shape == (4, 4)
         assert X[:, 0].tolist() == [0.0, 1.0, 0.0, 0.0]
@@ -81,27 +88,23 @@ class TestFeatureEncoder:
         specs = (CharacteristicSpec("x", REAL, 1.0),)
         rows = [((5.0,), "a", 0.0) for _ in range(6)]
         ds = dataset_from_rows(specs, ("a",), (1.0,), rows)
-        X = FeatureEncoder.fit(ds).transform(ds)
+        X = design_matrix(ds)[:, :-1]
         assert X[:, 0].tolist() == [0.0] * 6
 
-    def test_design_is_one_allocation(self):
-        # the intercept column is filled in place: a prediction builds its
-        # (n, d + 1) design once, where stacking ones onto the encoded
-        # columns would hold two copies of it at the peak
-        ds, _ = generate(default_generator_spec(n_subjects=20_000, seed=0))
-        model = fit_outcome(ds)
-        design_bytes = ds.n_subjects * (len(model.encoder.columns) + 1) * 8
-        tracemalloc.start()
-        try:
-            predicted = model.predict(ds)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert predicted.shape == (ds.n_subjects, ds.n_treatments)
-        assert peak < 1.5 * design_bytes
-        design = model.encoder.design(ds)
-        assert design.flags.c_contiguous and design[:, -1].tolist() == [1.0] * ds.n_subjects
-        assert np.array_equal(design[:, :-1], model.encoder.transform(ds))
+    @pytest.mark.parametrize("n", [1, GRAM_BLOCK - 1, GRAM_BLOCK, 2 * GRAM_BLOCK + 5])
+    def test_blocks_are_the_whole_design(self, n):
+        # consecutive blocks, each of at most GRAM_BLOCK rows, that stack
+        # into the design built column by column, bit for bit
+        ds = random_dataset(np.random.default_rng(n), n_subjects=n, n_features=5, m=2)
+        enc = FeatureEncoder.fit(ds)
+        whole = design_matrix(ds, enc)
+        starts = []
+        for rows, block in enc.design_blocks(ds):
+            assert block.shape == (rows.stop - rows.start, len(enc.columns) + 1)
+            assert 0 < len(block) <= GRAM_BLOCK
+            assert np.array_equal(block, whole[rows])
+            starts.append(rows.start)
+        assert starts == list(range(0, n, GRAM_BLOCK))
 
 
 class TestPropensityGradient:
@@ -115,21 +118,21 @@ class TestPropensityGradient:
                 n_features=int(rng.integers(2, 5)),
                 m=int(rng.integers(2, 4)),
             )
-            X = FeatureEncoder.fit(ds).transform(ds)
-            design = np.column_stack([X, np.ones(len(X))])
+            enc = FeatureEncoder.fit(ds)
+            width = len(enc.columns) + 1
             m = ds.n_treatments
-            W = rng.normal(0, 0.5, size=(m, design.shape[1]))
+            W = rng.normal(0, 0.5, size=(m, width))
             l2 = 1e-4
-            _, grad, _ = propensity_loglik(W, design, ds.treatments, l2)
+            _, grad, _ = propensity_loglik(W, enc, ds, l2)
             h = 1e-6
             for r in range(m):
-                for c in range(design.shape[1]):
+                for c in range(width):
                     Wp, Wm = W.copy(), W.copy()
                     Wp[r, c] += h
                     Wm[r, c] -= h
                     fd = (
-                        propensity_loglik(Wp, design, ds.treatments, l2)[0]
-                        - propensity_loglik(Wm, design, ds.treatments, l2)[0]
+                        propensity_loglik(Wp, enc, ds, l2)[0]
+                        - propensity_loglik(Wm, enc, ds, l2)[0]
                     ) / (2 * h)
                     denom = max(abs(grad[r, c]), 1e-3)
                     worst = max(worst, abs(fd - grad[r, c]) / denom)
@@ -145,12 +148,10 @@ class TestPropensityGradient:
                 n_features=int(rng.integers(2, 5)),
                 m=int(rng.integers(2, 4)),
             )
-            design = np.column_stack([FeatureEncoder.fit(ds).transform(ds),
-                                     np.ones(ds.n_subjects)])
-            W = rng.normal(0, 0.5, size=(ds.n_treatments, design.shape[1]))
+            enc = FeatureEncoder.fit(ds)
+            W = rng.normal(0, 0.5, size=(ds.n_treatments, len(enc.columns) + 1))
             l2 = float(rng.choice([0.0, 1e-4, 1.0]))
-            hessian = propensity_hessian(propensity_loglik(W, design, ds.treatments, l2)[2],
-                                         design, l2)
+            hessian = propensity_loglik(W, enc, ds, l2)[2]
             assert hessian.shape == (W.size, W.size)
             assert np.allclose(hessian, hessian.T, rtol=0, atol=1e-12)
             h = 1e-6
@@ -158,8 +159,8 @@ class TestPropensityGradient:
                 Wp, Wm = W.copy(), W.copy()
                 Wp.flat[k] += h
                 Wm.flat[k] -= h
-                fd = (propensity_loglik(Wp, design, ds.treatments, l2)[1]
-                      - propensity_loglik(Wm, design, ds.treatments, l2)[1]
+                fd = (propensity_loglik(Wp, enc, ds, l2)[1]
+                      - propensity_loglik(Wm, enc, ds, l2)[1]
                       ).ravel() / (2 * h)
                 denom = np.maximum(np.abs(hessian[:, k]), 1e-3)
                 worst = max(worst, float(np.max(np.abs(fd - hessian[:, k]) / denom)))
@@ -272,8 +273,7 @@ class TestOutcomeFit:
             ds = random_dataset(rng, n_subjects=60, n_features=4, m=2)
             ridge = 1e-6
             model = fit_outcome(ds, ridge=ridge)
-            X = FeatureEncoder.fit(ds).transform(ds)
-            design = np.column_stack([X, np.ones(len(X))])
+            design = design_matrix(ds)
             d = design.shape[1]
             for a in range(ds.n_treatments):
                 rows = ds.treatments == a
@@ -389,20 +389,70 @@ class TestWeightedGram:
         want = (X.T * w) @ y
         assert np.abs(moment - want).max() <= 1e-12 * np.abs(want).max()
         assert not weighted_gram(X, w)[1].any()
+        # several weight vectors at once, as one stacked product
+        stacked = np.stack([w, 1.0 - w, np.zeros(n)])
+        grams, moments = weighted_gram(X, stacked, y)
+        assert grams.shape == (3, 19, 19) and moments.shape == (3, 19)
+        for gram, moment, w in zip(grams, moments, stacked):
+            want = (X.T * w) @ X
+            assert np.abs(gram - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+            want = (X.T * w) @ y
+            assert np.abs(moment - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+class TestStreamedAgreesWithWholeDesign:
+    """The block-by-block fits against the same methods on the whole design:
+    the sums only change order, so parameters and scores agree to rounding."""
+
+    @staticmethod
+    def assert_agree(ds):
+        propensity, outcome = fit_propensity(ds), fit_outcome(ds)
+        weights, n_steps = oracle_newton_propensity(ds)
+        coefs = oracle_outcome_coefs(ds)
+        scores = compute_dr_scores(ds, propensity, outcome).scores
+        assert propensity.n_iterations == n_steps
+        for got, want in [(propensity.weights, weights), (outcome.coefs, coefs),
+                          (scores, oracle_dr_scores(ds, weights, coefs, 0.01))]:
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, m", [(300, 3), (GRAM_BLOCK, 2), (2 * GRAM_BLOCK + 77, 3),
+                                      (3 * GRAM_BLOCK, 2)])
+    def test_random_data(self, n, m):
+        self.assert_agree(random_dataset(np.random.default_rng(n), n_subjects=n,
+                                         n_features=6, m=m))
+
+    def test_benchmark_generator_data(self):
+        self.assert_agree(generate(default_generator_spec(
+            n_subjects=2 * GRAM_BLOCK + 1, seed=3, confounding_strength=0.5))[0])
 
 
 class TestFitMemory:
-    """A fit holds its one design, one Gram block and a few (n, m) arrays,
-    never a second design-sized array: a ``(design.T * w)`` product doubles
-    the design (9.5 (n, m) arrays at d + 1 = 19, m = 2), and an arm's
+    """A fit streams its design in blocks and never holds it whole, let alone
+    a second design-sized array: a ``(design.T * w)`` product doubles the
+    design (9.5 (n, m) arrays at d + 1 = 19, m = 2), and an arm's
     ``design[rows]`` adds its share of it."""
+
+    def test_fit_and_scores_peak_below_half_the_design(self):
+        # what `fit` runs, at 50k rows: its peak is the (n, m) score matrix
+        # and a few blocks' temporaries, below half of the (n, d + 1) design
+        ds = generate(default_generator_spec(n_subjects=50_000, seed=0))[0]
+        design_bytes = ds.n_subjects * (len(FeatureEncoder.fit(ds).columns) + 1) * 8
+        tracemalloc.start()
+        try:
+            outcome = fit_outcome(ds)
+            scores = compute_dr_scores(ds, fit_propensity(ds), outcome)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.scores.shape == (ds.n_subjects, ds.n_treatments)
+        assert peak < design_bytes / 2
 
     @pytest.fixture(scope="class")
     def ds(self):
         return generate(default_generator_spec(n_subjects=20_000, seed=0))[0]
 
-    # (n, m) float64 arrays each fit may hold besides its design: the Gram
-    # block (one at n = 20k) and the softmax pass's temporaries, or the block
+    # (n, m) float64 arrays each fit may hold besides a design: the bounds
+    # of fits that built one; a streamed fit holds far less
     @pytest.mark.parametrize("fit, n_by_m", [(fit_propensity, 7), (fit_outcome, 3)])
     def test_peak_is_the_design_and_a_few_score_sized_arrays(self, ds, fit, n_by_m):
         design_bytes = ds.n_subjects * (len(FeatureEncoder.fit(ds).columns) + 1) * 8

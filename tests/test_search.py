@@ -34,6 +34,7 @@ from regimelist.search import (
 )
 
 from conftest import (
+    covered,
     dataset_row,
     oracle_greedy,
     oracle_cover_matrix,
@@ -86,19 +87,19 @@ def check_state_consistency(problem, state, covers=None):
     exactly.  covers is the problem's oracle_cover_matrix, if already built."""
     if covers is None:
         covers = oracle_cover_matrix(problem)
-    covered = np.zeros(problem.n, dtype=bool)
+    expected = np.zeros(problem.n, dtype=bool)
     features: frozenset[int] = frozenset()
     assess = 0.0
     value = 0.0
     for p, t in state.prefix:
         mask = covers[:, p]
-        newly = mask & ~covered
-        covered |= mask
+        newly = mask & ~expected
+        expected |= mask
         features = features | problem.patterns[p].features
         assess += feature_set_cost(problem.ds.specs, features) * int(newly.sum())
         value += float(problem.value_mat[newly, t].sum())
-    assert np.array_equal(covered, state.covered)
-    assert np.array_equal(np.packbits(covered), state.packed)
+    assert np.array_equal(expected, covered(state))
+    assert np.array_equal(np.packbits(expected), state.packed)
     assert state.features == sum(1 << f for f in features)
     assert state.incurred_assess == assess
     assert state.incurred_value == value
@@ -108,8 +109,8 @@ def per_pattern_actions(problem, state, sums):
     """ordered_actions' rule codes and his for a state whose rule sums are
     ``sums``, pricing each eligible pattern's extended feature set on its own."""
     lam2 = problem.weights.lambda2
-    uncov64 = (~state.covered).astype(np.float64)
-    n_unc = int(np.count_nonzero(~state.covered))
+    uncov64 = (~covered(state)).astype(np.float64)
+    n_unc = int(np.count_nonzero(~covered(state)))
     settled = state.incurred_value - lam2 * state.incurred_assess
     default_sums = uncov64 @ problem.value_mat
     counts = sums[0].astype(np.int64)
@@ -196,7 +197,7 @@ class TestLegalActions:
         acts = actions(problem, state, L_max=4)
         # pattern 0 is used; a pattern with no new coverage may not reappear
         assert all(p != 0 for p, _ in acts if p >= 0)
-        counts = (oracle_cover_matrix(problem) & ~state.covered[:, None]).sum(axis=0)
+        counts = (oracle_cover_matrix(problem) & ~covered(state)[:, None]).sum(axis=0)
         for p, _ in acts:
             if p >= 0:
                 assert counts[p] >= 1
@@ -230,7 +231,7 @@ class TestLegalActions:
             for p, pattern in enumerate(problem.patterns):
                 newly = sum(
                     1 for i in range(ds.n_subjects)
-                    if not state.covered[i]
+                    if not covered(state)[i]
                     and oracle_pattern_holds(pattern, dataset_row(ds, i), ds.specs))
                 if p not in used and newly >= 1:
                     legal.add((p, None))
@@ -257,7 +258,7 @@ class TestLegalActions:
                 # once no pattern covers anyone new
                 codes, his = problem.ordered_actions(state, len(cands.patterns) + 1)
                 rules = codes[codes >= 0].tolist()
-                newly = (covers & ~state.covered[:, None]).sum(axis=0)
+                newly = (covers & ~covered(state)[:, None]).sum(axis=0)
                 assert sorted(rules) == np.flatnonzero(newly >= 1).tolist()
                 assert np.all(his[codes >= 0] >= every_arm_bound(problem, state, scores,
                                                                  covers, rules))
@@ -294,7 +295,7 @@ class TestLegalActions:
                 rules = [c for c in codes.tolist() if c >= 0]
                 if not rules:
                     break
-                uncovered = [i for i in range(ds.n_subjects) if not state.covered[i]]
+                uncovered = [i for i in range(ds.n_subjects) if not covered(state)[i]]
                 best = max(range(m), key=lambda d: sum(value(i, d) for i in uncovered))
                 prefix_features = {f for p, _ in state.prefix
                                    for f in problem.patterns[p].features}
@@ -462,7 +463,7 @@ class TestStateBound:
                 for p, _ in state.prefix:
                     alone = problem.apply(alone, p)
                 assert alone.prefix == state.prefix
-                want = (covers & ~state.covered[:, None]).sum(axis=0)
+                want = (covers & ~covered(state)[:, None]).sum(axis=0)
                 results = []
                 for built in (state, alone):
                     codes, his = problem.ordered_actions(built, 4)
@@ -737,7 +738,7 @@ class TestSums:
         state = problem.initial_state()
         for depth in range(3):
             codes, _ = problem.ordered_actions(state, 4)
-            newly = covers & ~state.covered[:, None]
+            newly = covers & ~covered(state)[:, None]
             want = table.T @ newly
             cnt = newly.sum(axis=0)
             assert state.sums.shape == want.shape
@@ -801,7 +802,7 @@ class TestStateConsistency:
             covers = oracle_cover_matrix(problem)
             state = problem.initial_state()
             for p in rng.permutation(len(cands.patterns))[:4].tolist():
-                newly = covers[:, p] & ~state.covered
+                newly = covers[:, p] & ~covered(state)
                 values = [float(problem.value_mat[newly, t].sum()) for t in range(problem.m)]
                 child = problem.apply(state, p)
                 # max returns the first of equal values: the lowest arm
@@ -822,7 +823,7 @@ class TestStateConsistency:
         covers = oracle_cover_matrix(problem)
         state = problem.initial_state()
         for p in range(len(cands.patterns)):
-            if not (covers[:, p] & ~state.covered).any():
+            if not (covers[:, p] & ~covered(state)).any():
                 continue
             state = problem.apply(state, p)
             assert state.prefix[-1] == (p, 1)
