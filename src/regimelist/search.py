@@ -17,11 +17,14 @@ over all children in float32 products of bits packed per subject: a pattern
 is a prefix, the AND of all its predicates but the last, and its last
 predicate, so one product of prefix bits into predicate bits times the
 summed columns prices every pattern.
-``Frontier.take`` is their one expansion step: it builds with ``apply`` only
-a child whose bound can beat the incumbent, scores a closing child exactly
-with ``SearchProblem.state_bound``, and counts every child it skips.  A state
-holds its covered set packed like a pattern's row, which ``apply`` ORs in:
-``SearchProblem.row`` ANDs it from packed predicate masks.
+A closing child's bound is its exact objective, all m of them from one pass
+over the prefix's uncovered subjects.  ``Frontier.take`` is their one
+expansion step: it builds with ``apply`` only a child whose bound can beat
+the incumbent, and counts every child it skips.  An open state holds its
+covered set packed like a pattern's row, which ``apply`` ORs in:
+``SearchProblem.row`` ANDs it from packed predicate masks.  A full prefix,
+whose only children are the defaults, needs it only until they are scored,
+so UCT scores them when it builds the prefix and then drops it.
 ``SearchProblem.close``, closing a prefix with its best default, is how UCT
 and greedy complete a list.
 """
@@ -93,14 +96,16 @@ class SearchState:
     """A rule-list prefix with its exactly-incurred sums.
 
     packed holds the covered subjects in ceil(n / 8) bytes laid out like
-    ``SearchProblem.row``'s; features is the bitmask of the characteristics
-    its patterns read; incurred_value is the sum over covered subjects of
-    lambda1*score - lambda3*treatment_cost for their assigned arm;
-    incurred_assess the sum of their prefix assessment costs.
+    ``SearchProblem.row``'s.  A full prefix needs it only to score its
+    closing children, so once UCT has, packed is None there and in the
+    closed lists taken from it.  features is the bitmask of the
+    characteristics its patterns read; incurred_value is the sum over
+    covered subjects of lambda1*score - lambda3*treatment_cost for their
+    assigned arm; incurred_assess the sum of their prefix assessment costs.
     """
 
     prefix: tuple[tuple[int, int], ...]
-    packed: np.ndarray
+    packed: np.ndarray | None
     n_subjects: int
     features: int
     incurred_assess: float
@@ -191,10 +196,8 @@ class SearchProblem:
         self._feature_masks, self._feature_index = np.unique(
             np.array(self.pattern_features, dtype=object), return_inverse=True)
         self._costs: dict[int, float] = {}
-        # per state feature mask, feature_cost of it joined with each mask
-        self._mask_costs: dict[int, np.ndarray] = {}
-        # rounding slack of ordered_actions' bounds, before the division by
-        # n: per float32 term of a pattern's sums, and per bound
+        # rounding slack of ordered_actions' rule bounds, before the division
+        # by n: per float32 term of a pattern's sums, and per bound
         vo_max = float(np.abs(self.value_mat).max() + np.abs(self.optimistic).max())
         g32 = _gamma(min(self.n, BLOCK) + 1, 2.0 ** -24)
         self._slack_per_term = g32 * vo_max + 2.0 ** -149
@@ -239,19 +242,22 @@ class SearchProblem:
 
         Returns int32 action codes and, for each, a float64 ``hi`` at least
         the objective of every list completing apply(state, code), ordered
-        for expansion from the end: defaults first, then rules by decreasing
-        one-step gain.  Any default is legal; below depth L_max, so is the
-        rule on every pattern p that newly covers someone (a used pattern
-        covers nobody new, and a rule covering nobody new only adds cost, so
-        no optimum is lost).  The key of p is the largest over treatments t
+        for expansion from the end: defaults first, the last arm first, then
+        rules by decreasing one-step gain.  Any default is legal, and its
+        ``hi`` is the closed list's exact objective, bit for bit
+        ``state_bound``'s, all m from one np.compress of ``value_cols`` over
+        the uncovered subjects.  Below depth L_max, so is the rule on every
+        pattern p that newly covers someone (a used pattern covers nobody
+        new, and a rule covering nobody new only adds cost, so no optimum is
+        lost).  The key of p is the largest over treatments t
         of the value of (p, t) on the cnt subjects p newly covers, minus what
         the state's best default would give them, minus lambda2 * cnt * the
         feature cost of the extended prefix; it orders the actions and never
         selects them.
 
-        ``hi`` rounds up an exact bound: a closing child's objective, or the
-        largest over t of a rule (p, t)'s settled sums plus, per subject it
-        leaves uncovered, the best score minus the cheapest treatment
+        A rule's ``hi`` rounds up an exact bound: the largest over t of a
+        rule (p, t)'s settled sums plus, per subject it leaves uncovered,
+        the best score minus the cheapest treatment
         (``optimistic``) minus the child's default assessment charge.  No
         completion gives that subject more, or bills it less, as later groups
         bill a superset of features.  The one child ``apply`` builds for p is
@@ -260,11 +266,12 @@ class SearchProblem:
         rule's arm for t* changes only the value of its newly covered
         subjects, and never lowers it.
 
-        The bounds are batched: per pattern, float64 sums of the float32
-        columns (1, optimistic, each arm's value) over the subjects it would
-        newly cover give its count cnt and its optimistic and per-arm value
-        sums (``_sums``); one float64 product gives the defaults' sums.  They
-        are sound.  With gamma(k, u) = k*u / (1 - k*u), k roundings of unit u
+        The rule bounds are batched: per pattern, float64 sums of the
+        float32 columns (1, optimistic, each arm's value) over the subjects
+        it would newly cover give its count cnt and its optimistic and
+        per-arm value sums (``_sums``); the float64 product ``default_sums``
+        picks the best default that the keys compare with.  The bounds are
+        sound.  With gamma(k, u) = k*u / (1 - k*u), k roundings of unit u
         move a term by a factor within 1 +- gamma(k, u) in any summation
         order (Higham, Accuracy and Stability of Numerical Algorithms, Sec.
         3.1).  A block sums in float32 at most min(n, 512) exact products, a
@@ -293,18 +300,16 @@ class SearchProblem:
         """
         if state.terminal:
             raise ValidationError("terminal state has no actions")
+        default_codes = np.arange(-self.m, 0, dtype=np.int32)
+        default_his = self._closed(state, self.value_cols)
+        if state.depth >= L_max:
+            return default_codes, default_his
+
         lam2 = self.weights.lambda2
         uncov = _unpack(~state.packed, self.n)
         n_unc = int(np.count_nonzero(uncov))
         settled = state.incurred_value - lam2 * state.incurred_assess
         default_sums, state.default_sums = self.default_sums(state), None
-        default_codes = np.arange(-self.m, 0, dtype=np.int32)
-        default_his = (settled + default_sums
-                       - lam2 * self.default_assessment(state) * n_unc
-                       + self._slack) / self.n
-        if state.depth >= L_max:
-            return default_codes, default_his
-
         sums = self._sums(state)
         if state.depth + 1 < L_max:  # its children may append rules
             state.sums = sums
@@ -314,11 +319,8 @@ class SearchProblem:
         # gains[k, t]: total value of assigning t to the subjects pattern
         # eligible[k] would newly cover
         gains = sums[2:, eligible].T
-        mask_cost = self._mask_costs.get(state.features)
-        if mask_cost is None:
-            mask_cost = self._mask_costs[state.features] = np.array(
-                [self.feature_cost(state.features | f) for f in self._feature_masks],
-                dtype=np.float64)
+        mask_cost = np.array([self.feature_cost(state.features | f)
+                              for f in self._feature_masks], dtype=np.float64)
         new_cost = mask_cost[self._feature_index[eligible]]
         best_default = int(np.argmax(default_sums))
         charge = lam2 * new_cost * cnt
@@ -405,16 +407,23 @@ class SearchProblem:
 
     def state_bound(self, state: SearchState) -> float:
         """The exact objective of a closed list.  An open prefix has none; its
-        children are bounded by ``ordered_actions``."""
+        children are bounded by ``ordered_actions``, a closing one by this
+        same objective."""
         if not state.terminal:
             raise ValidationError("only a terminal state has an exact objective")
+        d = state.default_treatment
+        return float(self._closed(state, self.value_cols[d:d + 1])[0])
+
+    def _closed(self, state: SearchState, cols: np.ndarray) -> np.ndarray:
+        """Per row of cols, a default's value per subject, the exact objective
+        of the state's prefix closed with that default.  np.compress sums a
+        row of contiguous cols over the uncovered subjects bit for bit as it
+        sums that row alone."""
+        lam2 = self.weights.lambda2
         uncovered = _unpack(~state.packed, self.n)
-        n_unc = np.count_nonzero(uncovered)
-        total = (state.incurred_value
-                 - self.weights.lambda2 * state.incurred_assess
-                 + float(np.compress(uncovered, self.value_cols[state.default_treatment]).sum())
-                 - self.weights.lambda2 * self.default_assessment(state) * n_unc)
-        return total / self.n
+        return (state.incurred_value - lam2 * state.incurred_assess
+                + np.compress(uncovered, cols, axis=1).sum(axis=1)
+                - lam2 * self.default_assessment(state) * np.count_nonzero(uncovered)) / self.n
 
     def decision_list(self, state: SearchState) -> DecisionList:
         if not state.terminal:
@@ -442,29 +451,23 @@ class Frontier:
 
     def take(self, problem: SearchProblem, incumbent: float,
              pruned: Counter) -> tuple[SearchState, float] | None:
-        """The next child that can beat the incumbent, with its bound; None
-        once none is left.  A child is skipped unbuilt if its ``hi``, which
-        bounds every list completing it, cannot (counted under "hi").  A built
-        rule child keeps ``hi``; a closing child is bounded by its exact
-        objective, ``state_bound``, and skipped if that cannot ("closed")."""
+        """The next child that can beat the incumbent, with its ``hi``: a
+        bound on every list completing it, a closing child's exact objective.
+        None once none is left.  A child whose ``hi`` cannot beat the
+        incumbent is skipped unbuilt, and counted under "hi"."""
         while self.cursor:
             self.cursor -= 1
             bound = float(self.his[self.cursor])
             if bound <= incumbent:
                 pruned["hi"] += 1
                 continue
-            child = problem.apply(self.state, int(self.codes[self.cursor]))
-            if child.terminal:
-                bound = problem.state_bound(child)
-                if bound <= incumbent:
-                    pruned["closed"] += 1
-                    continue
-            return child, bound
+            return problem.apply(self.state, int(self.codes[self.cursor])), bound
         return None
 
 
 class SearchNode:
-    """One prefix in the UCT tree; its frontier is made when first selected."""
+    """One prefix in the UCT tree; its frontier is made when first selected,
+    or a full prefix's when it is built."""
 
     __slots__ = ("state", "bound", "visits", "total_reward", "children",
                  "frontier", "fully_explored")
@@ -505,8 +508,10 @@ def uct_search(
     running min/max of terminal rewards), takes the node's next child by
     ``Frontier.take`` in ``ordered_actions``' order, closes a new prefix
     with its best default (``SearchProblem.close``), and backs that list's
-    exact objective up the path.  The search draws no random numbers, so
-    ``config.seed`` does not change the result.  A built child keeps its
+    exact objective up the path.  A new full prefix, at depth L_max, takes
+    its frontier at once, which scores all its closing children, reads that
+    objective from it, and keeps no covered set.  The search draws no
+    random numbers, so ``config.seed`` does not change the result.  A built child keeps its
     bound, and is pruned at selection once that cannot beat the incumbent.
     A node whose children are all taken or pruned is fully explored; the
     search stops once the root is, every completion evaluated or excluded.
@@ -557,8 +562,15 @@ def uct_search(
                         child.fully_explored = True
                         reward = bound
                     else:
-                        state = problem.close(state)
-                        reward = problem.state_bound(state)
+                        closed = problem.close(state)
+                        if state.depth < config.L_max:
+                            reward = problem.state_bound(closed)
+                        else:
+                            child.frontier = Frontier(
+                                state, *problem.ordered_actions(state, config.L_max))
+                            reward = float(child.frontier.his[closed.default_treatment])
+                            state.packed = state.default_sums = None
+                        state = closed
                     if reward > best_obj:
                         best_obj, best_state = reward, state
                     rmin, rmax = min(rmin, reward), max(rmax, reward)

@@ -49,3 +49,12 @@ def test_numpy_floor_covers_bitwise_count():
     (floor,) = [d.split(">=")[1] for d in project["dependencies"] if d.startswith("numpy>=")]
     if any("bitwise_count" in path.read_text() for path in (SRC / "regimelist").glob("*.py")):
         assert int(floor.split(".")[0]) >= 2
+
+
+def test_every_file_parses_as_python_3_10():
+    # the package supports Python 3.10, whose grammar lacks later syntax
+    # such as except* and type parameter lists
+    paths = sorted(path for d in ("src", "tests", "perfbench") for path in (ROOT / d).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -20,7 +20,12 @@ from regimelist.domain import (
     pattern_mask,
 )
 from regimelist.errors import SizeLimitError, ValidationError
-from regimelist.estimation import DRScoreMatrix
+from regimelist.estimation import (
+    DRScoreMatrix,
+    compute_dr_scores,
+    fit_outcome,
+    fit_propensity,
+)
 from regimelist.mining import CandidateSet, MiningConfig, mine_patterns
 from regimelist.objective import ObjectiveWeights, objective_value
 from regimelist.search import (
@@ -32,12 +37,14 @@ from regimelist.search import (
     greedy_baseline,
     uct_search,
 )
+from regimelist.synth import default_generator_spec, generate
 
 from conftest import (
     covered,
     dataset_row,
     oracle_greedy,
     oracle_cover_matrix,
+    oracle_objective,
     oracle_open_bound,
     oracle_open_bounds,
     oracle_pattern_holds,
@@ -663,7 +670,8 @@ class TestCoverage:
 
     def test_no_array_per_subject_and_node(self, monkeypatch):
         # a state holds its coverage packed, ceil(n / 8) bytes, and no other
-        # array but its per-pattern sums
+        # array but its per-pattern sums; a full prefix holds none once UCT
+        # has scored its closing children
         rng = np.random.default_rng(73)
         ds = random_dataset(rng, n_subjects=2000, n_features=6, m=2)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
@@ -679,12 +687,39 @@ class TestCoverage:
         uct_search(ds, scores, cands, ObjectiveWeights(),
                    SearchConfig(iterations=300, L_max=3, seed=1))
         assert len(states) > 300
+        full = [state for state in states if state.depth == 3 and not state.terminal]
+        assert len(full) > 100
         for state in states:
             arrays = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)
                       if isinstance(getattr(state, f.name), np.ndarray)}
             sums = arrays.pop("sums", None)
             assert sum(a.nbytes for a in arrays.values()) <= -(-ds.n_subjects // 8)
             assert sums is None or sums.shape == (ds.n_treatments + 2, len(cands))
+        for state in full:
+            assert state.packed is None
+
+    def test_tree_memory_per_node_does_not_grow_with_n(self):
+        # a full prefix keeps its closing children's objectives, not its
+        # covered set, so what the tree adds per node (interior frontiers
+        # and sums, and Python objects) does not grow with n: between 400
+        # and 1,200 iterations at n = 64,000, uct_search's traced peak grows
+        # by about 2 KB per node, against n / 8 + 1 KB when every node kept
+        # its n / 8-byte covered set
+        n = 64000
+        ds, _ = generate(default_generator_spec(n_subjects=n, seed=0))
+        scores = compute_dr_scores(ds, fit_propensity(ds), fit_outcome(ds))
+        cands = mine_patterns(ds, MiningConfig(min_support=0.2, max_predicates=2))
+        peaks = []
+        for iterations in (400, 1200):
+            tracemalloc.start()
+            try:
+                res = uct_search(ds, scores, cands, ObjectiveWeights(),
+                                 SearchConfig(iterations=iterations, L_max=3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.tree_size == iterations + 1
+        assert (peaks[1] - peaks[0]) / 800 < n / 16
 
     def test_one_default_product_per_state(self, monkeypatch):
         # close multiplies a new child's uncovered set into value_mat, and
@@ -949,14 +984,14 @@ class TestUCT:
         assert checked
 
     def test_batched_bounds_skip_building_pruned_children(self, monkeypatch):
-        # an open prefix is bounded by hi alone: state_bound scores the list
-        # that closes each new rule child and each closing child whose hi
-        # passes, and no rule child, kept or pruned
+        # an open prefix is bounded by hi alone, and a closing child by its
+        # exact objective, which is its hi: state_bound scores only the list
+        # that closes each new rule child below L_max, whose reward it is
         rng = np.random.default_rng(0)
         ds = random_dataset(rng, n_subjects=1000, n_features=6, m=3)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
         scores = random_scores(rng, ds)
-        counts = {"state_bound": 0, "closing": 0, "close": 0}
+        counts = {"state_bound": 0, "closing": 0, "close": 0, "close_open": 0}
         originals = {name: getattr(SearchProblem, name)
                      for name in ("state_bound", "apply", "close")}
 
@@ -970,6 +1005,7 @@ class TestUCT:
 
         def close(problem, state):
             counts["close"] += 1
+            counts["close_open"] += state.depth < 3
             return originals["close"](problem, state)
 
         for name, fn in (("state_bound", state_bound), ("apply", apply), ("close", close)):
@@ -977,9 +1013,9 @@ class TestUCT:
         res = uct_search(ds, scores, cands, ObjectiveWeights(),
                          SearchConfig(iterations=1000, L_max=3, seed=1))
         assert res.n_pruned >= 1000
-        # close applies a default too, so closing children tried are the rest
-        closing_tried = counts["closing"] - counts["close"]
-        assert counts["state_bound"] <= res.iterations_run + closing_tried
+        # close applies a default too, so closing children built are the rest
+        assert counts["closing"] > counts["close"] > counts["close_open"] > 0
+        assert counts["state_bound"] == counts["close_open"]
 
     def test_every_iteration_but_the_last_builds_one_node(self):
         # an iteration backs up the reward of the one child it builds; a
@@ -1041,13 +1077,12 @@ class TestExhaustive:
         # with use_bound, a rule child whose hi cannot beat the incumbent is
         # never built: every rule child apply builds is then expanded, with
         # one ordered_actions call, and the list is the unpruned one.  Nor is
-        # a default child whose hi cannot beat the incumbent, which is the
-        # best exact objective state_bound has returned so far.
+        # a default child whose hi, its exact objective, cannot beat the
+        # incumbent, which is the best of the default children built so far.
         rng = np.random.default_rng(94)
         counts = {"rules": 0, "expanded": 0, "defaults": 0, "defaults_offered": 0}
         apply = SearchProblem.apply
         ordered_actions = SearchProblem.ordered_actions
-        state_bound = SearchProblem.state_bound
         # per expanded state, kept alive so that its id stays its own
         his_of: dict[int, tuple] = {}
         incumbent = [-math.inf]
@@ -1056,7 +1091,9 @@ class TestExhaustive:
             counts["rules"] += action >= 0
             if action < 0:
                 counts["defaults"] += 1
-                assert his_of[id(state)][1][action] > incumbent[0]
+                hi = his_of[id(state)][1][action]
+                assert hi > incumbent[0]
+                incumbent[0] = hi
             return apply(problem, state, action)
 
         def counted_ordered_actions(problem, state, L_max):
@@ -1065,11 +1102,6 @@ class TestExhaustive:
             counts["defaults_offered"] += int(np.count_nonzero(codes < 0))
             his_of[id(state)] = (state, dict(zip(codes.tolist(), his.tolist())))
             return codes, his
-
-        def counted_state_bound(problem, state):
-            obj = state_bound(problem, state)
-            incumbent[0] = max(incumbent[0], obj)
-            return obj
 
         pruned_somewhere = 0
         for _ in range(6):
@@ -1080,7 +1112,6 @@ class TestExhaustive:
             with monkeypatch.context() as mp:
                 mp.setattr(SearchProblem, "apply", counted_apply)
                 mp.setattr(SearchProblem, "ordered_actions", counted_ordered_actions)
-                mp.setattr(SearchProblem, "state_bound", counted_state_bound)
                 counts.update(rules=0, expanded=0)
                 his_of.clear()
                 incumbent[0] = -math.inf
@@ -1230,8 +1261,7 @@ class TestFrontier:
             for k, (child, bound) in zip(range(len(codes) - 1, -1, -1), taken):
                 want = problem.apply(state, int(codes[k]))
                 assert same_state(child, want)
-                if not child.terminal:
-                    assert bound == his[k]
+                assert bound == his[k]
             # by_code takes the same children in ascending code order
             taken, _ = self.take_all(problem, Frontier.by_code(state, codes, his), -math.inf)
             for code, (child, _) in zip(sorted(codes.tolist()), taken):
@@ -1267,9 +1297,9 @@ class TestFrontier:
             taken, _ = self.take_all(problem, Frontier(state, codes, his), -math.inf)
             exact = [problem.state_bound(problem.apply(state, c)) for c in codes.tolist()]
             assert [bound for _, bound in taken] == exact[::-1]
-            # the best closed list passes its hi but not its own objective
+            # a closing child's hi is its objective, which cannot beat itself
             taken, pruned = self.take_all(problem, Frontier(state, codes, his), max(exact))
-            assert not taken and pruned["closed"] >= 1
+            assert not taken and pruned == Counter(hi=len(codes))
 
     def test_reason_counts_add_up_to_the_skips(self):
         for seed in range(6):
@@ -1280,10 +1310,68 @@ class TestFrontier:
                       for c in codes[codes < 0].tolist()]
             for incumbent in (float(np.median(his)), max(closed), -math.inf):
                 taken, pruned = self.take_all(problem, Frontier(state, codes, his), incumbent)
-                assert set(pruned) <= {"hi", "closed"}
+                assert set(pruned) <= {"hi"}
                 assert len(taken) + pruned.total() == len(codes)
-                assert pruned["closed"] == sum(hi > incumbent >= obj for hi, obj
-                                               in zip(his[codes < 0].tolist(), closed))
+                assert pruned["hi"] == np.count_nonzero(his <= incumbent)
+                # the closing children skipped are those whose list cannot
+                # beat the incumbent
+                assert (np.count_nonzero(his[codes < 0] <= incumbent)
+                        == sum(obj <= incumbent for obj in closed))
+
+
+def one_arm_objective(problem, closed):
+    """A closed list's objective summed as one arm's np.compress, in Python
+    floats: each closing child's hi must equal it bit for bit."""
+    lam2 = problem.weights.lambda2
+    uncovered = ~covered(closed)
+    total = (closed.incurred_value - lam2 * closed.incurred_assess
+             + float(np.compress(uncovered, problem.value_cols[closed.default_treatment]).sum())
+             - lam2 * problem.default_assessment(closed) * np.count_nonzero(uncovered))
+    return total / problem.n
+
+
+class TestClosingChildren:
+    @pytest.mark.parametrize("L_max", [0, 1, 2, 3])
+    def test_full_prefix_yields_each_default_with_its_exact_objective(self, L_max):
+        # a full prefix's frontier yields its closing children, the last arm
+        # first, each with its exact objective bit for bit, and skips those
+        # that cannot beat the incumbent; at L_max 0 the root is full
+        rng = np.random.default_rng(240 + L_max)
+        for trial in range(8):
+            m, full = 2 + trial % 2, trial // 2 % 2 == 1
+            ds, cands = small_instance(rng, m=m)
+            scores, w = random_scores(rng, ds), random_weights(rng)
+            problem = SearchProblem(ds, scores, cands, w, charge_default_full=full)
+            state = problem.initial_state()
+            while state.depth < L_max:
+                codes, _ = problem.ordered_actions(state, L_max)
+                rules = codes[codes >= 0]
+                if not len(rules):
+                    break
+                state = problem.apply(state, int(rng.choice(rules)))
+            codes, his = problem.ordered_actions(state, state.depth)
+            assert codes.tolist() == list(range(-m, 0))
+            closed = [problem.apply(state, d - m) for d in reversed(range(m))]
+            exact = [problem.state_bound(child) for child in closed]
+            assert exact == [one_arm_objective(problem, child) for child in closed]
+            for child, obj in zip(closed, exact):
+                assert obj == pytest.approx(oracle_objective(
+                    ds, problem.decision_list(child), scores, w, charge_default_full=full),
+                    abs=1e-9)
+            for incumbent in (-math.inf, min(exact), float(np.median(exact)), max(exact),
+                              max(exact) + 1.0):
+                pruned: Counter[str] = Counter()
+                frontier = Frontier(state, codes, his)
+                taken = []
+                while (t := frontier.take(problem, incumbent, pruned)) is not None:
+                    taken.append(t)
+                want = [(child, obj) for child, obj in zip(closed, exact) if obj > incumbent]
+                assert len(taken) == len(want)
+                for (child, bound), (want_child, obj) in zip(taken, want):
+                    assert same_state(child, want_child)
+                    assert bound.hex() == obj.hex()
+                assert set(pruned) <= {"hi"}
+                assert pruned["hi"] == np.count_nonzero(np.array(exact) <= incumbent)
 
 
 class TestConfigValidation:
