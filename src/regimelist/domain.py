@@ -67,8 +67,10 @@ class Dataset:
     """Observational data: N subjects with characteristics, treatment, outcome.
 
     Columns are stored columnar: float64 arrays for real characteristics and
-    int64 level codes (indices into ``spec.levels``) for binary/categorical
-    ones.  Outcomes are real, higher is better.
+    level codes (indices into ``spec.levels``) for binary/categorical ones;
+    treatments are codes into ``treatment_names``.  Codes take the smallest
+    unsigned dtype that ``code_dtype`` gives, one byte for up to 255 names.
+    Outcomes are real, higher is better.
     """
 
     specs: tuple[CharacteristicSpec, ...]
@@ -101,6 +103,24 @@ class Dataset:
         level names otherwise), the treatment names and the outcomes.  A
         missing, non-numeric or non-finite number, or an unknown level or
         treatment, raises CellError for the first bad row of its column."""
+        return cls.from_blocks(specs, treatment_names, treatment_costs, len(treatments),
+                               [(cells, treatments, outcomes)])
+
+    @classmethod
+    def from_blocks(
+        cls,
+        specs: Sequence[CharacteristicSpec],
+        treatment_names: Sequence[str],
+        treatment_costs: Sequence[float],
+        n: int,
+        blocks: Iterable[tuple[Sequence[Sequence], Sequence[str], Sequence]],
+    ) -> "Dataset":
+        """``from_columns`` of n subjects that come as blocks of consecutive
+        ones, each a (cells, treatments, outcomes) triple.  Each block is
+        converted straight into the dataset's preallocated columns, so no
+        block need outlive its turn.  A block's columns are converted in
+        order, and a CellError names the bad cell's row among all n
+        subjects."""
         specs = tuple(specs)
         treatment_names = tuple(treatment_names)
         if len(treatment_names) != len(set(treatment_names)):
@@ -110,55 +130,73 @@ class Dataset:
             raise ValidationError("treatment_costs must match treatment_names")
         if not np.all((costs >= 0) & (costs < np.inf)):
             raise ValidationError("treatment costs must be finite and >= 0")
-        n = len(treatments)
         if n == 0:
             raise ValidationError("dataset needs at least one subject")
-        if len(cells) != len(specs) or any(len(c) != n for c in (*cells, outcomes)):
+        # per column: its name, and its level names, or None for numbers
+        kinds = [(s.name, None if s.kind == REAL else s.levels) for s in specs]
+        kinds += [("treatment", treatment_names), ("outcome", None)]
+        out = [np.empty(n, dtype=float if names is None else code_dtype(len(names)))
+               for _, names in kinds]
+        start = 0
+        for cells, treatments, outcomes in blocks:
+            stop = start + len(treatments)
+            block = (*cells, treatments, outcomes)
+            if len(cells) != len(specs) or stop > n \
+                    or any(len(c) != stop - start for c in block):
+                raise ValidationError("every column needs one cell per subject")
+            for col, (c, (name, names)) in enumerate(zip(block, kinds)):
+                _column(c, out[col][start:stop], col, name, names, start)
+            start = stop
+        if start != n:
             raise ValidationError("every column needs one cell per subject")
-        columns = tuple(
-            _column(c, f, s.name, None if s.kind == REAL else s.levels)
-            for f, (s, c) in enumerate(zip(specs, cells))
-        )
-        return cls(
-            specs=specs,
-            treatment_names=treatment_names,
-            treatment_costs=costs,
-            columns=columns,
-            treatments=_column(treatments, len(specs), "treatment", treatment_names),
-            outcomes=_column(outcomes, len(specs) + 1, "outcome"),
-        )
+        *columns, treatments, outcomes = out
+        return cls(specs=specs, treatment_names=treatment_names, treatment_costs=costs,
+                   columns=tuple(columns), treatments=treatments, outcomes=outcomes)
 
 
-def _column(cells: Sequence, col: int, name: str,
-            names: tuple[str, ...] | None = None) -> np.ndarray:
-    """Finite float64 numbers, or int64 codes into ``names`` when given.
+def code_dtype(n_names: int) -> np.dtype:
+    """The dtype of the codes into n_names level or treatment names: the
+    smallest unsigned one that also holds n_names itself, which ``_column``
+    writes where a cell has yet to match a name (uint8 up to 255 names)."""
+    return np.min_scalar_type(n_names)
 
-    Converts the whole column at once, a string ndarray by one ``==`` per
-    name; only a column that fails is scanned for its first bad cell, which
-    CellError reports as ``col``.  A bytes (``S``) ndarray of UTF-8 text is
-    compared with names' UTF-8 bytes: numpy finds no bytes equal to a str.
+
+def _column(cells: Sequence, out: np.ndarray, col: int, name: str,
+            names: tuple[str, ...] | None = None, first_row: int = 0) -> None:
+    """Write cells into out: finite float64 numbers, or codes into ``names``
+    when given.
+
+    Converts the whole block at once, a string ndarray by one ``==`` per
+    name; only a block that fails is scanned for its first bad cell, which
+    CellError reports as row ``first_row`` + its index and column ``col``.
+    A bytes (``S``) ndarray of UTF-8 text is compared with names' UTF-8
+    bytes: numpy finds no bytes equal to a str.
     """
     try:
         if names is None:
-            out = np.array(cells, dtype=float)  # never a view of the caller's buffer
-            if out.shape == (len(cells),) and np.isfinite(out).all():
-                return out
+            values = np.asarray(cells, dtype=float)
+            if values.shape == out.shape and np.isfinite(values).all():
+                out[...] = values
+                return
         elif isinstance(cells, np.ndarray):
-            codes = np.full(len(cells), -1, dtype=np.int64)
+            unmatched = len(names)
+            out.fill(unmatched)
             for k, v in enumerate(names):
-                codes[cells == (v.encode() if cells.dtype.kind == "S" else v)] = k
-            if (codes >= 0).all():
-                return codes
+                out[cells == (v.encode() if cells.dtype.kind == "S" else v)] = k
+            if (out < unmatched).all():
+                return
             cells = cells.astype(str).tolist()
         else:
             code = {v: k for k, v in enumerate(names)}
-            return np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))
+            out[...] = np.fromiter(map(code.__getitem__, cells), dtype=out.dtype,
+                                   count=len(cells))
+            return
     except (KeyError, TypeError, ValueError):
         pass
     for r, value in enumerate(cells):
         problem = _cell_problem(value, names)
         if problem:
-            raise CellError(r, col, name, problem)
+            raise CellError(first_row + r, col, name, problem)
     raise ValidationError(f"column {name!r} does not convert")
 
 

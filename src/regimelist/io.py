@@ -8,6 +8,7 @@ treatment and outcome column names, and the treatment -> cost map.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -30,9 +31,9 @@ from .domain import (
 from .errors import CellError, ValidationError, malformed
 from .estimation import DRScoreMatrix
 
-# bytes per step of a scan for one byte value; rows per piece that
-# write_json makes of a 2-D ndarray and read_scores parses, and that
-# write_dataset_csv formats and writes
+# bytes per piece of a dataset CSV that read_dataset reads, and per step of
+# a scan for one byte value; rows per piece that write_json makes of a 2-D
+# ndarray and read_scores parses, and that write_dataset_csv formats and writes
 SCAN_BLOCK = 1 << 20
 ROW_BLOCK = 1024
 CSV_BLOCK = 8192
@@ -120,18 +121,18 @@ def write_schema(schema: DataSchema, path: str | Path) -> None:
 def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
     """Load a dataset CSV and check it against its schema.
 
-    A plain file (see ``_plain_columns``) is parsed in one typed numpy pass.
-    Any other file, and any file that pass or the cell checks refuse, is
-    read again by ``csv.reader``, which alone writes the diagnostics: they
-    name the 1-based file line where the record starts (quoted cells may
-    hold newlines) and the column, and quote the cell as written.
+    A plain file (see ``_read_plain``) is parsed in typed numpy passes over
+    pieces of about SCAN_BLOCK bytes, so neither its bytes nor its parse is
+    ever held whole.  Any other file, and any file those passes or the cell
+    checks refuse, is read again from the start by ``csv.reader``, which
+    alone writes the diagnostics: they name the 1-based file line where the
+    record starts (quoted cells may hold newlines) and the column, and quote
+    the cell as written.
     """
     try:
-        with open(csv_path, "rb") as fh:  # the file's bytes live only in the pass
-            columns = _plain_columns(fh.read(), schema)
-        if columns is not None:
-            return Dataset.from_columns(schema.specs, schema.treatment_names,
-                                        schema.treatment_costs, *columns)
+        ds = _read_plain(csv_path, schema)
+        if ds is not None:
+            return ds
     except MemoryError:
         raise
     except Exception:  # the exact path below says what is wrong, if anything
@@ -139,65 +140,121 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
     return _read_exact(csv_path, schema)
 
 
-def _plain_columns(data: bytes, schema: DataSchema):
-    """The cells, treatments and outcomes of a plain CSV file as arrays, or
-    None when the file is not plain.
+class _NotPlain(Exception):
+    """Raised where ``_read_plain`` finds a file that is not plain."""
+
+
+def _read_plain(csv_path: str | Path, schema: DataSchema) -> Dataset | None:
+    """The dataset of a plain CSV file, or None when the file is not plain;
+    a piece that does not parse, or whose cells do not convert, raises.
 
     Plain means: UTF-8 text with no quote and no control byte but LF, so no
     CR, no NUL (numpy strings drop trailing NULs) and none of the separators
-    that loadtxt, unlike float(), strips as whitespace; no line longer than
-    csv's field limit; a header holding every needed column once; and one
-    record per line after it, as loadtxt skips blank lines the exact path
-    refuses.  Real columns and the outcome parse as float64, every other
-    column as a bytes (``S``) field one byte wider than its longest name's
-    UTF-8, so a longer cell matches no name.  loadtxt reads the file as
-    latin-1, so each cell keeps its UTF-8 bytes for ``_column`` to compare.
-    A number cell holding non-ASCII text then holds a latin-1 letter and
-    fails to parse; only then is a non-ASCII file parsed again, its numbers
-    by ``_utf8_number``.  loadtxt raises on a ragged row.  The scans for LFs
-    and control bytes, and the UTF-8 check, go by blocks, so their
-    temporaries do not grow with the file.
+    that loadtxt, unlike float(), strips as whitespace; no blank line and no
+    line longer than csv's field limit; a header holding every needed column
+    once; and one record per line after it.
+
+    The records are read twice: once SCAN_BLOCK bytes at a time by
+    ``_cut``, which counts them and cuts them into pieces of whole lines,
+    and once piece by piece.  Each piece is checked (``_check_piece``) and
+    parsed by one ``np.loadtxt`` call, whose columns ``Dataset.from_blocks``
+    converts into the dataset's own.  Real columns and the outcome parse as
+    float64, every other column as a bytes (``S``) field one byte wider
+    than its longest name's UTF-8, so a longer cell matches no name.
+    loadtxt reads a piece as latin-1, so each cell keeps its UTF-8 bytes
+    for ``_column`` to compare.  A number cell holding non-ASCII text then
+    holds a latin-1 letter and fails to parse; only then is a non-ASCII
+    piece parsed again, its numbers by ``_utf8_number``.  loadtxt raises on
+    a ragged row, and each piece must parse to one record per line.
     """
-    u8 = np.frombuffer(data, dtype=np.uint8)
-    ends = _positions(u8, ord("\n"))
-    n_control = sum(np.count_nonzero(u8[i:i + SCAN_BLOCK] < 0x20)
-                    for i in range(0, len(data), SCAN_BLOCK))
-    n_records = ends.size - data.endswith(b"\n")
-    line_lengths = np.diff(ends, prepend=-1, append=len(data)) - 1
-    if n_records < 1 or b'"' in data or n_control > ends.size \
-            or line_lengths.max() > csv.field_size_limit():
-        return None
-    is_ascii = data.isascii()
-    if not is_ascii:
-        _check_utf8(data, u8)
-    header = data[:ends[0]].decode("utf-8").split(",")
-    col_of = {name: k for k, name in enumerate(header)}
+    limit = csv.field_size_limit()
     needed = _needed_columns(schema)
     names = {s.name: s.levels for s in schema.specs if s.kind != REAL}
     names[schema.treatment_column] = schema.treatment_names
-    if len(col_of) < len(header) or not col_of.keys() >= set(needed) \
-            or any("\x00" in name for levels in names.values() for name in levels):
-        return None
-    formats = [f"S{max(len(name.encode()) for name in names[h]) + 1}" if h in names
-               else "f8" if h in needed else "S1" for h in header]
+    with open(csv_path, "rb") as fh:
+        try:
+            header = fh.readline(limit + 2)
+            _check_piece(header, limit)
+            cuts, n_records = _cut(fh, limit)
+        except _NotPlain:
+            return None
+        header = header.decode("utf-8").removesuffix("\n").split(",")
+        col_of = {name: k for k, name in enumerate(header)}
+        if n_records < 1 or len(col_of) < len(header) or not col_of.keys() >= set(needed) \
+                or any("\x00" in name for levels in names.values() for name in levels):
+            return None
+        formats = [f"S{max(len(name.encode()) for name in names[h]) + 1}" if h in names
+                   else "f8" if h in needed else "S1" for h in header]
+        dtype = {"names": [f"c{k}" for k in range(len(header))], "formats": formats}
+        numbers = {col_of[h]: _utf8_number for h in needed if h not in names}
 
-    def parse(converters):
-        return np.loadtxt(BytesIO(data), skiprows=1, encoding="latin-1", ndmin=1,
-                          converters=converters,
-                          dtype={"names": [f"c{k}" for k in range(len(header))],
-                                 "formats": formats},
-                          delimiter=",", comments=None, quotechar=None)
+        def block(piece: bytes):
+            n_lines = _check_piece(piece, limit)
+            try:
+                table = _parse(piece, dtype, None)
+            except ValueError:
+                if piece.isascii():
+                    raise
+                table = _parse(piece, dtype, numbers)
+            if table.shape != (n_lines,):
+                raise _NotPlain
+            *cells, treatments, outcomes = (table[f"c{col_of[name]}"] for name in needed)
+            return cells, treatments, outcomes
 
-    try:
-        table = parse(None)
-    except ValueError:
-        if is_ascii:
-            raise
-        table = parse({col_of[h]: _utf8_number for h in needed if h not in names})
-    if table.shape != (n_records,):
-        return None
-    *cells, treatments, outcomes = (table[f"c{col_of[name]}"] for name in needed)
-    return cells, treatments, outcomes
+        fh.seek(cuts[0])
+        try:
+            return Dataset.from_blocks(
+                schema.specs, schema.treatment_names, schema.treatment_costs, n_records,
+                (block(fh.read(stop - start)) for start, stop in zip(cuts, cuts[1:])))
+        except _NotPlain:
+            return None
+
+
+def _cut(fh, limit: int) -> tuple[list[int], int]:
+    """The offsets that cut the rest of a binary file into pieces of whole
+    lines, and its number of lines.
+
+    Read SCAN_BLOCK bytes at a time, a piece ends after the last LF of a
+    block, or at the file's end, so it also holds whole UTF-8 characters.
+    Only a line longer than a block makes a piece longer than one, so a
+    piece longer than SCAN_BLOCK + limit starts with a line of more than
+    limit bytes, and raises _NotPlain before any piece is read."""
+    cuts = [pos := fh.tell()]
+    n_lf, last = 0, ord("\n")
+    buf = bytearray(SCAN_BLOCK)
+    while size := fh.readinto(buf):
+        n_lf += np.count_nonzero(np.frombuffer(buf, np.uint8, size) == ord("\n"))
+        if cut := buf.rfind(b"\n", 0, size) + 1:
+            cuts.append(pos + cut)
+        pos, last = pos + size, buf[size - 1]
+    if pos > cuts[-1]:
+        cuts.append(pos)
+    if max(np.diff(cuts), default=0) > SCAN_BLOCK + limit:
+        raise _NotPlain
+    return cuts, n_lf + (last != ord("\n"))
+
+
+def _check_piece(piece: bytes, limit: int) -> int:
+    """The number of lines in a piece of whole lines, once its bytes are
+    plain (see ``_read_plain``): no quote, no control byte but LF, no blank
+    line, no line longer than limit, and UTF-8."""
+    u8 = np.frombuffer(piece, dtype=np.uint8)
+    ends = np.flatnonzero(u8 < 0x20)  # all LFs, in a plain piece
+    # the lines its LFs end, then what follows the last LF: a last line or b""
+    lengths = np.diff(ends, prepend=-1, append=len(piece)) - 1
+    if b'"' in piece or (u8[ends] != ord("\n")).any() \
+            or lengths[:-1].min(initial=1) == 0 or lengths.max() > limit:
+        raise _NotPlain
+    if not piece.isascii():
+        _check_utf8(piece)
+    return ends.size + (lengths[-1] > 0)
+
+
+def _parse(piece: bytes, dtype: dict, converters) -> np.ndarray:
+    """One np.loadtxt call on a piece of a plain file."""
+    return np.loadtxt(BytesIO(piece), encoding="latin-1", ndmin=1,
+                      converters=converters, dtype=dtype,
+                      delimiter=",", comments=None, quotechar=None)
 
 
 def _utf8_number(cell: str) -> float:
@@ -209,18 +266,15 @@ def _utf8_number(cell: str) -> float:
     return float(text)
 
 
-def _check_utf8(data: bytes, u8: np.ndarray) -> None:
-    """Raise UnicodeDecodeError unless data is UTF-8, decoding it in pieces
-    of about SCAN_BLOCK bytes, each cut before a character's lead byte."""
-    view, start = memoryview(data), 0
-    while start < len(data):
-        stop = min(start + SCAN_BLOCK, len(data))
-        # a continuation byte is 10xxxxxx, and UTF-8 has at most three in a row
-        for _ in range(3):
-            if stop < len(data) and u8[stop] & 0xC0 == 0x80:
-                stop -= 1
-        str(view[start:stop], "utf-8")
-        start = stop
+def _check_utf8(data: bytes) -> None:
+    """Raise UnicodeDecodeError unless data is UTF-8, decoding it a quarter
+    of SCAN_BLOCK bytes at a time: a decode's text and buffers take up to
+    twice the bytes it decodes."""
+    decoder, view = codecs.getincrementaldecoder("utf-8")(), memoryview(data)
+    step = max(1, SCAN_BLOCK // 4)
+    for start in range(0, len(data), step):
+        decoder.decode(view[start:start + step])
+    decoder.decode(b"", final=True)
 
 
 def _positions(u8: np.ndarray, byte: int) -> np.ndarray:

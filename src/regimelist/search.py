@@ -181,11 +181,11 @@ class SearchProblem:
         # predicates and prefixes packed per subject, for _sums
         self._pred_bits = _by_subject(self._pred_rows, self.n)
         self._prefix_bits = _by_subject(prefix_rows, self.n)
-        # per-subject, per-arm contribution once a rule assigns that arm
-        self.value_mat = (weights.lambda1 * scores.scores
-                          - weights.lambda3 * ds.treatment_costs[None, :])
-        # contiguous arm columns: np.compress sums value_mat[mask, t] bit for bit
-        self.value_cols = np.ascontiguousarray(self.value_mat.T)
+        # per arm (row) and subject, its contribution once a rule assigns
+        # that arm: lambda1 * score - lambda3 * cost, a contiguous row per arm
+        self.value_cols = np.empty((self.m, self.n))
+        np.multiply(scores.scores.T, weights.lambda1, out=self.value_cols)
+        self.value_cols -= weights.lambda3 * ds.treatment_costs[:, None]
         # optimistic per-subject future value: best score and cheapest arm
         # taken independently, an upper bound on any actual assignment
         self.optimistic = (weights.lambda1 * scores.scores.max(axis=1)
@@ -198,7 +198,7 @@ class SearchProblem:
         self._costs: dict[int, float] = {}
         # rounding slack of ordered_actions' rule bounds, before the division
         # by n: per float32 term of a pattern's sums, and per bound
-        vo_max = float(np.abs(self.value_mat).max() + np.abs(self.optimistic).max())
+        vo_max = float(np.abs(self.value_cols).max() + np.abs(self.optimistic).max())
         g32 = _gamma(min(self.n, BLOCK) + 1, 2.0 ** -24)
         self._slack_per_term = g32 * vo_max + 2.0 ** -149
         self._slack = 2 * _gamma(3 * self.n + 16, 2.0 ** -53) * self.n * (
@@ -211,7 +211,7 @@ class SearchProblem:
         with np.errstate(over="ignore"):
             self._table[:, 0] = 1.0
             self._table[:, 1] = self.optimistic
-            self._table[:, 2:] = self.value_mat
+            self._table[:, 2:] = self.value_cols.T
 
     def row(self, p: int) -> np.ndarray:
         """Pattern p's coverage, packed like ``SearchState.packed`` (read-only)."""
@@ -245,11 +245,10 @@ class SearchProblem:
         for expansion from the end: defaults first, the last arm first, then
         rules by decreasing one-step gain.  Any default is legal, and its
         ``hi`` is the closed list's exact objective, bit for bit
-        ``state_bound``'s, all m from one np.compress of ``value_cols`` over
-        the uncovered subjects.  Below depth L_max, so is the rule on every
-        pattern p that newly covers someone (a used pattern covers nobody
-        new, and a rule covering nobody new only adds cost, so no optimum is
-        lost).  The key of p is the largest over treatments t
+        ``state_bound``'s, all m from the state's ``default_sums``.  Below
+        depth L_max, so is the rule on every pattern p that newly covers
+        someone (a used pattern covers nobody new, and a rule covering
+        nobody new only adds cost, so no optimum is lost).  The key of p is the largest over treatments t
         of the value of (p, t) on the cnt subjects p newly covers, minus what
         the state's best default would give them, minus lambda2 * cnt * the
         feature cost of the extended prefix; it orders the actions and never
@@ -269,12 +268,11 @@ class SearchProblem:
         The rule bounds are batched: per pattern, float64 sums of the
         float32 columns (1, optimistic, each arm's value) over the subjects
         it would newly cover give its count cnt and its optimistic and
-        per-arm value sums (``_sums``); the float64 product ``default_sums``
-        picks the best default that the keys compare with.  The bounds are
-        sound.  With gamma(k, u) = k*u / (1 - k*u), k roundings of unit u
-        move a term by a factor within 1 +- gamma(k, u) in any summation
-        order (Higham, Accuracy and Stability of Numerical Algorithms, Sec.
-        3.1).  A block sums in float32 at most min(n, 512) exact products, a
+        per-arm value sums (``_sums``); ``default_sums`` picks the best
+        default that the keys compare with.  The bounds are sound.  With
+        gamma(k, u) = k*u / (1 - k*u), k roundings of unit u move a term by
+        a factor within 1 +- gamma(k, u) in any summation order (Higham,
+        Accuracy and Stability of Numerical Algorithms, Sec. 3.1).  A block sums in float32 at most min(n, 512) exact products, a
         subject's prefix bit times its last-predicate bit times an entry
         rounded to float32, each thus off by a factor within 1 +- g, g =
         gamma(min(n, 512) + 1, 2^-24), plus 2^-150 if subnormal; its count
@@ -283,7 +281,7 @@ class SearchProblem:
         by p enters the first product, and one subtraction if a rule newly
         covers it: p's two sums in the estimate hold at most 2 * count_p -
         cnt float32 terms (count_p: p's coverage), off by at most (g * V +
-        2^-149) * (2 * count_p - cnt), V = max|value_mat| + max|optimistic|.
+        2^-149) * (2 * count_p - cnt), V = max|value_cols| + max|optimistic|.
         In float64 a block result passes at most 3n roundings (2n blocks, n
         subtractions, each after a rule covering someone new), any other term
         at most 2n, plus 8 in the final expression; the terms total at most T
@@ -301,7 +299,8 @@ class SearchProblem:
         if state.terminal:
             raise ValidationError("terminal state has no actions")
         default_codes = np.arange(-self.m, 0, dtype=np.int32)
-        default_his = self._closed(state, self.value_cols)
+        default_sums, state.default_sums = self.default_sums(state), None
+        default_his = self._closed(state, default_sums)
         if state.depth >= L_max:
             return default_codes, default_his
 
@@ -309,7 +308,6 @@ class SearchProblem:
         uncov = _unpack(~state.packed, self.n)
         n_unc = int(np.count_nonzero(uncov))
         settled = state.incurred_value - lam2 * state.incurred_assess
-        default_sums, state.default_sums = self.default_sums(state), None
         sums = self._sums(state)
         if state.depth + 1 < L_max:  # its children may append rules
             state.sums = sums
@@ -393,11 +391,15 @@ class SearchProblem:
         return self.feature_cost(state.features)
 
     def default_sums(self, state: SearchState) -> np.ndarray:
-        """Per arm, value_mat summed over the uncovered subjects: one product
-        per state, which ``close`` keeps for ``ordered_actions``."""
+        """Per arm, its row of value_cols summed over the uncovered subjects
+        by np.compress, one row at a time: what a default adds to the
+        state's settled sums.  They are computed once per state; ``close``
+        keeps them on the state for ``ordered_actions``, and the closed list
+        it builds for ``state_bound``."""
         if state.default_sums is None:
-            state.default_sums = tuple(
-                (_unpack(~state.packed, self.n).astype(np.float64) @ self.value_mat).tolist())
+            uncovered = _unpack(~state.packed, self.n)
+            state.default_sums = tuple(float(np.compress(uncovered, row).sum())
+                                       for row in self.value_cols)
         return np.array(state.default_sums)
 
     def close(self, state: SearchState) -> SearchState:
@@ -411,19 +413,15 @@ class SearchProblem:
         same objective."""
         if not state.terminal:
             raise ValidationError("only a terminal state has an exact objective")
-        d = state.default_treatment
-        return float(self._closed(state, self.value_cols[d:d + 1])[0])
+        return float(self._closed(state, self.default_sums(state)[state.default_treatment]))
 
-    def _closed(self, state: SearchState, cols: np.ndarray) -> np.ndarray:
-        """Per row of cols, a default's value per subject, the exact objective
-        of the state's prefix closed with that default.  np.compress sums a
-        row of contiguous cols over the uncovered subjects bit for bit as it
-        sums that row alone."""
+    def _closed(self, state: SearchState, sums: float | np.ndarray) -> float | np.ndarray:
+        """The exact objective of the state's prefix closed with a default
+        whose ``default_sums`` entry is sums, or one per entry of an array."""
         lam2 = self.weights.lambda2
-        uncovered = _unpack(~state.packed, self.n)
-        return (state.incurred_value - lam2 * state.incurred_assess
-                + np.compress(uncovered, cols, axis=1).sum(axis=1)
-                - lam2 * self.default_assessment(state) * np.count_nonzero(uncovered)) / self.n
+        n_uncovered = self.n - int(np.bitwise_count(state.packed).sum())
+        return (state.incurred_value - lam2 * state.incurred_assess + sums
+                - lam2 * self.default_assessment(state) * n_uncovered) / self.n
 
     def decision_list(self, state: SearchState) -> DecisionList:
         if not state.terminal:

@@ -29,6 +29,7 @@ from .domain import (
     Pattern,
     Predicate,
     assign,
+    code_dtype,
     group_assessment_costs,
     group_treatments,
     partition,
@@ -242,10 +243,12 @@ class GroundTruth:
 
 
 def _sample_codes(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized categorical draw; probs is (k,) or (n, k)."""
-    cum = np.cumsum(np.broadcast_to(probs, (n, probs.shape[-1])), axis=1)
+    """Vectorized categorical draw; probs is (k,) or (n, k).  The codes take
+    ``code_dtype(k)``, as a dataset read from a file holds them."""
+    k = probs.shape[-1]
+    cum = np.cumsum(np.broadcast_to(probs, (n, k)), axis=1)
     u = rng.random(n)
-    return (u[:, None] > cum).sum(axis=1).astype(np.int64)
+    return (u[:, None] > cum).sum(axis=1).astype(code_dtype(k))
 
 
 def generate(gspec: GeneratorSpec) -> tuple[Dataset, GroundTruth]:
@@ -269,7 +272,7 @@ def generate(gspec: GeneratorSpec) -> tuple[Dataset, GroundTruth]:
         treatment_names=gspec.treatment_names,
         treatment_costs=np.asarray(gspec.treatment_costs, dtype=float),
         columns=tuple(columns),
-        treatments=np.zeros(n, dtype=np.int64),
+        treatments=np.zeros(n, dtype=code_dtype(m)),
         outcomes=np.zeros(n, dtype=float),
     )
     best = assign(shell, gspec.planted_regime)

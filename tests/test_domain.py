@@ -1,11 +1,14 @@
 """Partition, assignment, and cost vectors against row-by-row oracles."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from regimelist.domain import (
     BINARY,
+    CATEGORICAL,
     REAL,
     CharacteristicSpec,
     Dataset,
@@ -13,6 +16,7 @@ from regimelist.domain import (
     Pattern,
     Predicate,
     assign,
+    code_dtype,
     feature_set_cost,
     group_assessment_costs,
     group_billed_counts,
@@ -20,7 +24,8 @@ from regimelist.domain import (
     pattern_mask,
     predicate_mask,
 )
-from regimelist.errors import InvalidPredicateError, ValidationError
+from regimelist.errors import CellError, InvalidPredicateError, ValidationError
+from regimelist.estimation import FeatureEncoder
 
 from conftest import (
     dataset_from_rows,
@@ -254,3 +259,78 @@ class TestValidation:
         dl = DecisionList(rules=(), default_treatment=5)
         with pytest.raises(ValidationError):
             assign(ds, dl)
+
+
+class TestCompactCodes:
+    @pytest.mark.parametrize("n_names, dtype", [
+        (1, np.uint8), (2, np.uint8), (255, np.uint8), (256, np.uint16),
+        (65535, np.uint16), (65536, np.uint32)])
+    def test_code_dtype_holds_every_code_and_the_unmatched_mark(self, n_names, dtype):
+        assert code_dtype(n_names) == dtype
+        assert np.iinfo(code_dtype(n_names)).max >= n_names
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("n_levels, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_codes_at_the_edge_of_a_dtype(self, n_levels, dtype, as_array):
+        # the last level's code is n_levels - 1, and n_levels marks a cell
+        # that matches no level
+        levels = tuple(f"v{k}" for k in range(n_levels))
+        specs = (CharacteristicSpec("c", CATEGORICAL, 1.0, levels),)
+
+        def build(cells):
+            cells = np.array(cells) if as_array else cells
+            return Dataset.from_columns(specs, ("a",), (1.0,), [cells],
+                                        ["a"] * len(cells), [0.0] * len(cells))
+
+        last = levels[-1]
+        ds = build([last, "v0", last])
+        assert ds.columns[0].dtype == dtype
+        assert ds.columns[0].tolist() == [n_levels - 1, 0, n_levels - 1]
+        with pytest.raises(CellError, match=f"row 1, column 'c': 'v{n_levels}' is not one of"):
+            build([last, f"v{n_levels}", "v0"])
+
+    def test_blocks_build_the_dataset_of_their_concatenation(self):
+        cells = [("34.0", "52.0", "41.0", "7.5"), ("yes", "no", "yes", "no")]
+        treatments, outcomes = ("a", "b", "a", "a"), ("10", "20", "30", "40")
+        whole = Dataset.from_columns(SPECS, ("a", "b"), (5.0, 7.0), cells, treatments, outcomes)
+
+        def blocks(cells):
+            for rows in (slice(0, 1), slice(1, 4)):
+                yield [c[rows] for c in cells], treatments[rows], outcomes[rows]
+
+        ds = Dataset.from_blocks(SPECS, ("a", "b"), (5.0, 7.0), 4, blocks(cells))
+        for a, b in zip((*ds.columns, ds.treatments, ds.outcomes),
+                        (*whole.columns, whole.treatments, whole.outcomes)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        with pytest.raises(CellError, match="row 2, column 'smoker': 'maybe'"):
+            Dataset.from_blocks(SPECS, ("a", "b"), (5.0, 7.0), 4,
+                                blocks([cells[0], ("yes", "no", "maybe", "no")]))
+        with pytest.raises(ValidationError, match="one cell per subject"):
+            Dataset.from_blocks(SPECS, ("a", "b"), (5.0, 7.0), 5, blocks(cells))
+
+    def test_codes_act_as_int64_codes(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            ds = random_dataset(rng, n_subjects=300, n_features=6, m=3)
+            wide = dataclasses.replace(
+                ds, treatments=ds.treatments.astype(np.int64),
+                columns=tuple(col if s.kind == REAL else col.astype(np.int64)
+                              for s, col in zip(ds.specs, ds.columns)))
+            assert all(col.dtype == np.uint8 for s, col in zip(ds.specs, ds.columns)
+                       if s.kind != REAL)
+            for f, spec in enumerate(ds.specs):
+                for value in spec.levels or (0.0, 1.5):
+                    for op in ("=", "!=") if spec.levels else ("<=", ">"):
+                        pred = Predicate(f, op, value)
+                        assert np.array_equal(predicate_mask(ds, pred),
+                                              predicate_mask(wide, pred))
+            encoder = FeatureEncoder.fit(ds)
+            assert encoder.to_dict() == FeatureEncoder.fit(wide).to_dict()
+            for (rows, block), (wide_rows, wide_block) in zip(encoder.design_blocks(ds),
+                                                              encoder.design_blocks(wide)):
+                assert rows == wide_rows and block.tobytes() == wide_block.tobytes()
+            for _ in range(5):
+                dl = random_decision_list(rng, ds)
+                assert np.array_equal(partition(ds, dl), partition(wide, dl))
+            assert np.array_equal(np.bincount(ds.treatments, minlength=3),
+                                  np.bincount(wide.treatments, minlength=3))

@@ -149,24 +149,29 @@ class TestDatasetCSV:
                             + [ds.treatment_names[ds.treatments[i]], repr(float(ds.outcomes[i]))])
         assert path.read_bytes() == buf.getvalue().encode("utf-8")
 
-    def test_read_peak_stays_near_the_file_size(self, tmp_path):
-        # the typed pass holds the file's bytes, a table with one byte per
-        # level character of an ASCII file, and the scan's 1 MiB blocks;
-        # file-sized scan temporaries or 4-byte characters pass 2.5 times
-        gspec = default_generator_spec(n_subjects=20_000, seed=0)
-        ds, _ = generate(gspec)
-        schema = DataSchema(gspec.specs, gspec.treatment_names,
-                            tuple(float(c) for c in gspec.treatment_costs))
+    def test_read_peak_does_not_grow_with_the_file(self, tmp_path):
+        # the file is read a piece at a time straight into the dataset's
+        # columns, so beyond them a read peaks at one piece, its parse and
+        # the scan's temporaries whatever the file's size: holding the
+        # file's bytes would add 8.4 MB more at 80,000 subjects than at 20,000
         path = tmp_path / "data.csv"
-        write_dataset_csv(ds, path)
-        tracemalloc.start()
-        try:
-            back = read_dataset(path, schema)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert_same_dataset(back, ds)
-        assert peak < 2.5 * path.stat().st_size
+        extra = []
+        for n in (20_000, 80_000):
+            gspec = default_generator_spec(n_subjects=n, seed=0)
+            ds, _ = generate(gspec)
+            schema = DataSchema(gspec.specs, gspec.treatment_names,
+                                tuple(float(c) for c in gspec.treatment_costs))
+            write_dataset_csv(ds, path)
+            tracemalloc.start()
+            try:
+                back = read_dataset(path, schema)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert_same_dataset(back, ds)
+            extra.append(peak - sum(col.nbytes for col in (*back.columns, back.treatments,
+                                                            back.outcomes)))
+        assert extra[1] < 1.1 * extra[0]
 
     def test_field_count_diagnostic_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -259,14 +264,10 @@ PLAIN = ("age,smoker,treatment,outcome,note\n"
 
 
 def fast_path(path: Path, schema: DataSchema) -> Dataset | None:
-    """What read_dataset's typed numpy pass alone makes of a file: its
-    dataset, or None where it declines or raises."""
+    """What read_dataset's typed numpy passes alone make of a file: its
+    dataset, or None where they decline or raise."""
     try:
-        columns = io._plain_columns(path.read_bytes(), schema)
-        if columns is None:
-            return None
-        return Dataset.from_columns(schema.specs, schema.treatment_names,
-                                    schema.treatment_costs, *columns)
+        return io._read_plain(path, schema)
     except Exception:
         return None
 
@@ -311,9 +312,48 @@ def edit_cell(text: str, row: int, column: str, cell: str) -> str:
     return "\n".join(lines)
 
 
+def random_datasets_agree(path: Path) -> None:
+    """Random datasets of full-precision doubles across the exponent range,
+    subnormals too, round-trip through the fast path bitwise."""
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        ds = random_dataset(rng, n_subjects=int(rng.integers(1, 60)))
+        reals = [rng.normal(size=ds.n_subjects) * 10.0 ** rng.integers(-320, 300,
+                                                                       ds.n_subjects)
+                 for _ in ds.columns]
+        ds = Dataset(ds.specs, ds.treatment_names, ds.treatment_costs,
+                     tuple(r if s.kind == REAL else c
+                           for s, c, r in zip(ds.specs, ds.columns, reals)),
+                     ds.treatments, reals[0])
+        schema = DataSchema(ds.specs, ds.treatment_names,
+                            tuple(ds.treatment_costs.tolist()))
+        write_dataset_csv(ds, path)
+        assert assert_paths_agree(path, schema)
+        assert_same_dataset(read_dataset(path, schema), ds)
+
+
+def random_cell_edits_agree(path: Path) -> None:
+    """One cell at a time replaced by a short string of characters each
+    path treats in its own way; the fast path may decline, never differ."""
+    alphabet = list("0123456789.eE+-_ #,abfinosy\"") + [
+        "\n", "\r", "\t", "\x00", "\x0b", "\x1c", "\x85", "\xa0", "\u3000",
+        "\u0661", "\u00e9", "yes", "no", "nan", "inf"]
+    rng = np.random.default_rng(12)
+    header = PLAIN.split("\n")[0].split(",")
+    taken = 0
+    for _ in range(300):
+        cell = "".join(rng.choice(alphabet, size=int(rng.integers(0, 5))))
+        column = header[int(rng.integers(len(header)))]
+        path.write_bytes(edit_cell(PLAIN, int(rng.integers(1, 3)), column,
+                                   cell).encode("utf-8"))
+        taken += assert_paths_agree(path, SCHEMA)
+    assert taken > 0
+
+
 class TestFastPathAgreesWithExactPath:
-    """read_dataset parses a plain file with one np.loadtxt call and falls
-    back to csv.reader for everything else; the two must never differ."""
+    """read_dataset parses a plain file with one np.loadtxt call per piece
+    and falls back to csv.reader for everything else; the two must never
+    differ."""
 
     @pytest.mark.parametrize("column, cell, taken", [
         ("age", " 34.0 ", True),
@@ -444,7 +484,7 @@ class TestFastPathAgreesWithExactPath:
 
     @pytest.mark.parametrize("block", [4, 5, 7, 64])
     def test_utf8_check_by_pieces_agrees_with_decode(self, monkeypatch, block):
-        # pieces cut before a lead byte decode alone exactly when the whole does
+        # decoding by steps that may cut a character fails exactly when the whole does
         monkeypatch.setattr(io, "SCAN_BLOCK", block)
         rng = np.random.default_rng(block)
         chars = list("a,\n\u00e9\u0800\U0001f600")
@@ -460,7 +500,7 @@ class TestFastPathAgreesWithExactPath:
             except UnicodeDecodeError:
                 valid = False
             try:
-                io._check_utf8(data, np.frombuffer(data, dtype=np.uint8))
+                io._check_utf8(data)
                 checked = True
             except UnicodeDecodeError:
                 checked = False
@@ -495,41 +535,66 @@ class TestFastPathAgreesWithExactPath:
         assert not assert_paths_agree(path, SCHEMA)
 
     def test_random_datasets_take_the_fast_path_bitwise(self, tmp_path):
-        rng = np.random.default_rng(11)
-        path = tmp_path / "data.csv"
-        for _ in range(10):
-            ds = random_dataset(rng, n_subjects=int(rng.integers(1, 60)))
-            # full-precision doubles across the exponent range, subnormals too
-            reals = [rng.normal(size=ds.n_subjects) * 10.0 ** rng.integers(-320, 300,
-                                                                           ds.n_subjects)
-                     for _ in ds.columns]
-            ds = Dataset(ds.specs, ds.treatment_names, ds.treatment_costs,
-                         tuple(r if s.kind == REAL else c
-                               for s, c, r in zip(ds.specs, ds.columns, reals)),
-                         ds.treatments, reals[0])
-            schema = DataSchema(ds.specs, ds.treatment_names,
-                                tuple(ds.treatment_costs.tolist()))
-            write_dataset_csv(ds, path)
-            assert assert_paths_agree(path, schema)
-            assert_same_dataset(read_dataset(path, schema), ds)
+        random_datasets_agree(tmp_path / "data.csv")
 
     def test_random_cell_edits(self, tmp_path):
-        # one cell at a time replaced by a short string of characters each
-        # path treats in its own way; the fast path may decline, never differ
-        alphabet = list("0123456789.eE+-_ #,abfinosy\"") + [
-            "\n", "\r", "\t", "\x00", "\x0b", "\x1c", "\x85", "\xa0", "\u3000",
-            "\u0661", "\u00e9", "yes", "no", "nan", "inf"]
-        rng = np.random.default_rng(12)
+        random_cell_edits_agree(tmp_path / "data.csv")
+
+    @pytest.mark.parametrize("block", [7, 64, 1000])
+    def test_random_datasets_in_pieces(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(io, "SCAN_BLOCK", block)
+        random_datasets_agree(tmp_path / "data.csv")
+
+    @pytest.mark.parametrize("block", [7, 64, 1000])
+    def test_random_cell_edits_in_pieces(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(io, "SCAN_BLOCK", block)
+        random_cell_edits_agree(tmp_path / "data.csv")
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_line_longer_than_a_piece(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(io, "SCAN_BLOCK", block)
         path = tmp_path / "data.csv"
-        header = PLAIN.split("\n")[0].split(",")
-        taken = 0
-        for _ in range(300):
-            cell = "".join(rng.choice(alphabet, size=int(rng.integers(0, 5))))
-            column = header[int(rng.integers(len(header)))]
-            path.write_bytes(edit_cell(PLAIN, int(rng.integers(1, 3)), column,
-                                       cell).encode("utf-8"))
-            taken += assert_paths_agree(path, SCHEMA)
-        assert taken > 0
+        for row in (1, 2):
+            text = edit_cell(PLAIN, row, "note", "x" * (3 * block))
+            for data in (text, text[:-1]):  # with and without a final LF
+                path.write_text(data)
+                assert assert_paths_agree(path, SCHEMA)
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_multibyte_characters_next_to_a_cut(self, tmp_path, monkeypatch, block):
+        # every offset of 2-, 3- and 4-byte characters from a block's end,
+        # and lines that start with one right after a cut
+        monkeypatch.setattr(io, "SCAN_BLOCK", block)
+        path = tmp_path / "data.csv"
+        for pad in range(block + 1):
+            path.write_text("note,age,smoker,treatment,outcome\n"
+                            f"{'p' * pad}\u00e9\u0800,34.0,yes,a,10.0\n"
+                            "\U0001f600\u00e9,50.5,no,b,-2.5\n"
+                            "\u0800x,1.0,no,a,3.0", encoding="utf-8")
+            assert assert_paths_agree(path, SCHEMA)
+
+    @pytest.mark.parametrize("block", [7, 64, 1000])
+    @pytest.mark.parametrize("fault, problem", [
+        ("blank", "line 101: expected 5 cells, got 0"),
+        ("ragged", "line 101: expected 5 cells, got 6"),
+        ("level", "line 101, column 'smoker': 'maybe' is not one of"),
+    ])
+    def test_fault_in_a_later_piece(self, tmp_path, monkeypatch, block, fault, problem):
+        monkeypatch.setattr(io, "SCAN_BLOCK", block)
+        header, *rows = PLAIN.rstrip("\n").split("\n")
+        lines = [header] + rows * 60
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert assert_paths_agree(path, SCHEMA)
+        # file line 101 starts a few pieces after the first
+        assert len("\n".join(lines[:100])) > 1.5 * block
+        lines[100] = {"blank": "", "ragged": lines[100] + ",z",
+                      "level": lines[100].replace(",no,", ",maybe,")}[fault]
+        path.write_text("\n".join(lines) + "\n")
+        assert not assert_paths_agree(path, SCHEMA)
+        with pytest.raises(ValidationError) as exc:
+            read_dataset(path, SCHEMA)
+        assert problem in str(exc.value)
 
     def test_dataset_holds_no_view_of_the_parse(self, tmp_path):
         # a view of a parsed column would keep the whole parse alive
@@ -538,6 +603,42 @@ class TestFastPathAgreesWithExactPath:
         ds = read_dataset(path, SCHEMA)
         for col in (*ds.columns, ds.treatments, ds.outcomes):
             assert col.base is None and col.flags.c_contiguous
+
+
+class TestCompactCodes:
+    def test_generate_and_both_paths_agree_on_dtypes_and_bytes(self, tmp_path):
+        gspec = default_generator_spec(n_subjects=3000, seed=4)
+        ds, _ = generate(gspec)
+        schema = DataSchema(gspec.specs, gspec.treatment_names,
+                            tuple(float(c) for c in gspec.treatment_costs))
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        fast, exact = fast_path(path, schema), exact_path(path, schema)
+        assert fast is not None
+        assert_same_dataset(fast, ds)
+        assert_same_dataset(exact, ds)
+        assert {col.dtype for s, col in zip(ds.specs, ds.columns)
+                if s.kind != REAL} | {ds.treatments.dtype} == {np.dtype(np.uint8)}
+
+    def test_300_levels_take_two_byte_codes_and_round_trip(self, tmp_path):
+        levels = tuple(f"z{k}" for k in range(300))
+        specs = (CharacteristicSpec("age", REAL, 1.0),
+                 CharacteristicSpec("zone", CATEGORICAL, 1.0, levels))
+        rng = np.random.default_rng(5)
+        n = 2000
+        zones = [levels[k] for k in rng.permutation(np.arange(n) % 300)]
+        ds = Dataset.from_columns(specs, ("a", "b"), (1.0, 2.0),
+                                  [rng.normal(size=n), zones],
+                                  ["ab"[k] for k in rng.integers(0, 2, n)], rng.normal(size=n))
+        assert ds.columns[1].dtype == np.uint16 and ds.columns[1].max() == 299
+        assert ds.columns[1].tolist() == [levels.index(z) for z in zones]
+        assert ds.treatments.dtype == np.uint8
+        schema = DataSchema(specs, ("a", "b"), (1.0, 2.0))
+        path = tmp_path / "data.csv"
+        write_dataset_csv(ds, path)
+        assert fast_path(path, schema) is not None
+        assert_same_dataset(read_dataset(path, schema), ds)
+        assert_same_dataset(exact_path(path, schema), ds)
 
 
 class TestDecisionListSerialization:

@@ -104,7 +104,7 @@ def check_state_consistency(problem, state, covers=None):
         expected |= mask
         features = features | problem.patterns[p].features
         assess += feature_set_cost(problem.ds.specs, features) * int(newly.sum())
-        value += float(problem.value_mat[newly, t].sum())
+        value += float(problem.value_cols[t][newly].sum())
     assert np.array_equal(expected, covered(state))
     assert np.array_equal(np.packbits(expected), state.packed)
     assert state.features == sum(1 << f for f in features)
@@ -119,7 +119,7 @@ def per_pattern_actions(problem, state, sums):
     uncov64 = (~covered(state)).astype(np.float64)
     n_unc = int(np.count_nonzero(~covered(state)))
     settled = state.incurred_value - lam2 * state.incurred_assess
-    default_sums = uncov64 @ problem.value_mat
+    default_sums = [np.compress(~covered(state), row).sum() for row in problem.value_cols]
     counts = sums[0].astype(np.int64)
     eligible = np.flatnonzero(counts >= 1)
     cnt = counts[eligible]
@@ -722,37 +722,36 @@ class TestCoverage:
         assert (peaks[1] - peaks[0]) / 800 < n / 16
 
     def test_one_default_product_per_state(self, monkeypatch):
-        # close multiplies a new child's uncovered set into value_mat, and
-        # ordered_actions reuses that product when the child is selected
-        class CountingMatrix(np.ndarray):
-            products = 0
-
-            def __rmatmul__(self, other):
-                CountingMatrix.products += 1
-                return np.asarray(other) @ np.asarray(self)
-
+        # close sums each arm's row of value_cols over a new child's
+        # uncovered set, and state_bound and ordered_actions reuse those sums
         rng = np.random.default_rng(79)
         ds = random_dataset(rng, n_subjects=500, n_features=5, m=3)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
         scores = random_scores(rng, ds)
-        init, apply = SearchProblem.__init__, SearchProblem.apply
-        states = []
+        init, apply, compress = SearchProblem.__init__, SearchProblem.apply, np.compress
+        problems, states, row_sums = [], [], []
 
-        def counting_init(problem, *args, **kwargs):
+        def recording_init(problem, *args, **kwargs):
             init(problem, *args, **kwargs)
-            problem.value_mat = problem.value_mat.view(CountingMatrix)
+            problems.append(problem)
 
         def recording_apply(problem, state, action):
             states.append(apply(problem, state, action))
             return states[-1]
 
-        monkeypatch.setattr(SearchProblem, "__init__", counting_init)
+        def counting_compress(condition, a, *args, **kwargs):
+            if np.ndim(a) == 1 and a.base is problems[-1].value_cols:
+                row_sums.append(a)
+            return compress(condition, a, *args, **kwargs)
+
+        monkeypatch.setattr(SearchProblem, "__init__", recording_init)
         monkeypatch.setattr(SearchProblem, "apply", recording_apply)
+        monkeypatch.setattr(np, "compress", counting_compress)
         uct_search(ds, scores, cands, ObjectiveWeights(),
                    SearchConfig(iterations=300, L_max=3, seed=1))
         open_states = sum(not state.terminal for state in states)
         assert open_states > 100
-        assert CountingMatrix.products <= 1 + open_states
+        assert 0 < len(row_sums) <= ds.n_treatments * (1 + open_states)
 
 
 class TestSums:
@@ -838,7 +837,7 @@ class TestStateConsistency:
             state = problem.initial_state()
             for p in rng.permutation(len(cands.patterns))[:4].tolist():
                 newly = covers[:, p] & ~covered(state)
-                values = [float(problem.value_mat[newly, t].sum()) for t in range(problem.m)]
+                values = [float(problem.value_cols[t][newly].sum()) for t in range(problem.m)]
                 child = problem.apply(state, p)
                 # max returns the first of equal values: the lowest arm
                 assert child.prefix == state.prefix + ((p, max(range(problem.m),
