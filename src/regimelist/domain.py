@@ -147,6 +147,8 @@ class Dataset:
             for col, (c, (name, names)) in enumerate(zip(block, kinds)):
                 _column(c, out[col][start:stop], col, name, names, start)
             start = stop
+            # let the block go before the next one is made
+            del cells, treatments, outcomes, block, c
         if start != n:
             raise ValidationError("every column needs one cell per subject")
         *columns, treatments, outcomes = out

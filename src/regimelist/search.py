@@ -22,11 +22,16 @@ over the prefix's uncovered subjects.  ``Frontier.take`` is their one
 expansion step: it builds with ``apply`` only a child whose bound can beat
 the incumbent, and counts every child it skips.  An open state holds its
 covered set packed like a pattern's row, which ``apply`` ORs in:
-``SearchProblem.row`` ANDs it from packed predicate masks.  A full prefix,
-whose only children are the defaults, needs it only until they are scored,
-so UCT scores them when it builds the prefix and then drops it.
+``SearchProblem.row`` ANDs it from packed predicate masks.
 ``SearchProblem.close``, closing a prefix with its best default, is how UCT
 and greedy complete a list.
+
+The UCT tree keeps only what the search reads again.  A node keeps its state
+only while it may take children: a closed list takes none, and a full
+prefix, whose only children are the defaults, has them scored when UCT
+builds it and keeps no state after.  An interior node's frontier keeps
+copies of the WINDOW children it takes first, as progressive widening lets
+it take few, and orders its children again only if it spends them.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ EXHAUSTIVE_MAX_DEPTH = 3
 # children, so wide action spaces deepen instead of expanding breadth-first
 WIDEN_C = 2.0
 WIDEN_ALPHA = 0.3
+# children whose codes and bounds a UCT frontier keeps at a time, a window
+# wider than widening lets most nodes reach
+WINDOW = 64
 
 
 def _gamma(k: int, unit: float) -> float:
@@ -91,21 +99,22 @@ class SearchConfig:
         return cls(**config_values(d, asdict(cls()), "search"))
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchState:
     """A rule-list prefix with its exactly-incurred sums.
 
     packed holds the covered subjects in ceil(n / 8) bytes laid out like
-    ``SearchProblem.row``'s.  A full prefix needs it only to score its
-    closing children, so once UCT has, packed is None there and in the
-    closed lists taken from it.  features is the bitmask of the
-    characteristics its patterns read; incurred_value is the sum over
-    covered subjects of lambda1*score - lambda3*treatment_cost for their
-    assigned arm; incurred_assess the sum of their prefix assessment costs.
+    ``SearchProblem.row``'s, shared with the closed lists taken from it.
+    features is the bitmask of the characteristics its patterns read;
+    incurred_value is the sum over covered subjects of lambda1*score -
+    lambda3*treatment_cost for their assigned arm; incurred_assess the sum
+    of their prefix assessment costs.  UCT keeps a state only in an
+    interior node, so a full prefix's lives only until its closing children
+    are scored.
     """
 
     prefix: tuple[tuple[int, int], ...]
-    packed: np.ndarray | None
+    packed: np.ndarray
     n_subjects: int
     features: int
     incurred_assess: float
@@ -156,6 +165,13 @@ class SearchProblem:
         self.patterns = cands.patterns
         self.n = ds.n_subjects
         self.m = ds.n_treatments
+        # the codes of the m defaults, which every ordered_actions call
+        # returns, and the bounds of a full prefix's closing children once
+        # UCT has scored them: none can beat the incumbent, which is at
+        # least the best of them, so -inf skips each as its objective would
+        self.default_codes = np.arange(-self.m, 0, dtype=np.int32)
+        self.spent_his = np.full(self.m, -math.inf)
+        self.default_codes.flags.writeable = self.spent_his.flags.writeable = False
         # each distinct predicate's mask, packed like SearchState.packed, and
         # each pattern's predicate rows there, which row ANDs on demand
         index: dict[Predicate, int] = {}
@@ -240,7 +256,8 @@ class SearchProblem:
                         L_max: int) -> tuple[np.ndarray, np.ndarray]:
         """The legal actions of a non-terminal state, and a bound per child.
 
-        Returns int32 action codes and, for each, a float64 ``hi`` at least
+        Returns int32 action codes (at depth L_max, the problem's read-only
+        ``default_codes``) and, for each, a float64 ``hi`` at least
         the objective of every list completing apply(state, code), ordered
         for expansion from the end: defaults first, the last arm first, then
         rules by decreasing one-step gain.  Any default is legal, and its
@@ -298,7 +315,7 @@ class SearchProblem:
         """
         if state.terminal:
             raise ValidationError("terminal state has no actions")
-        default_codes = np.arange(-self.m, 0, dtype=np.int32)
+        default_codes = self.default_codes
         default_sums, state.default_sums = self.default_sums(state), None
         default_his = self._closed(state, default_sums)
         if state.depth >= L_max:
@@ -432,13 +449,29 @@ class SearchProblem:
 
 class Frontier:
     """A state's untried children: action codes and their bounds his, as
-    ``ordered_actions`` returns them or reordered, taken from the end."""
+    ``ordered_actions`` returns them or reordered, taken from the end.
 
-    __slots__ = ("state", "codes", "his", "cursor")
+    A ``windowed`` frontier holds only the last of them, and a count of the
+    earlier ones, which it orders again once it has taken the rest."""
 
-    def __init__(self, state: SearchState, codes: np.ndarray, his: np.ndarray):
+    __slots__ = ("state", "codes", "his", "cursor", "earlier", "L_max")
+
+    def __init__(self, state: SearchState | None, codes: np.ndarray, his: np.ndarray):
         self.state, self.codes, self.his = state, codes, his
         self.cursor = len(codes)
+        self.earlier = 0
+
+    @classmethod
+    def windowed(cls, problem: SearchProblem, state: SearchState, L_max: int) -> Frontier:
+        """The children in ``ordered_actions``' order, of which it keeps
+        copies of the WINDOW taken first: a view would keep the whole
+        arrays.  The call is deterministic, so the state and the sums its
+        parent keeps give the same order again."""
+        codes, his = problem.ordered_actions(state, L_max)
+        earlier = max(len(codes) - WINDOW, 0)
+        frontier = cls(state, codes[earlier:].copy(), his[earlier:].copy())
+        frontier.earlier, frontier.L_max = earlier, L_max
+        return frontier
 
     @classmethod
     def by_code(cls, state: SearchState, codes: np.ndarray, his: np.ndarray) -> Frontier:
@@ -453,7 +486,12 @@ class Frontier:
         bound on every list completing it, a closing child's exact objective.
         None once none is left.  A child whose ``hi`` cannot beat the
         incumbent is skipped unbuilt, and counted under "hi"."""
-        while self.cursor:
+        while self.cursor or self.earlier:
+            if not self.cursor:
+                # the window is spent: order the children again, and keep
+                # the earlier ones whole
+                self.codes, self.his = problem.ordered_actions(self.state, self.L_max)
+                self.cursor, self.earlier = self.earlier, 0
             self.cursor -= 1
             bound = float(self.his[self.cursor])
             if bound <= incumbent:
@@ -464,13 +502,15 @@ class Frontier:
 
 
 class SearchNode:
-    """One prefix in the UCT tree; its frontier is made when first selected,
-    or a full prefix's when it is built."""
+    """One prefix or closed list in the UCT tree.  Only an interior node,
+    which may take children, keeps its state; its frontier is made when it
+    is first selected.  A full prefix's, made when it is built, holds the
+    problem's ``default_codes`` and ``spent_his`` and no state."""
 
     __slots__ = ("state", "bound", "visits", "total_reward", "children",
                  "frontier", "fully_explored")
 
-    def __init__(self, state: SearchState, bound: float):
+    def __init__(self, state: SearchState | None, bound: float):
         self.state = state
         self.bound = bound
         self.visits = 0
@@ -506,11 +546,14 @@ def uct_search(
     running min/max of terminal rewards), takes the node's next child by
     ``Frontier.take`` in ``ordered_actions``' order, closes a new prefix
     with its best default (``SearchProblem.close``), and backs that list's
-    exact objective up the path.  A new full prefix, at depth L_max, takes
-    its frontier at once, which scores all its closing children, reads that
-    objective from it, and keeps no covered set.  The search draws no
-    random numbers, so ``config.seed`` does not change the result.  A built child keeps its
-    bound, and is pruned at selection once that cannot beat the incumbent.
+    exact objective up the path.  A new full prefix, at depth L_max, reads
+    that objective from all its closing children's, which ``ordered_actions``
+    scores at once, and keeps no state; the incumbent is then at least each
+    of them, so its frontier's ``spent_his`` skips them as they would be.
+    An interior node takes its children from a ``Frontier.windowed``.  The
+    search draws no random numbers, so ``config.seed`` does not change the
+    result.  A built child keeps its bound, and is pruned at selection once
+    that cannot beat the incumbent.
     A node whose children are all taken or pruned is fully explored; the
     search stops once the root is, every completion evaluated or excluded.
     """
@@ -529,6 +572,26 @@ def uct_search(
     def normalized(mean: float) -> float:
         return (mean - rmin) / (rmax - rmin) if rmax > rmin else 0.5
 
+    def expand(frontier: Frontier) -> tuple[SearchNode, float, SearchState] | None:
+        """The node of the next child that can beat the incumbent, its reward
+        and the closed list that earns it, or None.  Only the node of an
+        interior prefix keeps its state, so a full prefix's dies on return."""
+        taken = frontier.take(problem, best_obj, pruned)
+        if taken is None:
+            return None
+        state, bound = taken
+        if state.terminal:
+            child = SearchNode(None, bound)
+            child.fully_explored = True
+            return child, bound, state
+        closed = problem.close(state)
+        if state.depth < config.L_max:
+            return SearchNode(state, bound), problem.state_bound(closed), closed
+        his = problem.ordered_actions(state, config.L_max)[1]
+        child = SearchNode(None, bound)
+        child.frontier = Frontier(None, problem.default_codes, problem.spent_his)
+        return child, float(his[closed.default_treatment]), closed
+
     iterations_run = 0
     for it in range(1, config.iterations + 1):
         if root.fully_explored:
@@ -539,8 +602,7 @@ def uct_search(
         reward: float | None = None
         while True:
             if node.frontier is None:
-                node.frontier = Frontier(node.state,
-                                         *problem.ordered_actions(node.state, config.L_max))
+                node.frontier = Frontier.windowed(problem, node.state, config.L_max)
             for c in node.children:
                 if not c.fully_explored and c.bound <= best_obj:
                     c.fully_explored = True
@@ -549,28 +611,14 @@ def uct_search(
             # progressive widening gates expansion unless nothing is selectable
             limit = max(1, math.ceil(WIDEN_C * max(node.visits, 1) ** WIDEN_ALPHA))
             if len(node.children) < limit or not live:
-                taken = node.frontier.take(problem, best_obj, pruned)
-                if taken is not None:
-                    state, bound = taken
-                    child = SearchNode(state, bound)
+                built = expand(node.frontier)
+                if built is not None:
+                    child, reward, closed = built
                     tree_size += 1
                     node.children.append(child)
                     path.append(child)
-                    if state.terminal:
-                        child.fully_explored = True
-                        reward = bound
-                    else:
-                        closed = problem.close(state)
-                        if state.depth < config.L_max:
-                            reward = problem.state_bound(closed)
-                        else:
-                            child.frontier = Frontier(
-                                state, *problem.ordered_actions(state, config.L_max))
-                            reward = float(child.frontier.his[closed.default_treatment])
-                            state.packed = state.default_sums = None
-                        state = closed
                     if reward > best_obj:
-                        best_obj, best_state = reward, state
+                        best_obj, best_state = reward, closed
                     rmin, rmax = min(rmin, reward), max(rmax, reward)
                     break
             if not live:

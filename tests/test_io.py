@@ -153,7 +153,10 @@ class TestDatasetCSV:
         # the file is read a piece at a time straight into the dataset's
         # columns, so beyond them a read peaks at one piece, its parse and
         # the scan's temporaries whatever the file's size: holding the
-        # file's bytes would add 8.4 MB more at 80,000 subjects than at 20,000
+        # file's bytes would add 8.4 MB more at 80,000 subjects than at
+        # 20,000.  The previous piece's table is let go before the next piece
+        # is read, which keeps the peak near 2.1 MiB with 1 MiB pieces;
+        # keeping it until the next table is parsed made it 2.9 MiB
         path = tmp_path / "data.csv"
         extra = []
         for n in (20_000, 80_000):
@@ -172,6 +175,7 @@ class TestDatasetCSV:
             extra.append(peak - sum(col.nbytes for col in (*back.columns, back.treatments,
                                                             back.outcomes)))
         assert extra[1] < 1.1 * extra[0]
+        assert extra[1] < 2.5 * io.SCAN_BLOCK
 
     def test_field_count_diagnostic_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from regimelist import search
 from regimelist.domain import (
     REAL,
     DecisionList,
@@ -33,6 +35,7 @@ from regimelist.search import (
     Frontier,
     SearchConfig,
     SearchProblem,
+    SearchState,
     exhaustive_search,
     greedy_baseline,
     uct_search,
@@ -670,8 +673,8 @@ class TestCoverage:
 
     def test_no_array_per_subject_and_node(self, monkeypatch):
         # a state holds its coverage packed, ceil(n / 8) bytes, and no other
-        # array but its per-pattern sums; a full prefix holds none once UCT
-        # has scored its closing children
+        # array but its per-pattern sums (that a full prefix's state does
+        # not outlive its scoring is TestFullPrefix's)
         rng = np.random.default_rng(73)
         ds = random_dataset(rng, n_subjects=2000, n_features=6, m=2)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
@@ -687,24 +690,21 @@ class TestCoverage:
         uct_search(ds, scores, cands, ObjectiveWeights(),
                    SearchConfig(iterations=300, L_max=3, seed=1))
         assert len(states) > 300
-        full = [state for state in states if state.depth == 3 and not state.terminal]
-        assert len(full) > 100
         for state in states:
             arrays = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)
                       if isinstance(getattr(state, f.name), np.ndarray)}
             sums = arrays.pop("sums", None)
             assert sum(a.nbytes for a in arrays.values()) <= -(-ds.n_subjects // 8)
             assert sums is None or sums.shape == (ds.n_treatments + 2, len(cands))
-        for state in full:
-            assert state.packed is None
 
     def test_tree_memory_per_node_does_not_grow_with_n(self):
-        # a full prefix keeps its closing children's objectives, not its
-        # covered set, so what the tree adds per node (interior frontiers
-        # and sums, and Python objects) does not grow with n: between 400
-        # and 1,200 iterations at n = 64,000, uct_search's traced peak grows
-        # by about 2 KB per node, against n / 8 + 1 KB when every node kept
-        # its n / 8-byte covered set
+        # only an interior node keeps its state, and its frontier keeps a
+        # window of its children, so what the tree adds per node (interior
+        # windows and sums, and Python objects) does not grow with n:
+        # between 400 and 1,200 iterations at n = 64,000, uct_search's traced
+        # peak grows by about 1.2 KB per node, against 2.1 KB when a full
+        # prefix kept its state and its closing children's objectives, and
+        # n / 8 + 1 KB when every node kept its n / 8-byte covered set
         n = 64000
         ds, _ = generate(default_generator_spec(n_subjects=n, seed=0))
         scores = compute_dr_scores(ds, fit_propensity(ds), fit_outcome(ds))
@@ -719,7 +719,7 @@ class TestCoverage:
             finally:
                 tracemalloc.stop()
             assert res.tree_size == iterations + 1
-        assert (peaks[1] - peaks[0]) / 800 < n / 16
+        assert (peaks[1] - peaks[0]) / 800 < n / 40
 
     def test_one_default_product_per_state(self, monkeypatch):
         # close sums each arm's row of value_cols over a new child's
@@ -1317,6 +1317,32 @@ class TestFrontier:
                 assert (np.count_nonzero(his[codes < 0] <= incumbent)
                         == sum(obj <= incumbent for obj in closed))
 
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    def test_windowed_frontier_takes_what_a_whole_one_does(self, monkeypatch, window):
+        # a windowed frontier orders the state's children again once it has
+        # taken its window, and yields the same children with the same
+        # bounds, and skips the same, as the whole order; the child's order
+        # comes from the sums its parent keeps, both times
+        monkeypatch.setattr(search, "WINDOW", window)
+        for seed in range(4):
+            problem = self.problem(250 + seed)
+            root = problem.initial_state()
+            codes, _ = problem.ordered_actions(root, 3)
+            for state in (root, problem.apply(root, int(codes[codes >= 0][-1]))):
+                codes, his = problem.ordered_actions(state, 3)
+                assert len(codes) > window
+                for incumbent in (-math.inf, float(np.median(his)), float(his.max())):
+                    whole, skipped = self.take_all(problem, Frontier(state, codes, his),
+                                                   incumbent)
+                    frontier = Frontier.windowed(problem, state, 3)
+                    assert len(frontier.codes) == window
+                    taken, pruned = self.take_all(problem, frontier, incumbent)
+                    assert pruned == skipped
+                    assert len(taken) == len(whole)
+                    for (child, bound), (want, want_bound) in zip(taken, whole):
+                        assert same_state(child, want)
+                        assert bound.hex() == want_bound.hex()
+
 
 def one_arm_objective(problem, closed):
     """A closed list's objective summed as one arm's np.compress, in Python
@@ -1371,6 +1397,175 @@ class TestClosingChildren:
                     assert bound.hex() == obj.hex()
                 assert set(pruned) <= {"hi"}
                 assert pruned["hi"] == np.count_nonzero(np.array(exact) <= incumbent)
+
+
+def uct_run(ds, scores, cands, w, config):
+    """What uct_search returns that the window must not change: the list,
+    the objective's bits, the counts and the log."""
+    res = uct_search(ds, scores, cands, w, config)
+    return res.decision_list, res.objective.hex(), res.n_pruned, res.tree_size, res.log
+
+
+class TestWindow:
+    def runs(self, monkeypatch, ds, scores, cands, w, config):
+        """uct_run and its number of ordered_actions calls per WINDOW: 1, 2,
+        5, then one that holds every child of any node."""
+        ordered_actions, calls = SearchProblem.ordered_actions, Counter()
+
+        def counted(problem, state, L_max):
+            calls[search.WINDOW] += 1
+            return ordered_actions(problem, state, L_max)
+
+        monkeypatch.setattr(SearchProblem, "ordered_actions", counted)
+        runs = {}
+        for window in (1, 2, 5, len(cands.patterns) + ds.n_treatments):
+            monkeypatch.setattr(search, "WINDOW", window)
+            runs[window] = uct_run(ds, scores, cands, w, config)
+        return runs, calls
+
+    def test_window_keeps_the_search_on_random_instances(self, monkeypatch):
+        # a narrow window makes nodes order their children again, which must
+        # not change which child comes next, so the whole search repeats
+        rng = np.random.default_rng(260)
+        refills = Counter()
+        for trial in range(60):
+            m, L_max, full = 2 + trial % 3, 1 + trial // 3 % 3, trial // 9 % 2 == 1
+            ds, cands = small_instance(rng, n_patterns=int(rng.integers(3, 9)), m=m)
+            scores, w = random_scores(rng, ds), random_weights(rng)
+            config = SearchConfig(iterations=300, L_max=L_max, charge_default_full=full)
+            runs, calls = self.runs(monkeypatch, ds, scores, cands, w, config)
+            *narrow, whole = runs
+            for window in narrow:
+                assert runs[window] == runs[whole]
+                refills[window] += calls[window] - calls[whole]
+        assert min(refills[window] for window in (1, 2, 5)) > 0
+
+    def test_window_keeps_the_search_on_generated_data(self, monkeypatch):
+        ds, _ = generate(default_generator_spec(n_subjects=2000, seed=0))
+        scores = compute_dr_scores(ds, fit_propensity(ds), fit_outcome(ds))
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        assert len(cands.patterns) > 5 * search.WINDOW
+        runs, calls = self.runs(monkeypatch, ds, scores, cands, ObjectiveWeights(),
+                                SearchConfig(iterations=300, L_max=3))
+        *narrow, whole = runs
+        for window in narrow:
+            assert runs[window] == runs[whole]
+            assert calls[window] > calls[whole]
+
+
+class TestFullPrefix:
+    def built(self, monkeypatch, ds, scores, cands, w, config):
+        """Each full prefix UCT builds, in order: its state, which apply
+        returned, and its node, the one without a state that has a frontier."""
+        apply, states, nodes = SearchProblem.apply, [], []
+
+        def recording_apply(problem, state, action):
+            child = apply(problem, state, action)
+            if child.depth == config.L_max and not child.terminal:
+                states.append(child)
+            return child
+
+        class RecordingNode(search.SearchNode):
+            def __init__(self, state, bound):
+                super().__init__(state, bound)
+                nodes.append(self)
+
+        monkeypatch.setattr(SearchProblem, "apply", recording_apply)
+        monkeypatch.setattr(search, "SearchNode", RecordingNode)
+        uct_search(ds, scores, cands, w, config)
+        full = [node for node in nodes if node.state is None and node.frontier is not None]
+        assert len(full) == len(states)
+        return list(zip(states, full))
+
+    def check(self, monkeypatch, ds, scores, cands, w, config):
+        """Each full prefix's reward is the largest of its closing children's
+        objectives, exactly, and it never gets a child; returns the largest
+        two objectives of each."""
+        problem = SearchProblem(ds, scores, cands, w, config.charge_default_full)
+        tops = []
+        for state, node in self.built(monkeypatch, ds, scores, cands, w, config):
+            exact = [problem.state_bound(problem.apply(state, d - problem.m))
+                     for d in range(problem.m)]
+            assert node.visits == 1 and node.total_reward == max(exact)
+            assert node.children == [] and node.frontier.state is None
+            tops.append(sorted(exact)[-2:])
+        return tops
+
+    def test_reward_is_the_best_closing_objective(self, monkeypatch):
+        rng = np.random.default_rng(270)
+        n_full = 0
+        for trial in range(24):
+            m, L_max, full = 2 + trial % 3, 1 + trial // 3 % 3, trial // 9 % 2 == 1
+            ds, cands = small_instance(rng, n_patterns=int(rng.integers(3, 9)), m=m)
+            n_full += len(self.check(
+                monkeypatch, ds, random_scores(rng, ds), cands, random_weights(rng),
+                SearchConfig(iterations=300, L_max=L_max, charge_default_full=full)))
+        assert n_full > 100
+
+    def test_reward_of_an_exact_tie_between_arms(self, monkeypatch):
+        # arms 1 and 2 have identical scores and costs, so the closing
+        # children of arms 1 and 2 tie exactly, and where they beat arm 0,
+        # close picks arm 1, whose objective the reward is
+        rng = np.random.default_rng(271)
+        ds, cands = small_instance(rng, n_patterns=8, m=3)
+        ds = dataclasses.replace(ds, treatment_costs=np.full(3, 4.0))
+        base = rng.normal(0, 10, size=(ds.n_subjects, 2))
+        scores = DRScoreMatrix(base[:, [0, 1, 1]], ds.treatment_names)
+        tied = 0
+        for full in (False, True):
+            # a small lambda2 keeps assessment charges from pruning every rule
+            tops = self.check(monkeypatch, ds, scores, cands, ObjectiveWeights(lambda2=0.1),
+                              SearchConfig(iterations=300, L_max=2, charge_default_full=full))
+            tied += sum(a == b for a, b in tops)
+        assert tied > 0
+
+    def test_reward_at_scores_near_a_million(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        ds = random_dataset(rng, n_subjects=3000, n_features=5, m=3)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        scores = DRScoreMatrix(
+            scores=rng.normal(1e6, 3e5, size=(ds.n_subjects, ds.n_treatments)),
+            treatment_names=ds.treatment_names)
+        w = random_weights(rng)
+        for full in (False, True):
+            assert self.check(monkeypatch, ds, scores, cands, w,
+                              SearchConfig(iterations=200, L_max=2, charge_default_full=full))
+
+    def test_state_dies_once_scored(self, monkeypatch):
+        # UCT reads a full prefix's reward from its closing children and
+        # keeps no state in its node, so whenever a later node orders its
+        # children, no full prefix's state of the search is alive
+        rng = np.random.default_rng(73)
+        ds = random_dataset(rng, n_subjects=2000, n_features=6, m=2)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        scores = random_scores(rng, ds)
+        ordered_actions, initial_state = SearchProblem.ordered_actions, SearchProblem.initial_state
+        roots, scored, alive = [], [], []
+
+        def root_of(state):
+            while state.parent is not None:
+                state = state.parent
+            return state
+
+        def recording_initial_state(problem):
+            roots.append(initial_state(problem))
+            return roots[-1]
+
+        def checking_ordered_actions(problem, state, L_max):
+            if state.depth == L_max:
+                scored.append(state.prefix)
+            elif scored and len(alive) < 40:
+                alive.append(sum(isinstance(o, SearchState) and o.depth == L_max
+                                 and not o.terminal and root_of(o) is roots[-1]
+                                 for o in gc.get_objects()))
+            return ordered_actions(problem, state, L_max)
+
+        monkeypatch.setattr(SearchProblem, "initial_state", recording_initial_state)
+        monkeypatch.setattr(SearchProblem, "ordered_actions", checking_ordered_actions)
+        uct_search(ds, scores, cands, ObjectiveWeights(),
+                   SearchConfig(iterations=300, L_max=3))
+        assert len(scored) > 100 and len(alive) >= 10
+        assert not any(alive)
 
 
 class TestConfigValidation:
