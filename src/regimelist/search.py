@@ -26,12 +26,12 @@ covered set packed like a pattern's row, which ``apply`` ORs in:
 ``SearchProblem.close``, closing a prefix with its best default, is how UCT
 and greedy complete a list.
 
-The UCT tree keeps only what the search reads again.  A node keeps its state
-only while it may take children: a closed list takes none, and a full
-prefix, whose only children are the defaults, has them scored when UCT
-builds it and keeps no state after.  An interior node's frontier keeps
-copies of the WINDOW children it takes first, as progressive widening lets
-it take few, and orders its children again only if it spends them.
+The UCT tree holds only prefixes that can still grow.  A closed list, or a
+full prefix whose only children are the defaults, is a leaf: it is scored
+once, when it is built, and its parent only counts it.  An interior node's
+frontier keeps copies of the WINDOW children it takes first, as progressive
+widening lets it take few, and orders its children again only if it spends
+them.
 """
 
 from __future__ import annotations
@@ -109,13 +109,11 @@ class SearchState:
     incurred_value is the sum over covered subjects of lambda1*score -
     lambda3*treatment_cost for their assigned arm; incurred_assess the sum
     of their prefix assessment costs.  UCT keeps a state only in an
-    interior node, so a full prefix's lives only until its closing children
-    are scored.
+    interior node, so a full prefix's lives only until it is scored.
     """
 
     prefix: tuple[tuple[int, int], ...]
     packed: np.ndarray
-    n_subjects: int
     features: int
     incurred_assess: float
     incurred_value: float
@@ -124,7 +122,8 @@ class SearchState:
     # the state this one was built from; ordered_actions' sums, kept for children
     parent: SearchState | None = field(default=None, compare=False, repr=False)
     sums: np.ndarray | None = field(default=None, compare=False, repr=False)
-    # SearchProblem.default_sums, from close until ordered_actions takes it
+    # SearchProblem.default_sums, computed once and shared with the closed
+    # lists taken from the state
     default_sums: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -165,13 +164,9 @@ class SearchProblem:
         self.patterns = cands.patterns
         self.n = ds.n_subjects
         self.m = ds.n_treatments
-        # the codes of the m defaults, which every ordered_actions call
-        # returns, and the bounds of a full prefix's closing children once
-        # UCT has scored them: none can beat the incumbent, which is at
-        # least the best of them, so -inf skips each as its objective would
+        # the codes of the m defaults, which every ordered_actions call returns
         self.default_codes = np.arange(-self.m, 0, dtype=np.int32)
-        self.spent_his = np.full(self.m, -math.inf)
-        self.default_codes.flags.writeable = self.spent_his.flags.writeable = False
+        self.default_codes.flags.writeable = False
         # each distinct predicate's mask, packed like SearchState.packed, and
         # each pattern's predicate rows there, which row ANDs on demand
         index: dict[Predicate, int] = {}
@@ -239,8 +234,7 @@ class SearchProblem:
 
     def initial_state(self) -> SearchState:
         return SearchState(prefix=(), packed=np.zeros(-(-self.n // 8), dtype=np.uint8),
-                           n_subjects=self.n, features=0,
-                           incurred_assess=0.0, incurred_value=0.0)
+                           features=0, incurred_assess=0.0, incurred_value=0.0)
 
     def feature_cost(self, features: int) -> float:
         """feature_set_cost of a feature bitmask, memoized per mask."""
@@ -316,7 +310,7 @@ class SearchProblem:
         if state.terminal:
             raise ValidationError("terminal state has no actions")
         default_codes = self.default_codes
-        default_sums, state.default_sums = self.default_sums(state), None
+        default_sums = self.default_sums(state)
         default_his = self._closed(state, default_sums)
         if state.depth >= L_max:
             return default_codes, default_his
@@ -394,7 +388,6 @@ class SearchProblem:
         return SearchState(
             prefix=state.prefix + ((action, t),),
             packed=state.packed | row,
-            n_subjects=self.n,
             features=features,
             incurred_assess=(state.incurred_assess
                              + self.feature_cost(features) * np.count_nonzero(newly)),
@@ -410,9 +403,9 @@ class SearchProblem:
     def default_sums(self, state: SearchState) -> np.ndarray:
         """Per arm, its row of value_cols summed over the uncovered subjects
         by np.compress, one row at a time: what a default adds to the
-        state's settled sums.  They are computed once per state; ``close``
-        keeps them on the state for ``ordered_actions``, and the closed list
-        it builds for ``state_bound``."""
+        state's settled sums.  They are computed once per state and kept on
+        it, for ``close``, ``ordered_actions`` and the closed lists taken
+        from it, which ``state_bound`` scores."""
         if state.default_sums is None:
             uncovered = _unpack(~state.packed, self.n)
             state.default_sums = tuple(float(np.compress(uncovered, row).sum())
@@ -448,15 +441,15 @@ class SearchProblem:
 
 
 class Frontier:
-    """A state's untried children: action codes and their bounds his, as
-    ``ordered_actions`` returns them or reordered, taken from the end.
+    """An open state's untried children: action codes and their bounds his,
+    as ``ordered_actions`` returns them or reordered, taken from the end.
 
     A ``windowed`` frontier holds only the last of them, and a count of the
     earlier ones, which it orders again once it has taken the rest."""
 
     __slots__ = ("state", "codes", "his", "cursor", "earlier", "L_max")
 
-    def __init__(self, state: SearchState | None, codes: np.ndarray, his: np.ndarray):
+    def __init__(self, state: SearchState, codes: np.ndarray, his: np.ndarray):
         self.state, self.codes, self.his = state, codes, his
         self.cursor = len(codes)
         self.earlier = 0
@@ -502,20 +495,21 @@ class Frontier:
 
 
 class SearchNode:
-    """One prefix or closed list in the UCT tree.  Only an interior node,
-    which may take children, keeps its state; its frontier is made when it
-    is first selected.  A full prefix's, made when it is built, holds the
-    problem's ``default_codes`` and ``spent_his`` and no state."""
+    """An open prefix in the UCT tree: the root, or a prefix below depth
+    L_max, which may still take rule children; its frontier is made when it
+    is first selected.  A closed list or a full prefix it takes is a leaf:
+    scored once, when it is built, and only counted in ``leaves``."""
 
-    __slots__ = ("state", "bound", "visits", "total_reward", "children",
+    __slots__ = ("state", "bound", "visits", "total_reward", "children", "leaves",
                  "frontier", "fully_explored")
 
-    def __init__(self, state: SearchState | None, bound: float):
+    def __init__(self, state: SearchState, bound: float):
         self.state = state
         self.bound = bound
         self.visits = 0
         self.total_reward = 0.0
         self.children: list[SearchNode] = []
+        self.leaves = 0
         self.frontier: Frontier | None = None
         self.fully_explored = False
 
@@ -546,16 +540,17 @@ def uct_search(
     running min/max of terminal rewards), takes the node's next child by
     ``Frontier.take`` in ``ordered_actions``' order, closes a new prefix
     with its best default (``SearchProblem.close``), and backs that list's
-    exact objective up the path.  A new full prefix, at depth L_max, reads
-    that objective from all its closing children's, which ``ordered_actions``
-    scores at once, and keeps no state; the incumbent is then at least each
-    of them, so its frontier's ``spent_his`` skips them as they would be.
-    An interior node takes its children from a ``Frontier.windowed``.  The
-    search draws no random numbers, so ``config.seed`` does not change the
-    result.  A built child keeps its bound, and is pruned at selection once
-    that cannot beat the incumbent.
-    A node whose children are all taken or pruned is fully explored; the
-    search stops once the root is, every completion evaluated or excluded.
+    exact objective up the path.  Only an interior prefix, below depth
+    L_max, becomes a node, which takes its children from a
+    ``Frontier.windowed``.  A closed list, or a full prefix, is a leaf that
+    its parent counts towards progressive widening: once built it can
+    never beat the incumbent, which is at least its objective, a full
+    prefix's the best of its closing children's.  The search draws no
+    random numbers, so ``config.seed`` does not change the result.  A built
+    child keeps its bound, and is pruned at selection once that cannot beat
+    the incumbent.  A node whose children are all taken or pruned is fully
+    explored; the search stops once the root is, every completion
+    evaluated or excluded.
     """
     problem = SearchProblem(ds, scores, cands, weights, config.charge_default_full)
     # the root is nobody's child, so its bound is never compared
@@ -572,25 +567,25 @@ def uct_search(
     def normalized(mean: float) -> float:
         return (mean - rmin) / (rmax - rmin) if rmax > rmin else 0.5
 
-    def expand(frontier: Frontier) -> tuple[SearchNode, float, SearchState] | None:
-        """The node of the next child that can beat the incumbent, its reward
-        and the closed list that earns it, or None.  Only the node of an
-        interior prefix keeps its state, so a full prefix's dies on return."""
-        taken = frontier.take(problem, best_obj, pruned)
+    def expand(path: list[SearchNode]) -> tuple[float, SearchState] | None:
+        """The reward of the last node's next child that can beat the
+        incumbent, and the closed list that earns it, or None.  The node
+        counts a leaf, and keeps an interior child, which joins the path."""
+        node = path[-1]
+        taken = node.frontier.take(problem, best_obj, pruned)
         if taken is None:
             return None
         state, bound = taken
         if state.terminal:
-            child = SearchNode(None, bound)
-            child.fully_explored = True
-            return child, bound, state
+            node.leaves += 1
+            return bound, state
         closed = problem.close(state)
         if state.depth < config.L_max:
-            return SearchNode(state, bound), problem.state_bound(closed), closed
-        his = problem.ordered_actions(state, config.L_max)[1]
-        child = SearchNode(None, bound)
-        child.frontier = Frontier(None, problem.default_codes, problem.spent_his)
-        return child, float(his[closed.default_treatment]), closed
+            node.children.append(SearchNode(state, bound))
+            path.append(node.children[-1])
+        else:
+            node.leaves += 1
+        return problem.state_bound(closed), closed
 
     iterations_run = 0
     for it in range(1, config.iterations + 1):
@@ -610,13 +605,11 @@ def uct_search(
             live = [c for c in node.children if not c.fully_explored]
             # progressive widening gates expansion unless nothing is selectable
             limit = max(1, math.ceil(WIDEN_C * max(node.visits, 1) ** WIDEN_ALPHA))
-            if len(node.children) < limit or not live:
-                built = expand(node.frontier)
+            if len(node.children) + node.leaves < limit or not live:
+                built = expand(path)
                 if built is not None:
-                    child, reward, closed = built
+                    reward, closed = built
                     tree_size += 1
-                    node.children.append(child)
-                    path.append(child)
                     if reward > best_obj:
                         best_obj, best_state = reward, closed
                     rmin, rmax = min(rmin, reward), max(rmax, reward)
@@ -734,7 +727,7 @@ def greedy_baseline(
     state = problem.initial_state()
     best_obj = problem.state_bound(problem.close(state))
     pruned: Counter[str] = Counter()
-    while True:
+    while state.depth < L_max:
         codes, his = problem.ordered_actions(state, L_max)
         rules = codes >= 0
         frontier = Frontier.by_code(state, codes[rules], his[rules])

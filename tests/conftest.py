@@ -547,9 +547,10 @@ def oracle_true_objective(gspec: GeneratorSpec, dl: DecisionList,
 # greedy search over every (pattern, treatment) rule, without pruning
 
 
-def covered(state: SearchState) -> np.ndarray:
-    """The subjects a state's prefix covers, its packed bits as bools."""
-    return np.unpackbits(state.packed, count=state.n_subjects).view(bool)
+def covered(state: SearchState, n: int) -> np.ndarray:
+    """The subjects a state's prefix covers, the first n of its packed bits
+    as bools: packbits pads the last byte with zeros."""
+    return np.unpackbits(state.packed, count=n).view(bool)
 
 
 def rule_child(problem: SearchProblem, state: SearchState, p: int, t: int) -> SearchState:
@@ -563,7 +564,6 @@ def rule_child(problem: SearchProblem, state: SearchState, p: int, t: int) -> Se
     return SearchState(
         prefix=state.prefix + ((p, t),),
         packed=state.packed | row,
-        n_subjects=problem.n,
         features=features,
         incurred_assess=(state.incurred_assess
                          + problem.feature_cost(features) * np.count_nonzero(newly)),

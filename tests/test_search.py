@@ -108,7 +108,7 @@ def check_state_consistency(problem, state, covers=None):
         features = features | problem.patterns[p].features
         assess += feature_set_cost(problem.ds.specs, features) * int(newly.sum())
         value += float(problem.value_cols[t][newly].sum())
-    assert np.array_equal(expected, covered(state))
+    assert np.array_equal(expected, covered(state, problem.n))
     assert np.array_equal(np.packbits(expected), state.packed)
     assert state.features == sum(1 << f for f in features)
     assert state.incurred_assess == assess
@@ -119,10 +119,11 @@ def per_pattern_actions(problem, state, sums):
     """ordered_actions' rule codes and his for a state whose rule sums are
     ``sums``, pricing each eligible pattern's extended feature set on its own."""
     lam2 = problem.weights.lambda2
-    uncov64 = (~covered(state)).astype(np.float64)
-    n_unc = int(np.count_nonzero(~covered(state)))
+    uncovered = ~covered(state, problem.n)
+    uncov64 = uncovered.astype(np.float64)
+    n_unc = int(np.count_nonzero(uncovered))
     settled = state.incurred_value - lam2 * state.incurred_assess
-    default_sums = [np.compress(~covered(state), row).sum() for row in problem.value_cols]
+    default_sums = [np.compress(uncovered, row).sum() for row in problem.value_cols]
     counts = sums[0].astype(np.int64)
     eligible = np.flatnonzero(counts >= 1)
     cnt = counts[eligible]
@@ -207,7 +208,7 @@ class TestLegalActions:
         acts = actions(problem, state, L_max=4)
         # pattern 0 is used; a pattern with no new coverage may not reappear
         assert all(p != 0 for p, _ in acts if p >= 0)
-        counts = (oracle_cover_matrix(problem) & ~covered(state)[:, None]).sum(axis=0)
+        counts = (oracle_cover_matrix(problem) & ~covered(state, problem.n)[:, None]).sum(axis=0)
         for p, _ in acts:
             if p >= 0:
                 assert counts[p] >= 1
@@ -241,7 +242,7 @@ class TestLegalActions:
             for p, pattern in enumerate(problem.patterns):
                 newly = sum(
                     1 for i in range(ds.n_subjects)
-                    if not covered(state)[i]
+                    if not covered(state, problem.n)[i]
                     and oracle_pattern_holds(pattern, dataset_row(ds, i), ds.specs))
                 if p not in used and newly >= 1:
                     legal.add((p, None))
@@ -268,7 +269,7 @@ class TestLegalActions:
                 # once no pattern covers anyone new
                 codes, his = problem.ordered_actions(state, len(cands.patterns) + 1)
                 rules = codes[codes >= 0].tolist()
-                newly = (covers & ~covered(state)[:, None]).sum(axis=0)
+                newly = (covers & ~covered(state, problem.n)[:, None]).sum(axis=0)
                 assert sorted(rules) == np.flatnonzero(newly >= 1).tolist()
                 assert np.all(his[codes >= 0] >= every_arm_bound(problem, state, scores,
                                                                  covers, rules))
@@ -305,7 +306,7 @@ class TestLegalActions:
                 rules = [c for c in codes.tolist() if c >= 0]
                 if not rules:
                     break
-                uncovered = [i for i in range(ds.n_subjects) if not covered(state)[i]]
+                uncovered = [i for i in range(ds.n_subjects) if not covered(state, problem.n)[i]]
                 best = max(range(m), key=lambda d: sum(value(i, d) for i in uncovered))
                 prefix_features = {f for p, _ in state.prefix
                                    for f in problem.patterns[p].features}
@@ -473,7 +474,7 @@ class TestStateBound:
                 for p, _ in state.prefix:
                     alone = problem.apply(alone, p)
                 assert alone.prefix == state.prefix
-                want = (covers & ~covered(state)[:, None]).sum(axis=0)
+                want = (covers & ~covered(state, problem.n)[:, None]).sum(axis=0)
                 results = []
                 for built in (state, alone):
                     codes, his = problem.ordered_actions(built, 4)
@@ -698,13 +699,15 @@ class TestCoverage:
             assert sums is None or sums.shape == (ds.n_treatments + 2, len(cands))
 
     def test_tree_memory_per_node_does_not_grow_with_n(self):
-        # only an interior node keeps its state, and its frontier keeps a
-        # window of its children, so what the tree adds per node (interior
-        # windows and sums, and Python objects) does not grow with n:
-        # between 400 and 1,200 iterations at n = 64,000, uct_search's traced
-        # peak grows by about 1.2 KB per node, against 2.1 KB when a full
-        # prefix kept its state and its closing children's objectives, and
-        # n / 8 + 1 KB when every node kept its n / 8-byte covered set
+        # only an interior prefix is a node, and its frontier keeps a
+        # window of its children, so what the tree adds per built child
+        # (interior windows and sums, and Python objects) does not grow
+        # with n: between 400 and 1,200 iterations at n = 64,000,
+        # uct_search's traced peak grows by about 0.92 KB per child,
+        # against 1.17 KB when full prefixes and closed lists had nodes,
+        # 2.1 KB when a full prefix kept its state and its closing
+        # children's objectives, and n / 8 + 1 KB when every node kept its
+        # n / 8-byte covered set
         n = 64000
         ds, _ = generate(default_generator_spec(n_subjects=n, seed=0))
         scores = compute_dr_scores(ds, fit_propensity(ds), fit_outcome(ds))
@@ -719,7 +722,7 @@ class TestCoverage:
             finally:
                 tracemalloc.stop()
             assert res.tree_size == iterations + 1
-        assert (peaks[1] - peaks[0]) / 800 < n / 40
+        assert (peaks[1] - peaks[0]) / 800 < n / 60
 
     def test_one_default_product_per_state(self, monkeypatch):
         # close sums each arm's row of value_cols over a new child's
@@ -772,7 +775,7 @@ class TestSums:
         state = problem.initial_state()
         for depth in range(3):
             codes, _ = problem.ordered_actions(state, 4)
-            newly = covers & ~covered(state)[:, None]
+            newly = covers & ~covered(state, problem.n)[:, None]
             want = table.T @ newly
             cnt = newly.sum(axis=0)
             assert state.sums.shape == want.shape
@@ -836,7 +839,7 @@ class TestStateConsistency:
             covers = oracle_cover_matrix(problem)
             state = problem.initial_state()
             for p in rng.permutation(len(cands.patterns))[:4].tolist():
-                newly = covers[:, p] & ~covered(state)
+                newly = covers[:, p] & ~covered(state, problem.n)
                 values = [float(problem.value_cols[t][newly].sum()) for t in range(problem.m)]
                 child = problem.apply(state, p)
                 # max returns the first of equal values: the lowest arm
@@ -857,7 +860,7 @@ class TestStateConsistency:
         covers = oracle_cover_matrix(problem)
         state = problem.initial_state()
         for p in range(len(cands.patterns)):
-            if not (covers[:, p] & ~covered(state)).any():
+            if not (covers[:, p] & ~covered(state, problem.n)).any():
                 continue
             state = problem.apply(state, p)
             assert state.prefix[-1] == (p, 1)
@@ -985,12 +988,12 @@ class TestUCT:
     def test_batched_bounds_skip_building_pruned_children(self, monkeypatch):
         # an open prefix is bounded by hi alone, and a closing child by its
         # exact objective, which is its hi: state_bound scores only the list
-        # that closes each new rule child below L_max, whose reward it is
+        # that closes each new rule child, whose reward it is
         rng = np.random.default_rng(0)
         ds = random_dataset(rng, n_subjects=1000, n_features=6, m=3)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
         scores = random_scores(rng, ds)
-        counts = {"state_bound": 0, "closing": 0, "close": 0, "close_open": 0}
+        counts = {"state_bound": 0, "closing": 0, "close": 0}
         originals = {name: getattr(SearchProblem, name)
                      for name in ("state_bound", "apply", "close")}
 
@@ -1004,17 +1007,66 @@ class TestUCT:
 
         def close(problem, state):
             counts["close"] += 1
-            counts["close_open"] += state.depth < 3
             return originals["close"](problem, state)
 
         for name, fn in (("state_bound", state_bound), ("apply", apply), ("close", close)):
             monkeypatch.setattr(SearchProblem, name, fn)
         res = uct_search(ds, scores, cands, ObjectiveWeights(),
                          SearchConfig(iterations=1000, L_max=3, seed=1))
-        assert res.n_pruned >= 1000
+        assert res.n_pruned >= 300
         # close applies a default too, so closing children built are the rest
-        assert counts["closing"] > counts["close"] > counts["close_open"] > 0
-        assert counts["state_bound"] == counts["close_open"]
+        assert counts["closing"] > counts["close"] > 0
+        assert counts["state_bound"] == counts["close"]
+
+    def test_tree_holds_only_prefixes_that_can_grow(self, monkeypatch):
+        # a node holds an open prefix below L_max (the root, at L_max 0, is
+        # full); closed lists and full prefixes are only counted in leaves,
+        # never ordered, and never pruned: n_pruned is take's skips and the
+        # interior nodes pruned at selection
+        take, ordered_actions = Frontier.take, SearchProblem.ordered_actions
+        rng = np.random.default_rng(280)
+        for trial in range(24):
+            m, L_max, full = 2 + trial % 3, trial // 3 % 4, trial // 12 % 2 == 1
+            ds, cands = small_instance(rng, n_patterns=int(rng.integers(3, 9)), m=m)
+            nodes, ordered, counters, skips = [], [], [], []
+
+            class RecordingNode(search.SearchNode):
+                def __init__(self, state, bound):
+                    super().__init__(state, bound)
+                    nodes.append(self)
+
+            def recording_ordered_actions(problem, state, L_max):
+                ordered.append(state.depth)
+                return ordered_actions(problem, state, L_max)
+
+            def counting_take(frontier, problem, incumbent, pruned):
+                before = pruned.total()
+                taken = take(frontier, problem, incumbent, pruned)
+                counters.append(pruned)
+                skips.append(pruned.total() - before)
+                return taken
+
+            with monkeypatch.context() as mp:
+                mp.setattr(search, "SearchNode", RecordingNode)
+                mp.setattr(SearchProblem, "ordered_actions", recording_ordered_actions)
+                mp.setattr(Frontier, "take", counting_take)
+                res = uct_search(ds, random_scores(rng, ds), cands, random_weights(rng),
+                                 SearchConfig(iterations=300, L_max=L_max,
+                                              charge_default_full=full))
+            root, *interior = nodes
+            assert root.state.depth == 0 and not root.state.terminal
+            for node in interior:
+                assert isinstance(node.state, SearchState) and not node.state.terminal
+                assert 0 < node.state.depth < L_max
+            assert res.tree_size == len(nodes) + sum(node.leaves for node in nodes)
+            if L_max >= 1:
+                assert max(ordered) < L_max
+            pruned = counters[0]
+            assert all(counter is pruned for counter in counters)
+            assert set(pruned) <= {"hi", "node"} and pruned.total() == res.n_pruned
+            assert pruned["hi"] == sum(skips)
+            assert pruned["node"] <= sum(node.fully_explored and node.bound <= res.objective
+                                         for node in interior)
 
     def test_every_iteration_but_the_last_builds_one_node(self):
         # an iteration backs up the reward of the one child it builds; a
@@ -1348,7 +1400,7 @@ def one_arm_objective(problem, closed):
     """A closed list's objective summed as one arm's np.compress, in Python
     floats: each closing child's hi must equal it bit for bit."""
     lam2 = problem.weights.lambda2
-    uncovered = ~covered(closed)
+    uncovered = ~covered(closed, problem.n)
     total = (closed.incurred_value - lam2 * closed.incurred_assess
              + float(np.compress(uncovered, problem.value_cols[closed.default_treatment]).sum())
              - lam2 * problem.default_assessment(closed) * np.count_nonzero(uncovered))
@@ -1454,40 +1506,68 @@ class TestWindow:
 
 
 class TestFullPrefix:
-    def built(self, monkeypatch, ds, scores, cands, w, config):
-        """Each full prefix UCT builds, in order: its state, which apply
-        returned, and its node, the one without a state that has a frontier."""
-        apply, states, nodes = SearchProblem.apply, [], []
+    def scored(self, monkeypatch, ds, scores, cands, w, config):
+        """Each full prefix UCT builds, in order, with the objective that
+        state_bound gives the list close makes of it, after checking that
+        no node holds it, no frontier orders its children, and that the
+        root's total reward sums the objective of every child built."""
+        close, state_bound, take = SearchProblem.close, SearchProblem.state_bound, Frontier.take
+        ordered_actions = SearchProblem.ordered_actions
+        full, objectives, rewards, nodes = [], [], [], []
 
-        def recording_apply(problem, state, action):
-            child = apply(problem, state, action)
-            if child.depth == config.L_max and not child.terminal:
-                states.append(child)
-            return child
+        def recording_close(problem, state):
+            if state.depth == config.L_max:
+                full.append(state)
+            return close(problem, state)
+
+        def recording_state_bound(problem, state):
+            rewards.append(state_bound(problem, state))
+            if state.depth == config.L_max:
+                assert state.prefix == full[-1].prefix
+                objectives.append(rewards[-1])
+            return rewards[-1]
+
+        def recording_take(frontier, problem, incumbent, pruned):
+            taken = take(frontier, problem, incumbent, pruned)
+            if taken is not None and taken[0].terminal:
+                rewards.append(taken[1])
+            return taken
+
+        def checking_ordered_actions(problem, state, L_max):
+            assert state.depth < L_max
+            return ordered_actions(problem, state, L_max)
 
         class RecordingNode(search.SearchNode):
             def __init__(self, state, bound):
                 super().__init__(state, bound)
                 nodes.append(self)
 
-        monkeypatch.setattr(SearchProblem, "apply", recording_apply)
-        monkeypatch.setattr(search, "SearchNode", RecordingNode)
-        uct_search(ds, scores, cands, w, config)
-        full = [node for node in nodes if node.state is None and node.frontier is not None]
-        assert len(full) == len(states)
-        return list(zip(states, full))
+        with monkeypatch.context() as mp:
+            mp.setattr(SearchProblem, "close", recording_close)
+            mp.setattr(SearchProblem, "state_bound", recording_state_bound)
+            mp.setattr(SearchProblem, "ordered_actions", checking_ordered_actions)
+            mp.setattr(Frontier, "take", recording_take)
+            mp.setattr(search, "SearchNode", RecordingNode)
+            uct_search(ds, scores, cands, w, config)
+        assert len(objectives) == len(full)
+        assert all(node.state.depth < config.L_max for node in nodes)
+        total = 0.0
+        for reward in rewards:
+            total += reward
+        assert nodes[0].total_reward == total
+        return list(zip(full, objectives))
 
     def check(self, monkeypatch, ds, scores, cands, w, config):
         """Each full prefix's reward is the largest of its closing children's
-        objectives, exactly, and it never gets a child; returns the largest
-        two objectives of each."""
+        objectives, exactly, each scored from scratch by another problem;
+        returns the largest two objectives of each."""
         problem = SearchProblem(ds, scores, cands, w, config.charge_default_full)
         tops = []
-        for state, node in self.built(monkeypatch, ds, scores, cands, w, config):
+        for state, reward in self.scored(monkeypatch, ds, scores, cands, w, config):
+            state = dataclasses.replace(state, default_sums=None)
             exact = [problem.state_bound(problem.apply(state, d - problem.m))
                      for d in range(problem.m)]
-            assert node.visits == 1 and node.total_reward == max(exact)
-            assert node.children == [] and node.frontier.state is None
+            assert reward == max(exact)
             tops.append(sorted(exact)[-2:])
         return tops
 
@@ -1532,14 +1612,15 @@ class TestFullPrefix:
                               SearchConfig(iterations=200, L_max=2, charge_default_full=full))
 
     def test_state_dies_once_scored(self, monkeypatch):
-        # UCT reads a full prefix's reward from its closing children and
-        # keeps no state in its node, so whenever a later node orders its
-        # children, no full prefix's state of the search is alive
+        # UCT scores a full prefix by closing it and keeps no node of it, so
+        # whenever a later node orders its children, no full prefix's state
+        # of the search is alive
         rng = np.random.default_rng(73)
         ds = random_dataset(rng, n_subjects=2000, n_features=6, m=2)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
         scores = random_scores(rng, ds)
-        ordered_actions, initial_state = SearchProblem.ordered_actions, SearchProblem.initial_state
+        close, initial_state = SearchProblem.close, SearchProblem.initial_state
+        ordered_actions = SearchProblem.ordered_actions
         roots, scored, alive = [], [], []
 
         def root_of(state):
@@ -1551,16 +1632,20 @@ class TestFullPrefix:
             roots.append(initial_state(problem))
             return roots[-1]
 
-        def checking_ordered_actions(problem, state, L_max):
-            if state.depth == L_max:
+        def recording_close(problem, state):
+            if state.depth == 3:
                 scored.append(state.prefix)
-            elif scored and len(alive) < 40:
+            return close(problem, state)
+
+        def checking_ordered_actions(problem, state, L_max):
+            if scored and len(alive) < 40:
                 alive.append(sum(isinstance(o, SearchState) and o.depth == L_max
                                  and not o.terminal and root_of(o) is roots[-1]
                                  for o in gc.get_objects()))
             return ordered_actions(problem, state, L_max)
 
         monkeypatch.setattr(SearchProblem, "initial_state", recording_initial_state)
+        monkeypatch.setattr(SearchProblem, "close", recording_close)
         monkeypatch.setattr(SearchProblem, "ordered_actions", checking_ordered_actions)
         uct_search(ds, scores, cands, ObjectiveWeights(),
                    SearchConfig(iterations=300, L_max=3))
