@@ -158,7 +158,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     elif args.strategy == "greedy":
         result = greedy_baseline(ds, scores, cands, weights, sconfig.L_max,
                                  sconfig.charge_default_full)
-        extra = {}
+        extra = {"n_pruned": result.n_pruned}
     else:
         result = exhaustive_search(ds, scores, cands, weights, sconfig.L_max,
                                    use_bound=True,

@@ -221,7 +221,7 @@ def fit_propensity(
     norm drops to grad_tol.  Every trial point costs one pass over the
     design, which also gives the Hessian that the next step uses if the
     trial is accepted.  Raises ConvergenceError (carrying the final norm)
-    past max_iters.
+    when the gradient after max_iters steps is still above grad_tol.
     """
     if not l2 >= 0:
         raise ValidationError(f"l2 must be nonnegative, got {l2}")
@@ -241,11 +241,17 @@ def fit_propensity(
     weights = np.zeros((m, len(encoder.columns) + 1))
 
     value, grad, hessian = propensity_loglik(weights, encoder, ds, l2)
-    for it in range(1, max_iters + 1):
+    for it in range(max_iters + 1):  # the gradient is checked after every step, the last too
         gnorm = float(np.sqrt((grad * grad).sum()))
         if gnorm <= grad_tol:
             return PropensityModel(encoder, ds.treatment_names, weights, clip_epsilon,
-                                   n_iterations=it - 1, gradient_norm=gnorm)
+                                   n_iterations=it, gradient_norm=gnorm)
+        if it == max_iters:
+            raise ConvergenceError(
+                f"propensity fit did not reach gradient norm {grad_tol:.0e} within "
+                f"{max_iters} iterations (final norm {gnorm:.3e})",
+                gradient_norm=gnorm,
+            )
         direction = np.linalg.lstsq(-hessian, grad.ravel(), rcond=None)[0].reshape(m, -1)
         slope = float((grad * direction).sum())
         alpha = 1.0
@@ -257,18 +263,11 @@ def fit_propensity(
             alpha *= 0.5
             if alpha < 1e-18:
                 raise ConvergenceError(
-                    f"propensity line search stalled at iteration {it} "
+                    f"propensity line search stalled at iteration {it + 1} "
                     f"(gradient norm {gnorm:.3e})",
                     gradient_norm=gnorm,
                 )
         weights, (value, grad, hessian) = candidate, trial
-
-    gnorm = float(np.sqrt((grad * grad).sum()))
-    raise ConvergenceError(
-        f"propensity fit did not reach gradient norm {grad_tol:.0e} within "
-        f"{max_iters} iterations (final norm {gnorm:.3e})",
-        gradient_norm=gnorm,
-    )
 
 
 @dataclass

@@ -162,10 +162,9 @@ def _read_plain(csv_path: str | Path, schema: DataSchema) -> Dataset | None:
     float64, every other column as a bytes (``S``) field one byte wider
     than its longest name's UTF-8, so a longer cell matches no name.
     loadtxt reads a piece as latin-1, so each cell keeps its UTF-8 bytes
-    for ``_column`` to compare.  A number cell holding non-ASCII text then
-    holds a latin-1 letter and fails to parse; only then is a non-ASCII
-    piece parsed again, its numbers by ``_utf8_number``.  loadtxt raises on
-    a ragged row, and each piece must parse to one record per line.
+    for ``_column`` to compare; a number cell holding non-ASCII text then
+    holds a latin-1 letter and fails to parse.  loadtxt raises on a ragged
+    row, and each piece must parse to one record per line.
     """
     limit = csv.field_size_limit()
     needed = _needed_columns(schema)
@@ -186,16 +185,10 @@ def _read_plain(csv_path: str | Path, schema: DataSchema) -> Dataset | None:
         formats = [f"S{max(len(name.encode()) for name in names[h]) + 1}" if h in names
                    else "f8" if h in needed else "S1" for h in header]
         dtype = {"names": [f"c{k}" for k in range(len(header))], "formats": formats}
-        numbers = {col_of[h]: _utf8_number for h in needed if h not in names}
 
         def block(piece: bytes):
             n_lines = _check_piece(piece, limit)
-            try:
-                table = _parse(piece, dtype, None)
-            except ValueError:
-                if piece.isascii():
-                    raise
-                table = _parse(piece, dtype, numbers)
+            table = _parse(piece, dtype)
             if table.shape != (n_lines,):
                 raise _NotPlain
             *cells, treatments, outcomes = (table[f"c{col_of[name]}"] for name in needed)
@@ -250,20 +243,10 @@ def _check_piece(piece: bytes, limit: int) -> int:
     return ends.size + (lengths[-1] > 0)
 
 
-def _parse(piece: bytes, dtype: dict, converters) -> np.ndarray:
+def _parse(piece: bytes, dtype: dict) -> np.ndarray:
     """One np.loadtxt call on a piece of a plain file."""
-    return np.loadtxt(BytesIO(piece), encoding="latin-1", ndmin=1,
-                      converters=converters, dtype=dtype,
+    return np.loadtxt(BytesIO(piece), encoding="latin-1", ndmin=1, dtype=dtype,
                       delimiter=",", comments=None, quotechar=None)
-
-
-def _utf8_number(cell: str) -> float:
-    """A number cell of a UTF-8 file read as latin-1: float() of its text,
-    which must be ASCII once stripped of (Unicode) spaces."""
-    text = cell.encode("latin-1").decode("utf-8").strip()
-    if not text.isascii():
-        raise ValueError(f"non-ASCII number {text!r}")
-    return float(text)
 
 
 def _check_utf8(data: bytes) -> None:
@@ -430,25 +413,32 @@ def write_json(obj, path: str | Path) -> None:
     """Write ``json.dumps(obj, indent=2)`` and a newline, in those bytes,
     piece by piece.
 
-    ``obj`` may hold ndarrays where json takes only their ``tolist()``; a
-    finite 2-D float one is laid out ROW_BLOCK rows at a time, so neither
-    the file's text nor the array's Python floats are ever held whole.
+    ``obj`` may be an ndarray, or a dict with str keys some of whose values
+    are ndarrays, where json takes only their ``tolist()``; an ndarray
+    nested any deeper gets json's TypeError.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_indented(obj))
+        if isinstance(obj, dict) and all(isinstance(k, str) for k in obj) \
+                and any(isinstance(v, np.ndarray) for v in obj.values()):
+            for i, (k, v) in enumerate(obj.items()):
+                fh.write(f"{',' if i else '{'}\n  {json.dumps(k)}: ")
+                fh.writelines(_indented(v, "  "))
+            fh.write("\n}")
+        else:
+            fh.writelines(_indented(obj, ""))
         fh.write("\n")
 
 
-def _indented(obj, pad: str = ""):
+def _indented(obj, pad: str):
     """The pieces of ``json.dumps(obj, indent=2)``, every line after the
     first indented by ``pad`` more.
 
-    A value that holds no ndarray is left to json's encoder, piece by piece.
-    Around an ndarray, str-keyed dicts and lists are laid out here; a finite
-    2-D float ndarray is written with one ``float.__repr__`` per entry, as
-    json writes them, and any other one as its ``tolist()``.  (json runs its
-    C encoder only without indent, and its Python encoder is slow on a large
-    score matrix.)
+    A finite 2-D float ndarray is laid out here ROW_BLOCK rows at a time,
+    one ``float.__repr__`` per entry as json writes them, so neither the
+    file's text nor the array's Python floats are ever held whole.  (json
+    runs its C encoder only without indent, and its Python encoder is slow
+    on a large score matrix.)  Any other value is left to json's encoder,
+    an ndarray as its ``tolist()``.
     """
     inner = pad + "  "
     sep = ",\n" + inner
@@ -460,30 +450,10 @@ def _indented(obj, pad: str = ""):
                 [f"[\n{inner}  {row_sep.join(map(float.__repr__, row))}\n{inner}]"
                  for row in obj[i:i + ROW_BLOCK].tolist()])
         yield f"\n{pad}]"
-    elif isinstance(obj, np.ndarray):
-        yield from _indented(obj.tolist(), pad)
-    # json also takes a dict with keys other than str, and raises on its array
-    elif not _holds_array(obj) or isinstance(obj, dict) and not all(
-            isinstance(k, str) for k in obj):
-        for piece in json.JSONEncoder(indent=2).iterencode(obj):
-            yield piece.replace("\n", "\n" + pad)
-    elif isinstance(obj, dict):
-        opener = "{\n" + inner
-        for k, v in obj.items():
-            yield f"{opener}{json.dumps(k)}: "
-            yield from _indented(v, inner)
-            opener = sep
-        yield f"\n{pad}}}"
-    else:
-        yield f"[\n{inner}{sep.join(''.join(_indented(v, inner)) for v in obj)}\n{pad}]"
-
-
-def _holds_array(obj) -> bool:
-    if isinstance(obj, dict):
-        obj = obj.values()
-    elif not isinstance(obj, (list, tuple)):
-        return isinstance(obj, np.ndarray)
-    return any(map(_holds_array, obj))
+        return
+    for piece in json.JSONEncoder(indent=2).iterencode(
+            obj.tolist() if isinstance(obj, np.ndarray) else obj):
+        yield piece.replace("\n", "\n" + pad)
 
 
 def read_json(path: str | Path):

@@ -19,7 +19,14 @@ def run_pipeline(tmp_path, n=1200, seed=5, iterations=150, strategy="uct",
     out = str(tmp_path)
     assert main(["generate", "--n", str(n), "--seed", str(seed),
                  "--out-dir", out]) == 0
-    data = [f"--schema", f"{out}/schema.json", "--data", f"{out}/data.csv"]
+    return run_steps(out, f"{out}/schema.json", f"{out}/data.csv", iterations, strategy,
+                     mine_args, learn_args)
+
+
+def run_steps(out, schema, data_csv, iterations=150, strategy="uct", mine_args=(),
+              learn_args=()):
+    """mine, fit, learn and evaluate on one dataset, writing into out."""
+    data = ["--schema", schema, "--data", data_csv]
     assert main(["mine", *data, "--min-support", "0.1",
                  "--max-predicates", "2", "--out-dir", out, *mine_args]) == 0
     assert main(["fit", *data, "--out-dir", out]) == 0
@@ -57,6 +64,16 @@ class TestPipeline:
         assert regime["strategy"] == "greedy"
         metrics = read_json(f"{out}/metrics.json")
         assert abs(regime["objective"] - metrics["objective"]) <= 1e-12
+        # greedy reports what its bound pruned, as the library counts it
+        schema = regimelist.read_schema(f"{out}/schema.json")
+        ds = regimelist.read_dataset(f"{out}/data.csv", schema)
+        cands = regimelist.CandidateSet.from_dict(read_json(f"{out}/candidates.json"),
+                                                  ds.specs)
+        result = regimelist.greedy_baseline(ds, regimelist.read_scores(f"{out}/scores.json"),
+                                            cands, L_max=3)
+        assert regime["n_pruned"] == result.n_pruned > 0
+        assert regime["decision_list"] == regimelist.decision_list_to_dict(
+            result.decision_list, ds.specs, ds.treatment_names)
 
     def test_search_log_is_jsonl_with_monotone_incumbent(self, tmp_path):
         out = run_pipeline(tmp_path)
@@ -74,6 +91,19 @@ class TestPipeline:
                       "metrics.txt", "search_log.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
+
+    def test_crlf_data_gives_the_same_outputs_byte_for_byte(self, tmp_path):
+        # a CRLF file is not plain, so csv.reader reads it for every step
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        run_pipeline(lf, n=3000)
+        crlf.mkdir()
+        (crlf / "data.csv").write_bytes((lf / "data.csv").read_bytes().replace(b"\n", b"\r\n"))
+        schema = str(lf / "schema.json")
+        assert regimelist.io._read_plain(crlf / "data.csv", regimelist.read_schema(schema)) is None
+        run_steps(str(crlf), schema, str(crlf / "data.csv"))
+        for name in ("candidates.json", "scores.json", "regime.json", "search_log.jsonl",
+                     "metrics.json"):
+            assert (crlf / name).read_bytes() == (lf / name).read_bytes(), name
 
     def test_config_file_supplies_defaults_flags_override(self, tmp_path):
         out = str(tmp_path)

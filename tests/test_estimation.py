@@ -253,6 +253,19 @@ class TestPropensityFit:
             fit_propensity(ds, max_iters=2, grad_tol=1e-12)
         assert exc.value.gradient_norm > 0
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_max_iters_admits_a_fit_converged_in_exactly_that_many_steps(self, m):
+        # the gradient is checked after the last allowed step as after any
+        ds = logistic_dataset(np.random.default_rng(30 + m), n=300, m=m)
+        steps = fit_propensity(ds).n_iterations
+        assert steps >= 2
+        model = fit_propensity(ds, max_iters=steps)
+        assert model.n_iterations == steps and model.gradient_norm <= 1e-6
+        assert np.array_equal(model.weights, fit_propensity(ds).weights)
+        with pytest.raises(ConvergenceError, match=f"within {steps - 1} iterations") as exc:
+            fit_propensity(ds, max_iters=steps - 1)
+        assert exc.value.gradient_norm > 1e-6
+
     def test_model_round_trip(self):
         # propensity.json carries the fitted parameters exactly
         rng = np.random.default_rng(20)

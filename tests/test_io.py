@@ -361,7 +361,8 @@ class TestFastPathAgreesWithExactPath:
 
     @pytest.mark.parametrize("column, cell, taken", [
         ("age", " 34.0 ", True),
-        ("age", "\u30001.5\xa0", True),
+        # float() strips the Unicode spaces; loadtxt fails on them, so the file is declined
+        ("age", "\u30001.5\xa0", False),
         ("age", "1e-400", True),
         ("age", "-0.0", True),
         ("age", "nan", False),
@@ -764,9 +765,20 @@ class TestJsonHelpers:
     ])
     def test_other_arrays_bytes_match_json_dumps(self, tmp_path, array):
         path = tmp_path / "x.json"
-        write_json({"a": array, "b": [array]}, path)
-        expected = json.dumps({"a": array.tolist(), "b": [array.tolist()]}, indent=2) + "\n"
+        write_json({"a": array, "b": [1.5, {"c": None}]}, path)
+        expected = json.dumps({"a": array.tolist(), "b": [1.5, {"c": None}]}, indent=2) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
+        write_json(array, path)
+        assert path.read_bytes() == (json.dumps(array.tolist(), indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("obj", [
+        {"a": np.zeros((2, 2)), "b": [np.zeros((2, 2))]},
+        {"a": {"b": np.zeros(2)}}, [np.zeros((2, 2))], {1: np.zeros(2)},
+    ])
+    def test_nested_array_raises_type_error(self, tmp_path, obj):
+        # only an ndarray that is obj, or a value of a str-keyed obj, is laid out
+        with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+            write_json(obj, tmp_path / "x.json")
 
     def test_score_matrix_write_holds_no_copy_of_it(self, tmp_path):
         # neither the matrix as Python floats nor the file's text is held
