@@ -36,6 +36,14 @@ COMPARE = {"=": np.equal, "!=": np.not_equal, "<=": np.less_equal,
 OPS = tuple(COMPARE)
 ORDERING_OPS = ("<=", ">=", "<", ">")
 
+#: The most subjects or quantile bins that an array may be sized from.  Up
+#: to it numpy refuses an array too large to allocate with MemoryError.
+#: Beyond it (numpy 2.4), a float64 array of more than intp's max // 8
+#: entries raises ValueError, as does np.arange(1, b) from b = 2**60 - 63,
+#: and np.arange(1, b) at b = 2**63 - 2 or 2**63 - 1 is empty.  Half of
+#: intp's max // 8 stays clear of both.
+MAX_COUNT = np.iinfo(np.intp).max // 16
+
 
 @dataclass(frozen=True)
 class CharacteristicSpec:

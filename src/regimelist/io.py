@@ -89,25 +89,36 @@ class DataSchema:
     @classmethod
     def from_dict(cls, d: dict) -> "DataSchema":
         with malformed("schema"):
-            specs = tuple(
-                CharacteristicSpec(
-                    name=c["name"],
-                    kind=c["kind"],
-                    cost=float(c["cost"]),
-                    levels=tuple(c.get("levels", ())),
-                )
-                for c in d["characteristics"]
-            )
+            specs = []
+            for c in d["characteristics"]:
+                name = _typed(c["name"], "string", "a characteristic's name")
+                levels = _typed(c.get("levels", []), "array", f"levels of {name!r}")
+                specs.append(CharacteristicSpec(
+                    name, c["kind"], float(_typed(c["cost"], "number", f"cost of {name!r}")),
+                    tuple(_typed(level, "string", f"a level of {name!r}") for level in levels)))
             treatments = d["treatments"]
             names = tuple(treatments.keys())
-            costs = tuple(float(treatments[n]) for n in names)
+            costs = tuple(float(_typed(treatments[n], "number", f"cost of treatment {n!r}"))
+                          for n in names)
             return cls(
-                specs=specs,
+                specs=tuple(specs),
                 treatment_names=names,
                 treatment_costs=costs,
                 treatment_column=d.get("treatment_column", "treatment"),
                 outcome_column=d.get("outcome_column", "outcome"),
             )
+
+
+_JSON_TYPES = {"string": str, "array": list, "number": (int, float)}
+
+
+def _typed(value, json_type: str, field: str):
+    """value, when it has the JSON type json_type (a bool is no number);
+    otherwise a malformed-schema ValidationError that names the field."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[json_type]):
+        raise ValidationError(f"malformed schema: {field} must be a JSON {json_type}, "
+                              f"got {value!r}")
+    return value
 
 
 def read_schema(path: str | Path) -> DataSchema:
@@ -130,9 +141,7 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
     the cell as written.
     """
     try:
-        ds = _read_plain(csv_path, schema)
-        if ds is not None:
-            return ds
+        return _read_plain(csv_path, schema)
     except MemoryError:
         raise
     except Exception:  # the exact path below says what is wrong, if anything
@@ -141,18 +150,19 @@ def read_dataset(csv_path: str | Path, schema: DataSchema) -> Dataset:
 
 
 class _NotPlain(Exception):
-    """Raised where ``_read_plain`` finds a file that is not plain."""
+    """Raised where a fast reader finds a file that it does not take."""
 
 
-def _read_plain(csv_path: str | Path, schema: DataSchema) -> Dataset | None:
-    """The dataset of a plain CSV file, or None when the file is not plain;
-    a piece that does not parse, or whose cells do not convert, raises.
+def _read_plain(csv_path: str | Path, schema: DataSchema) -> Dataset:
+    """The dataset of a plain CSV file.  Any other file raises: _NotPlain
+    where this pass finds it not plain, or what else refused it, such as a
+    parse, a cell's conversion or a missing column's KeyError.
 
     Plain means: UTF-8 text with no quote and no control byte but LF, so no
     CR, no NUL (numpy strings drop trailing NULs) and none of the separators
     that loadtxt, unlike float(), strips as whitespace; no blank line and no
-    line longer than csv's field limit; a header holding every needed column
-    once; and one record per line after it.
+    line longer than csv's field limit; a header holding each column once
+    and every needed one; and one record per line after it.
 
     The records are read twice: once SCAN_BLOCK bytes at a time by
     ``_cut``, which counts them and cuts them into pieces of whole lines,
@@ -171,17 +181,14 @@ def _read_plain(csv_path: str | Path, schema: DataSchema) -> Dataset | None:
     names = {s.name: s.levels for s in schema.specs if s.kind != REAL}
     names[schema.treatment_column] = schema.treatment_names
     with open(csv_path, "rb") as fh:
-        try:
-            header = fh.readline(limit + 2)
-            _check_piece(header, limit)
-            cuts, n_records = _cut(fh, limit)
-        except _NotPlain:
-            return None
+        header = fh.readline(limit + 2)
+        _check_piece(header, limit)
+        cuts, n_records = _cut(fh, limit)
         header = header.decode("utf-8").removesuffix("\n").split(",")
         col_of = {name: k for k, name in enumerate(header)}
-        if n_records < 1 or len(col_of) < len(header) or not col_of.keys() >= set(needed) \
+        if len(col_of) < len(header) \
                 or any("\x00" in name for levels in names.values() for name in levels):
-            return None
+            raise _NotPlain
         formats = [f"S{max(len(name.encode()) for name in names[h]) + 1}" if h in names
                    else "f8" if h in needed else "S1" for h in header]
         dtype = {"names": [f"c{k}" for k in range(len(header))], "formats": formats}
@@ -195,12 +202,9 @@ def _read_plain(csv_path: str | Path, schema: DataSchema) -> Dataset | None:
             return cells, treatments, outcomes
 
         fh.seek(cuts[0])
-        try:
-            return Dataset.from_blocks(
-                schema.specs, schema.treatment_names, schema.treatment_costs, n_records,
-                (block(fh.read(stop - start)) for start, stop in zip(cuts, cuts[1:])))
-        except _NotPlain:
-            return None
+        return Dataset.from_blocks(
+            schema.specs, schema.treatment_names, schema.treatment_costs, n_records,
+            (block(fh.read(stop - start)) for start, stop in zip(cuts, cuts[1:])))
 
 
 def _cut(fh, limit: int) -> tuple[list[int], int]:
@@ -230,7 +234,8 @@ def _cut(fh, limit: int) -> tuple[list[int], int]:
 def _check_piece(piece: bytes, limit: int) -> int:
     """The number of lines in a piece of whole lines, once its bytes are
     plain (see ``_read_plain``): no quote, no control byte but LF, no blank
-    line, no line longer than limit, and UTF-8."""
+    line (loadtxt would warn on a piece of blank lines), no line longer than
+    limit, and UTF-8."""
     u8 = np.frombuffer(piece, dtype=np.uint8)
     ends = np.flatnonzero(u8 < 0x20)  # all LFs, in a plain piece
     # the lines its LFs end, then what follows the last LF: a last line or b""
@@ -390,8 +395,8 @@ def format_decision_list(
 ) -> str:
     """Human-readable if / else-if / else rendering of a decision list."""
     def fmt_value(p: Predicate) -> str:
-        if specs[p.feature].kind == REAL:
-            return f"{float(p.value):g}"
+        if specs[p.feature].kind == REAL:  # the shortest text float() reads back exactly
+            return repr(float(p.value)).removesuffix(".0")
         return str(p.value)
 
     def fmt_pattern(pattern: Pattern) -> str:
@@ -478,9 +483,7 @@ def read_scores(path: str | Path) -> DRScoreMatrix:
     """
     try:
         with open(path, "rb") as fh:  # the file's bytes live only in the pass
-            record = _plain_scores(fh.read())
-        if record is not None:
-            return DRScoreMatrix.from_dict(record)
+            return DRScoreMatrix.from_dict(_plain_scores(fh.read()))
     except MemoryError:
         raise
     except Exception:  # the json path below says what is wrong, if anything
@@ -488,10 +491,10 @@ def read_scores(path: str | Path) -> DRScoreMatrix:
     return DRScoreMatrix.from_dict(read_json(path))
 
 
-def _plain_scores(data: bytes) -> dict | None:
+def _plain_scores(data: bytes) -> dict:
     """``json.loads(data)`` with its ``"scores"`` rows as a float64 ndarray,
-    as ``np.asarray(rows, dtype=float)`` gives it, or None when "scores" is
-    not the last key or its value is not rows of m entries.
+    as ``np.asarray(rows, dtype=float)`` gives it; raises _NotPlain when
+    "scores" is not the last key or its value is not rows of m entries.
 
     The text before the last ``"scores"`` is parsed with ``"scores": []}``
     appended.  When that object's own last pair is ("scores", []), the key
@@ -504,17 +507,17 @@ def _plain_scores(data: bytes) -> dict | None:
     key = data.rfind(b'"scores"')
     opener = _SCORES_KEY.match(data, key) if key >= 0 else None
     if opener is None:
-        return None
+        raise _NotPlain
     objects = []  # every object's pairs, in the order the objects close
     record = json.loads(data[:key].decode("utf-8") + '"scores": []}',
                         object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
     if objects[-1][-1] != ("scores", []):
-        return None
+        raise _NotPlain
     start = opener.end()
     row_ends = _positions(np.frombuffer(data, dtype=np.uint8)[start:], ord("]"))[:-1] + start
     n = len(row_ends)
     if n == 0 or not _SCORES_END.fullmatch(data, row_ends[-1] + 1):
-        return None
+        raise _NotPlain
     scores = None
     for i in range(0, n, ROW_BLOCK):
         k = min(ROW_BLOCK, n - i)
@@ -524,12 +527,12 @@ def _plain_scores(data: bytes) -> dict | None:
         if scores is None:
             scores = np.empty((n, rows.shape[-1]))
         if rows.shape != (k, scores.shape[1]):
-            return None
+            raise _NotPlain
         scores[i:i + k] = rows
         if i + k < n:
             separator = _ROW_SEP.match(data, stop)
             if separator is None:
-                return None
+                raise _NotPlain
             start = separator.end()
     record["scores"] = scores
     return record

@@ -15,8 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import REAL, CharacteristicSpec, Dataset, Pattern, Predicate, predicate_mask
-from .errors import EmptyCandidateSetError, ValidationError, config_values, malformed
+from .domain import (MAX_COUNT, REAL, CharacteristicSpec, Dataset, Pattern, Predicate,
+                     predicate_mask)
+from .errors import (EmptyCandidateSetError, SizeLimitError, ValidationError, config_values,
+                     malformed)
 from .io import pattern_from_list, pattern_to_list
 
 
@@ -47,10 +49,13 @@ def discretize(ds: Dataset, num_bins: int = 4) -> dict[int, tuple[float, ...]]:
     """Quantile thresholds per real feature, strictly inside (min, max).
 
     Returns {feature index: ascending thresholds}; a constant column maps to
-    an empty tuple.  Binary and categorical features are absent.
+    an empty tuple.  Binary and categorical features are absent.  More than
+    MAX_COUNT bins raise SizeLimitError.
     """
     if num_bins < 2:
         raise ValidationError("num_bins must be at least 2")
+    if num_bins > MAX_COUNT:
+        raise SizeLimitError(f"num_bins {num_bins} exceeds the limit of {MAX_COUNT}")
     out: dict[int, tuple[float, ...]] = {}
     qs = np.arange(1, num_bins) / num_bins
     for f, spec in enumerate(ds.specs):

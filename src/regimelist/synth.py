@@ -21,6 +21,7 @@ import numpy as np
 from .domain import (
     BINARY,
     CATEGORICAL,
+    MAX_COUNT,
     ORDERING_OPS,
     REAL,
     CharacteristicSpec,
@@ -252,9 +253,12 @@ def _sample_codes(rng: np.random.Generator, probs: np.ndarray, n: int) -> np.nda
 
 
 def generate(gspec: GeneratorSpec) -> tuple[Dataset, GroundTruth]:
-    """Sample a dataset; identical spec (seed included) gives identical data."""
-    rng = np.random.default_rng(gspec.seed)
+    """Sample a dataset; identical spec (seed included) gives identical data.
+    More than MAX_COUNT subjects raise SizeLimitError."""
     n = gspec.n_subjects
+    if n > MAX_COUNT:
+        raise SizeLimitError(f"{n} subjects exceed the limit of {MAX_COUNT}")
+    rng = np.random.default_rng(gspec.seed)
     columns = []
     for spec, marg in zip(gspec.specs, gspec.marginals):
         if marg.kind == UNIFORM:

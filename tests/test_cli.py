@@ -78,7 +78,7 @@ class TestPipeline:
     def test_search_log_is_jsonl_with_monotone_incumbent(self, tmp_path):
         out = run_pipeline(tmp_path)
         rows = [json.loads(line)
-                for line in open(f"{out}/search_log.jsonl")]
+                for line in Path(out, "search_log.jsonl").read_text().splitlines()]
         assert len(rows) >= 1
         objs = [r["incumbent_objective"] for r in rows
                 if r["incumbent_objective"] is not None]
@@ -99,7 +99,8 @@ class TestPipeline:
         crlf.mkdir()
         (crlf / "data.csv").write_bytes((lf / "data.csv").read_bytes().replace(b"\n", b"\r\n"))
         schema = str(lf / "schema.json")
-        assert regimelist.io._read_plain(crlf / "data.csv", regimelist.read_schema(schema)) is None
+        with pytest.raises(regimelist.io._NotPlain):
+            regimelist.io._read_plain(crlf / "data.csv", regimelist.read_schema(schema))
         run_steps(str(crlf), schema, str(crlf / "data.csv"))
         for name in ("candidates.json", "scores.json", "regime.json", "search_log.jsonl",
                      "metrics.json"):
@@ -164,6 +165,19 @@ class TestEvaluate:
         metrics = read_json(str(tmp_path / "eval3" / "metrics.json"))
         assert metrics["mean_assessment_cost"] == 0.0
         assert metrics["avg_num_characteristics"] == 0.0
+
+    def test_charge_default_full_in_learn_and_evaluate(self, tmp_path):
+        out = run_pipeline(tmp_path, n=3000, learn_args=["--charge-default-full"])
+        regime = read_json(f"{out}/regime.json")
+        assert regime["search"]["charge_default_full"] is True
+        assert regime["decision_list"]["rules"]
+        full = tmp_path / "full"
+        assert main(["evaluate", "--schema", f"{out}/schema.json", "--data", f"{out}/data.csv",
+                     "--regime", f"{out}/regime.json", "--scores", f"{out}/scores.json",
+                     "--charge-default-full", "--out-dir", str(full)]) == 0
+        assert read_json(str(full / "metrics.json"))["objective"] == regime["objective"]
+        # run_pipeline's own evaluate bills the default group nothing
+        assert read_json(f"{out}/metrics.json")["objective"] > regime["objective"]
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +325,7 @@ class TestExitCodes:
 
     def test_duplicate_column_exits_2(self, learned_run, tmp_path, capsys):
         out = learned_run
-        lines = open(f"{out}/data.csv").read().splitlines()
+        lines = Path(out, "data.csv").read_text().splitlines()
         header = lines[0].split(",")
         header[header.index("bmi")] = "age"  # bmi values under a second age
         bad = tmp_path / "bad.csv"
@@ -325,7 +339,7 @@ class TestExitCodes:
 
     def test_singular_outcome_fit_exits_3(self, learned_run, tmp_path, capsys):
         out = learned_run
-        lines = open(f"{out}/data.csv").read().splitlines()
+        lines = Path(out, "data.csv").read_text().splitlines()
         k = lines[0].split(",").index("temperature")
         for i in range(1, len(lines)):
             cells = lines[i].split(",")
@@ -346,7 +360,7 @@ class TestExitCodes:
     def test_non_finite_cell_exits_2(self, learned_run, tmp_path, capsys,
                                      column, cell):
         out = learned_run
-        lines = open(f"{out}/data.csv").read().splitlines()
+        lines = Path(out, "data.csv").read_text().splitlines()
         k = lines[0].split(",").index(column)
         cells = lines[2].split(",")
         cells[k] = cell
@@ -384,7 +398,7 @@ class TestExitCodes:
     ], ids=["latin-1", "long-field"])
     def test_unreadable_csv_exits_2(self, learned_run, tmp_path, capsys, cell, want):
         out = learned_run
-        lines = open(f"{out}/data.csv", encoding="utf-8").read().splitlines()
+        lines = Path(out, "data.csv").read_text(encoding="utf-8").splitlines()
         k = lines[0].split(",").index("gender")
         cells = lines[2].split(",")
         cells[k] = cell
@@ -478,8 +492,14 @@ class TestExitCodes:
         ("mine", ["--num-bins", str(10 ** 15)], 3),
         ("generate", ["--n", str(10 ** 30)], 2),
         ("mine", ["--num-bins", str(10 ** 30)], 2),
+        # numpy would raise ValueError at these, or make no quantile at all
+        ("generate", ["--n", str(2 ** 62)], 3),
+        ("generate", ["--n", str(2 ** 63 - 1)], 3),
+        ("mine", ["--num-bins", str(2 ** 62)], 3),
+        ("mine", ["--num-bins", str(2 ** 63 - 1)], 3),
     ], ids=["generate-n", "mine-num_bins", "generate-n-beyond-intp",
-            "mine-num_bins-beyond-intp"])
+            "mine-num_bins-beyond-intp", "generate-n-2^62", "generate-n-intp-max",
+            "mine-num_bins-2^62", "mine-num_bins-intp-max"])
     def test_unallocatable_size_exits_nonzero(self, learned_run, tmp_path, capsys,
                                               step, flags, want):
         # sizes numpy refuses before it allocates anything

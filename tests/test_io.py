@@ -6,6 +6,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+import warnings
 from io import StringIO
 from pathlib import Path
 
@@ -79,6 +80,12 @@ class TestSchema:
         {"treatments": {"a": 5.0, "b": float("nan")}},
         {"characteristics": [{"name": "age", "kind": "real", "cost": 10 ** 400}]},
         {"treatments": {"a": 5.0, "b": 10 ** 400}},
+        {"characteristics": [{"name": "smoker", "kind": "binary", "cost": 1.0, "levels": "ab"}]},
+        {"characteristics": [{"name": "age", "kind": "real", "cost": "1"}]},
+        {"characteristics": [{"name": "age", "kind": "real", "cost": True}]},
+        {"treatments": {"a": 5.0, "b": "2"}},
+        {"characteristics": [{"name": "smoker", "kind": "binary", "cost": 1.0,
+                              "levels": ["a", 2]}]},
     ])
     def test_malformed_schema_rejected(self, change):
         with pytest.raises(ValidationError,
@@ -601,6 +608,18 @@ class TestFastPathAgreesWithExactPath:
             read_dataset(path, SCHEMA)
         assert problem in str(exc.value)
 
+    def test_a_piece_of_blank_lines_warns_nothing(self, tmp_path, monkeypatch):
+        # the records fill the first piece, so the second holds blank lines
+        # alone, on which loadtxt would warn "input contained no data"
+        monkeypatch.setattr(io, "SCAN_BLOCK", len(PLAIN) - PLAIN.index("\n") - 1)
+        path = tmp_path / "data.csv"
+        path.write_text(PLAIN + "\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="line 4: expected 5 cells, got 0"):
+                read_dataset(path, SCHEMA)
+        assert caught == []
+
     def test_dataset_holds_no_view_of_the_parse(self, tmp_path):
         # a view of a parsed column would keep the whole parse alive
         path = tmp_path / "data.csv"
@@ -690,6 +709,17 @@ class TestDecisionListSerialization:
         lines = text.splitlines()
         assert lines[0] == "if age >= 40 and smoker = yes then b"
         assert lines[1] == "else a"
+
+    @pytest.mark.parametrize("threshold, text", [
+        (36.99972112856195, "36.99972112856195"),
+        (123456789.0, "123456789"),
+    ])
+    def test_pretty_print_real_threshold_exactly(self, threshold, text):
+        dl = DecisionList(rules=((Pattern((Predicate(0, ">=", threshold),)), 1),),
+                          default_treatment=0)
+        line = format_decision_list(dl, SPECS, ("a", "b")).splitlines()[0]
+        assert line == f"if age >= {text} then b"
+        assert float(line.split()[3]) == threshold
 
     def test_pretty_print_empty_list(self):
         dl = DecisionList(rules=(), default_treatment=1)
@@ -822,10 +852,9 @@ def json_scores(path: Path) -> DRScoreMatrix | str:
 
 def chunked_scores(path: Path) -> DRScoreMatrix | None:
     """What read_scores' chunked pass alone makes of a file: its matrix, or
-    None where it declines or raises."""
+    None where it raises."""
     try:
-        record = io._plain_scores(path.read_bytes())
-        return None if record is None else DRScoreMatrix.from_dict(record)
+        return DRScoreMatrix.from_dict(io._plain_scores(path.read_bytes()))
     except Exception:
         return None
 

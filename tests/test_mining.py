@@ -15,7 +15,7 @@ from regimelist.domain import (
     Pattern,
     pattern_mask,
 )
-from regimelist.errors import EmptyCandidateSetError, ValidationError
+from regimelist.errors import EmptyCandidateSetError, SizeLimitError, ValidationError
 from regimelist.mining import (
     CandidateSet,
     MiningConfig,
@@ -69,6 +69,11 @@ class TestDiscretize:
         ds = real_only_dataset([1.0] * 7 + [2.0] * 3)
         cuts = discretize(ds, num_bins=4)[0]
         assert all(1.0 < t < 2.0 for t in cuts)
+
+    def test_bins_beyond_the_count_limit_refused(self):
+        # np.arange(1, 2**63 - 1) is empty, so no threshold would be made
+        with pytest.raises(SizeLimitError):
+            discretize(real_only_dataset(range(1, 101)), num_bins=2 ** 63 - 1)
 
     def test_constant_column_has_no_thresholds(self):
         ds = real_only_dataset([3.0] * 12)
