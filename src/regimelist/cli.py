@@ -156,13 +156,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
         extra = {"tree_size": result.tree_size, "n_pruned": result.n_pruned,
                  "iterations_run": result.iterations_run}
     elif args.strategy == "greedy":
-        result = greedy_baseline(ds, scores, cands, weights, sconfig.L_max,
-                                 sconfig.charge_default_full)
+        result = greedy_baseline(ds, scores, cands, weights, sconfig)
         extra = {"n_pruned": result.n_pruned}
     else:
-        result = exhaustive_search(ds, scores, cands, weights, sconfig.L_max,
-                                   use_bound=True,
-                                   charge_default_full=sconfig.charge_default_full)
+        result = exhaustive_search(ds, scores, cands, weights, sconfig, use_bound=True)
         extra = {"n_evaluated": result.n_evaluated, "n_pruned": result.n_pruned}
     dl = result.decision_list
 

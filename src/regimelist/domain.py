@@ -27,6 +27,8 @@ REAL = "real"
 BINARY = "binary"
 CATEGORICAL = "categorical"
 KINDS = (REAL, BINARY, CATEGORICAL)
+# the names of a dataset's treatment and outcome columns
+TREATMENT, OUTCOME = "treatment", "outcome"
 
 #: Comparison operators accepted by predicates, each with the ufunc that
 #: applies it to a column. Ordering operators are only valid for real-valued
@@ -142,7 +144,7 @@ class Dataset:
             raise ValidationError("dataset needs at least one subject")
         # per column: its name, and its level names, or None for numbers
         kinds = [(s.name, None if s.kind == REAL else s.levels) for s in specs]
-        kinds += [("treatment", treatment_names), ("outcome", None)]
+        kinds += [(TREATMENT, treatment_names), (OUTCOME, None)]
         out = [np.empty(n, dtype=float if names is None else code_dtype(len(names)))
                for _, names in kinds]
         start = 0

@@ -2,8 +2,9 @@
 matrix JSON, pretty print.
 
 The dataset lives in two files: a CSV with a header row, and a companion
-schema JSON describing each column (kind, levels, assessment cost), the
-treatment and outcome column names, and the treatment -> cost map.
+schema JSON describing each characteristic column (kind, levels,
+assessment cost) and the treatment -> cost map.  The treatment and outcome
+columns are always named ``treatment`` and ``outcome``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .domain import (
+    OUTCOME,
     REAL,
+    TREATMENT,
     CharacteristicSpec,
     Dataset,
     DecisionList,
@@ -51,8 +54,6 @@ class DataSchema:
     specs: tuple[CharacteristicSpec, ...]
     treatment_names: tuple[str, ...]
     treatment_costs: tuple[float, ...]
-    treatment_column: str = "treatment"
-    outcome_column: str = "outcome"
 
     def __post_init__(self) -> None:
         names = [s.name for s in self.specs]
@@ -66,8 +67,7 @@ class DataSchema:
             if not 0 <= cost < math.inf:
                 raise ValidationError(
                     f"cost of treatment {name!r} must be finite and >= 0, got {cost}")
-        reserved = {self.treatment_column, self.outcome_column}
-        if reserved & set(names):
+        if {TREATMENT, OUTCOME} & set(names):
             raise ValidationError(
                 "characteristic names collide with the treatment/outcome columns"
             )
@@ -81,8 +81,6 @@ class DataSchema:
             chars.append(entry)
         return {
             "characteristics": chars,
-            "treatment_column": self.treatment_column,
-            "outcome_column": self.outcome_column,
             "treatments": {n: c for n, c in zip(self.treatment_names, self.treatment_costs)},
         }
 
@@ -104,8 +102,6 @@ class DataSchema:
                 specs=tuple(specs),
                 treatment_names=names,
                 treatment_costs=costs,
-                treatment_column=d.get("treatment_column", "treatment"),
-                outcome_column=d.get("outcome_column", "outcome"),
             )
 
 
@@ -179,7 +175,7 @@ def _read_plain(csv_path: str | Path, schema: DataSchema) -> Dataset:
     limit = csv.field_size_limit()
     needed = _needed_columns(schema)
     names = {s.name: s.levels for s in schema.specs if s.kind != REAL}
-    names[schema.treatment_column] = schema.treatment_names
+    names[TREATMENT] = schema.treatment_names
     with open(csv_path, "rb") as fh:
         header = fh.readline(limit + 2)
         _check_piece(header, limit)
@@ -275,7 +271,7 @@ def _positions(u8: np.ndarray, byte: int) -> np.ndarray:
 
 def _needed_columns(schema: DataSchema) -> list[str]:
     """The columns a dataset is built from, in ``Dataset.from_columns`` order."""
-    return [s.name for s in schema.specs] + [schema.treatment_column, schema.outcome_column]
+    return [s.name for s in schema.specs] + [TREATMENT, OUTCOME]
 
 
 def _read_exact(csv_path: str | Path, schema: DataSchema) -> Dataset:
@@ -339,7 +335,7 @@ def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
     columns += [(ds.treatments, quoted(ds.treatment_names)), (ds.outcomes, None)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(
-            [s.name for s in ds.specs] + ["treatment", "outcome"])
+            [s.name for s in ds.specs] + [TREATMENT, OUTCOME])
         for i in range(0, ds.n_subjects, CSV_BLOCK):
             cells = [map(repr, col[i:i + CSV_BLOCK].tolist()) if names is None
                      else names[col[i:i + CSV_BLOCK]].tolist() for col, names in columns]

@@ -56,7 +56,7 @@ Action = int
 # subjects per float32 product of _sums: up to 512 ones add exactly in float32
 BLOCK = 512
 EXHAUSTIVE_MAX_PATTERNS = 10
-EXHAUSTIVE_MAX_DEPTH = 3
+EXHAUSTIVE_MAX_DEPTH = 4
 # progressive widening: a node may hold at most ceil(c * visits^alpha)
 # children, so wide action spaces deepen instead of expanding breadth-first
 WIDEN_C = 2.0
@@ -155,12 +155,13 @@ class SearchProblem:
         scores: DRScoreMatrix,
         cands: CandidateSet,
         weights: ObjectiveWeights = ObjectiveWeights(),
-        charge_default_full: bool = False,
+        config: SearchConfig = SearchConfig(),
     ):
         check_scores(ds, scores, weights)
         self.ds = ds
         self.weights = weights
-        self.charge_default_full = charge_default_full
+        self.L_max = config.L_max
+        self.charge_default_full = config.charge_default_full
         self.patterns = cands.patterns
         self.n = ds.n_subjects
         self.m = ds.n_treatments
@@ -246,8 +247,7 @@ class SearchProblem:
     # an inf in the float32 table, or a float32 sum beyond its range, makes an
     # infinite hi, so numpy's overflow and invalid-value warnings carry no news
     @np.errstate(over="ignore", invalid="ignore")
-    def ordered_actions(self, state: SearchState,
-                        L_max: int) -> tuple[np.ndarray, np.ndarray]:
+    def ordered_actions(self, state: SearchState) -> tuple[np.ndarray, np.ndarray]:
         """The legal actions of a non-terminal state, and a bound per child.
 
         Returns int32 action codes (at depth L_max, the problem's read-only
@@ -312,7 +312,7 @@ class SearchProblem:
         default_codes = self.default_codes
         default_sums = self.default_sums(state)
         default_his = self._closed(state, default_sums)
-        if state.depth >= L_max:
+        if state.depth >= self.L_max:
             return default_codes, default_his
 
         lam2 = self.weights.lambda2
@@ -320,7 +320,7 @@ class SearchProblem:
         n_unc = int(np.count_nonzero(uncov))
         settled = state.incurred_value - lam2 * state.incurred_assess
         sums = self._sums(state)
-        if state.depth + 1 < L_max:  # its children may append rules
+        if state.depth + 1 < self.L_max:  # its children may append rules
             state.sums = sums
         counts = sums[0].astype(np.int64)
         eligible = np.flatnonzero(counts >= 1)
@@ -447,7 +447,7 @@ class Frontier:
     A ``windowed`` frontier holds only the last of them, and a count of the
     earlier ones, which it orders again once it has taken the rest."""
 
-    __slots__ = ("state", "codes", "his", "cursor", "earlier", "L_max")
+    __slots__ = ("state", "codes", "his", "cursor", "earlier")
 
     def __init__(self, state: SearchState, codes: np.ndarray, his: np.ndarray):
         self.state, self.codes, self.his = state, codes, his
@@ -455,15 +455,15 @@ class Frontier:
         self.earlier = 0
 
     @classmethod
-    def windowed(cls, problem: SearchProblem, state: SearchState, L_max: int) -> Frontier:
+    def windowed(cls, problem: SearchProblem, state: SearchState) -> Frontier:
         """The children in ``ordered_actions``' order, of which it keeps
         copies of the WINDOW taken first: a view would keep the whole
         arrays.  The call is deterministic, so the state and the sums its
         parent keeps give the same order again."""
-        codes, his = problem.ordered_actions(state, L_max)
+        codes, his = problem.ordered_actions(state)
         earlier = max(len(codes) - WINDOW, 0)
         frontier = cls(state, codes[earlier:].copy(), his[earlier:].copy())
-        frontier.earlier, frontier.L_max = earlier, L_max
+        frontier.earlier = earlier
         return frontier
 
     @classmethod
@@ -483,7 +483,7 @@ class Frontier:
             if not self.cursor:
                 # the window is spent: order the children again, and keep
                 # the earlier ones whole
-                self.codes, self.his = problem.ordered_actions(self.state, self.L_max)
+                self.codes, self.his = problem.ordered_actions(self.state)
                 self.cursor, self.earlier = self.earlier, 0
             self.cursor -= 1
             bound = float(self.his[self.cursor])
@@ -552,7 +552,7 @@ def uct_search(
     explored; the search stops once the root is, every completion
     evaluated or excluded.
     """
-    problem = SearchProblem(ds, scores, cands, weights, config.charge_default_full)
+    problem = SearchProblem(ds, scores, cands, weights, config)
     # the root is nobody's child, so its bound is never compared
     root = SearchNode(problem.initial_state(), math.inf)
     tree_size = 1
@@ -597,7 +597,7 @@ def uct_search(
         reward: float | None = None
         while True:
             if node.frontier is None:
-                node.frontier = Frontier.windowed(problem, node.state, config.L_max)
+                node.frontier = Frontier.windowed(problem, node.state)
             for c in node.children:
                 if not c.fully_explored and c.bound <= best_obj:
                     c.fully_explored = True
@@ -657,11 +657,11 @@ def exhaustive_search(
     scores: DRScoreMatrix,
     cands: CandidateSet,
     weights: ObjectiveWeights = ObjectiveWeights(),
-    L_max: int = 3,
+    config: SearchConfig = SearchConfig(),
     use_bound: bool = False,
-    charge_default_full: bool = False,
 ) -> SearchResult:
-    """Exact argmax by enumerating every legal pattern sequence up to L_max.
+    """Exact argmax by enumerating every legal pattern sequence up to
+    ``config.L_max``; the config's iterations, c_explore and seed are unused.
 
     A rule is legal when ``ordered_actions`` allows it: its pattern is unused
     and newly covers at least one subject.  Each rule takes the arm ``apply``
@@ -678,10 +678,11 @@ def exhaustive_search(
         raise SizeLimitError(
             f"{len(cands.patterns)} patterns exceeds the exhaustive limit "
             f"of {EXHAUSTIVE_MAX_PATTERNS}")
-    if L_max > EXHAUSTIVE_MAX_DEPTH:
-        raise SizeLimitError(f"L_max {L_max} exceeds the exhaustive limit of {EXHAUSTIVE_MAX_DEPTH}")
+    if config.L_max > EXHAUSTIVE_MAX_DEPTH:
+        raise SizeLimitError(
+            f"L_max {config.L_max} exceeds the exhaustive limit of {EXHAUSTIVE_MAX_DEPTH}")
 
-    problem = SearchProblem(ds, scores, cands, weights, charge_default_full)
+    problem = SearchProblem(ds, scores, cands, weights, config)
     best_obj = -math.inf
     best_state: SearchState | None = None
     n_evaluated = 0
@@ -689,7 +690,7 @@ def exhaustive_search(
 
     def visit(state: SearchState) -> None:
         nonlocal best_obj, best_state, n_evaluated
-        frontier = Frontier.by_code(state, *problem.ordered_actions(state, L_max))
+        frontier = Frontier.by_code(state, *problem.ordered_actions(state))
         while taken := frontier.take(problem, best_obj if use_bound else -math.inf, pruned):
             child, obj = taken
             if not child.terminal:
@@ -713,22 +714,22 @@ def greedy_baseline(
     scores: DRScoreMatrix,
     cands: CandidateSet,
     weights: ObjectiveWeights = ObjectiveWeights(),
-    L_max: int = 4,
-    charge_default_full: bool = False,
+    config: SearchConfig = SearchConfig(),
 ) -> SearchResult:
     """Appends the single rule with the largest exact objective gain.
 
     Each step takes the rule children by ``Frontier.take`` in the order
     exhaustive_search tries them, against the best objective so far, and
     closes each with ``SearchProblem.close``; it stops when no rule
-    strictly improves the closed list's objective or L_max is hit.
+    strictly improves the closed list's objective or ``config.L_max`` is
+    hit.  The config's iterations, c_explore and seed are unused.
     """
-    problem = SearchProblem(ds, scores, cands, weights, charge_default_full)
+    problem = SearchProblem(ds, scores, cands, weights, config)
     state = problem.initial_state()
     best_obj = problem.state_bound(problem.close(state))
     pruned: Counter[str] = Counter()
-    while state.depth < L_max:
-        codes, his = problem.ordered_actions(state, L_max)
+    while state.depth < config.L_max:
+        codes, his = problem.ordered_actions(state)
         rules = codes >= 0
         frontier = Frontier.by_code(state, codes[rules], his[rules])
         step, threshold = None, best_obj

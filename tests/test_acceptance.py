@@ -114,11 +114,11 @@ def exhaustive_results(oracle_instances):
     for inst in oracle_instances:
         off = exhaustive_search(
             inst["ds"], inst["scores"], inst["cands"], inst["weights"],
-            L_max=inst["L_max"], use_bound=False,
+            SearchConfig(L_max=inst["L_max"]), use_bound=False,
         )
         on = exhaustive_search(
             inst["ds"], inst["scores"], inst["cands"], inst["weights"],
-            L_max=inst["L_max"], use_bound=True,
+            SearchConfig(L_max=inst["L_max"]), use_bound=True,
         )
         out.append((on, off))
     return out
@@ -213,7 +213,7 @@ def test_criterion_3_uct_matches_exhaustive_oracle(capsys, oracle_instances,
         if abs(res.objective - on.objective) <= 1e-9:
             matches += 1
         g = greedy_baseline(inst["ds"], inst["scores"], inst["cands"],
-                            inst["weights"], L_max=inst["L_max"])
+                            inst["weights"], SearchConfig(L_max=inst["L_max"]))
         if g.objective > on.objective + 1e-12:
             greedy_ok = False
     elapsed = time.perf_counter() - t0
@@ -359,9 +359,9 @@ def test_criterion_7_objective_algebra(capsys, oracle_instances):
         w = inst["weights"]
         scaled = ObjectiveWeights(2 * w.lambda1, 2 * w.lambda2, 2 * w.lambda3)
         a = exhaustive_search(inst["ds"], inst["scores"], inst["cands"], w,
-                              L_max=inst["L_max"])
+                              SearchConfig(L_max=inst["L_max"]))
         b = exhaustive_search(inst["ds"], inst["scores"], inst["cands"], scaled,
-                              L_max=inst["L_max"])
+                              SearchConfig(L_max=inst["L_max"]))
         if a.decision_list == b.decision_list:
             stable += 1
     scaling_ok = stable == len(oracle_instances)

@@ -70,7 +70,7 @@ class TestPipeline:
         cands = regimelist.CandidateSet.from_dict(read_json(f"{out}/candidates.json"),
                                                   ds.specs)
         result = regimelist.greedy_baseline(ds, regimelist.read_scores(f"{out}/scores.json"),
-                                            cands, L_max=3)
+                                            cands, config=regimelist.SearchConfig(L_max=3))
         assert regime["n_pruned"] == result.n_pruned > 0
         assert regime["decision_list"] == regimelist.decision_list_to_dict(
             result.decision_list, ds.specs, ds.treatment_names)
@@ -166,11 +166,14 @@ class TestEvaluate:
         assert metrics["mean_assessment_cost"] == 0.0
         assert metrics["avg_num_characteristics"] == 0.0
 
-    def test_charge_default_full_in_learn_and_evaluate(self, tmp_path):
-        out = run_pipeline(tmp_path, n=3000, learn_args=["--charge-default-full"])
+    @pytest.mark.parametrize("strategy", ["uct", "greedy"])
+    def test_charge_default_full_in_learn_and_evaluate(self, tmp_path, strategy):
+        out = run_pipeline(tmp_path, n=3000, strategy=strategy,
+                           learn_args=["--charge-default-full"])
         regime = read_json(f"{out}/regime.json")
         assert regime["search"]["charge_default_full"] is True
-        assert regime["decision_list"]["rules"]
+        # run_pipeline learns with --l-max 3
+        assert 0 < len(regime["decision_list"]["rules"]) <= 3
         full = tmp_path / "full"
         assert main(["evaluate", "--schema", f"{out}/schema.json", "--data", f"{out}/data.csv",
                      "--regime", f"{out}/regime.json", "--scores", f"{out}/scores.json",
@@ -209,6 +212,33 @@ class TestExhaustiveStrategy:
                      "--out-dir", str(tmp_path)]) == 0
         metrics = read_json(str(tmp_path / "metrics.json"))
         assert abs(regime["objective"] - metrics["objective"]) <= 1e-12
+
+    @pytest.mark.parametrize("flags, L_max, full", [
+        ([], 4, False),
+        (["--charge-default-full", "--l-max", "2"], 2, True),
+    ])
+    def test_small_set_takes_l_max_and_charge_from_the_search_config(
+            self, learned_run, tmp_path, flags, L_max, full):
+        # the default L_max is within the exhaustive limit, and the search
+        # config's L_max and default charge reach the solver
+        out = learned_run
+        data = ["--schema", f"{out}/schema.json", "--data", f"{out}/data.csv"]
+        cands = read_json(f"{out}/candidates.json")
+        cands["patterns"] = cands["patterns"][:8]
+        few = tmp_path / "few.json"
+        few.write_text(json.dumps(cands))
+        assert main(["learn", *data, "--scores", f"{out}/scores.json",
+                     "--candidates", str(few), "--strategy", "exhaustive",
+                     "--out-dir", str(tmp_path), *flags]) == 0
+        regime = read_json(str(tmp_path / "regime.json"))
+        assert regime["search"]["L_max"] == L_max
+        assert regime["search"]["charge_default_full"] is full
+        assert len(regime["decision_list"]["rules"]) <= L_max
+        charge = ["--charge-default-full"] if full else []
+        assert main(["evaluate", *data, "--regime", str(tmp_path / "regime.json"),
+                     "--scores", f"{out}/scores.json", *charge,
+                     "--out-dir", str(tmp_path)]) == 0
+        assert read_json(str(tmp_path / "metrics.json"))["objective"] == regime["objective"]
 
 
 @pytest.mark.parametrize("strategy", ["uct", "greedy"])

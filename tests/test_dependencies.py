@@ -3,14 +3,19 @@ from __future__ import annotations
 
 import ast
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from regimelist.cli import build_parser
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_cli_import_loads_no_scipy():
@@ -58,3 +63,38 @@ def test_every_file_parses_as_python_3_10():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _version(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split("."))
+
+
+def test_workflow_commands_parse():
+    # the workflow's pipeline runs only where CI runs; every regimelist
+    # command it holds, continuation lines joined and $data expanded, must
+    # parse with the CLI's own parser
+    text = re.sub(r"\\\n\s*", " ", WORKFLOW.read_text())
+    data = re.search(r'^\s*data="([^"]*)"$', text, re.M).group(1)
+    commands = [shlex.split(line.replace("$data", data))[1:]
+                for line in text.splitlines() if line.strip().startswith("regimelist ")]
+    assert {argv[0] for argv in commands} == {"generate", "mine", "fit", "learn", "evaluate"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the workflow's command does not parse: regimelist {shlex.join(argv)}")
+
+
+def test_workflow_tests_the_oldest_python_and_numpy():
+    # the oldest Python the workflow runs is pyproject's floor, and on it
+    # the workflow pins numpy to pyproject's floor
+    text = WORKFLOW.read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    python_floor = re.search(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M).group(1)
+    numpy_floor = re.search(r'"numpy>=([\d.]+)"', pyproject).group(1)
+    pythons = [v for entry in re.findall(r'python-version: (\[[^\]]*\]|"[^"]*")', text)
+               for v in re.findall(r'"([\d.]+)"', entry)]
+    assert min(pythons, key=_version) == python_floor
+    pins = re.findall(r'- python-version: "([\d.]+)"\n\s*numpy: "==([\d.]+)\.\*"', text)
+    assert (python_floor, numpy_floor) in pins

@@ -24,6 +24,7 @@ from regimelist.domain import (
     Predicate,
 )
 from regimelist import io
+from regimelist.cli import main
 from regimelist.errors import ValidationError
 from regimelist.estimation import DRScoreMatrix
 from regimelist.io import (
@@ -91,6 +92,19 @@ class TestSchema:
         with pytest.raises(ValidationError,
                            match="malformed schema|cost of .* must be finite and >= 0"):
             DataSchema.from_dict({**SCHEMA.to_dict(), **change})
+
+    def test_treatment_and_outcome_columns_have_fixed_names(self, tmp_path, capsys):
+        # a schema names no treatment or outcome column: keys that do are
+        # ignored, so a CSV whose treatment column is "arm" lacks one
+        assert set(SCHEMA.to_dict()) == {"characteristics", "treatments"}
+        named = {**SCHEMA.to_dict(), "treatment_column": "treatment", "outcome_column": "outcome"}
+        assert DataSchema.from_dict(named) == SCHEMA
+        (tmp_path / "schema.json").write_text(
+            json.dumps({**SCHEMA.to_dict(), "treatment_column": "arm"}))
+        (tmp_path / "data.csv").write_text(PLAIN.replace("treatment", "arm"))
+        assert main(["mine", "--schema", str(tmp_path / "schema.json"),
+                     "--data", str(tmp_path / "data.csv"), "--out-dir", str(tmp_path)]) == 2
+        assert "missing column 'treatment'" in capsys.readouterr().err
 
 
 class TestDatasetCSV:

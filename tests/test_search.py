@@ -86,9 +86,9 @@ def decode(problem, action):
     return (-1, action + problem.m) if action < 0 else (action, None)
 
 
-def actions(problem, state, L_max):
+def actions(problem, state):
     """ordered_actions decoded, in the same order."""
-    codes, _ = problem.ordered_actions(state, L_max)
+    codes, _ = problem.ordered_actions(state)
     return [decode(problem, c) for c in codes.tolist()]
 
 
@@ -187,25 +187,28 @@ class TestLegalActions:
     def test_action_count_fresh_state(self):
         rng = np.random.default_rng(51)
         ds, cands = small_instance(rng, n_patterns=3)
-        problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
-        codes, his = problem.ordered_actions(problem.initial_state(), L_max=3)
+        problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights(),
+                                SearchConfig(L_max=3))
+        codes, his = problem.ordered_actions(problem.initial_state())
         assert codes.dtype == np.int32 and his.dtype == np.float64
         assert len(codes) == len(his) == 3 + ds.n_treatments
 
     def test_only_defaults_at_depth_limit(self):
         rng = np.random.default_rng(53)
         ds, cands = small_instance(rng, n_patterns=3)
-        problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
+        problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights(),
+                                SearchConfig(L_max=0))
         state = problem.initial_state()
-        acts = actions(problem, state, L_max=0)
+        acts = actions(problem, state)
         assert acts == [(-1, d) for d in range(ds.n_treatments)]
 
     def test_exhausted_coverage_excluded(self):
         rng = np.random.default_rng(55)
         ds, cands = small_instance(rng, n_patterns=4)
-        problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
+        problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights(),
+                                SearchConfig(L_max=4))
         state = problem.apply(problem.initial_state(), 0)
-        acts = actions(problem, state, L_max=4)
+        acts = actions(problem, state)
         # pattern 0 is used; a pattern with no new coverage may not reappear
         assert all(p != 0 for p, _ in acts if p >= 0)
         counts = (oracle_cover_matrix(problem) & ~covered(state, problem.n)[:, None]).sum(axis=0)
@@ -216,11 +219,12 @@ class TestLegalActions:
     def test_used_patterns_never_repeat(self):
         rng = np.random.default_rng(57)
         ds, cands = small_instance(rng)
-        problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights())
+        problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights(),
+                                SearchConfig(L_max=3))
         state = problem.initial_state()
         seen = set()
         while True:
-            codes, _ = problem.ordered_actions(state, 3)
+            codes, _ = problem.ordered_actions(state)
             rules = [c for c in codes.tolist() if c >= 0]
             if not rules:
                 break
@@ -234,7 +238,8 @@ class TestLegalActions:
         # at least one subject; closing with a default always is
         rng = np.random.default_rng(59)
         ds, cands = small_instance(rng)
-        problem = SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng))
+        problem = SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng),
+                                SearchConfig(L_max=3))
         state = problem.initial_state()
         while not state.terminal:
             used = {p for p, _ in state.prefix}
@@ -246,7 +251,7 @@ class TestLegalActions:
                     and oracle_pattern_holds(pattern, dataset_row(ds, i), ds.specs))
                 if p not in used and newly >= 1:
                     legal.add((p, None))
-            codes, _ = problem.ordered_actions(state, 3)
+            codes, _ = problem.ordered_actions(state)
             acts = [decode(problem, c) for c in codes.tolist()]
             assert len(acts) == len(set(acts))
             assert set(acts) == legal
@@ -260,14 +265,15 @@ class TestLegalActions:
         for trial in range(6):
             ds, cands = small_instance(rng, m=2 + trial % 2)
             scores = random_scores(rng, ds)
+            # no depth limit below the pattern count: rules run out only
+            # once no pattern covers anyone new
             problem = SearchProblem(ds, scores, cands, random_weights(rng),
-                                    charge_default_full=trial >= 3)
+                                    SearchConfig(L_max=len(cands.patterns) + 1,
+                                                 charge_default_full=trial >= 3))
             covers = oracle_cover_matrix(problem)
             state = problem.initial_state()
             while True:
-                # no depth limit below the pattern count: rules run out only
-                # once no pattern covers anyone new
-                codes, his = problem.ordered_actions(state, len(cands.patterns) + 1)
+                codes, his = problem.ordered_actions(state)
                 rules = codes[codes >= 0].tolist()
                 newly = (covers & ~covered(state, problem.n)[:, None]).sum(axis=0)
                 assert sorted(rules) == np.flatnonzero(newly >= 1).tolist()
@@ -294,7 +300,7 @@ class TestLegalActions:
             w = ObjectiveWeights(lambda1=float(rng.integers(1, 3)),
                                  lambda2=float(trial % 3),
                                  lambda3=float(rng.integers(0, 2)))
-            problem = SearchProblem(ds, scores, cands, w)
+            problem = SearchProblem(ds, scores, cands, w, SearchConfig(L_max=4))
             rows = [dataset_row(ds, i) for i in range(ds.n_subjects)]
 
             def value(i, t):
@@ -302,7 +308,7 @@ class TestLegalActions:
 
             state = problem.initial_state()
             while True:
-                codes, _ = problem.ordered_actions(state, 4)
+                codes, _ = problem.ordered_actions(state)
                 rules = [c for c in codes.tolist() if c >= 0]
                 if not rules:
                     break
@@ -331,11 +337,11 @@ class TestLegalActions:
         assert len(set(SearchProblem(ds, random_scores(rng, ds), cands).pattern_features)) > 1
         for full in (False, True):
             for _ in range(3):
-                problem = SearchProblem(ds, random_scores(rng, ds), cands,
-                                        random_weights(rng), charge_default_full=full)
+                problem = SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng),
+                                        SearchConfig(L_max=4, charge_default_full=full))
                 state = problem.initial_state()
                 for _ in range(3):
-                    codes, his = problem.ordered_actions(state, 4)
+                    codes, his = problem.ordered_actions(state)
                     rules = codes >= 0
                     want_codes, want_his = per_pattern_actions(problem, state, state.sums)
                     assert np.array_equal(codes[rules], want_codes)
@@ -356,7 +362,7 @@ class TestStateBound:
             w = random_weights(rng)
             for full in (False, True):
                 problem = SearchProblem(ds, scores, cands, w,
-                                        charge_default_full=full)
+                                        SearchConfig(L_max=3, charge_default_full=full))
                 covers = oracle_cover_matrix(problem)
 
                 def best_completion(state):
@@ -372,7 +378,7 @@ class TestStateBound:
                     # floating point sums in different orders
                     assert (oracle_open_bound(problem, state, scores)
                             >= best_completion(state) - 1e-9)
-                    codes, his = problem.ordered_actions(state, 3)
+                    codes, his = problem.ordered_actions(state)
                     for code, hi in zip(codes.tolist(), his.tolist()):
                         child = problem.apply(state, code)
                         assert hi >= exact_bound(problem, child, scores)
@@ -405,12 +411,13 @@ class TestStateBound:
         w = random_weights(rng)
         covers = None
         for full in (False, True):
-            problem = SearchProblem(ds, scores, cands, w, charge_default_full=full)
+            problem = SearchProblem(ds, scores, cands, w,
+                                    SearchConfig(L_max=3, charge_default_full=full))
             if covers is None:
                 covers = oracle_cover_matrix(problem)
             state = problem.initial_state()
             for _ in range(3):
-                codes, his = problem.ordered_actions(state, 3)
+                codes, his = problem.ordered_actions(state)
                 rules = [c for c in codes.tolist() if c >= 0]
                 for code, hi in zip(codes.tolist(), his.tolist()):
                     if code < 0:
@@ -438,9 +445,10 @@ class TestStateBound:
         scores.scores[i, 0] = -1e39
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            problem = SearchProblem(ds, scores, cands, random_weights(rng))
+            problem = SearchProblem(ds, scores, cands, random_weights(rng),
+                                    SearchConfig(L_max=3))
             state = problem.initial_state()
-            codes, his = problem.ordered_actions(state, 3)
+            codes, his = problem.ordered_actions(state)
             assert np.isinf(his).any()
             for code, hi in zip(codes.tolist(), his.tolist()):
                 assert hi >= exact_bound(problem, problem.apply(state, code), scores)
@@ -448,7 +456,7 @@ class TestStateBound:
             # child's arm-0 sum for q is the root's minus its own (inf - inf
             # is nan), and q must still get an infinite bound
             child = problem.apply(state, p)
-            codes, his = problem.ordered_actions(child, 3)
+            codes, his = problem.ordered_actions(child)
         assert his[codes.tolist().index(q)] == np.inf
         for code, hi in zip(codes.tolist(), his.tolist()):
             assert hi >= exact_bound(problem, problem.apply(child, code), scores)
@@ -465,7 +473,7 @@ class TestStateBound:
         for walk in range(4):
             scores = random_scores(rng, ds)
             problem = SearchProblem(ds, scores, cands, random_weights(rng),
-                                    charge_default_full=walk % 2 == 1)
+                                    SearchConfig(L_max=4, charge_default_full=walk % 2 == 1))
             if covers is None:
                 covers = oracle_cover_matrix(problem)
             state = problem.initial_state()
@@ -477,7 +485,7 @@ class TestStateBound:
                 want = (covers & ~covered(state, problem.n)[:, None]).sum(axis=0)
                 results = []
                 for built in (state, alone):
-                    codes, his = problem.ordered_actions(built, 4)
+                    codes, his = problem.ordered_actions(built)
                     assert np.array_equal(built.sums[0], want)
                     rules = codes >= 0
                     assert np.all(his[rules] >= every_arm_bound(problem, built, scores, covers,
@@ -496,7 +504,7 @@ class TestStateBound:
         w = random_weights(rng)
         for full in (False, True):
             problem = SearchProblem(ds, scores, cands, w,
-                                    charge_default_full=full)
+                                    SearchConfig(charge_default_full=full))
             for _ in range(12):
                 length = int(rng.integers(0, 4))
                 pats = rng.permutation(len(cands.patterns))[:length]
@@ -519,7 +527,7 @@ class TestStateBound:
             m = ds.n_treatments
             for full in (False, True):
                 problem = SearchProblem(ds, scores, cands, w,
-                                        charge_default_full=full)
+                                        SearchConfig(charge_default_full=full))
                 for _ in range(8):
                     # every pattern may be used, so coverage can be complete
                     length = int(rng.integers(0, len(cands.patterns) + 1))
@@ -537,7 +545,7 @@ class TestStateBound:
         ds, cands = small_instance(rng, m=1)
         scores = random_scores(rng, ds)
         w = ObjectiveWeights(lambda1=1.0, lambda2=0.0, lambda3=1.0)
-        problem = SearchProblem(ds, scores, cands, w)
+        problem = SearchProblem(ds, scores, cands, w, SearchConfig(L_max=3))
         state = problem.initial_state()
         only = objective_value(
             ds, DecisionList(rules=(), default_treatment=0), scores, w
@@ -545,7 +553,7 @@ class TestStateBound:
         assert oracle_open_bound(problem, state, scores) == pytest.approx(only, abs=1e-9)
         # with one arm and no assessment cost every list is worth the same,
         # so each batched bound exceeds that value by its slack alone
-        _, his = problem.ordered_actions(state, 3)
+        _, his = problem.ordered_actions(state)
         assert np.all(his >= only)
         assert np.all(his <= only + 1e-3)
 
@@ -766,7 +774,7 @@ class TestSums:
         # subjects end in a one-subject block
         rng, ds, cands, scores = shared_instance(n, n_patterns, n * 100 + n_patterns + 1, m=3)
         w = random_weights(rng)
-        problem = SearchProblem(ds, scores, cands, w)
+        problem = SearchProblem(ds, scores, cands, w, SearchConfig(L_max=4))
         covers = oracle_cover_matrix(problem).reshape(n, n_patterns)
         values = w.lambda1 * scores.scores - w.lambda3 * ds.treatment_costs
         optimistic = (w.lambda1 * scores.scores.max(axis=1)
@@ -774,7 +782,7 @@ class TestSums:
         table = np.column_stack([np.ones(n), optimistic, values])
         state = problem.initial_state()
         for depth in range(3):
-            codes, _ = problem.ordered_actions(state, 4)
+            codes, _ = problem.ordered_actions(state)
             newly = covers & ~covered(state, problem.n)[:, None]
             want = table.T @ newly
             cnt = newly.sum(axis=0)
@@ -796,10 +804,11 @@ class TestSums:
         scores.scores[int(rng.integers(ds.n_subjects)), 1] = 1e39
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            problem = SearchProblem(ds, scores, cands, random_weights(rng))
+            problem = SearchProblem(ds, scores, cands, random_weights(rng),
+                                    SearchConfig(L_max=4))
             state = problem.initial_state()
             for depth in range(3):
-                codes, his = problem.ordered_actions(state, 4)
+                codes, his = problem.ordered_actions(state)
                 rules = codes[codes >= 0]
                 assert len(rules) and np.all(his[codes >= 0] == np.inf)
                 assert np.all(np.isfinite(his[codes < 0]))
@@ -813,7 +822,8 @@ class TestSums:
         rng = np.random.default_rng(74)
         ds = random_dataset(rng, n_subjects=20000, n_features=6, m=2)
         cands = mine_patterns(ds, MiningConfig(min_support=0.01, max_predicates=3))
-        problem = SearchProblem(ds, random_scores(rng, ds), cands)
+        problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights(),
+                                SearchConfig(L_max=3))
         prefixes, preds = prefixes_and_predicates(problem.patterns)
         n_cols = problem.m + 2
         bound = 3 * (4 * BLOCK * (len(prefixes) + n_cols * len(preds))
@@ -823,7 +833,7 @@ class TestSums:
         problem.default_sums(state)
         tracemalloc.start()
         try:
-            problem.ordered_actions(state, 3)
+            problem.ordered_actions(state)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -871,11 +881,11 @@ class TestStateConsistency:
         for _ in range(5):
             ds, cands = small_instance(rng)
             problem = SearchProblem(ds, random_scores(rng, ds), cands,
-                                    random_weights(rng))
+                                    random_weights(rng), SearchConfig(L_max=4))
             state = problem.initial_state()
             check_state_consistency(problem, state)
             while True:
-                codes, _ = problem.ordered_actions(state, 4)
+                codes, _ = problem.ordered_actions(state)
                 rules = [c for c in codes.tolist() if c >= 0]
                 if not rules:
                     break
@@ -908,7 +918,7 @@ class TestUCT:
             ds, cands = small_instance(rng, n_patterns=5)
             scores = random_scores(rng, ds)
             w = random_weights(rng)
-            exact = exhaustive_search(ds, scores, cands, w, L_max=2)
+            exact = exhaustive_search(ds, scores, cands, w, SearchConfig(L_max=2))
             res = uct_search(ds, scores, cands, w,
                              SearchConfig(iterations=4000, L_max=2, seed=3))
             assert res.objective == pytest.approx(exact.objective, abs=1e-9)
@@ -1035,9 +1045,9 @@ class TestUCT:
                     super().__init__(state, bound)
                     nodes.append(self)
 
-            def recording_ordered_actions(problem, state, L_max):
+            def recording_ordered_actions(problem, state):
                 ordered.append(state.depth)
-                return ordered_actions(problem, state, L_max)
+                return ordered_actions(problem, state)
 
             def counting_take(frontier, problem, incumbent, pruned):
                 before = pruned.total()
@@ -1103,11 +1113,11 @@ class TestExhaustive:
             ds, cands = small_instance(rng, n_patterns=6 if m == 2 else 5, m=m)
             scores = random_scores(rng, ds)
             w = random_weights(rng)
-            problem = SearchProblem(ds, scores, cands, w, charge_default_full=full)
+            config = SearchConfig(L_max=3, charge_default_full=full)
+            problem = SearchProblem(ds, scores, cands, w, config)
             best = max(enumerate_completions(problem, problem.initial_state(), 3, scores))
             for use_bound in (False, True):
-                res = exhaustive_search(ds, scores, cands, w, L_max=3, use_bound=use_bound,
-                                        charge_default_full=full)
+                res = exhaustive_search(ds, scores, cands, w, config, use_bound=use_bound)
                 assert res.objective == pytest.approx(best, abs=1e-12)
 
     def test_pruning_preserves_the_optimum(self):
@@ -1117,8 +1127,8 @@ class TestExhaustive:
             ds, cands = small_instance(rng, n_patterns=4)
             scores = random_scores(rng, ds)
             w = random_weights(rng)
-            off = exhaustive_search(ds, scores, cands, w, L_max=2, use_bound=False)
-            on = exhaustive_search(ds, scores, cands, w, L_max=2, use_bound=True)
+            off = exhaustive_search(ds, scores, cands, w, SearchConfig(L_max=2), use_bound=False)
+            on = exhaustive_search(ds, scores, cands, w, SearchConfig(L_max=2), use_bound=True)
             assert abs(on.objective - off.objective) <= 1e-12
             assert on.decision_list == off.decision_list
             pruned_somewhere += int(on.n_pruned > 0)
@@ -1147,9 +1157,9 @@ class TestExhaustive:
                 incumbent[0] = hi
             return apply(problem, state, action)
 
-        def counted_ordered_actions(problem, state, L_max):
+        def counted_ordered_actions(problem, state):
             counts["expanded"] += 1
-            codes, his = ordered_actions(problem, state, L_max)
+            codes, his = ordered_actions(problem, state)
             counts["defaults_offered"] += int(np.count_nonzero(codes < 0))
             his_of[id(state)] = (state, dict(zip(codes.tolist(), his.tolist())))
             return codes, his
@@ -1159,14 +1169,15 @@ class TestExhaustive:
             ds, cands = small_instance(rng, n_patterns=5)
             scores = random_scores(rng, ds)
             w = random_weights(rng)
-            off = exhaustive_search(ds, scores, cands, w, L_max=3, use_bound=False)
+            off = exhaustive_search(ds, scores, cands, w, SearchConfig(L_max=3), use_bound=False)
             with monkeypatch.context() as mp:
                 mp.setattr(SearchProblem, "apply", counted_apply)
                 mp.setattr(SearchProblem, "ordered_actions", counted_ordered_actions)
                 counts.update(rules=0, expanded=0)
                 his_of.clear()
                 incumbent[0] = -math.inf
-                on = exhaustive_search(ds, scores, cands, w, L_max=3, use_bound=True)
+                on = exhaustive_search(ds, scores, cands, w, SearchConfig(L_max=3),
+                                       use_bound=True)
             # the root is expanded without being built
             assert counts["rules"] == counts["expanded"] - 1
             assert (on.decision_list, on.objective) == (off.decision_list, off.objective)
@@ -1179,7 +1190,7 @@ class TestExhaustive:
         ds, cands = small_instance(rng)
         scores = random_scores(rng, ds)
         w = ObjectiveWeights(lambda1=0.0, lambda2=1.0, lambda3=0.0)
-        res = exhaustive_search(ds, scores, cands, w, L_max=2)
+        res = exhaustive_search(ds, scores, cands, w, SearchConfig(L_max=2))
         assert res.decision_list.rules == ()
 
     def test_size_limits_enforced(self):
@@ -1187,11 +1198,11 @@ class TestExhaustive:
         ds, cands = small_instance(rng, n_patterns=11)
         scores = random_scores(rng, ds)
         with pytest.raises(SizeLimitError, match="11 patterns"):
-            exhaustive_search(ds, scores, cands, ObjectiveWeights(), L_max=2)
+            exhaustive_search(ds, scores, cands, ObjectiveWeights(), SearchConfig(L_max=2))
         few = dataclasses.replace(cands, patterns=cands.patterns[:10],
                                   counts=cands.counts[:10])
-        with pytest.raises(SizeLimitError, match="L_max 4"):
-            exhaustive_search(ds, scores, few, ObjectiveWeights(), L_max=4)
+        with pytest.raises(SizeLimitError, match="L_max 5"):
+            exhaustive_search(ds, scores, few, ObjectiveWeights(), SearchConfig(L_max=5))
 
     def test_evaluates_every_list_whose_rules_cover_something_new(self):
         # oracle: count row by row the pattern sequences in which every rule
@@ -1216,15 +1227,15 @@ class TestExhaustive:
                     else:
                         n_lists += m
             res = exhaustive_search(ds, random_scores(rng, ds), cands,
-                                    random_weights(rng), L_max=L_max)
+                                    random_weights(rng), SearchConfig(L_max=L_max))
             assert res.n_evaluated == n_lists
 
     def test_deterministic_tie_break(self):
         rng = np.random.default_rng(99)
         ds, cands = small_instance(rng, n_patterns=3)
         scores = random_scores(rng, ds)
-        a = exhaustive_search(ds, scores, cands, ObjectiveWeights(), L_max=2)
-        b = exhaustive_search(ds, scores, cands, ObjectiveWeights(), L_max=2)
+        a = exhaustive_search(ds, scores, cands, ObjectiveWeights(), SearchConfig(L_max=2))
+        b = exhaustive_search(ds, scores, cands, ObjectiveWeights(), SearchConfig(L_max=2))
         assert a.decision_list == b.decision_list
 
 
@@ -1235,8 +1246,8 @@ class TestGreedy:
             ds, cands = small_instance(rng, n_patterns=4)
             scores = random_scores(rng, ds)
             w = random_weights(rng)
-            exact = exhaustive_search(ds, scores, cands, w, L_max=3)
-            greedy = greedy_baseline(ds, scores, cands, w, L_max=3)
+            exact = exhaustive_search(ds, scores, cands, w, SearchConfig(L_max=3))
+            greedy = greedy_baseline(ds, scores, cands, w, SearchConfig(L_max=3))
             assert greedy.objective <= exact.objective + 1e-12
 
     def test_objective_reported_matches_list(self):
@@ -1244,7 +1255,7 @@ class TestGreedy:
         ds, cands = small_instance(rng)
         scores = random_scores(rng, ds)
         w = random_weights(rng)
-        res = greedy_baseline(ds, scores, cands, w, L_max=3)
+        res = greedy_baseline(ds, scores, cands, w, SearchConfig(L_max=3))
         assert res.objective == pytest.approx(
             objective_value(ds, res.decision_list, scores, w), abs=1e-12
         )
@@ -1253,8 +1264,8 @@ class TestGreedy:
         rng = np.random.default_rng(105)
         ds, cands = small_instance(rng)
         scores = random_scores(rng, ds)
-        a = greedy_baseline(ds, scores, cands, ObjectiveWeights(), L_max=3)
-        b = greedy_baseline(ds, scores, cands, ObjectiveWeights(), L_max=3)
+        a = greedy_baseline(ds, scores, cands, ObjectiveWeights(), SearchConfig(L_max=3))
+        b = greedy_baseline(ds, scores, cands, ObjectiveWeights(), SearchConfig(L_max=3))
         assert a.decision_list == b.decision_list
 
     def test_bound_skipping_keeps_the_unpruned_result(self):
@@ -1272,11 +1283,11 @@ class TestGreedy:
                     += rng.uniform(1, 3)
             scores = DRScoreMatrix(s, ds.treatment_names)
             w = ObjectiveWeights(1.0, float(rng.uniform(0, 0.05)), 0.0)
-            problem = SearchProblem(ds, scores, cands, w)
-            codes, his = problem.ordered_actions(problem.initial_state(), 3)
+            problem = SearchProblem(ds, scores, cands, w, SearchConfig(L_max=3))
+            codes, his = problem.ordered_actions(problem.initial_state())
             best = problem.state_bound(problem.close(problem.initial_state()))
             skipped += int(np.count_nonzero(his[codes >= 0] <= best))
-            res = greedy_baseline(ds, scores, cands, w, L_max=3)
+            res = greedy_baseline(ds, scores, cands, w, SearchConfig(L_max=3))
             assert (res.decision_list, res.objective) == oracle_greedy(ds, scores, cands, w, 3)
         assert skipped > 0
 
@@ -1290,10 +1301,11 @@ def same_state(a, b):
 
 
 class TestFrontier:
-    def problem(self, seed):
+    def problem(self, seed, L_max):
         rng = np.random.default_rng(seed)
         ds, cands = small_instance(rng, n_patterns=5, m=3)
-        return SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng))
+        return SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng),
+                             SearchConfig(L_max=L_max))
 
     def take_all(self, problem, frontier, incumbent):
         pruned: Counter[str] = Counter()
@@ -1304,9 +1316,9 @@ class TestFrontier:
 
     def test_children_come_from_the_end_and_match_apply(self):
         for seed in range(4):
-            problem = self.problem(200 + seed)
+            problem = self.problem(200 + seed, 2)
             state = problem.initial_state()
-            codes, his = problem.ordered_actions(state, 2)
+            codes, his = problem.ordered_actions(state)
             taken, pruned = self.take_all(problem, Frontier(state, codes, his), -math.inf)
             assert not pruned and len(taken) == len(codes)
             for k, (child, bound) in zip(range(len(codes) - 1, -1, -1), taken):
@@ -1328,9 +1340,9 @@ class TestFrontier:
 
         monkeypatch.setattr(SearchProblem, "apply", counted_apply)
         for seed in range(4):
-            problem = self.problem(210 + seed)
+            problem = self.problem(210 + seed, 2)
             state = problem.initial_state()
-            codes, his = problem.ordered_actions(state, 2)
+            codes, his = problem.ordered_actions(state)
             incumbent = float(np.median(his))
             built.clear()
             _, pruned = self.take_all(problem, Frontier(state, codes, his), incumbent)
@@ -1339,11 +1351,11 @@ class TestFrontier:
 
     def test_closing_child_carries_its_exact_state_bound(self):
         for seed in range(4):
-            problem = self.problem(220 + seed)
+            problem = self.problem(220 + seed, 1)
             state = problem.initial_state()
-            codes, _ = problem.ordered_actions(state, 1)
+            codes, _ = problem.ordered_actions(state)
             state = problem.apply(state, int(codes[codes >= 0][-1]))
-            codes, his = problem.ordered_actions(state, 1)
+            codes, his = problem.ordered_actions(state)
             assert np.all(codes < 0)
             taken, _ = self.take_all(problem, Frontier(state, codes, his), -math.inf)
             exact = [problem.state_bound(problem.apply(state, c)) for c in codes.tolist()]
@@ -1354,9 +1366,9 @@ class TestFrontier:
 
     def test_reason_counts_add_up_to_the_skips(self):
         for seed in range(6):
-            problem = self.problem(230 + seed)
+            problem = self.problem(230 + seed, 2)
             state = problem.initial_state()
-            codes, his = problem.ordered_actions(state, 2)
+            codes, his = problem.ordered_actions(state)
             closed = [problem.state_bound(problem.apply(state, c))
                       for c in codes[codes < 0].tolist()]
             for incumbent in (float(np.median(his)), max(closed), -math.inf):
@@ -1377,16 +1389,16 @@ class TestFrontier:
         # comes from the sums its parent keeps, both times
         monkeypatch.setattr(search, "WINDOW", window)
         for seed in range(4):
-            problem = self.problem(250 + seed)
+            problem = self.problem(250 + seed, 3)
             root = problem.initial_state()
-            codes, _ = problem.ordered_actions(root, 3)
+            codes, _ = problem.ordered_actions(root)
             for state in (root, problem.apply(root, int(codes[codes >= 0][-1]))):
-                codes, his = problem.ordered_actions(state, 3)
+                codes, his = problem.ordered_actions(state)
                 assert len(codes) > window
                 for incumbent in (-math.inf, float(np.median(his)), float(his.max())):
                     whole, skipped = self.take_all(problem, Frontier(state, codes, his),
                                                    incumbent)
-                    frontier = Frontier.windowed(problem, state, 3)
+                    frontier = Frontier.windowed(problem, state)
                     assert len(frontier.codes) == window
                     taken, pruned = self.take_all(problem, frontier, incumbent)
                     assert pruned == skipped
@@ -1418,15 +1430,18 @@ class TestClosingChildren:
             m, full = 2 + trial % 2, trial // 2 % 2 == 1
             ds, cands = small_instance(rng, m=m)
             scores, w = random_scores(rng, ds), random_weights(rng)
-            problem = SearchProblem(ds, scores, cands, w, charge_default_full=full)
+            problem = SearchProblem(ds, scores, cands, w,
+                                    SearchConfig(L_max=L_max, charge_default_full=full))
             state = problem.initial_state()
             while state.depth < L_max:
-                codes, _ = problem.ordered_actions(state, L_max)
+                codes, _ = problem.ordered_actions(state)
                 rules = codes[codes >= 0]
                 if not len(rules):
                     break
                 state = problem.apply(state, int(rng.choice(rules)))
-            codes, his = problem.ordered_actions(state, state.depth)
+            full_prefix = SearchProblem(ds, scores, cands, w,
+                                        SearchConfig(L_max=state.depth, charge_default_full=full))
+            codes, his = full_prefix.ordered_actions(state)
             assert codes.tolist() == list(range(-m, 0))
             closed = [problem.apply(state, d - m) for d in reversed(range(m))]
             exact = [problem.state_bound(child) for child in closed]
@@ -1464,9 +1479,9 @@ class TestWindow:
         5, then one that holds every child of any node."""
         ordered_actions, calls = SearchProblem.ordered_actions, Counter()
 
-        def counted(problem, state, L_max):
+        def counted(problem, state):
             calls[search.WINDOW] += 1
-            return ordered_actions(problem, state, L_max)
+            return ordered_actions(problem, state)
 
         monkeypatch.setattr(SearchProblem, "ordered_actions", counted)
         runs = {}
@@ -1533,9 +1548,9 @@ class TestFullPrefix:
                 rewards.append(taken[1])
             return taken
 
-        def checking_ordered_actions(problem, state, L_max):
-            assert state.depth < L_max
-            return ordered_actions(problem, state, L_max)
+        def checking_ordered_actions(problem, state):
+            assert state.depth < problem.L_max
+            return ordered_actions(problem, state)
 
         class RecordingNode(search.SearchNode):
             def __init__(self, state, bound):
@@ -1561,7 +1576,7 @@ class TestFullPrefix:
         """Each full prefix's reward is the largest of its closing children's
         objectives, exactly, each scored from scratch by another problem;
         returns the largest two objectives of each."""
-        problem = SearchProblem(ds, scores, cands, w, config.charge_default_full)
+        problem = SearchProblem(ds, scores, cands, w, config)
         tops = []
         for state, reward in self.scored(monkeypatch, ds, scores, cands, w, config):
             state = dataclasses.replace(state, default_sums=None)
@@ -1637,12 +1652,12 @@ class TestFullPrefix:
                 scored.append(state.prefix)
             return close(problem, state)
 
-        def checking_ordered_actions(problem, state, L_max):
+        def checking_ordered_actions(problem, state):
             if scored and len(alive) < 40:
-                alive.append(sum(isinstance(o, SearchState) and o.depth == L_max
+                alive.append(sum(isinstance(o, SearchState) and o.depth == problem.L_max
                                  and not o.terminal and root_of(o) is roots[-1]
                                  for o in gc.get_objects()))
-            return ordered_actions(problem, state, L_max)
+            return ordered_actions(problem, state)
 
         monkeypatch.setattr(SearchProblem, "initial_state", recording_initial_state)
         monkeypatch.setattr(SearchProblem, "close", recording_close)
