@@ -2,9 +2,10 @@
 
 Atomic predicates are level equalities for binary/categorical features and
 threshold splits (>= t, < t at empirical quantiles) for real ones.  Patterns
-are conjunctions of atoms, at most one per feature, grown level-wise and
-pruned with the anti-monotone support bound.  The resulting candidate set is
-the pattern universe the regime search composes decision lists from.
+are conjunctions of atoms, at most one per feature, grown depth-first from
+the frequent atoms and pruned exactly by the anti-monotone support bound.
+The resulting candidate set, ordered by pattern length and then by atoms,
+is the pattern universe the regime search composes decision lists from.
 """
 
 from __future__ import annotations
@@ -128,12 +129,14 @@ class CandidateSet:
 
 
 def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> CandidateSet:
-    """Level-wise frequent-conjunction mining.
+    """Depth-first frequent-conjunction mining.
 
     A pattern survives when it covers at least max(1, ceil(min_support * N))
-    subjects; extensions reuse only surviving shorter patterns, so pruning is
-    exact under the anti-monotone support bound.  Raises
-    EmptyCandidateSetError when nothing survives.
+    subjects.  Support is anti-monotone, so only a surviving pattern is
+    extended, each time by a later surviving atom on a feature it does not
+    read yet; the walk thus meets every surviving pattern exactly once.  The
+    patterns come out by length, then by atom ids in canonical order.
+    Raises EmptyCandidateSetError when nothing survives.
     """
     n = ds.n_subjects
     min_count = max(1, ceil(config.min_support * n))
@@ -142,49 +145,39 @@ def mine_patterns(ds: Dataset, config: MiningConfig = MiningConfig()) -> Candida
     # packed atom masks: a joint mask is their AND, a count its popcount
     masks = [np.packbits(predicate_mask(ds, a)) for a in atoms]
 
-    frequent: set[frozenset[int]] = set()
-    # surviving patterns and their coverage counts, in discovery order
-    found: list[tuple[int, ...]] = []
-    counts: list[int] = []
-    # a frontier pattern's joint mask, None at the last level (never extended)
-    frontier: list[tuple[tuple[int, ...], np.ndarray | None]] = []
+    singles: list[int] = []
+    found: list[tuple[tuple[int, ...], int]] = []
     for j, mask in enumerate(masks):
         count = int(np.bitwise_count(mask).sum())
         if count >= min_count:
-            frontier.append(((j,), mask))
-            frequent.add(frozenset((j,)))
-            found.append((j,))
-            counts.append(count)
-
-    for level in range(2, config.max_predicates + 1):
-        next_frontier: list[tuple[tuple[int, ...], np.ndarray | None]] = []
-        for ids, mask in frontier:
-            used = {atoms[i].feature for i in ids}
-            for j in range(ids[-1] + 1, len(atoms)):
-                if atoms[j].feature in used:
-                    continue
-                if frozenset((j,)) not in frequent:
-                    continue
+            singles.append(j)
+            found.append(((j,), count))
+    # patterns still to extend, with their joint masks and the position in
+    # singles of their first possible extension; an explicit stack, so that
+    # no input can exhaust Python's recursion limit
+    stack = [((j,), masks[j], k + 1) for k, j in enumerate(singles)
+             if config.max_predicates > 1]
+    while stack:
+        ids, mask, start = stack.pop()
+        used = {atoms[i].feature for i in ids}
+        for k in range(start, len(singles)):
+            j = singles[k]
+            if atoms[j].feature in used:
+                continue
+            joint = mask & masks[j]
+            count = int(np.bitwise_count(joint).sum())
+            if count >= min_count:
                 cand = ids + (j,)
-                key = frozenset(cand)
-                # anti-monotone check: all one-shorter sub-patterns survived
-                if any(key - {i} not in frequent for i in cand):
-                    continue
-                joint = mask & masks[j]
-                count = int(np.bitwise_count(joint).sum())
-                if count >= min_count:
-                    next_frontier.append((cand, joint if level < config.max_predicates else None))
-                    frequent.add(key)
-                    found.append(cand)
-                    counts.append(count)
-        if not next_frontier:
-            break
-        frontier = next_frontier
+                found.append((cand, count))
+                # a pattern of the last length is never extended: drop its mask
+                if len(cand) < config.max_predicates:
+                    stack.append((cand, joint, k + 1))
 
     if not found:
         raise EmptyCandidateSetError(
             f"no pattern covers {min_count} of {n} subjects; lower min_support"
         )
-    patterns = tuple(Pattern(tuple(atoms[i] for i in ids)) for ids in found)
-    return CandidateSet(patterns=patterns, counts=tuple(counts), bins=bins,
+    found.sort(key=lambda e: (len(e[0]), e[0]))
+    patterns = tuple(Pattern(tuple(atoms[i] for i in ids)) for ids, _ in found)
+    return CandidateSet(patterns=patterns, counts=tuple(c for _, c in found), bins=bins,
                         n_subjects=n, config=config)

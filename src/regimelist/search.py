@@ -117,7 +117,7 @@ class SearchState:
     features: int
     incurred_assess: float
     incurred_value: float
-    terminal: bool = False
+    # the closing default arm, -1 while the list is open
     default_treatment: int = -1
     # the state this one was built from; ordered_actions' sums, kept for children
     parent: SearchState | None = field(default=None, compare=False, repr=False)
@@ -129,6 +129,10 @@ class SearchState:
     @property
     def depth(self) -> int:
         return len(self.prefix)
+
+    @property
+    def terminal(self) -> bool:
+        return self.default_treatment >= 0
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
@@ -378,7 +382,7 @@ class SearchProblem:
         rule on pattern ``action`` with the arm of largest exact value over
         the subjects it newly covers, the lowest arm on a tie."""
         if action < 0:
-            return replace(state, terminal=True, default_treatment=action + self.m)
+            return replace(state, default_treatment=action + self.m)
         row = self.row(action)
         newly = _unpack(row & ~state.packed, self.n)
         # each arm's sum, bit for bit np.compress(newly, value_cols[t]).sum()
@@ -604,7 +608,7 @@ def uct_search(
                     pruned["node"] += 1
             live = [c for c in node.children if not c.fully_explored]
             # progressive widening gates expansion unless nothing is selectable
-            limit = max(1, math.ceil(WIDEN_C * max(node.visits, 1) ** WIDEN_ALPHA))
+            limit = math.ceil(WIDEN_C * max(node.visits, 1) ** WIDEN_ALPHA)
             if len(node.children) + node.leaves < limit or not live:
                 built = expand(path)
                 if built is not None:

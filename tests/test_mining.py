@@ -141,11 +141,14 @@ class TestMinePatterns:
             cands = mine_patterns(ds, config)
             atoms = build_atoms(ds, discretize(ds, config.num_bins))
             atom_key = {(a.feature, a.op, a.value): i for i, a in enumerate(atoms)}
-            got = {
-                frozenset(atom_key[(p.feature, p.op, p.value)] for p in pat.predicates): c
+            got = [
+                (tuple(atom_key[(p.feature, p.op, p.value)] for p in pat.predicates), c)
                 for pat, c in zip(cands.patterns, cands.counts)
-            }
-            assert got == brute_force_frequent(ds, config)
+            ]
+            # candidates.json and the search's tie-breaks depend on this order
+            want = [(tuple(sorted(ids)), c)
+                    for ids, c in brute_force_frequent(ds, config).items()]
+            assert got == sorted(want, key=lambda e: (len(e[0]), e[0]))
 
     def test_counts_are_true_coverage(self):
         rng = np.random.default_rng(35)
@@ -201,18 +204,20 @@ class TestMinePatterns:
         assert a.patterns == b.patterns
         assert a.counts == b.counts
 
-    def test_last_level_keeps_no_masks(self):
-        # a pattern of the last level is never extended, so mining must not
-        # keep its joint mask: the peak stays below one bit per (subject,
-        # level-2 pattern), which keeping them all packed would exceed.  The
-        # first call in a process makes a larger one-time allocation, so a
-        # warm-up call comes before the traced one.
+    @pytest.mark.parametrize("max_predicates", [2, 3])
+    def test_holds_no_whole_level_of_masks(self, max_predicates):
+        # mining must not hold the joint masks of a whole level at once: the
+        # peak stays below one bit per (subject, two-predicate pattern),
+        # which keeping them all packed would exceed.  The first call in a
+        # process makes a larger one-time allocation, so a warm-up call
+        # comes before the traced one.
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, n_subjects=20000, n_features=6, m=2)
-        mine_patterns(ds, MiningConfig(max_predicates=2))
+        config = MiningConfig(max_predicates=max_predicates)
+        mine_patterns(ds, config)
         tracemalloc.start()
         try:
-            cands = mine_patterns(ds, MiningConfig(max_predicates=2))
+            cands = mine_patterns(ds, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
