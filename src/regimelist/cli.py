@@ -154,13 +154,16 @@ def cmd_learn(args: argparse.Namespace) -> int:
     if args.strategy == "uct":
         result = uct_search(ds, scores, cands, weights, sconfig)
         extra = {"tree_size": result.tree_size, "n_pruned": result.n_pruned,
-                 "iterations_run": result.iterations_run}
+                 "iterations_run": result.iterations_run,
+                 "n_leaves_from_lo": result.leaves_from_lo,
+                 "n_leaves_confirmed": result.leaves_confirmed}
     elif args.strategy == "greedy":
         result = greedy_baseline(ds, scores, cands, weights, sconfig)
         extra = {"n_pruned": result.n_pruned}
     else:
         result = exhaustive_search(ds, scores, cands, weights, sconfig, use_bound=True)
         extra = {"n_evaluated": result.n_evaluated, "n_pruned": result.n_pruned}
+    extra["n_pruned_by_reason"] = result.pruned
     dl = result.decision_list
 
     # report the objective through the same code path evaluate uses

@@ -18,20 +18,25 @@ is a prefix, the AND of all its predicates but the last, and its last
 predicate, so one product of prefix bits into predicate bits times the
 summed columns prices every pattern.
 A closing child's bound is its exact objective, all m of them from one pass
-over the prefix's uncovered subjects.  ``Frontier.take`` is their one
-expansion step: it builds with ``apply`` only a child whose bound can beat
-the incumbent, and counts every child it skips.  An open state holds its
-covered set packed like a pattern's row, which ``apply`` ORs in:
-``SearchProblem.row`` ANDs it from packed predicate masks.
-``SearchProblem.close``, closing a prefix with its best default, is how UCT
-and greedy complete a list.
+over the prefix's uncovered subjects.  The same product gives each rule
+child ``lo``, the objective of the list that closes it with its best
+default, to within a proven half-width.  ``Frontier.next_index`` is their
+one expansion step: it yields only a child whose bound can beat the
+incumbent, and counts every child it skips; ``Frontier.take`` builds that
+child with ``apply``.  An open state holds its covered set packed like a
+pattern's row, which ``apply`` ORs in: ``SearchProblem.row`` ANDs it from
+packed predicate masks.  ``SearchProblem.close``, closing a prefix with its
+best default, is how UCT and greedy complete a list.
 
 The UCT tree holds only prefixes that can still grow.  A closed list, or a
-full prefix whose only children are the defaults, is a leaf: it is scored
-once, when it is built, and its parent only counts it.  An interior node's
-frontier keeps copies of the WINDOW children it takes first, as progressive
-widening lets it take few, and orders its children again only if it spends
-them.
+full prefix whose only children are the defaults, is a leaf that its parent
+only counts.  A closed list is scored by its exact ``hi``, a full prefix by
+its ``lo``; it is built, closed and scored exactly only if ``lo`` plus its
+half-width can beat the incumbent, which only an exact objective sets.
+Greedy likewise scores exactly only the rule children whose ``lo`` range
+reaches the best child's.  An interior node's frontier keeps copies of the
+WINDOW children it takes first, as progressive widening lets it take few,
+and orders its children again only if it spends them.
 """
 
 from __future__ import annotations
@@ -208,10 +213,14 @@ class SearchProblem:
                            - weights.lambda3 * float(ds.treatment_costs.min()))
         self.pattern_features = tuple(sum(1 << f for f in pat.features)
                                       for pat in self.patterns)
-        # distinct pattern feature masks, priced once per ordered_actions call
+        # distinct pattern feature masks, priced once per state feature mask
         self._feature_masks, self._feature_index = np.unique(
             np.array(self.pattern_features, dtype=object), return_inverse=True)
         self._costs: dict[int, float] = {}
+        self._mask_costs: dict[int, np.ndarray] = {}
+        # a default's lo is its exact objective, with no half-width
+        self._no_halves = np.zeros(self.m)
+        self._no_halves.flags.writeable = False
         # rounding slack of ordered_actions' rule bounds, before the division
         # by n: per float32 term of a pattern's sums, and per bound
         vo_max = float(np.abs(self.value_cols).max() + np.abs(self.optimistic).max())
@@ -248,19 +257,31 @@ class SearchProblem:
                 self.ds.specs, [f for f in range(len(self.ds.specs)) if features >> f & 1])
         return self._costs[features]
 
+    def _charges(self, features: int) -> np.ndarray:
+        """Per distinct pattern feature mask, the feature cost of a prefix
+        billing ``features`` extended by it, memoized per prefix mask."""
+        if features not in self._mask_costs:
+            self._mask_costs[features] = np.array(
+                [self.feature_cost(features | f) for f in self._feature_masks], dtype=np.float64)
+        return self._mask_costs[features]
+
     # an inf in the float32 table, or a float32 sum beyond its range, makes an
     # infinite hi, so numpy's overflow and invalid-value warnings carry no news
     @np.errstate(over="ignore", invalid="ignore")
-    def ordered_actions(self, state: SearchState) -> tuple[np.ndarray, np.ndarray]:
-        """The legal actions of a non-terminal state, and a bound per child.
+    def ordered_actions(
+            self, state: SearchState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The legal actions of a non-terminal state, a bound per child, and
+        an estimate of each child's closed list with its half-width.
 
         Returns int32 action codes (at depth L_max, the problem's read-only
         ``default_codes``) and, for each, a float64 ``hi`` at least
-        the objective of every list completing apply(state, code), ordered
+        the objective of every list completing apply(state, code), a float64
+        ``lo`` and a float64 half-width ``s``, ordered
         for expansion from the end: defaults first, the last arm first, then
         rules by decreasing one-step gain.  Any default is legal, and its
         ``hi`` is the closed list's exact objective, bit for bit
-        ``state_bound``'s, all m from the state's ``default_sums``.  Below
+        ``state_bound``'s, all m from the state's ``default_sums``; so is its
+        ``lo``, with ``s`` 0.  Below
         depth L_max, so is the rule on every pattern p that newly covers
         someone (a used pattern covers nobody new, and a rule covering
         nobody new only adds cost, so no optimum is lost).  The key of p is the largest over treatments t
@@ -310,6 +331,27 @@ class SearchProblem:
         nan of a 0 bit times one or of subtracting one, makes ``hi``
         infinite.  A loose slack only costs building the children it lets
         through.
+
+        A rule's ``lo`` is the objective, from the same sums, of the list
+        that ``close`` makes of the child ``apply`` builds: (settled +
+        max_t gains[p, t] - charge[p] + max_d(default_sums[d] - gains[p, d])
+        - lambda2 * child default charge * (n_uncovered - cnt)) / n.  The
+        child's arm has the largest exact value over the cnt subjects, its
+        best default the largest exact sum over the rest, the state's
+        ``default_sums`` minus theirs, and a max moves by at most the largest
+        error of its arguments.  So, with exact the float64 objective
+        ``state_bound`` gives that list, |lo - exact| <= s, where s = (2 *
+        (g * V + 2^-149) * (2 * count_p - cnt) + the rule slack above) / n:
+        two float32 sums of p, each off by at most the per-term bound above,
+        and the float64 rounding of both sides, each within gamma(3n + 8,
+        2^-53) * T of the real objective (T's terms: the settled sums, the
+        two gains, the charges and the default sums, at most n * ((3 + 2g)
+        * V + 3 * lambda2 * C)), with the excess covering the divisions by n
+        and the rounding of s itself.  The exact objective is a double, so
+        lo + s and lo - s, rounded, still bracket it.  Where lo is not
+        finite, or hi is infinite, a float32 overflow in p's sums leaves the
+        estimate unbounded: lo is inf there, so the child can always beat
+        the incumbent.
         """
         if state.terminal:
             raise ValidationError("terminal state has no actions")
@@ -317,7 +359,7 @@ class SearchProblem:
         default_sums = self.default_sums(state)
         default_his = self._closed(state, default_sums)
         if state.depth >= self.L_max:
-            return default_codes, default_his
+            return default_codes, default_his, default_his, self._no_halves
 
         lam2 = self.weights.lambda2
         uncov = _unpack(~state.packed, self.n)
@@ -332,9 +374,7 @@ class SearchProblem:
         # gains[k, t]: total value of assigning t to the subjects pattern
         # eligible[k] would newly cover
         gains = sums[2:, eligible].T
-        mask_cost = np.array([self.feature_cost(state.features | f)
-                              for f in self._feature_masks], dtype=np.float64)
-        new_cost = mask_cost[self._feature_index[eligible]]
+        new_cost = self._charges(state.features)[self._feature_index[eligible]]
         best_default = int(np.argmax(default_sums))
         charge = lam2 * new_cost * cnt
         keys = (gains - gains[:, best_default, None] - charge[:, None]).max(axis=1)
@@ -342,15 +382,23 @@ class SearchProblem:
         order = np.argsort(keys, kind="stable")
 
         child_default = new_cost if self.charge_default_full else 0.0
+        default_charge = lam2 * child_default * (n_unc - cnt)
         per_pattern = (float(uncov.astype(np.float64) @ self.optimistic)
-                       - sums[1, eligible] - charge
-                       - lam2 * child_default * (n_unc - cnt))
+                       - sums[1, eligible] - charge - default_charge)
         estimate = settled + gains + per_pattern[:, None]
-        slack = self._slack_per_term * (2 * self.coverage[eligible] - cnt) + self._slack
-        rule_his = (estimate + slack[:, None]) / self.n
+        term = self._slack_per_term * (2 * self.coverage[eligible] - cnt)
+        rule_his = (estimate + (term + self._slack)[:, None]) / self.n
         rule_his[~np.isfinite(rule_his)] = np.inf  # float32 overflow, 0 * inf or inf - inf
+        rule_his = rule_his.max(axis=1)
+        rule_los = (settled + gains.max(axis=1) - charge
+                    + (default_sums - gains).max(axis=1) - default_charge) / self.n
+        # an overflow in any of p's float32 sums, which makes hi infinite
+        rule_los[~np.isfinite(rule_los) | (rule_his == np.inf)] = np.inf
+        halves = (2 * term + self._slack) / self.n
         return (np.concatenate([eligible[order].astype(np.int32), default_codes]),
-                np.concatenate([rule_his.max(axis=1)[order], default_his]))
+                np.concatenate([rule_his[order], default_his]),
+                np.concatenate([rule_los[order], default_his]),
+                np.concatenate([halves[order], self._no_halves]))
 
     def _sums(self, state: SearchState) -> np.ndarray:
         """Per pattern (column), float64 totals of the float32 table's columns
@@ -445,16 +493,18 @@ class SearchProblem:
 
 
 class Frontier:
-    """An open state's untried children: action codes and their bounds his,
-    as ``ordered_actions`` returns them or reordered, taken from the end.
+    """An open state's untried children: action codes, their bounds his,
+    their closed-list estimates los and those estimates' half-widths, as
+    ``ordered_actions`` returns them or reordered, taken from the end.
 
     A ``windowed`` frontier holds only the last of them, and a count of the
     earlier ones, which it orders again once it has taken the rest."""
 
-    __slots__ = ("state", "codes", "his", "cursor", "earlier")
+    __slots__ = ("state", "codes", "his", "los", "halves", "cursor", "earlier")
 
-    def __init__(self, state: SearchState, codes: np.ndarray, his: np.ndarray):
-        self.state, self.codes, self.his = state, codes, his
+    def __init__(self, state: SearchState, codes: np.ndarray, his: np.ndarray,
+                 los: np.ndarray, halves: np.ndarray):
+        self.state, self.codes, self.his, self.los, self.halves = state, codes, his, los, halves
         self.cursor = len(codes)
         self.earlier = 0
 
@@ -464,45 +514,56 @@ class Frontier:
         copies of the WINDOW taken first: a view would keep the whole
         arrays.  The call is deterministic, so the state and the sums its
         parent keeps give the same order again."""
-        codes, his = problem.ordered_actions(state)
-        earlier = max(len(codes) - WINDOW, 0)
-        frontier = cls(state, codes[earlier:].copy(), his[earlier:].copy())
+        children = problem.ordered_actions(state)
+        earlier = max(len(children[0]) - WINDOW, 0)
+        frontier = cls(state, *(a[earlier:].copy() for a in children))
         frontier.earlier = earlier
         return frontier
 
     @classmethod
-    def by_code(cls, state: SearchState, codes: np.ndarray, his: np.ndarray) -> Frontier:
+    def by_code(cls, state: SearchState, codes: np.ndarray, his: np.ndarray,
+                los: np.ndarray, halves: np.ndarray) -> Frontier:
         """The children taken in ascending code order: the defaults, then the
         rules in pattern order."""
         order = np.argsort(codes)[::-1]
-        return cls(state, codes[order], his[order])
+        return cls(state, codes[order], his[order], los[order], halves[order])
 
-    def take(self, problem: SearchProblem, incumbent: float,
-             pruned: Counter) -> tuple[SearchState, float] | None:
-        """The next child that can beat the incumbent, with its ``hi``: a
-        bound on every list completing it, a closing child's exact objective.
-        None once none is left.  A child whose ``hi`` cannot beat the
-        incumbent is skipped unbuilt, and counted under "hi"."""
+    def next_index(self, problem: SearchProblem, incumbent: float,
+                   pruned: Counter) -> int | None:
+        """The index in the arrays of the next child that can beat the
+        incumbent, which leaves the frontier; None once none is left.  A
+        child whose ``hi`` cannot beat the incumbent is skipped, and
+        counted under "hi"."""
         while self.cursor or self.earlier:
             if not self.cursor:
                 # the window is spent: order the children again, and keep
                 # the earlier ones whole
-                self.codes, self.his = problem.ordered_actions(self.state)
+                self.codes, self.his, self.los, self.halves = problem.ordered_actions(self.state)
                 self.cursor, self.earlier = self.earlier, 0
             self.cursor -= 1
-            bound = float(self.his[self.cursor])
-            if bound <= incumbent:
+            if self.his[self.cursor] <= incumbent:
                 pruned["hi"] += 1
                 continue
-            return problem.apply(self.state, int(self.codes[self.cursor])), bound
+            return self.cursor
         return None
+
+    def take(self, problem: SearchProblem, incumbent: float,
+             pruned: Counter) -> tuple[SearchState, float] | None:
+        """The next child that can beat the incumbent, built by ``apply``,
+        with its ``hi``: a bound on every list completing it, a closing
+        child's exact objective.  None once none is left; the children
+        ``next_index`` skips are never built."""
+        k = self.next_index(problem, incumbent, pruned)
+        if k is None:
+            return None
+        return problem.apply(self.state, int(self.codes[k])), float(self.his[k])
 
 
 class SearchNode:
     """An open prefix in the UCT tree: the root, or a prefix below depth
     L_max, which may still take rule children; its frontier is made when it
     is first selected.  A closed list or a full prefix it takes is a leaf:
-    scored once, when it is built, and only counted in ``leaves``."""
+    scored once, when it is taken, and only counted in ``leaves``."""
 
     __slots__ = ("state", "bound", "visits", "total_reward", "children", "leaves",
                  "frontier", "fully_explored")
@@ -520,15 +581,31 @@ class SearchNode:
 
 @dataclass
 class SearchResult:
-    """n_pruned: children skipped by a bound; n_evaluated: closed lists exhaustive_search kept."""
+    """pruned: children skipped by a bound, by reason ("hi": next_index's
+    bound, "lo": greedy's children whose closed list cannot be the step's
+    best, "node": UCT's built prefixes pruned at selection), 0 where a solver
+    has none; n_evaluated: closed lists exhaustive_search kept;
+    leaves_from_lo and leaves_confirmed: UCT's full prefixes scored by their
+    parent's lo, and those built and scored exactly."""
 
     decision_list: DecisionList
     objective: float
     log: list[dict] = field(default_factory=list)
     tree_size: int = 0
-    n_pruned: int = 0
     iterations_run: int = 0
     n_evaluated: int = 0
+    pruned: dict[str, int] = field(default_factory=lambda: _by_reason(Counter()))
+    leaves_from_lo: int = 0
+    leaves_confirmed: int = 0
+
+    @property
+    def n_pruned(self) -> int:
+        """Children skipped by a bound, whatever the reason."""
+        return sum(self.pruned.values())
+
+
+def _by_reason(pruned: Counter) -> dict[str, int]:
+    return {reason: pruned[reason] for reason in ("hi", "lo", "node")}
 
 
 def uct_search(
@@ -541,27 +618,33 @@ def uct_search(
     """Monte-Carlo tree search with bound pruning over list prefixes.
 
     Each iteration selects by UCB1 (mean reward normalized to [0, 1] by the
-    running min/max of terminal rewards), takes the node's next child by
-    ``Frontier.take`` in ``ordered_actions``' order, closes a new prefix
-    with its best default (``SearchProblem.close``), and backs that list's
-    exact objective up the path.  Only an interior prefix, below depth
-    L_max, becomes a node, which takes its children from a
-    ``Frontier.windowed``.  A closed list, or a full prefix, is a leaf that
-    its parent counts towards progressive widening: once built it can
-    never beat the incumbent, which is at least its objective, a full
-    prefix's the best of its closing children's.  The search draws no
-    random numbers, so ``config.seed`` does not change the result.  A built
-    child keeps its bound, and is pruned at selection once that cannot beat
-    the incumbent.  A node whose children are all taken or pruned is fully
-    explored; the search stops once the root is, every completion
-    evaluated or excluded.
+    running min/max of rewards), takes the node's next child by
+    ``Frontier.next_index`` in ``ordered_actions``' order, and backs up its
+    reward along the path.  Only an interior prefix, below depth L_max,
+    becomes a node, which takes its children from a ``Frontier.windowed``;
+    its reward is the exact objective of the list ``SearchProblem.close``
+    makes of it.  A closed list, or a full prefix, is a leaf that its parent
+    counts towards progressive widening: once taken it can never beat the
+    incumbent, which is at least its objective, a full prefix's the best of
+    its closing children's.  A closed list's reward is its exact ``hi``.  A
+    full prefix's reward is its ``lo`` (where ``lo`` is inf, its exact
+    objective).  It is built, closed and scored exactly only when ``lo``
+    plus its half-width can beat the incumbent, and only an exact objective
+    sets the incumbent, so which full prefixes are built never changes the
+    path the search takes.  The search draws no random numbers, so
+    ``config.seed`` does not change the result.  A built child keeps its
+    bound, and is pruned at selection once that cannot beat the incumbent.
+    A node whose children are all taken or pruned is fully explored; the
+    search stops once the root is, every completion evaluated or excluded.
     """
     problem = SearchProblem(ds, scores, cands, weights, config)
     # the root is nobody's child, so its bound is never compared
     root = SearchNode(problem.initial_state(), math.inf)
     tree_size = 1
-    # take's skips, and under "node" the built children pruned at selection
+    # next_index's skips, and under "node" the built children pruned at selection
     pruned: Counter[str] = Counter()
+    # full prefixes scored by their lo, and those confirmed exactly
+    leaves: Counter[str] = Counter()
     best_obj = -math.inf
     # set by the first iteration, whose first child closes the root
     best_state: SearchState | None = None
@@ -571,25 +654,37 @@ def uct_search(
     def normalized(mean: float) -> float:
         return (mean - rmin) / (rmax - rmin) if rmax > rmin else 0.5
 
-    def expand(path: list[SearchNode]) -> tuple[float, SearchState] | None:
+    def expand(path: list[SearchNode]) -> tuple[float, float, SearchState | None] | None:
         """The reward of the last node's next child that can beat the
-        incumbent, and the closed list that earns it, or None.  The node
-        counts a leaf, and keeps an interior child, which joins the path."""
+        incumbent, the exact objective of the closed list that earns it and
+        that list (-inf and None for a full prefix left unbuilt), or None.
+        The node counts a leaf, and keeps an interior child, which joins the
+        path."""
         node = path[-1]
-        taken = node.frontier.take(problem, best_obj, pruned)
-        if taken is None:
+        frontier = node.frontier
+        k = frontier.next_index(problem, best_obj, pruned)
+        if k is None:
             return None
-        state, bound = taken
+        code = int(frontier.codes[k])
+        if code >= 0 and node.state.depth + 1 == config.L_max:
+            node.leaves += 1
+            lo = float(frontier.los[k])
+            if lo + float(frontier.halves[k]) <= best_obj:
+                leaves["lo"] += 1
+                return lo, -math.inf, None
+            leaves["confirmed"] += 1
+            closed = problem.close(problem.apply(node.state, code))
+            exact = problem.state_bound(closed)
+            return (lo if lo < math.inf else exact), exact, closed
+        state = problem.apply(node.state, code)
         if state.terminal:
             node.leaves += 1
-            return bound, state
+            return float(frontier.his[k]), float(frontier.his[k]), state
+        node.children.append(SearchNode(state, float(frontier.his[k])))
+        path.append(node.children[-1])
         closed = problem.close(state)
-        if state.depth < config.L_max:
-            node.children.append(SearchNode(state, bound))
-            path.append(node.children[-1])
-        else:
-            node.leaves += 1
-        return problem.state_bound(closed), closed
+        exact = problem.state_bound(closed)
+        return exact, exact, closed
 
     iterations_run = 0
     for it in range(1, config.iterations + 1):
@@ -612,10 +707,10 @@ def uct_search(
             if len(node.children) + node.leaves < limit or not live:
                 built = expand(path)
                 if built is not None:
-                    reward, closed = built
+                    reward, exact, closed = built
                     tree_size += 1
-                    if reward > best_obj:
-                        best_obj, best_state = reward, closed
+                    if exact > best_obj:
+                        best_obj, best_state = exact, closed
                     rmin, rmax = min(rmin, reward), max(rmax, reward)
                     break
             if not live:
@@ -651,8 +746,10 @@ def uct_search(
         objective=best_obj,
         log=log,
         tree_size=tree_size,
-        n_pruned=pruned.total(),
         iterations_run=iterations_run,
+        pruned=_by_reason(pruned),
+        leaves_from_lo=leaves["lo"],
+        leaves_confirmed=leaves["confirmed"],
     )
 
 
@@ -709,7 +806,7 @@ def exhaustive_search(
         decision_list=problem.decision_list(best_state),
         objective=best_obj,
         n_evaluated=n_evaluated,
-        n_pruned=pruned.total(),
+        pruned=_by_reason(pruned),
     )
 
 
@@ -722,20 +819,30 @@ def greedy_baseline(
 ) -> SearchResult:
     """Appends the single rule with the largest exact objective gain.
 
-    Each step takes the rule children by ``Frontier.take`` in the order
-    exhaustive_search tries them, against the best objective so far, and
-    closes each with ``SearchProblem.close``; it stops when no rule
-    strictly improves the closed list's objective or ``config.L_max`` is
-    hit.  The config's iterations, c_explore and seed are unused.
+    Each step makes one ``ordered_actions`` call.  The best rule child's
+    exact objective is at least the largest finite lo - s over the children,
+    and no child's is above its lo + s, so only the children whose lo + s
+    reaches that floor, and those whose lo is inf, can be the best: the
+    rest are skipped unbuilt, counted under "lo".  The candidates are taken
+    by ``Frontier.take`` in the order exhaustive_search tries them, against
+    the best objective so far, and each is closed with
+    ``SearchProblem.close`` and scored exactly, so the step takes the first
+    child, in that order, of the largest exact objective.  It stops when no
+    rule strictly improves the closed list's objective or ``config.L_max``
+    is hit.  The config's iterations, c_explore and seed are unused.
     """
     problem = SearchProblem(ds, scores, cands, weights, config)
     state = problem.initial_state()
     best_obj = problem.state_bound(problem.close(state))
     pruned: Counter[str] = Counter()
     while state.depth < config.L_max:
-        codes, his = problem.ordered_actions(state)
+        children = problem.ordered_actions(state)
+        codes, _, los, halves = children
         rules = codes >= 0
-        frontier = Frontier.by_code(state, codes[rules], his[rules])
+        floor = np.max(los - halves, where=rules & (los < np.inf), initial=-np.inf)
+        keep = rules & (los + halves >= floor)
+        pruned["lo"] += int(np.count_nonzero(rules & ~keep))
+        frontier = Frontier.by_code(state, *(a[keep] for a in children))
         step, threshold = None, best_obj
         while taken := frontier.take(problem, threshold, pruned):
             obj = problem.state_bound(problem.close(taken[0]))
@@ -747,5 +854,5 @@ def greedy_baseline(
     return SearchResult(
         decision_list=problem.decision_list(problem.close(state)),
         objective=best_obj,
-        n_pruned=pruned.total(),
+        pruned=_by_reason(pruned),
     )

@@ -57,6 +57,14 @@ class TestPipeline:
         # learn reports its incumbent through the same objective code path
         # evaluate uses, so the two must agree to near machine precision
         assert abs(regime["objective"] - metrics["objective"]) <= 1e-12
+        # UCT's pruning counts by reason add up to n_pruned; its leaves
+        # include the full prefixes, each scored from lo or confirmed
+        # exactly (iteration 1 takes a closing child of the root)
+        by_reason = regime["n_pruned_by_reason"]
+        assert set(by_reason) == {"hi", "lo", "node"} and by_reason["lo"] == 0
+        assert sum(by_reason.values()) == regime["n_pruned"]
+        assert regime["n_leaves_from_lo"] > 0
+        assert 0 <= regime["n_leaves_confirmed"] < regime["tree_size"] - 1
 
     def test_greedy_strategy(self, tmp_path):
         out = run_pipeline(tmp_path, strategy="greedy")
@@ -72,6 +80,8 @@ class TestPipeline:
         result = regimelist.greedy_baseline(ds, regimelist.read_scores(f"{out}/scores.json"),
                                             cands, config=regimelist.SearchConfig(L_max=3))
         assert regime["n_pruned"] == result.n_pruned > 0
+        assert regime["n_pruned_by_reason"] == result.pruned
+        assert result.pruned["lo"] > 0 and result.pruned["node"] == 0
         assert regime["decision_list"] == regimelist.decision_list_to_dict(
             result.decision_list, ds.specs, ds.treatment_names)
 
@@ -207,6 +217,7 @@ class TestExhaustiveStrategy:
         regime = read_json(str(tmp_path / "regime.json"))
         assert regime["strategy"] == "exhaustive"
         assert regime["n_evaluated"] > 0 and regime["n_pruned"] >= 0
+        assert regime["n_pruned_by_reason"] == {"hi": regime["n_pruned"], "lo": 0, "node": 0}
         assert main(["evaluate", *data, "--regime", str(tmp_path / "regime.json"),
                      "--scores", f"{out}/scores.json",
                      "--out-dir", str(tmp_path)]) == 0

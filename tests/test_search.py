@@ -88,7 +88,7 @@ def decode(problem, action):
 
 def actions(problem, state):
     """ordered_actions decoded, in the same order."""
-    codes, _ = problem.ordered_actions(state)
+    codes, *_ = problem.ordered_actions(state)
     return [decode(problem, c) for c in codes.tolist()]
 
 
@@ -183,13 +183,25 @@ def enumerate_completions(problem, state, L_max, scores):
     return out
 
 
+def confirm_every_leaf(monkeypatch):
+    """Make every half-width ordered_actions returns inf, so lo + s beats any
+    incumbent and UCT builds and scores exactly every full prefix it takes."""
+    ordered_actions = SearchProblem.ordered_actions
+
+    def unsure(problem, state):
+        codes, his, los, halves = ordered_actions(problem, state)
+        return codes, his, los, np.full_like(halves, np.inf)
+
+    monkeypatch.setattr(SearchProblem, "ordered_actions", unsure)
+
+
 class TestLegalActions:
     def test_action_count_fresh_state(self):
         rng = np.random.default_rng(51)
         ds, cands = small_instance(rng, n_patterns=3)
         problem = SearchProblem(ds, random_scores(rng, ds), cands, ObjectiveWeights(),
                                 SearchConfig(L_max=3))
-        codes, his = problem.ordered_actions(problem.initial_state())
+        codes, his, *_ = problem.ordered_actions(problem.initial_state())
         assert codes.dtype == np.int32 and his.dtype == np.float64
         assert len(codes) == len(his) == 3 + ds.n_treatments
 
@@ -224,7 +236,7 @@ class TestLegalActions:
         state = problem.initial_state()
         seen = set()
         while True:
-            codes, _ = problem.ordered_actions(state)
+            codes, *_ = problem.ordered_actions(state)
             rules = [c for c in codes.tolist() if c >= 0]
             if not rules:
                 break
@@ -251,7 +263,7 @@ class TestLegalActions:
                     and oracle_pattern_holds(pattern, dataset_row(ds, i), ds.specs))
                 if p not in used and newly >= 1:
                     legal.add((p, None))
-            codes, _ = problem.ordered_actions(state)
+            codes, *_ = problem.ordered_actions(state)
             acts = [decode(problem, c) for c in codes.tolist()]
             assert len(acts) == len(set(acts))
             assert set(acts) == legal
@@ -273,7 +285,7 @@ class TestLegalActions:
             covers = oracle_cover_matrix(problem)
             state = problem.initial_state()
             while True:
-                codes, his = problem.ordered_actions(state)
+                codes, his, *_ = problem.ordered_actions(state)
                 rules = codes[codes >= 0].tolist()
                 newly = (covers & ~covered(state, problem.n)[:, None]).sum(axis=0)
                 assert sorted(rules) == np.flatnonzero(newly >= 1).tolist()
@@ -308,7 +320,7 @@ class TestLegalActions:
 
             state = problem.initial_state()
             while True:
-                codes, _ = problem.ordered_actions(state)
+                codes, *_ = problem.ordered_actions(state)
                 rules = [c for c in codes.tolist() if c >= 0]
                 if not rules:
                     break
@@ -341,7 +353,7 @@ class TestLegalActions:
                                         SearchConfig(L_max=4, charge_default_full=full))
                 state = problem.initial_state()
                 for _ in range(3):
-                    codes, his = problem.ordered_actions(state)
+                    codes, his, *_ = problem.ordered_actions(state)
                     rules = codes >= 0
                     want_codes, want_his = per_pattern_actions(problem, state, state.sums)
                     assert np.array_equal(codes[rules], want_codes)
@@ -378,7 +390,7 @@ class TestStateBound:
                     # floating point sums in different orders
                     assert (oracle_open_bound(problem, state, scores)
                             >= best_completion(state) - 1e-9)
-                    codes, his = problem.ordered_actions(state)
+                    codes, his, *_ = problem.ordered_actions(state)
                     for code, hi in zip(codes.tolist(), his.tolist()):
                         child = problem.apply(state, code)
                         assert hi >= exact_bound(problem, child, scores)
@@ -417,7 +429,7 @@ class TestStateBound:
                 covers = oracle_cover_matrix(problem)
             state = problem.initial_state()
             for _ in range(3):
-                codes, his = problem.ordered_actions(state)
+                codes, his, *_ = problem.ordered_actions(state)
                 rules = [c for c in codes.tolist() if c >= 0]
                 for code, hi in zip(codes.tolist(), his.tolist()):
                     if code < 0:
@@ -448,7 +460,7 @@ class TestStateBound:
             problem = SearchProblem(ds, scores, cands, random_weights(rng),
                                     SearchConfig(L_max=3))
             state = problem.initial_state()
-            codes, his = problem.ordered_actions(state)
+            codes, his, *_ = problem.ordered_actions(state)
             assert np.isinf(his).any()
             for code, hi in zip(codes.tolist(), his.tolist()):
                 assert hi >= exact_bound(problem, problem.apply(state, code), scores)
@@ -456,7 +468,7 @@ class TestStateBound:
             # child's arm-0 sum for q is the root's minus its own (inf - inf
             # is nan), and q must still get an infinite bound
             child = problem.apply(state, p)
-            codes, his = problem.ordered_actions(child)
+            codes, his, *_ = problem.ordered_actions(child)
         assert his[codes.tolist().index(q)] == np.inf
         for code, hi in zip(codes.tolist(), his.tolist()):
             assert hi >= exact_bound(problem, problem.apply(child, code), scores)
@@ -485,7 +497,7 @@ class TestStateBound:
                 want = (covers & ~covered(state, problem.n)[:, None]).sum(axis=0)
                 results = []
                 for built in (state, alone):
-                    codes, his = problem.ordered_actions(built)
+                    codes, his, *_ = problem.ordered_actions(built)
                     assert np.array_equal(built.sums[0], want)
                     rules = codes >= 0
                     assert np.all(his[rules] >= every_arm_bound(problem, built, scores, covers,
@@ -553,7 +565,7 @@ class TestStateBound:
         assert oracle_open_bound(problem, state, scores) == pytest.approx(only, abs=1e-9)
         # with one arm and no assessment cost every list is worth the same,
         # so each batched bound exceeds that value by its slack alone
-        _, his = problem.ordered_actions(state)
+        _, his, *_ = problem.ordered_actions(state)
         assert np.all(his >= only)
         assert np.all(his <= only + 1e-3)
 
@@ -567,6 +579,112 @@ class TestStateBound:
                 problem.state_bound(state)
             state = problem.apply(state, p)
         assert np.isfinite(problem.state_bound(problem.close(state)))
+
+
+def lo_brackets(problem, rng, walks=2):
+    """Along random walks from the root, check that every rule child's lo
+    lies within its half-width s of the exact objective of the list close
+    makes of the child apply builds, and that a closing child's lo is its
+    exact hi with s = 0.  Returns the rule children checked against a finite
+    lo, those whose lo is inf, and the exact ties between the two best
+    closing children seen."""
+    finite = unbounded = tied = 0
+    for _ in range(walks):
+        state = problem.initial_state()
+        while True:
+            codes, his, los, halves = problem.ordered_actions(state)
+            closing = codes < 0
+            assert los[closing].tobytes() == his[closing].tobytes()
+            assert not halves[closing].any()
+            assert np.all(np.isfinite(halves)) and np.all(halves >= 0)
+            rules = codes[~closing]
+            for code, lo, half in zip(rules.tolist(), los[~closing].tolist(),
+                                      halves[~closing].tolist()):
+                child = problem.apply(state, code)
+                exact = problem.state_bound(problem.close(child))
+                closed = sorted(problem.state_bound(problem.apply(child, d - problem.m))
+                                for d in range(problem.m))
+                assert exact == closed[-1]
+                tied += closed[-1] == closed[-2]
+                if lo == math.inf:
+                    unbounded += 1
+                else:
+                    assert lo - half <= exact <= lo + half
+                    finite += 1
+            if state.depth == problem.L_max or not len(rules):
+                break
+            state = problem.apply(state, int(rng.choice(rules)))
+    return finite, unbounded, tied
+
+
+class TestClosedChildEstimate:
+    def test_lo_brackets_the_closed_list_on_random_instances(self):
+        # few and many subjects (1,300: a ragged last block), both default
+        # charges, and states whose sums are their parent's minus their own
+        rng = np.random.default_rng(290)
+        checked = 0
+        for trial in range(16):
+            m, full = 2 + trial % 3, trial // 3 % 2 == 1
+            if trial % 4 == 3:
+                ds = random_dataset(rng, n_subjects=1300, n_features=5, m=m)
+                cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+            else:
+                ds, cands = small_instance(rng, n_patterns=int(rng.integers(3, 9)), m=m)
+            problem = SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng),
+                                    SearchConfig(L_max=3, charge_default_full=full))
+            finite, unbounded, _ = lo_brackets(problem, rng)
+            checked += finite
+            assert not unbounded
+        assert checked > 1000
+
+    def test_lo_at_scores_near_a_million(self):
+        # the float32 sums behind lo are off by far more than float64
+        # rounding here, and s must still cover them
+        rng = np.random.default_rng(291)
+        ds = random_dataset(rng, n_subjects=3000, n_features=5, m=3)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+        scores = DRScoreMatrix(
+            scores=rng.normal(1e6, 3e5, size=(ds.n_subjects, ds.n_treatments)),
+            treatment_names=ds.treatment_names)
+        w = random_weights(rng)
+        for full in (False, True):
+            problem = SearchProblem(ds, scores, cands, w,
+                                    SearchConfig(L_max=2, charge_default_full=full))
+            finite, _, _ = lo_brackets(problem, rng, walks=1)
+            assert finite > 100
+
+    def test_lo_of_an_exact_tie_between_arms(self):
+        # arms 1 and 2 have identical scores and costs: their float32 sums
+        # tie too, and lo brackets the list whichever arm apply and close pick
+        rng = np.random.default_rng(292)
+        ties = 0
+        for full in (False, True):
+            ds, cands = small_instance(rng, n_patterns=8, m=3)
+            ds = dataclasses.replace(ds, treatment_costs=np.full(3, 4.0))
+            base = rng.normal(0, 10, size=(ds.n_subjects, 2))
+            scores = DRScoreMatrix(base[:, [0, 1, 1]], ds.treatment_names)
+            problem = SearchProblem(ds, scores, cands, ObjectiveWeights(lambda2=0.1),
+                                    SearchConfig(L_max=3, charge_default_full=full))
+            finite, _, tied = lo_brackets(problem, rng, walks=3)
+            assert finite
+            ties += tied
+        assert ties > 0
+
+    def test_overflowed_lo_is_inf_and_always_confirmed(self):
+        # a score beyond float32's range overflows every pattern's sums (see
+        # TestSums), so every rule child's lo is inf: UCT then builds and
+        # scores exactly every full prefix it takes, and backs up that exact
+        # objective
+        rng, ds, cands, scores = shared_instance(1029, 70, 75)
+        scores.scores[int(rng.integers(ds.n_subjects)), 1] = 1e39
+        w = random_weights(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem = SearchProblem(ds, scores, cands, w, SearchConfig(L_max=2))
+            _, unbounded, _ = lo_brackets(problem, rng, walks=1)
+            assert unbounded
+            res = uct_search(ds, scores, cands, w, SearchConfig(iterations=300, L_max=2))
+        assert res.leaves_from_lo == 0 and res.leaves_confirmed > 0
 
 
 def shared_predicate_patterns(rng, ds, n_patterns):
@@ -683,7 +801,8 @@ class TestCoverage:
     def test_no_array_per_subject_and_node(self, monkeypatch):
         # a state holds its coverage packed, ceil(n / 8) bytes, and no other
         # array but its per-pattern sums (that a full prefix's state does
-        # not outlive its scoring is TestFullPrefix's)
+        # not outlive its scoring is TestFullPrefix's); every full prefix is
+        # built, so as many states are checked as UCT can build
         rng = np.random.default_rng(73)
         ds = random_dataset(rng, n_subjects=2000, n_features=6, m=2)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
@@ -696,6 +815,7 @@ class TestCoverage:
             return states[-1]
 
         monkeypatch.setattr(SearchProblem, "apply", recording_apply)
+        confirm_every_leaf(monkeypatch)
         uct_search(ds, scores, cands, ObjectiveWeights(),
                    SearchConfig(iterations=300, L_max=3, seed=1))
         assert len(states) > 300
@@ -734,7 +854,9 @@ class TestCoverage:
 
     def test_one_default_product_per_state(self, monkeypatch):
         # close sums each arm's row of value_cols over a new child's
-        # uncovered set, and state_bound and ordered_actions reuse those sums
+        # uncovered set, and state_bound and ordered_actions reuse those sums;
+        # every full prefix is built, so as many states are checked as UCT
+        # can build
         rng = np.random.default_rng(79)
         ds = random_dataset(rng, n_subjects=500, n_features=5, m=3)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
@@ -758,6 +880,7 @@ class TestCoverage:
         monkeypatch.setattr(SearchProblem, "__init__", recording_init)
         monkeypatch.setattr(SearchProblem, "apply", recording_apply)
         monkeypatch.setattr(np, "compress", counting_compress)
+        confirm_every_leaf(monkeypatch)
         uct_search(ds, scores, cands, ObjectiveWeights(),
                    SearchConfig(iterations=300, L_max=3, seed=1))
         open_states = sum(not state.terminal for state in states)
@@ -782,7 +905,7 @@ class TestSums:
         table = np.column_stack([np.ones(n), optimistic, values])
         state = problem.initial_state()
         for depth in range(3):
-            codes, _ = problem.ordered_actions(state)
+            codes, *_ = problem.ordered_actions(state)
             newly = covers & ~covered(state, problem.n)[:, None]
             want = table.T @ newly
             cnt = newly.sum(axis=0)
@@ -808,7 +931,7 @@ class TestSums:
                                     SearchConfig(L_max=4))
             state = problem.initial_state()
             for depth in range(3):
-                codes, his = problem.ordered_actions(state)
+                codes, his, *_ = problem.ordered_actions(state)
                 rules = codes[codes >= 0]
                 assert len(rules) and np.all(his[codes >= 0] == np.inf)
                 assert np.all(np.isfinite(his[codes < 0]))
@@ -885,7 +1008,7 @@ class TestStateConsistency:
             state = problem.initial_state()
             check_state_consistency(problem, state)
             while True:
-                codes, _ = problem.ordered_actions(state)
+                codes, *_ = problem.ordered_actions(state)
                 rules = [c for c in codes.tolist() if c >= 0]
                 if not rules:
                     break
@@ -1031,9 +1154,9 @@ class TestUCT:
     def test_tree_holds_only_prefixes_that_can_grow(self, monkeypatch):
         # a node holds an open prefix below L_max (the root, at L_max 0, is
         # full); closed lists and full prefixes are only counted in leaves,
-        # never ordered, and never pruned: n_pruned is take's skips and the
-        # interior nodes pruned at selection
-        take, ordered_actions = Frontier.take, SearchProblem.ordered_actions
+        # never ordered, and never pruned: n_pruned is next_index's skips and
+        # the interior nodes pruned at selection
+        next_index, ordered_actions = Frontier.next_index, SearchProblem.ordered_actions
         rng = np.random.default_rng(280)
         for trial in range(24):
             m, L_max, full = 2 + trial % 3, trial // 3 % 4, trial // 12 % 2 == 1
@@ -1049,9 +1172,9 @@ class TestUCT:
                 ordered.append(state.depth)
                 return ordered_actions(problem, state)
 
-            def counting_take(frontier, problem, incumbent, pruned):
+            def counting_next_index(frontier, problem, incumbent, pruned):
                 before = pruned.total()
-                taken = take(frontier, problem, incumbent, pruned)
+                taken = next_index(frontier, problem, incumbent, pruned)
                 counters.append(pruned)
                 skips.append(pruned.total() - before)
                 return taken
@@ -1059,7 +1182,7 @@ class TestUCT:
             with monkeypatch.context() as mp:
                 mp.setattr(search, "SearchNode", RecordingNode)
                 mp.setattr(SearchProblem, "ordered_actions", recording_ordered_actions)
-                mp.setattr(Frontier, "take", counting_take)
+                mp.setattr(Frontier, "next_index", counting_next_index)
                 res = uct_search(ds, random_scores(rng, ds), cands, random_weights(rng),
                                  SearchConfig(iterations=300, L_max=L_max,
                                               charge_default_full=full))
@@ -1074,6 +1197,7 @@ class TestUCT:
             pruned = counters[0]
             assert all(counter is pruned for counter in counters)
             assert set(pruned) <= {"hi", "node"} and pruned.total() == res.n_pruned
+            assert res.pruned == {"hi": pruned["hi"], "lo": 0, "node": pruned["node"]}
             assert pruned["hi"] == sum(skips)
             assert pruned["node"] <= sum(node.fully_explored and node.bound <= res.objective
                                          for node in interior)
@@ -1159,10 +1283,11 @@ class TestExhaustive:
 
         def counted_ordered_actions(problem, state):
             counts["expanded"] += 1
-            codes, his = ordered_actions(problem, state)
+            children = ordered_actions(problem, state)
+            codes, his, *_ = children
             counts["defaults_offered"] += int(np.count_nonzero(codes < 0))
             his_of[id(state)] = (state, dict(zip(codes.tolist(), his.tolist())))
-            return codes, his
+            return children
 
         pruned_somewhere = 0
         for _ in range(6):
@@ -1268,6 +1393,37 @@ class TestGreedy:
         b = greedy_baseline(ds, scores, cands, ObjectiveWeights(), SearchConfig(L_max=3))
         assert a.decision_list == b.decision_list
 
+    def test_one_product_per_step_and_lo_skips_keep_the_oracle_list(self, monkeypatch):
+        # each step orders its children once and scores exactly only those
+        # whose lo + s reaches the largest lo - s; the rest, counted under
+        # "lo", cannot hold the step's best, so the list and its objective
+        # bits are the oracle's that scores every (pattern, arm) rule
+        ordered_actions, calls = SearchProblem.ordered_actions, []
+
+        def counted(problem, state):
+            calls.append(state.depth)
+            return ordered_actions(problem, state)
+
+        monkeypatch.setattr(SearchProblem, "ordered_actions", counted)
+        rng = np.random.default_rng(109)
+        skipped = 0
+        for trial in range(8):
+            m, full = 2 + trial % 3, trial // 3 % 2 == 1
+            ds = random_dataset(rng, n_subjects=int(rng.integers(300, 1500)), n_features=5, m=m)
+            cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+            scores, w = random_scores(rng, ds), random_weights(rng)
+            calls.clear()
+            res = greedy_baseline(ds, scores, cands, w,
+                                  SearchConfig(L_max=3, charge_default_full=full))
+            rules = len(res.decision_list.rules)
+            assert calls == list(range(min(rules + 1, 3)))
+            assert res.n_pruned == sum(res.pruned.values()) and res.pruned["node"] == 0
+            skipped += res.pruned["lo"]
+            if not full:
+                assert ((res.decision_list, res.objective)
+                        == oracle_greedy(ds, scores, cands, w, 3))
+        assert skipped > 1000
+
     def test_bound_skipping_keeps_the_unpruned_result(self):
         # skipping children whose bound cannot beat the running best must
         # leave the list and its objective exactly those of scoring them all;
@@ -1284,7 +1440,7 @@ class TestGreedy:
             scores = DRScoreMatrix(s, ds.treatment_names)
             w = ObjectiveWeights(1.0, float(rng.uniform(0, 0.05)), 0.0)
             problem = SearchProblem(ds, scores, cands, w, SearchConfig(L_max=3))
-            codes, his = problem.ordered_actions(problem.initial_state())
+            codes, his, *_ = problem.ordered_actions(problem.initial_state())
             best = problem.state_bound(problem.close(problem.initial_state()))
             skipped += int(np.count_nonzero(his[codes >= 0] <= best))
             res = greedy_baseline(ds, scores, cands, w, SearchConfig(L_max=3))
@@ -1318,15 +1474,15 @@ class TestFrontier:
         for seed in range(4):
             problem = self.problem(200 + seed, 2)
             state = problem.initial_state()
-            codes, his = problem.ordered_actions(state)
-            taken, pruned = self.take_all(problem, Frontier(state, codes, his), -math.inf)
+            codes, his, los, halves = problem.ordered_actions(state)
+            taken, pruned = self.take_all(problem, Frontier(state, codes, his, los, halves), -math.inf)
             assert not pruned and len(taken) == len(codes)
             for k, (child, bound) in zip(range(len(codes) - 1, -1, -1), taken):
                 want = problem.apply(state, int(codes[k]))
                 assert same_state(child, want)
                 assert bound == his[k]
             # by_code takes the same children in ascending code order
-            taken, _ = self.take_all(problem, Frontier.by_code(state, codes, his), -math.inf)
+            taken, _ = self.take_all(problem, Frontier.by_code(state, codes, his, los, halves), -math.inf)
             for code, (child, _) in zip(sorted(codes.tolist()), taken):
                 assert same_state(child, problem.apply(state, code))
 
@@ -1342,10 +1498,10 @@ class TestFrontier:
         for seed in range(4):
             problem = self.problem(210 + seed, 2)
             state = problem.initial_state()
-            codes, his = problem.ordered_actions(state)
+            codes, his, los, halves = problem.ordered_actions(state)
             incumbent = float(np.median(his))
             built.clear()
-            _, pruned = self.take_all(problem, Frontier(state, codes, his), incumbent)
+            _, pruned = self.take_all(problem, Frontier(state, codes, his, los, halves), incumbent)
             assert sorted(built) == sorted(codes[his > incumbent].tolist())
             assert pruned["hi"] == np.count_nonzero(his <= incumbent) > 0
 
@@ -1353,26 +1509,26 @@ class TestFrontier:
         for seed in range(4):
             problem = self.problem(220 + seed, 1)
             state = problem.initial_state()
-            codes, _ = problem.ordered_actions(state)
+            codes, *_ = problem.ordered_actions(state)
             state = problem.apply(state, int(codes[codes >= 0][-1]))
-            codes, his = problem.ordered_actions(state)
+            codes, his, los, halves = problem.ordered_actions(state)
             assert np.all(codes < 0)
-            taken, _ = self.take_all(problem, Frontier(state, codes, his), -math.inf)
+            taken, _ = self.take_all(problem, Frontier(state, codes, his, los, halves), -math.inf)
             exact = [problem.state_bound(problem.apply(state, c)) for c in codes.tolist()]
             assert [bound for _, bound in taken] == exact[::-1]
             # a closing child's hi is its objective, which cannot beat itself
-            taken, pruned = self.take_all(problem, Frontier(state, codes, his), max(exact))
+            taken, pruned = self.take_all(problem, Frontier(state, codes, his, los, halves), max(exact))
             assert not taken and pruned == Counter(hi=len(codes))
 
     def test_reason_counts_add_up_to_the_skips(self):
         for seed in range(6):
             problem = self.problem(230 + seed, 2)
             state = problem.initial_state()
-            codes, his = problem.ordered_actions(state)
+            codes, his, los, halves = problem.ordered_actions(state)
             closed = [problem.state_bound(problem.apply(state, c))
                       for c in codes[codes < 0].tolist()]
             for incumbent in (float(np.median(his)), max(closed), -math.inf):
-                taken, pruned = self.take_all(problem, Frontier(state, codes, his), incumbent)
+                taken, pruned = self.take_all(problem, Frontier(state, codes, his, los, halves), incumbent)
                 assert set(pruned) <= {"hi"}
                 assert len(taken) + pruned.total() == len(codes)
                 assert pruned["hi"] == np.count_nonzero(his <= incumbent)
@@ -1391,15 +1547,18 @@ class TestFrontier:
         for seed in range(4):
             problem = self.problem(250 + seed, 3)
             root = problem.initial_state()
-            codes, _ = problem.ordered_actions(root)
+            codes, *_ = problem.ordered_actions(root)
             for state in (root, problem.apply(root, int(codes[codes >= 0][-1]))):
-                codes, his = problem.ordered_actions(state)
+                codes, his, los, halves = problem.ordered_actions(state)
                 assert len(codes) > window
                 for incumbent in (-math.inf, float(np.median(his)), float(his.max())):
-                    whole, skipped = self.take_all(problem, Frontier(state, codes, his),
+                    whole, skipped = self.take_all(problem, Frontier(state, codes, his, los, halves),
                                                    incumbent)
                     frontier = Frontier.windowed(problem, state)
                     assert len(frontier.codes) == window
+                    for kept, whole_array in zip((frontier.codes, frontier.his, frontier.los,
+                                                  frontier.halves), (codes, his, los, halves)):
+                        assert kept.tobytes() == whole_array[-window:].tobytes()
                     taken, pruned = self.take_all(problem, frontier, incumbent)
                     assert pruned == skipped
                     assert len(taken) == len(whole)
@@ -1434,15 +1593,17 @@ class TestClosingChildren:
                                     SearchConfig(L_max=L_max, charge_default_full=full))
             state = problem.initial_state()
             while state.depth < L_max:
-                codes, _ = problem.ordered_actions(state)
+                codes, *_ = problem.ordered_actions(state)
                 rules = codes[codes >= 0]
                 if not len(rules):
                     break
                 state = problem.apply(state, int(rng.choice(rules)))
             full_prefix = SearchProblem(ds, scores, cands, w,
                                         SearchConfig(L_max=state.depth, charge_default_full=full))
-            codes, his = full_prefix.ordered_actions(state)
+            codes, his, los, halves = full_prefix.ordered_actions(state)
             assert codes.tolist() == list(range(-m, 0))
+            # a closing child's lo is its exact objective, with no half-width
+            assert los.tobytes() == his.tobytes() and not halves.any()
             closed = [problem.apply(state, d - m) for d in reversed(range(m))]
             exact = [problem.state_bound(child) for child in closed]
             assert exact == [one_arm_objective(problem, child) for child in closed]
@@ -1453,7 +1614,7 @@ class TestClosingChildren:
             for incumbent in (-math.inf, min(exact), float(np.median(exact)), max(exact),
                               max(exact) + 1.0):
                 pruned: Counter[str] = Counter()
-                frontier = Frontier(state, codes, his)
+                frontier = Frontier(state, codes, his, los, halves)
                 taken = []
                 while (t := frontier.take(problem, incumbent, pruned)) is not None:
                     taken.append(t)
@@ -1521,36 +1682,38 @@ class TestWindow:
 
 
 class TestFullPrefix:
-    def scored(self, monkeypatch, ds, scores, cands, w, config):
-        """Each full prefix UCT builds, in order, with the objective that
-        state_bound gives the list close makes of it, after checking that
-        no node holds it, no frontier orders its children, and that the
-        root's total reward sums the objective of every child built."""
-        close, state_bound, take = SearchProblem.close, SearchProblem.state_bound, Frontier.take
+    def scored(self, monkeypatch, ds, scores, cands, w, config, confirm_all=False):
+        """Each full prefix UCT takes, in order: its parent's state, its
+        code, its lo and half-width, the incumbent it was taken against,
+        and the exact objective of the list close makes of it if UCT built
+        it, else None.  Checks that no node holds a full prefix, no frontier
+        orders its children, and that the root's total reward sums every
+        taken child's reward: a closed list's hi, an interior prefix's exact
+        closed objective, and a full prefix's lo, or its exact objective
+        where lo is inf.  With confirm_all every full prefix is built."""
+        next_index, state_bound = Frontier.next_index, SearchProblem.state_bound
         ordered_actions = SearchProblem.ordered_actions
-        full, objectives, rewards, nodes = [], [], [], []
+        taken, nodes = [], []
 
-        def recording_close(problem, state):
-            if state.depth == config.L_max:
-                full.append(state)
-            return close(problem, state)
+        def recording_next_index(frontier, problem, incumbent, pruned):
+            k = next_index(frontier, problem, incumbent, pruned)
+            if k is not None:
+                taken.append({"parent": frontier.state, "code": int(frontier.codes[k]),
+                              "hi": float(frontier.his[k]), "lo": float(frontier.los[k]),
+                              "half": float(frontier.halves[k]), "incumbent": incumbent,
+                              "exact": None})
+            return k
 
         def recording_state_bound(problem, state):
-            rewards.append(state_bound(problem, state))
-            if state.depth == config.L_max:
-                assert state.prefix == full[-1].prefix
-                objectives.append(rewards[-1])
-            return rewards[-1]
-
-        def recording_take(frontier, problem, incumbent, pruned):
-            taken = take(frontier, problem, incumbent, pruned)
-            if taken is not None and taken[0].terminal:
-                rewards.append(taken[1])
-            return taken
+            taken[-1]["exact"] = state_bound(problem, state)
+            return taken[-1]["exact"]
 
         def checking_ordered_actions(problem, state):
             assert state.depth < problem.L_max
-            return ordered_actions(problem, state)
+            codes, his, los, halves = ordered_actions(problem, state)
+            if confirm_all:
+                halves = np.full_like(halves, np.inf)
+            return codes, his, los, halves
 
         class RecordingNode(search.SearchNode):
             def __init__(self, state, bound):
@@ -1558,49 +1721,71 @@ class TestFullPrefix:
                 nodes.append(self)
 
         with monkeypatch.context() as mp:
-            mp.setattr(SearchProblem, "close", recording_close)
+            mp.setattr(Frontier, "next_index", recording_next_index)
             mp.setattr(SearchProblem, "state_bound", recording_state_bound)
             mp.setattr(SearchProblem, "ordered_actions", checking_ordered_actions)
-            mp.setattr(Frontier, "take", recording_take)
             mp.setattr(search, "SearchNode", RecordingNode)
-            uct_search(ds, scores, cands, w, config)
-        assert len(objectives) == len(full)
+            res = uct_search(ds, scores, cands, w, config)
         assert all(node.state.depth < config.L_max for node in nodes)
+        full = []
         total = 0.0
-        for reward in rewards:
-            total += reward
+        for child in taken:
+            if child["code"] < 0:
+                total += child["hi"]
+            elif child["parent"].depth + 1 < config.L_max:
+                total += child["exact"]
+            else:
+                full.append(child)
+                total += child["lo"] if child["lo"] < math.inf else child["exact"]
         assert nodes[0].total_reward == total
-        return list(zip(full, objectives))
+        built = sum(child["exact"] is not None for child in full)
+        assert (res.leaves_confirmed, res.leaves_from_lo) == (built, len(full) - built)
+        return full
 
     def check(self, monkeypatch, ds, scores, cands, w, config):
-        """Each full prefix's reward is the largest of its closing children's
-        objectives, exactly, each scored from scratch by another problem;
-        returns the largest two objectives of each."""
+        """Every full prefix's lo lies within its half-width of the best of
+        its closing children's objectives, each scored from scratch by
+        another problem.  UCT builds a full prefix exactly when lo + s can
+        beat the incumbent or lo is inf, and then that best is its exact
+        objective; one it leaves unbuilt could not have beaten the
+        incumbent.  Checked as UCT runs, and with every full prefix built;
+        returns the largest two objectives of each full prefix, and how many
+        were left unbuilt."""
         problem = SearchProblem(ds, scores, cands, w, config)
-        tops = []
-        for state, reward in self.scored(monkeypatch, ds, scores, cands, w, config):
-            state = dataclasses.replace(state, default_sums=None)
-            exact = [problem.state_bound(problem.apply(state, d - problem.m))
-                     for d in range(problem.m)]
-            assert reward == max(exact)
-            tops.append(sorted(exact)[-2:])
-        return tops
+        tops, unbuilt = [], 0
+        for confirm_all in (False, True):
+            for child in self.scored(monkeypatch, ds, scores, cands, w, config, confirm_all):
+                state = problem.apply(child["parent"], child["code"])
+                exact = [problem.state_bound(problem.apply(state, d - problem.m))
+                         for d in range(problem.m)]
+                lo, half, best = child["lo"], child["half"], max(exact)
+                assert lo == math.inf or lo - half <= best <= lo + half
+                if child["exact"] is None:
+                    assert lo + half <= child["incumbent"] and best <= child["incumbent"]
+                    unbuilt += 1
+                else:
+                    assert confirm_all or not lo + half <= child["incumbent"]
+                    assert child["exact"] == best
+                tops.append(sorted(exact)[-2:])
+        return tops, unbuilt
 
     def test_reward_is_the_best_closing_objective(self, monkeypatch):
         rng = np.random.default_rng(270)
-        n_full = 0
+        n_full = n_unbuilt = 0
         for trial in range(24):
             m, L_max, full = 2 + trial % 3, 1 + trial // 3 % 3, trial // 9 % 2 == 1
             ds, cands = small_instance(rng, n_patterns=int(rng.integers(3, 9)), m=m)
-            n_full += len(self.check(
+            tops, unbuilt = self.check(
                 monkeypatch, ds, random_scores(rng, ds), cands, random_weights(rng),
-                SearchConfig(iterations=300, L_max=L_max, charge_default_full=full)))
-        assert n_full > 100
+                SearchConfig(iterations=300, L_max=L_max, charge_default_full=full))
+            n_full += len(tops) - unbuilt
+            n_unbuilt += unbuilt
+        assert n_full > 100 and n_unbuilt > 100
 
     def test_reward_of_an_exact_tie_between_arms(self, monkeypatch):
         # arms 1 and 2 have identical scores and costs, so the closing
         # children of arms 1 and 2 tie exactly, and where they beat arm 0,
-        # close picks arm 1, whose objective the reward is
+        # close picks arm 1, whose objective a built full prefix's is
         rng = np.random.default_rng(271)
         ds, cands = small_instance(rng, n_patterns=8, m=3)
         ds = dataclasses.replace(ds, treatment_costs=np.full(3, 4.0))
@@ -1609,8 +1794,8 @@ class TestFullPrefix:
         tied = 0
         for full in (False, True):
             # a small lambda2 keeps assessment charges from pruning every rule
-            tops = self.check(monkeypatch, ds, scores, cands, ObjectiveWeights(lambda2=0.1),
-                              SearchConfig(iterations=300, L_max=2, charge_default_full=full))
+            tops, _ = self.check(monkeypatch, ds, scores, cands, ObjectiveWeights(lambda2=0.1),
+                                 SearchConfig(iterations=300, L_max=2, charge_default_full=full))
             tied += sum(a == b for a, b in tops)
         assert tied > 0
 
@@ -1623,17 +1808,50 @@ class TestFullPrefix:
             treatment_names=ds.treatment_names)
         w = random_weights(rng)
         for full in (False, True):
-            assert self.check(monkeypatch, ds, scores, cands, w,
-                              SearchConfig(iterations=200, L_max=2, charge_default_full=full))
+            tops, _ = self.check(monkeypatch, ds, scores, cands, w,
+                                 SearchConfig(iterations=200, L_max=2, charge_default_full=full))
+            assert tops
+
+    def test_confirming_every_leaf_changes_nothing(self, monkeypatch):
+        # which full prefixes are built and scored exactly decides only
+        # whether one may set the incumbent, and one left unbuilt cannot
+        # beat it: building them all returns the same list, objective bits,
+        # counts and log, on random and on criterion 3's instances
+        from test_acceptance import build_oracle_instances
+
+        rng = np.random.default_rng(272)
+        cases = []
+        for trial in range(36):
+            m, L_max, full = 2 + trial % 3, 1 + trial // 3 % 3, trial // 9 % 2 == 1
+            ds, cands = small_instance(rng, n_patterns=int(rng.integers(3, 9)), m=m)
+            cases.append((ds, random_scores(rng, ds), cands, random_weights(rng),
+                          SearchConfig(iterations=300, L_max=L_max, charge_default_full=full)))
+        for inst in build_oracle_instances():
+            cases.append((inst["ds"], inst["scores"], inst["cands"], inst["weights"],
+                          SearchConfig(iterations=10000, L_max=inst["L_max"])))
+        from_lo = 0
+        for case in cases:
+            res = uct_search(*case)
+            from_lo += res.leaves_from_lo
+            with monkeypatch.context() as mp:
+                confirm_every_leaf(mp)
+                confirmed = uct_search(*case)
+            assert confirmed.leaves_from_lo == 0
+            assert confirmed.leaves_confirmed == res.leaves_confirmed + res.leaves_from_lo
+            assert ((res.decision_list, res.objective.hex(), res.n_pruned, res.tree_size, res.log)
+                    == (confirmed.decision_list, confirmed.objective.hex(), confirmed.n_pruned,
+                        confirmed.tree_size, confirmed.log))
+        assert from_lo > 100
 
     def test_state_dies_once_scored(self, monkeypatch):
-        # UCT scores a full prefix by closing it and keeps no node of it, so
-        # whenever a later node orders its children, no full prefix's state
-        # of the search is alive
+        # UCT scores a full prefix it builds by closing it and keeps no node
+        # of it, so whenever a later node orders its children, no full
+        # prefix's state of the search is alive; every full prefix is built
         rng = np.random.default_rng(73)
         ds = random_dataset(rng, n_subjects=2000, n_features=6, m=2)
         cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
         scores = random_scores(rng, ds)
+        confirm_every_leaf(monkeypatch)
         close, initial_state = SearchProblem.close, SearchProblem.initial_state
         ordered_actions = SearchProblem.ordered_actions
         roots, scored, alive = [], [], []
