@@ -357,8 +357,13 @@ def assign(ds: Dataset, dl: DecisionList) -> np.ndarray:
 
 
 def feature_set_cost(specs: Sequence[CharacteristicSpec], features: Iterable[int]) -> float:
-    """Total assessment cost of a set of characteristics, each billed once."""
-    return float(sum(specs[f].cost for f in set(features)))
+    """Total assessment cost of a set of characteristics, each billed once,
+    added in ascending index order: a fixed order, which a vectorized sum
+    over feature columns repeats bit for bit."""
+    total = 0.0
+    for f in sorted(set(features)):
+        total += specs[f].cost
+    return total
 
 
 def _with_default(per_rule: list[float], charge_default_full: bool) -> np.ndarray:

@@ -34,9 +34,10 @@ only counts.  A closed list is scored by its exact ``hi``, a full prefix by
 its ``lo``; it is built, closed and scored exactly only if ``lo`` plus its
 half-width can beat the incumbent, which only an exact objective sets.
 Greedy likewise scores exactly only the rule children whose ``lo`` range
-reaches the best child's.  An interior node's frontier keeps copies of the
-WINDOW children it takes first, as progressive widening lets it take few,
-and orders its children again only if it spends them.
+reaches the best child's.  An interior node's frontier keeps, and
+``ordered_actions`` bounds, only the WINDOW children it takes first, as
+progressive widening lets it take few; it orders its children again, all
+of them, only if it spends them.
 """
 
 from __future__ import annotations
@@ -145,6 +146,32 @@ def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(packed, count=n).view(bool)
 
 
+def _stable_tail(keys: np.ndarray, r: int) -> np.ndarray:
+    """The last r entries of np.argsort(keys, kind="stable"): keys ascending
+    with nan last, equal keys in index order.  A partition finds the r-th
+    largest key; every key above it is in the tail, and of those equal to
+    it the last ones in index order fill the rest."""
+    if r >= len(keys):
+        return np.argsort(keys, kind="stable")
+    if r <= 0:
+        return np.empty(0, dtype=np.intp)
+    kth = len(keys) - r
+    pivot = keys[np.argpartition(keys, kth)[kth]]
+    if np.isnan(pivot):
+        return np.flatnonzero(np.isnan(keys))[-r:]
+    above = np.flatnonzero((keys > pivot) | np.isnan(keys))
+    ties = np.flatnonzero(keys == pivot)
+    tail = np.concatenate([ties[len(ties) - (r - len(above)):], above])
+    return tail[np.argsort(keys[tail], kind="stable")]
+
+
+def _tail(window: int | None, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, or their last ``window`` entries if they are longer."""
+    if window is None or len(arrays[0]) <= window:
+        return arrays
+    return tuple(a[len(a) - window:] for a in arrays)
+
+
 def _by_subject(rows: np.ndarray, n: int) -> np.ndarray:
     """Rows of packed bits over n subjects, packed subject by subject instead:
     row j in bit 7 - j % 8 of byte j // 8, transposed BLOCK subjects at a time."""
@@ -213,9 +240,14 @@ class SearchProblem:
                            - weights.lambda3 * float(ds.treatment_costs.min()))
         self.pattern_features = tuple(sum(1 << f for f in pat.features)
                                       for pat in self.patterns)
-        # distinct pattern feature masks, priced once per state feature mask
-        self._feature_masks, self._feature_index = np.unique(
+        # distinct pattern feature masks, as rows of feature bits, priced
+        # once per state feature mask
+        feature_masks, self._feature_index = np.unique(
             np.array(self.pattern_features, dtype=object), return_inverse=True)
+        self._mask_bits = np.array([[mask >> f & 1 for f in range(len(ds.specs))]
+                                    for mask in feature_masks.tolist()],
+                                   dtype=bool).reshape(len(feature_masks), len(ds.specs))
+        self._feature_costs = tuple(float(spec.cost) for spec in ds.specs)
         self._costs: dict[int, float] = {}
         self._mask_costs: dict[int, np.ndarray] = {}
         # a default's lo is its exact objective, with no half-width
@@ -237,6 +269,17 @@ class SearchProblem:
             self._table[:, 0] = 1.0
             self._table[:, 1] = self.optimistic
             self._table[:, 2:] = self.value_cols.T
+        # _sums' buffers: per block the prefix and predicate bits as float32
+        # and their product, per call the float64 totals over (prefix,
+        # column, last predicate), and where in those each (column, pattern)
+        # sum lies
+        n_cols, n_preds, block = self.m + 2, len(index), min(BLOCK, self.n)
+        self._left = np.empty((block, self._n_prefixes), dtype=np.float32)
+        self._preds = np.empty((block, n_preds), dtype=np.float32)
+        self._product = np.empty((self._n_prefixes, n_cols * n_preds), dtype=np.float32)
+        self._gram = np.empty((self._n_prefixes, n_cols * n_preds))
+        self._sum_at = (self._prefix_of * (n_cols * n_preds) + self._last_of
+                        + (np.arange(n_cols) * n_preds)[:, None])
 
     def row(self, p: int) -> np.ndarray:
         """Pattern p's coverage, packed like ``SearchState.packed`` (read-only)."""
@@ -259,17 +302,24 @@ class SearchProblem:
 
     def _charges(self, features: int) -> np.ndarray:
         """Per distinct pattern feature mask, the feature cost of a prefix
-        billing ``features`` extended by it, memoized per prefix mask."""
+        billing ``features`` extended by it, memoized per prefix mask: bit
+        for bit ``feature_cost``, whose sum runs in ascending feature order."""
         if features not in self._mask_costs:
-            self._mask_costs[features] = np.array(
-                [self.feature_cost(features | f) for f in self._feature_masks], dtype=np.float64)
+            costs = np.zeros(len(self._mask_bits))
+            for f, cost in enumerate(self._feature_costs):
+                if features >> f & 1:
+                    costs += cost
+                else:
+                    np.add(costs, cost, out=costs, where=self._mask_bits[:, f])
+            self._mask_costs[features] = costs
         return self._mask_costs[features]
 
     # an inf in the float32 table, or a float32 sum beyond its range, makes an
     # infinite hi, so numpy's overflow and invalid-value warnings carry no news
     @np.errstate(over="ignore", invalid="ignore")
     def ordered_actions(
-            self, state: SearchState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+            self, state: SearchState,
+            window: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The legal actions of a non-terminal state, a bound per child, and
         an estimate of each child's closed list with its half-width.
 
@@ -278,7 +328,10 @@ class SearchProblem:
         the objective of every list completing apply(state, code), a float64
         ``lo`` and a float64 half-width ``s``, ordered
         for expansion from the end: defaults first, the last arm first, then
-        rules by decreasing one-step gain.  Any default is legal, and its
+        rules by decreasing one-step gain.  Given a window, it returns only
+        the last ``window`` of each array, bit for bit the tail of the whole:
+        every rule child's key still sets the order, but only the rules in
+        the window are bounded.  Any default is legal, and its
         ``hi`` is the closed list's exact objective, bit for bit
         ``state_bound``'s, all m from the state's ``default_sums``; so is its
         ``lo``, with ``s`` 0.  Below
@@ -359,7 +412,7 @@ class SearchProblem:
         default_sums = self.default_sums(state)
         default_his = self._closed(state, default_sums)
         if state.depth >= self.L_max:
-            return default_codes, default_his, default_his, self._no_halves
+            return _tail(window, default_codes, default_his, default_his, self._no_halves)
 
         lam2 = self.weights.lambda2
         uncov = _unpack(~state.packed, self.n)
@@ -378,15 +431,17 @@ class SearchProblem:
         best_default = int(np.argmax(default_sums))
         charge = lam2 * new_cost * cnt
         keys = (gains - gains[:, best_default, None] - charge[:, None]).max(axis=1)
-        # stable: equal keys keep pattern order
-        order = np.argsort(keys, kind="stable")
-
-        child_default = new_cost if self.charge_default_full else 0.0
+        # stable: equal keys keep pattern order; a window needs only the
+        # rules it has room for beside the defaults
+        order = _stable_tail(keys, len(keys) if window is None else window - self.m)
+        # the bounds of the rules kept, in order
+        codes, cnt, gains, charge = eligible[order], cnt[order], gains[order], charge[order]
+        child_default = new_cost[order] if self.charge_default_full else 0.0
         default_charge = lam2 * child_default * (n_unc - cnt)
         per_pattern = (float(uncov.astype(np.float64) @ self.optimistic)
-                       - sums[1, eligible] - charge - default_charge)
+                       - sums[1, codes] - charge - default_charge)
         estimate = settled + gains + per_pattern[:, None]
-        term = self._slack_per_term * (2 * self.coverage[eligible] - cnt)
+        term = self._slack_per_term * (2 * self.coverage[codes] - cnt)
         rule_his = (estimate + (term + self._slack)[:, None]) / self.n
         rule_his[~np.isfinite(rule_his)] = np.inf  # float32 overflow, 0 * inf or inf - inf
         rule_his = rule_his.max(axis=1)
@@ -395,10 +450,11 @@ class SearchProblem:
         # an overflow in any of p's float32 sums, which makes hi infinite
         rule_los[~np.isfinite(rule_los) | (rule_his == np.inf)] = np.inf
         halves = (2 * term + self._slack) / self.n
-        return (np.concatenate([eligible[order].astype(np.int32), default_codes]),
-                np.concatenate([rule_his[order], default_his]),
-                np.concatenate([rule_los[order], default_his]),
-                np.concatenate([halves[order], self._no_halves]))
+        return _tail(window,
+                     np.concatenate([codes.astype(np.int32), default_codes]),
+                     np.concatenate([rule_his, default_his]),
+                     np.concatenate([rule_los, default_his]),
+                     np.concatenate([halves, self._no_halves]))
 
     def _sums(self, state: SearchState) -> np.ndarray:
         """Per pattern (column), float64 totals of the float32 table's columns
@@ -412,17 +468,21 @@ class SearchProblem:
         rows = np.flatnonzero(_unpack(
             state.packed & ~parent.packed if incremental else ~state.packed, self.n))
         n_cols, n_preds = self._table.shape[1], len(self._pred_rows)
-        gram = np.zeros((self._n_prefixes, n_cols * n_preds))
+        gram = self._gram
+        gram.fill(0.0)
         for i in range(0, len(rows), BLOCK):
             block = rows[i:i + BLOCK]
-            left = np.unpackbits(self._prefix_bits[block], axis=1,
-                                 count=self._n_prefixes).astype(np.float32)
-            preds = np.unpackbits(self._pred_bits[block], axis=1,
-                                  count=n_preds).astype(np.float32)
-            right = self._table[block][:, :, None] * preds[:, None, :]
-            gram += left.T @ right.reshape(len(block), n_cols * n_preds)
-        pairs = gram.reshape(self._n_prefixes, n_cols, n_preds)
-        sums = pairs[self._prefix_of, :, self._last_of].T
+            b = len(block)
+            left, preds = self._left[:b], self._preds[:b]
+            left[...] = np.unpackbits(self._prefix_bits[block], axis=1, count=self._n_prefixes)
+            preds[...] = np.unpackbits(self._pred_bits[block], axis=1, count=n_preds)
+            # each table entry times each predicate bit; einsum's product
+            # of an entry by a 0 bit may be +0 where the plain one is -0,
+            # which the float64 totals, filled with +0, never keep
+            right = np.einsum("rc,rq->rcq", self._table[block], preds)
+            np.matmul(left.T, right.reshape(b, n_cols * n_preds), out=self._product)
+            gram += self._product
+        sums = gram.take(self._sum_at)
         return parent.sums - sums if incremental else sums
 
     def apply(self, state: SearchState, action: Action) -> SearchState:
@@ -497,8 +557,8 @@ class Frontier:
     their closed-list estimates los and those estimates' half-widths, as
     ``ordered_actions`` returns them or reordered, taken from the end.
 
-    A ``windowed`` frontier holds only the last of them, and a count of the
-    earlier ones, which it orders again once it has taken the rest."""
+    A ``windowed`` frontier holds only the last of them, and whether there
+    are earlier ones, which it orders again once it has taken the rest."""
 
     __slots__ = ("state", "codes", "his", "los", "halves", "cursor", "earlier")
 
@@ -506,18 +566,18 @@ class Frontier:
                  los: np.ndarray, halves: np.ndarray):
         self.state, self.codes, self.his, self.los, self.halves = state, codes, his, los, halves
         self.cursor = len(codes)
-        self.earlier = 0
+        self.earlier = False
 
     @classmethod
     def windowed(cls, problem: SearchProblem, state: SearchState) -> Frontier:
-        """The children in ``ordered_actions``' order, of which it keeps
-        copies of the WINDOW taken first: a view would keep the whole
-        arrays.  The call is deterministic, so the state and the sums its
-        parent keeps give the same order again."""
-        children = problem.ordered_actions(state)
-        earlier = max(len(children[0]) - WINDOW, 0)
-        frontier = cls(state, *(a[earlier:].copy() for a in children))
-        frontier.earlier = earlier
+        """The WINDOW children taken first in ``ordered_actions``' order,
+        which bounds only those and one more, the sign of earlier children.
+        The call is deterministic, so the state and the sums its parent
+        keeps give the same order again."""
+        children = problem.ordered_actions(state, WINDOW + 1)
+        # copies: a view would keep the one more
+        frontier = cls(state, *(a[-WINDOW:].copy() for a in children))
+        frontier.earlier = len(children[0]) > WINDOW
         return frontier
 
     @classmethod
@@ -537,9 +597,10 @@ class Frontier:
         while self.cursor or self.earlier:
             if not self.cursor:
                 # the window is spent: order the children again, and keep
-                # the earlier ones whole
+                # them whole, of which the earlier ones are left
+                taken = len(self.codes)
                 self.codes, self.his, self.los, self.halves = problem.ordered_actions(self.state)
-                self.cursor, self.earlier = self.earlier, 0
+                self.cursor, self.earlier = len(self.codes) - taken, False
             self.cursor -= 1
             if self.his[self.cursor] <= incumbent:
                 pruned["hi"] += 1

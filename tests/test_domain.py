@@ -157,6 +157,17 @@ class TestCosts:
         assert feature_set_cost(SPECS, [0, 0, 1]) == 3.0
         assert feature_set_cost(SPECS, []) == 0.0
 
+    def test_feature_set_cost_adds_in_ascending_order(self):
+        # {1, 9, 12} iterates as 1, 12, 9; these costs round differently in
+        # that order, and the sum must be the ascending one whatever the
+        # order the features come in
+        costs = {1: 0.1, 9: 0.2, 12: 2 / 3}
+        specs = tuple(CharacteristicSpec(f"r{f}", REAL, costs.get(f, 1.0)) for f in range(13))
+        assert list({1, 9, 12}) == [1, 12, 9]
+        assert (0.1 + 2 / 3) + 0.2 != (0.1 + 0.2) + 2 / 3
+        for order in ([1, 9, 12], [12, 9, 1], {1, 9, 12}, [9, 12, 1, 9]):
+            assert feature_set_cost(specs, order) == (0.1 + 0.2) + 2 / 3
+
     def test_cumulative_prefix_charging(self):
         ds = tiny_dataset()
         dl = DecisionList(

@@ -116,8 +116,9 @@ def check_state_consistency(problem, state, covers=None):
 
 
 def per_pattern_actions(problem, state, sums):
-    """ordered_actions' rule codes and his for a state whose rule sums are
-    ``sums``, pricing each eligible pattern's extended feature set on its own."""
+    """ordered_actions' rule codes, his and keys for a state whose rule sums
+    are ``sums``, pricing each eligible pattern's extended feature set on its
+    own; a float32 overflow in the sums makes keys nan or inf, silently."""
     lam2 = problem.weights.lambda2
     uncovered = ~covered(state, problem.n)
     uncov64 = uncovered.astype(np.float64)
@@ -131,16 +132,17 @@ def per_pattern_actions(problem, state, sums):
     new_cost = np.array([problem.feature_cost(state.features | problem.pattern_features[p])
                          for p in eligible.tolist()], dtype=np.float64)
     charge = lam2 * new_cost * cnt
-    keys = (gains - gains[:, int(np.argmax(default_sums)), None] - charge[:, None]).max(axis=1)
-    order = np.argsort(keys, kind="stable")
-    child_default = new_cost if problem.charge_default_full else 0.0
-    per_pattern = (float(uncov64 @ problem.optimistic) - sums[1, eligible] - charge
-                   - lam2 * child_default * (n_unc - cnt))
-    estimate = settled + gains + per_pattern[:, None]
-    slack = problem._slack_per_term * (2 * problem.coverage[eligible] - cnt) + problem._slack
-    rule_his = (estimate + slack[:, None]) / problem.n
-    rule_his[~np.isfinite(rule_his)] = np.inf
-    return eligible[order], rule_his.max(axis=1)[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys = (gains - gains[:, int(np.argmax(default_sums)), None] - charge[:, None]).max(axis=1)
+        order = np.argsort(keys, kind="stable")
+        child_default = new_cost if problem.charge_default_full else 0.0
+        per_pattern = (float(uncov64 @ problem.optimistic) - sums[1, eligible] - charge
+                       - lam2 * child_default * (n_unc - cnt))
+        estimate = settled + gains + per_pattern[:, None]
+        slack = problem._slack_per_term * (2 * problem.coverage[eligible] - cnt) + problem._slack
+        rule_his = (estimate + slack[:, None]) / problem.n
+        rule_his[~np.isfinite(rule_his)] = np.inf
+    return eligible[order], rule_his.max(axis=1)[order], keys[order]
 
 
 def exact_bound(problem, state, scores):
@@ -188,8 +190,8 @@ def confirm_every_leaf(monkeypatch):
     incumbent and UCT builds and scores exactly every full prefix it takes."""
     ordered_actions = SearchProblem.ordered_actions
 
-    def unsure(problem, state):
-        codes, his, los, halves = ordered_actions(problem, state)
+    def unsure(problem, state, window=None):
+        codes, his, los, halves = ordered_actions(problem, state, window)
         return codes, his, los, np.full_like(halves, np.inf)
 
     monkeypatch.setattr(SearchProblem, "ordered_actions", unsure)
@@ -342,25 +344,53 @@ class TestLegalActions:
 
     def test_feature_charges_priced_per_mask_equal_per_pattern(self):
         # ordered_actions prices each distinct pattern feature mask once; its
-        # order (from the keys) and his must be those of pricing each pattern
+        # order (from the keys) and his must be those of pricing each pattern,
+        # and each charge must be feature_cost's bit for bit.  With 13
+        # features a set such as {1, 9, 12} iterates as 1, 12, 9, and with
+        # costs such as 0.1 and 1/3 a sum in that order rounds differently
         rng = np.random.default_rng(61)
-        ds = random_dataset(rng, n_subjects=400, n_features=6, m=3)
-        cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
-        assert len(set(SearchProblem(ds, random_scores(rng, ds), cands).pattern_features)) > 1
-        for full in (False, True):
-            for _ in range(3):
-                problem = SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng),
-                                        SearchConfig(L_max=4, charge_default_full=full))
-                state = problem.initial_state()
+        odd_costs = (0.1, 1 / 3, 0.7, 2 / 3, 1.1, 0.3, 1e-3, 5 / 7)
+        reordered = 0
+        for n_features, costs in ((6, None), (13, odd_costs)):
+            ds = random_dataset(rng, n_subjects=400, n_features=n_features, m=3)
+            if costs:
+                ds = dataclasses.replace(ds, specs=tuple(
+                    dataclasses.replace(spec, cost=costs[f % len(costs)])
+                    for f, spec in enumerate(ds.specs)))
+            cands = mine_patterns(ds, MiningConfig(min_support=0.05, max_predicates=2))
+            assert len(set(SearchProblem(ds, random_scores(rng, ds), cands).pattern_features)) > 1
+            for full in (False, True):
                 for _ in range(3):
-                    codes, his, *_ = problem.ordered_actions(state)
-                    rules = codes >= 0
-                    want_codes, want_his = per_pattern_actions(problem, state, state.sums)
-                    assert np.array_equal(codes[rules], want_codes)
-                    assert his[rules].tobytes() == want_his.tobytes()
-                    if not rules.any():
-                        break
-                    state = problem.apply(state, int(rng.choice(codes[rules])))
+                    problem = SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng),
+                                            SearchConfig(L_max=4, charge_default_full=full))
+                    state = problem.initial_state()
+                    for _ in range(3):
+                        codes, his, *_ = problem.ordered_actions(state)
+                        rules = codes >= 0
+                        want_codes, want_his, _ = per_pattern_actions(problem, state, state.sums)
+                        assert np.array_equal(codes[rules], want_codes)
+                        assert his[rules].tobytes() == want_his.tobytes()
+                        masks = [state.features | f for f in problem.pattern_features]
+                        charges = problem._charges(state.features)[problem._feature_index]
+                        assert charges.tobytes() == np.array(
+                            [problem.feature_cost(mask) for mask in masks]).tobytes()
+                        reordered += sum(set_order_sum_differs(ds.specs, mask) for mask in masks)
+                        if not rules.any():
+                            break
+                        state = problem.apply(state, int(rng.choice(codes[rules])))
+        assert reordered > 0
+
+
+def set_order_sum_differs(specs, mask):
+    """Whether the costs of a feature mask, added in set iteration order,
+    round to another sum than in ascending order."""
+    features = [f for f in range(len(specs)) if mask >> f & 1]
+    in_set_order = in_ascending_order = 0.0
+    for f in set(features):
+        in_set_order += specs[f].cost
+    for f in features:
+        in_ascending_order += specs[f].cost
+    return in_set_order != in_ascending_order
 
 
 class TestStateBound:
@@ -1168,9 +1198,9 @@ class TestUCT:
                     super().__init__(state, bound)
                     nodes.append(self)
 
-            def recording_ordered_actions(problem, state):
+            def recording_ordered_actions(problem, state, window=None):
                 ordered.append(state.depth)
-                return ordered_actions(problem, state)
+                return ordered_actions(problem, state, window)
 
             def counting_next_index(frontier, problem, incumbent, pruned):
                 before = pruned.total()
@@ -1537,34 +1567,73 @@ class TestFrontier:
                 assert (np.count_nonzero(his[codes < 0] <= incumbent)
                         == sum(obj <= incumbent for obj in closed))
 
-    @pytest.mark.parametrize("window", [1, 2, 5])
-    def test_windowed_frontier_takes_what_a_whole_one_does(self, monkeypatch, window):
-        # a windowed frontier orders the state's children again once it has
-        # taken its window, and yields the same children with the same
-        # bounds, and skips the same, as the whole order; the child's order
-        # comes from the sums its parent keeps, both times
-        monkeypatch.setattr(search, "WINDOW", window)
+    def window_instances(self):
+        """(kind, problem) pairs: random scores; small integer scores and
+        costs, whose keys tie across window edges; and scores near float32's
+        largest, whose float32 sums overflow into nan and inf keys."""
         for seed in range(4):
-            problem = self.problem(250 + seed, 3)
-            root = problem.initial_state()
-            codes, *_ = problem.ordered_actions(root)
-            for state in (root, problem.apply(root, int(codes[codes >= 0][-1]))):
-                codes, his, los, halves = problem.ordered_actions(state)
-                assert len(codes) > window
-                for incumbent in (-math.inf, float(np.median(his)), float(his.max())):
-                    whole, skipped = self.take_all(problem, Frontier(state, codes, his, los, halves),
-                                                   incumbent)
-                    frontier = Frontier.windowed(problem, state)
-                    assert len(frontier.codes) == window
-                    for kept, whole_array in zip((frontier.codes, frontier.his, frontier.los,
-                                                  frontier.halves), (codes, his, los, halves)):
-                        assert kept.tobytes() == whole_array[-window:].tobytes()
-                    taken, pruned = self.take_all(problem, frontier, incumbent)
-                    assert pruned == skipped
-                    assert len(taken) == len(whole)
-                    for (child, bound), (want, want_bound) in zip(taken, whole):
-                        assert same_state(child, want)
-                        assert bound.hex() == want_bound.hex()
+            yield "random", self.problem(250 + seed, 3)
+        for seed in range(3):
+            rng, ds, cands, _ = shared_instance(300, 40, 350 + seed)
+            scores = DRScoreMatrix(rng.integers(0, 3, size=(ds.n_subjects, 2)).astype(float),
+                                   ds.treatment_names)
+            yield "tied", SearchProblem(ds, scores, cands, ObjectiveWeights(), SearchConfig(L_max=3))
+        for seed in range(3):
+            rng, ds, cands, scores = shared_instance(300, 40, 360 + seed)
+            # three huge arm-1 values make arm 1 the best default, so a
+            # pattern covering two of them has a nan key, and one covering
+            # the two huge arm-0 values but not two arm-1 ones an inf key
+            huge = rng.choice(ds.n_subjects, size=5, replace=False)
+            scores.scores[huge[:3], 1] = 3e38
+            scores.scores[huge[3:], 0] = 3e38
+            yield "overflow", SearchProblem(ds, scores, cands, ObjectiveWeights(),
+                                            SearchConfig(L_max=3))
+
+    @pytest.mark.parametrize("window", [1, 2, 5, 9, 17])
+    def test_windowed_frontier_takes_what_a_whole_one_does(self, monkeypatch, window):
+        # ordered_actions asked for a window returns the tail of the whole
+        # order, bit for bit, for every window, also across tied keys and
+        # nan or inf keys; a windowed frontier orders the state's children
+        # again once it has taken its window, and yields the same children
+        # with the same bounds, and skips the same, as the whole order; the
+        # child's order comes from the sums its parent keeps, both times
+        monkeypatch.setattr(search, "WINDOW", window)
+        cut, tied_edges, odd_keys = Counter(), 0, Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, problem in self.window_instances():
+                root = problem.initial_state()
+                codes, *_ = problem.ordered_actions(root)
+                for state in (root, problem.apply(root, int(codes[codes >= 0][-1]))):
+                    children = codes, his, los, halves = problem.ordered_actions(state)
+                    rules = np.count_nonzero(codes >= 0)
+                    keys = per_pattern_actions(problem, state, state.sums)[2]
+                    odd_keys["nan"] += np.isnan(keys).sum()
+                    odd_keys["inf"] += np.isinf(keys).sum()
+                    for k in range(1, len(codes) + 2):
+                        for kept, whole in zip(problem.ordered_actions(state, k), children):
+                            assert kept.tobytes() == whole[-k:].tobytes()
+                        r = k - problem.m  # rules in the window
+                        if kind == "tied" and 0 < r < rules:
+                            tied_edges += keys[rules - r - 1] == keys[rules - r]
+                    cut[kind] += len(codes) > window
+                    for incumbent in (-math.inf, float(np.median(his)), float(his.max())):
+                        whole, skipped = self.take_all(
+                            problem, Frontier(state, codes, his, los, halves), incumbent)
+                        frontier = Frontier.windowed(problem, state)
+                        assert len(frontier.codes) == min(window, len(codes))
+                        for kept, whole_array in zip((frontier.codes, frontier.his, frontier.los,
+                                                      frontier.halves), children):
+                            assert kept.tobytes() == whole_array[-window:].tobytes()
+                        taken, pruned = self.take_all(problem, frontier, incumbent)
+                        assert pruned == skipped
+                        assert len(taken) == len(whole)
+                        for (child, bound), (want, want_bound) in zip(taken, whole):
+                            assert same_state(child, want)
+                            assert bound.hex() == want_bound.hex()
+        # a random instance has at most 5 + 3 children
+        assert cut["tied"] and cut["overflow"] and (cut["random"] or window > 5)
+        assert tied_edges > 0 and odd_keys["nan"] > 0 and odd_keys["inf"] > 0
 
 
 def one_arm_objective(problem, closed):
@@ -1640,9 +1709,9 @@ class TestWindow:
         5, then one that holds every child of any node."""
         ordered_actions, calls = SearchProblem.ordered_actions, Counter()
 
-        def counted(problem, state):
+        def counted(problem, state, window=None):
             calls[search.WINDOW] += 1
-            return ordered_actions(problem, state)
+            return ordered_actions(problem, state, window)
 
         monkeypatch.setattr(SearchProblem, "ordered_actions", counted)
         runs = {}
@@ -1708,9 +1777,9 @@ class TestFullPrefix:
             taken[-1]["exact"] = state_bound(problem, state)
             return taken[-1]["exact"]
 
-        def checking_ordered_actions(problem, state):
+        def checking_ordered_actions(problem, state, window=None):
             assert state.depth < problem.L_max
-            codes, his, los, halves = ordered_actions(problem, state)
+            codes, his, los, halves = ordered_actions(problem, state, window)
             if confirm_all:
                 halves = np.full_like(halves, np.inf)
             return codes, his, los, halves
@@ -1870,12 +1939,12 @@ class TestFullPrefix:
                 scored.append(state.prefix)
             return close(problem, state)
 
-        def checking_ordered_actions(problem, state):
+        def checking_ordered_actions(problem, state, window=None):
             if scored and len(alive) < 40:
                 alive.append(sum(isinstance(o, SearchState) and o.depth == problem.L_max
                                  and not o.terminal and root_of(o) is roots[-1]
                                  for o in gc.get_objects()))
-            return ordered_actions(problem, state)
+            return ordered_actions(problem, state, window)
 
         monkeypatch.setattr(SearchProblem, "initial_state", recording_initial_state)
         monkeypatch.setattr(SearchProblem, "close", recording_close)
