@@ -47,8 +47,9 @@ class ObjectiveWeights:
 
 
 def check_scores(ds: Dataset, scores: DRScoreMatrix, weights: ObjectiveWeights) -> None:
-    """Refuse scores built for another dataset, and weights so large that a
-    sum over the subjects of weighted scores and costs overflows a double."""
+    """Refuse scores built for another dataset, and weights so large that 64
+    times a sum over the subjects of weighted scores and costs overflows a
+    double: the search's sums and bounds reach a few times that sum."""
     if scores.scores.shape != (ds.n_subjects, ds.n_treatments):
         raise ValidationError(
             f"score matrix shape {scores.scores.shape} does not match "
@@ -60,7 +61,7 @@ def check_scores(ds: Dataset, scores: DRScoreMatrix, weights: ObjectiveWeights) 
         weights.lambda1 * float(np.abs(scores.scores).max(initial=0.0))
         + weights.lambda2 * feature_set_cost(ds.specs, range(len(ds.specs)))
         + weights.lambda3 * float(ds.treatment_costs.max(initial=0.0)))
-    if not math.isfinite(magnitude):
+    if not math.isfinite(64 * magnitude):
         raise ValidationError(
             f"weights lambda1={weights.lambda1!r}, lambda2={weights.lambda2!r}, "
             f"lambda3={weights.lambda3!r} are so large that the objective overflows")

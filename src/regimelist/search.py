@@ -147,8 +147,8 @@ def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
 
 
 def _stable_tail(keys: np.ndarray, r: int) -> np.ndarray:
-    """The last r entries of np.argsort(keys, kind="stable"): keys ascending
-    with nan last, equal keys in index order.  A partition finds the r-th
+    """The last r entries of np.argsort(keys, kind="stable") for finite keys:
+    keys ascending, equal keys in index order.  A partition finds the r-th
     largest key; every key above it is in the tail, and of those equal to
     it the last ones in index order fill the rest."""
     if r >= len(keys):
@@ -157,9 +157,7 @@ def _stable_tail(keys: np.ndarray, r: int) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
     kth = len(keys) - r
     pivot = keys[np.argpartition(keys, kth)[kth]]
-    if np.isnan(pivot):
-        return np.flatnonzero(np.isnan(keys))[-r:]
-    above = np.flatnonzero((keys > pivot) | np.isnan(keys))
+    above = np.flatnonzero(keys > pivot)
     ties = np.flatnonzero(keys == pivot)
     tail = np.concatenate([ties[len(ties) - (r - len(above)):], above])
     return tail[np.argsort(keys[tail], kind="stable")]
@@ -253,22 +251,24 @@ class SearchProblem:
         # a default's lo is its exact objective, with no half-width
         self._no_halves = np.zeros(self.m)
         self._no_halves.flags.writeable = False
+        # the power of two _table's value columns are divided by, 1 unless
+        # an entry reaches 2^118 (see ordered_actions)
+        vo_max = float(np.abs(self.value_cols).max() + np.abs(self.optimistic).max())
+        self._scale = 2.0 ** max(0, math.frexp(vo_max)[1] - 118)
         # rounding slack of ordered_actions' rule bounds, before the division
         # by n: per float32 term of a pattern's sums, and per bound
-        vo_max = float(np.abs(self.value_cols).max() + np.abs(self.optimistic).max())
         g32 = _gamma(min(self.n, BLOCK) + 1, 2.0 ** -24)
-        self._slack_per_term = g32 * vo_max + 2.0 ** -149
+        self._slack_per_term = g32 * vo_max + 2.0 ** -149 * self._scale
         self._slack = 2 * _gamma(3 * self.n + 16, 2.0 ** -53) * self.n * (
             (4 + 2 * g32) * vo_max
             + 3 * weights.lambda2 * feature_set_cost(ds.specs, range(len(ds.specs)))
         ) + 2.0 ** -1000
         # the float32 columns (1, optimistic, each arm's value) that _sums
-        # adds up; a score beyond float32's range becomes inf, as hi expects
+        # adds up, all but the count divided by scale
         self._table = np.empty((self.n, self.m + 2), dtype=np.float32)
-        with np.errstate(over="ignore"):
-            self._table[:, 0] = 1.0
-            self._table[:, 1] = self.optimistic
-            self._table[:, 2:] = self.value_cols.T
+        self._table[:, 0] = 1.0
+        np.divide(self.optimistic, self._scale, out=self._table[:, 1])
+        np.divide(self.value_cols.T, self._scale, out=self._table[:, 2:])
         # _sums' buffers: per block the prefix and predicate bits as float32
         # and their product, per call the float64 totals over (prefix,
         # column, last predicate), and where in those each (column, pattern)
@@ -314,9 +314,6 @@ class SearchProblem:
             self._mask_costs[features] = costs
         return self._mask_costs[features]
 
-    # an inf in the float32 table, or a float32 sum beyond its range, makes an
-    # infinite hi, so numpy's overflow and invalid-value warnings carry no news
-    @np.errstate(over="ignore", invalid="ignore")
     def ordered_actions(
             self, state: SearchState,
             window: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -361,29 +358,35 @@ class SearchProblem:
         default that the keys compare with.  The bounds are sound.  With
         gamma(k, u) = k*u / (1 - k*u), k roundings of unit u move a term by
         a factor within 1 +- gamma(k, u) in any summation order (Higham,
-        Accuracy and Stability of Numerical Algorithms, Sec. 3.1).  A block sums in float32 at most min(n, 512) exact products, a
+        Accuracy and Stability of Numerical Algorithms, Sec. 3.1).  With V =
+        max|value_cols| + max|optimistic| < 2^e, the table holds the value
+        columns divided by scale = 2^max(0, e - 118), exactly barring
+        underflow, so no float32 sum of at most 2^9 entries overflows.  A
+        block sums in float32 at most min(n, 512) exact products, a
         subject's prefix bit times its last-predicate bit times an entry
         rounded to float32, each thus off by a factor within 1 +- g, g =
-        gamma(min(n, 512) + 1, 2^-24), plus 2^-150 if subnormal; its count
-        is exact, as are float64 sums of counts, so cnt is exact for any n.
+        gamma(min(n, 512) + 1, 2^-24), plus 2^-150 if subnormal, which
+        ``_sums``' exact multiplication back by scale makes 2^-150 * scale;
+        its count is exact, as are float64 sums of counts, so cnt is exact
+        for any n.
         Along the states a state's sums come from, a subject covered
         by p enters the first product, and one subtraction if a rule newly
         covers it: p's two sums in the estimate hold at most 2 * count_p -
-        cnt float32 terms (count_p: p's coverage), off by at most (g * V +
-        2^-149) * (2 * count_p - cnt), V = max|value_cols| + max|optimistic|.
+        cnt float32 terms (count_p: p's coverage), off by at most d * (2 *
+        count_p - cnt), d = g * V + 2^-149 * scale.
         In float64 a block result passes at most 3n roundings (2n blocks, n
         subtractions, each after a rule covering someone new), any other term
         at most 2n, plus 8 in the final expression; the terms total at most T
         = n * ((3 + 2g) * V + 3 * lambda2 * C), C the cost of all
         characteristics.  So the estimate, and any float64 evaluation of the
         exact bound, is off by at most gamma(3n + 8, 2^-53) * T, plus 2^-1075
-        per underflowing product.  ``hi`` adds (g * V + 2^-149) * (2 *
-        count_p - cnt) + 2 * gamma(3n + 16, 2^-53) * n * ((4 + 2g) * V + 3 *
-        lambda2 * C) + 2^-1000, whose excess covers its own rounding, before
-        the monotone division by n.  An infinite float32 entry or sum, or the
-        nan of a 0 bit times one or of subtracting one, makes ``hi``
-        infinite.  A loose slack only costs building the children it lets
-        through.
+        per underflowing product.  ``hi`` adds d * (2 * count_p - cnt) + 2 *
+        gamma(3n + 16, 2^-53) * n * ((4 + 2g) * V + 3 * lambda2 * C) +
+        2^-1000, whose excess covers its own rounding, before the monotone
+        division by n.  No float64 term overflows: ``check_scores`` keeps 64
+        times n * (lambda1 * max|score| + lambda2 * C + lambda3 * max cost)
+        finite, and each term is a few times that at most.  A loose slack
+        only costs building the children it lets through.
 
         A rule's ``lo`` is the objective, from the same sums, of the list
         that ``close`` makes of the child ``apply`` builds: (settled +
@@ -393,18 +396,15 @@ class SearchProblem:
         best default the largest exact sum over the rest, the state's
         ``default_sums`` minus theirs, and a max moves by at most the largest
         error of its arguments.  So, with exact the float64 objective
-        ``state_bound`` gives that list, |lo - exact| <= s, where s = (2 *
-        (g * V + 2^-149) * (2 * count_p - cnt) + the rule slack above) / n:
-        two float32 sums of p, each off by at most the per-term bound above,
-        and the float64 rounding of both sides, each within gamma(3n + 8,
+        ``state_bound`` gives that list, |lo - exact| <= s, where s = (2 * d
+        * (2 * count_p - cnt) + the rule slack above) / n: two float32 sums
+        of p, each off by at most the per-term bound above, and the float64
+        rounding of both sides, each within gamma(3n + 8,
         2^-53) * T of the real objective (T's terms: the settled sums, the
         two gains, the charges and the default sums, at most n * ((3 + 2g)
         * V + 3 * lambda2 * C)), with the excess covering the divisions by n
         and the rounding of s itself.  The exact objective is a double, so
-        lo + s and lo - s, rounded, still bracket it.  Where lo is not
-        finite, or hi is infinite, a float32 overflow in p's sums leaves the
-        estimate unbounded: lo is inf there, so the child can always beat
-        the incumbent.
+        lo + s and lo - s, rounded, still bracket it.
         """
         if state.terminal:
             raise ValidationError("terminal state has no actions")
@@ -442,13 +442,9 @@ class SearchProblem:
                        - sums[1, codes] - charge - default_charge)
         estimate = settled + gains + per_pattern[:, None]
         term = self._slack_per_term * (2 * self.coverage[codes] - cnt)
-        rule_his = (estimate + (term + self._slack)[:, None]) / self.n
-        rule_his[~np.isfinite(rule_his)] = np.inf  # float32 overflow, 0 * inf or inf - inf
-        rule_his = rule_his.max(axis=1)
+        rule_his = ((estimate + (term + self._slack)[:, None]) / self.n).max(axis=1)
         rule_los = (settled + gains.max(axis=1) - charge
                     + (default_sums - gains).max(axis=1) - default_charge) / self.n
-        # an overflow in any of p's float32 sums, which makes hi infinite
-        rule_los[~np.isfinite(rule_los) | (rule_his == np.inf)] = np.inf
         halves = (2 * term + self._slack) / self.n
         return _tail(window,
                      np.concatenate([codes.astype(np.int32), default_codes]),
@@ -458,11 +454,12 @@ class SearchProblem:
 
     def _sums(self, state: SearchState) -> np.ndarray:
         """Per pattern (column), float64 totals of the float32 table's columns
-        (rows) over the uncovered subjects it covers: the parent's kept sums
-        minus those over the newly covered, if it has any.  Per block of
-        BLOCK subjects, one float32 product of the prefix bits into each
-        table column times each predicate bit sums every column over every
-        (prefix, last predicate) pair; a pattern takes its pair's sums."""
+        (rows) over the uncovered subjects it covers, the value rows
+        multiplied back by scale: the parent's kept sums minus those over the
+        newly covered, if it has any.  Per block of BLOCK subjects, one
+        float32 product of the prefix bits into each table column times each
+        predicate bit sums every column over every (prefix, last predicate)
+        pair; a pattern takes its pair's sums."""
         parent = state.parent
         incremental = parent is not None and parent.sums is not None
         rows = np.flatnonzero(_unpack(
@@ -483,6 +480,7 @@ class SearchProblem:
             np.matmul(left.T, right.reshape(b, n_cols * n_preds), out=self._product)
             gram += self._product
         sums = gram.take(self._sum_at)
+        sums[1:] *= self._scale
         return parent.sums - sums if incremental else sums
 
     def apply(self, state: SearchState, action: Action) -> SearchState:
@@ -557,8 +555,9 @@ class Frontier:
     their closed-list estimates los and those estimates' half-widths, as
     ``ordered_actions`` returns them or reordered, taken from the end.
 
-    A ``windowed`` frontier holds only the last of them, and whether there
-    are earlier ones, which it orders again once it has taken the rest."""
+    A ``windowed`` frontier holds only the last of them and, in front of
+    them, one earlier child if there are earlier ones, which it never takes:
+    it orders the children again once it has taken the rest."""
 
     __slots__ = ("state", "codes", "his", "los", "halves", "cursor", "earlier")
 
@@ -571,13 +570,11 @@ class Frontier:
     @classmethod
     def windowed(cls, problem: SearchProblem, state: SearchState) -> Frontier:
         """The WINDOW children taken first in ``ordered_actions``' order,
-        which bounds only those and one more, the sign of earlier children.
-        The call is deterministic, so the state and the sums its parent
-        keeps give the same order again."""
-        children = problem.ordered_actions(state, WINDOW + 1)
-        # copies: a view would keep the one more
-        frontier = cls(state, *(a[-WINDOW:].copy() for a in children))
-        frontier.earlier = len(children[0]) > WINDOW
+        which bounds only those and one more, the sign of earlier children,
+        kept as it returns them.  The call is deterministic, so the state and
+        the sums its parent keeps give the same order again."""
+        frontier = cls(state, *problem.ordered_actions(state, WINDOW + 1))
+        frontier.earlier = len(frontier.codes) > WINDOW
         return frontier
 
     @classmethod
@@ -595,10 +592,11 @@ class Frontier:
         child whose ``hi`` cannot beat the incumbent is skipped, and
         counted under "hi"."""
         while self.cursor or self.earlier:
-            if not self.cursor:
-                # the window is spent: order the children again, and keep
-                # them whole, of which the earlier ones are left
-                taken = len(self.codes)
+            if self.cursor == self.earlier:
+                # the window is spent, all but the sign of earlier children:
+                # order the children again, and keep them whole, of which
+                # the earlier ones are left
+                taken = len(self.codes) - 1
                 self.codes, self.his, self.los, self.halves = problem.ordered_actions(self.state)
                 self.cursor, self.earlier = len(self.codes) - taken, False
             self.cursor -= 1
@@ -687,14 +685,14 @@ def uct_search(
     makes of it.  A closed list, or a full prefix, is a leaf that its parent
     counts towards progressive widening: once taken it can never beat the
     incumbent, which is at least its objective, a full prefix's the best of
-    its closing children's.  A closed list's reward is its exact ``hi``.  A
-    full prefix's reward is its ``lo`` (where ``lo`` is inf, its exact
-    objective).  It is built, closed and scored exactly only when ``lo``
-    plus its half-width can beat the incumbent, and only an exact objective
-    sets the incumbent, so which full prefixes are built never changes the
-    path the search takes.  The search draws no random numbers, so
-    ``config.seed`` does not change the result.  A built child keeps its
-    bound, and is pruned at selection once that cannot beat the incumbent.
+    its closing children's.  A closed list's reward is its exact ``hi``, a
+    full prefix's its ``lo``.  It is built, closed and scored exactly only
+    when ``lo`` plus its half-width can beat the incumbent, and only an
+    exact objective sets the incumbent, so which full prefixes are built
+    never changes the path the search takes.  The search draws no random
+    numbers, so ``config.seed`` does not change the result.  A built child
+    keeps its bound, and is pruned at selection once that cannot beat the
+    incumbent.
     A node whose children are all taken or pruned is fully explored; the
     search stops once the root is, every completion evaluated or excluded.
     """
@@ -736,7 +734,7 @@ def uct_search(
             leaves["confirmed"] += 1
             closed = problem.close(problem.apply(node.state, code))
             exact = problem.state_bound(closed)
-            return (lo if lo < math.inf else exact), exact, closed
+            return lo, exact, closed
         state = problem.apply(node.state, code)
         if state.terminal:
             node.leaves += 1
@@ -881,14 +879,14 @@ def greedy_baseline(
     """Appends the single rule with the largest exact objective gain.
 
     Each step makes one ``ordered_actions`` call.  The best rule child's
-    exact objective is at least the largest finite lo - s over the children,
-    and no child's is above its lo + s, so only the children whose lo + s
-    reaches that floor, and those whose lo is inf, can be the best: the
-    rest are skipped unbuilt, counted under "lo".  The candidates are taken
-    by ``Frontier.take`` in the order exhaustive_search tries them, against
-    the best objective so far, and each is closed with
-    ``SearchProblem.close`` and scored exactly, so the step takes the first
-    child, in that order, of the largest exact objective.  It stops when no
+    exact objective is at least the largest lo - s over the children, and no
+    child's is above its lo + s, so only the children whose lo + s reaches
+    that floor can be the best: the rest are skipped unbuilt, counted under
+    "lo".  The candidates are taken by ``Frontier.take`` in the order
+    exhaustive_search tries them, against the best objective so far, and
+    each is closed with ``SearchProblem.close`` and scored exactly, so the
+    step takes the first child, in that order, of the largest exact
+    objective.  It stops when no
     rule strictly improves the closed list's objective or ``config.L_max``
     is hit.  The config's iterations, c_explore and seed are unused.
     """
@@ -900,7 +898,7 @@ def greedy_baseline(
         children = problem.ordered_actions(state)
         codes, _, los, halves = children
         rules = codes >= 0
-        floor = np.max(los - halves, where=rules & (los < np.inf), initial=-np.inf)
+        floor = np.max(los - halves, where=rules, initial=-np.inf)
         keep = rules & (los + halves >= floor)
         pruned["lo"] += int(np.count_nonzero(rules & ~keep))
         frontier = Frontier.by_code(state, *(a[keep] for a in children))

@@ -22,8 +22,9 @@ from regimelist.domain import (
     Pattern,
     Predicate,
 )
+from regimelist.errors import ValidationError
 from regimelist.estimation import DRScoreMatrix, FeatureEncoder
-from regimelist.objective import ObjectiveWeights
+from regimelist.objective import ObjectiveWeights, check_scores
 from regimelist.search import SearchProblem, SearchState
 from regimelist.synth import GeneratorSpec
 
@@ -141,6 +142,18 @@ def random_weights(rng: np.random.Generator) -> ObjectiveWeights:
         lambda2=float(np.round(rng.uniform(0.0, 2.0), 3)),
         lambda3=float(np.round(rng.uniform(0.0, 2.0), 3)),
     )
+
+
+def largest_accepted_lambda1(ds: Dataset, scores: DRScoreMatrix) -> float:
+    """The largest power of two that check_scores accepts as lambda1, with
+    unit lambda2 and lambda3: the edge of its headroom."""
+    for k in range(1023, -1075, -1):
+        try:
+            check_scores(ds, scores, ObjectiveWeights(lambda1=2.0 ** k))
+        except ValidationError:
+            continue
+        return 2.0 ** k
+    raise AssertionError("check_scores accepts no lambda1")
 
 
 # ---------------------------------------------------------------------------

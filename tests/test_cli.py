@@ -11,7 +11,9 @@ import pytest
 
 import regimelist
 from regimelist.cli import main
-from regimelist.io import read_json
+from regimelist.io import read_dataset, read_json, read_schema, read_scores
+
+from conftest import largest_accepted_lambda1
 
 
 def run_pipeline(tmp_path, n=1200, seed=5, iterations=150, strategy="uct",
@@ -666,6 +668,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and key in err
         assert not (tmp_path / "metrics.json").exists()
+
+    def test_weights_one_power_of_two_beyond_the_headroom_exit_2(self, learned_run, tmp_path,
+                                                                 capsys):
+        # the largest lambda1 that check_scores accepts learns and evaluates
+        # silently; twice it is refused by both steps with a diagnostic
+        out = learned_run
+        ds = read_dataset(f"{out}/data.csv", read_schema(f"{out}/schema.json"))
+        lam = largest_accepted_lambda1(ds, read_scores(f"{out}/scores.json"))
+        data = ["--schema", f"{out}/schema.json", "--data", f"{out}/data.csv",
+                "--scores", f"{out}/scores.json", "--out-dir", str(tmp_path)]
+        for lambda1, code in ((lam, 0), (2 * lam, 2)):
+            weights = ["--lambda1", repr(lambda1)]
+            assert main(["learn", *data, "--candidates", f"{out}/candidates.json",
+                         "--iterations", "20", *weights]) == code
+            assert main(["evaluate", *data, "--regime", f"{out}/regime.json", *weights]) == code
+            err = capsys.readouterr().err
+            if code == 0:
+                assert err == ""
+            else:
+                assert err.count("error:") == 2 and "lambda1" in err and "Traceback" not in err
 
     def test_removed_min_new_coverage_flag_exits_2(self, learned_run, tmp_path,
                                                    capsys):

@@ -1,6 +1,8 @@
 """Objective terms and metrics report against independent recomputation."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from regimelist.estimation import DRScoreMatrix
 from regimelist.objective import (
     MetricsReport,
     ObjectiveWeights,
+    check_scores,
     compute_metrics,
     objective_value,
 )
 
 from conftest import (
+    largest_accepted_lambda1,
     oracle_assessment_costs,
     oracle_assigned,
     oracle_objective,
@@ -77,6 +81,25 @@ class TestObjectiveValue:
                 compute_metrics(ds, dl, scores, ObjectiveWeights(**{name: 1e307}))
         report = compute_metrics(ds, dl, scores, ObjectiveWeights(lambda1=1e300))
         assert np.isfinite(report.objective)
+
+    def test_weights_refused_one_power_of_two_beyond_the_headroom(self):
+        # the search's sums reach a few times n * lambda1 * max|score|, so
+        # check_scores keeps a headroom of 64: twice the largest lambda1 it
+        # accepts is refused although the objective itself stays finite
+        rng = np.random.default_rng(8)
+        ds = random_dataset(rng, n_subjects=10)
+        scores = random_scores(rng, ds)
+        dl = DecisionList(rules=(), default_treatment=0)
+        lam = largest_accepted_lambda1(ds, scores)
+        sums = ds.n_subjects * lam * float(np.abs(scores.scores).max())
+        assert math.isfinite(64 * sums) and not math.isfinite(256 * sums)
+        assert np.isfinite(compute_metrics(ds, dl, scores, ObjectiveWeights(lambda1=lam)).objective)
+        twice = ObjectiveWeights(lambda1=2 * lam)
+        with pytest.raises(ValidationError, match="overflows"):
+            check_scores(ds, scores, twice)
+        with pytest.raises(ValidationError, match="overflows"):
+            compute_metrics(ds, dl, scores, twice)
+        assert math.isfinite(2 * sums)
 
     def test_empty_list_has_zero_assessment(self):
         rng = np.random.default_rng(9)

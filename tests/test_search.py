@@ -45,6 +45,7 @@ from regimelist.synth import default_generator_spec, generate
 from conftest import (
     covered,
     dataset_row,
+    largest_accepted_lambda1,
     oracle_greedy,
     oracle_cover_matrix,
     oracle_objective,
@@ -118,7 +119,7 @@ def check_state_consistency(problem, state, covers=None):
 def per_pattern_actions(problem, state, sums):
     """ordered_actions' rule codes, his and keys for a state whose rule sums
     are ``sums``, pricing each eligible pattern's extended feature set on its
-    own; a float32 overflow in the sums makes keys nan or inf, silently."""
+    own."""
     lam2 = problem.weights.lambda2
     uncovered = ~covered(state, problem.n)
     uncov64 = uncovered.astype(np.float64)
@@ -132,16 +133,14 @@ def per_pattern_actions(problem, state, sums):
     new_cost = np.array([problem.feature_cost(state.features | problem.pattern_features[p])
                          for p in eligible.tolist()], dtype=np.float64)
     charge = lam2 * new_cost * cnt
-    with np.errstate(over="ignore", invalid="ignore"):
-        keys = (gains - gains[:, int(np.argmax(default_sums)), None] - charge[:, None]).max(axis=1)
-        order = np.argsort(keys, kind="stable")
-        child_default = new_cost if problem.charge_default_full else 0.0
-        per_pattern = (float(uncov64 @ problem.optimistic) - sums[1, eligible] - charge
-                       - lam2 * child_default * (n_unc - cnt))
-        estimate = settled + gains + per_pattern[:, None]
-        slack = problem._slack_per_term * (2 * problem.coverage[eligible] - cnt) + problem._slack
-        rule_his = (estimate + slack[:, None]) / problem.n
-        rule_his[~np.isfinite(rule_his)] = np.inf
+    keys = (gains - gains[:, int(np.argmax(default_sums)), None] - charge[:, None]).max(axis=1)
+    order = np.argsort(keys, kind="stable")
+    child_default = new_cost if problem.charge_default_full else 0.0
+    per_pattern = (float(uncov64 @ problem.optimistic) - sums[1, eligible] - charge
+                   - lam2 * child_default * (n_unc - cnt))
+    estimate = settled + gains + per_pattern[:, None]
+    slack = problem._slack_per_term * (2 * problem.coverage[eligible] - cnt) + problem._slack
+    rule_his = (estimate + slack[:, None]) / problem.n
     return eligible[order], rule_his.max(axis=1)[order], keys[order]
 
 
@@ -471,8 +470,9 @@ class TestStateBound:
                 state = problem.apply(state, rules[int(rng.integers(len(rules)))])
 
     def test_batched_bound_survives_float32_overflow(self):
-        # a finite score beyond float32's range overflows the batched sums;
-        # the children it touches must then get an infinite bound, silently
+        # a finite score beyond float32's range would overflow the batched
+        # float32 sums unscaled; every bound, estimate and key must stay
+        # finite, silently, and each hi must still reach its exact bound
         rng = np.random.default_rng(64)
         ds, cands = small_instance(rng)
         scores = random_scores(rng, ds)
@@ -489,19 +489,60 @@ class TestStateBound:
             warnings.simplefilter("error")
             problem = SearchProblem(ds, scores, cands, random_weights(rng),
                                     SearchConfig(L_max=3))
-            state = problem.initial_state()
-            codes, his, *_ = problem.ordered_actions(state)
-            assert np.isinf(his).any()
-            for code, hi in zip(codes.tolist(), his.tolist()):
-                assert hi >= exact_bound(problem, problem.apply(state, code), scores)
+            root = problem.initial_state()
             # one level down, the rule on p has covered subject i, so the
-            # child's arm-0 sum for q is the root's minus its own (inf - inf
-            # is nan), and q must still get an infinite bound
-            child = problem.apply(state, p)
-            codes, his, *_ = problem.ordered_actions(child)
-        assert his[codes.tolist().index(q)] == np.inf
-        for code, hi in zip(codes.tolist(), his.tolist()):
-            assert hi >= exact_bound(problem, problem.apply(child, code), scores)
+            # child's arm-0 sum for q is the root's minus its own
+            for state in (root, problem.apply(root, p)):
+                children = codes, his, *_ = problem.ordered_actions(state)
+                assert_finite_children(problem, state, children)
+                for code, hi in zip(codes.tolist(), his.tolist()):
+                    assert hi >= exact_bound(problem, problem.apply(state, code), scores)
+            assert q in codes.tolist()
+            assert lo_brackets(problem, rng)[0]
+        assert problem._scale > 1
+
+    def test_bounds_at_the_largest_accepted_weights_are_finite_and_sound(self):
+        # at the edge of check_scores' headroom every sum, bound, estimate
+        # and key stays finite, silently; each hi reaches its child's exact
+        # bound, each lo brackets its closed list, and UCT finds the
+        # exhaustive optimum.  Opposed arms, +score and about -score for all,
+        # make a key nearly twice a pattern's sums, which without the
+        # headroom overflows for patterns covering most subjects
+        rng = np.random.default_rng(68)
+        ds, cands = small_instance(rng, n_patterns=4, n_subjects=40)
+        instances = [(ds, cands, random_scores(rng, ds))]
+        ds = random_dataset(rng, n_subjects=40, n_features=4, m=2)
+        cands = mine_patterns(ds, MiningConfig(min_support=0.55, max_predicates=2, num_bins=3))
+        # n * score just below a power of two, the worst case for the edge
+        score = 1.99 * 2 ** 10 / ds.n_subjects
+        opposed = np.column_stack([np.full(ds.n_subjects, score),
+                                   -score * rng.uniform(0.9, 1.0, ds.n_subjects)])
+        instances.append((ds, cands, DRScoreMatrix(opposed, ds.treatment_names)))
+        assert 0 < len(cands) <= 10
+        for ds, cands, scores in instances:
+            w = ObjectiveWeights(lambda1=largest_accepted_lambda1(ds, scores))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for full in (False, True):
+                    config = SearchConfig(iterations=2000, L_max=2, charge_default_full=full)
+                    problem = SearchProblem(ds, scores, cands, w, config)
+                    state = problem.initial_state()
+                    while True:
+                        children = codes, his, *_ = problem.ordered_actions(state)
+                        assert_finite_children(problem, state, children)
+                        for code, hi in zip(codes.tolist(), his.tolist()):
+                            assert hi >= exact_bound(problem, problem.apply(state, code), scores)
+                        rules = codes[codes >= 0]
+                        if state.depth == problem.L_max or not len(rules):
+                            break
+                        state = problem.apply(state, int(rng.choice(rules)))
+                    assert lo_brackets(problem, rng)[0]
+                    exact = exhaustive_search(ds, scores, cands, w, config)
+                    res = uct_search(ds, scores, cands, w, config)
+                    assert res.objective == exact.objective
+                    greedy = greedy_baseline(ds, scores, cands, w, config)
+                    assert greedy.objective <= exact.objective
+            assert problem._scale > 1
 
     def test_expanded_parent_and_apply_alone_agree(self):
         # a child of an expanded parent takes the parent's sums minus those of
@@ -611,22 +652,31 @@ class TestStateBound:
         assert np.isfinite(problem.state_bound(problem.close(state)))
 
 
+def assert_finite_children(problem, state, children):
+    """Every hi, lo and half-width of a state's children, and every key
+    ordering its rule children, is finite."""
+    for a in children[1:]:
+        assert np.all(np.isfinite(a))
+    if state.depth < problem.L_max:
+        assert np.all(np.isfinite(per_pattern_actions(problem, state, problem._sums(state))[2]))
+
+
 def lo_brackets(problem, rng, walks=2):
-    """Along random walks from the root, check that every rule child's lo
-    lies within its half-width s of the exact objective of the list close
-    makes of the child apply builds, and that a closing child's lo is its
-    exact hi with s = 0.  Returns the rule children checked against a finite
-    lo, those whose lo is inf, and the exact ties between the two best
-    closing children seen."""
-    finite = unbounded = tied = 0
+    """Along random walks from the root, check that every child's bounds
+    and keys are finite, that every rule child's lo lies within its
+    half-width s of the exact objective of the list close makes of the
+    child apply builds, and that a closing child's lo is its exact hi with
+    s = 0.  Returns the rule children checked and the exact ties between
+    the two best closing children seen."""
+    checked = tied = 0
     for _ in range(walks):
         state = problem.initial_state()
         while True:
-            codes, his, los, halves = problem.ordered_actions(state)
+            children = codes, his, los, halves = problem.ordered_actions(state)
+            assert_finite_children(problem, state, children)
             closing = codes < 0
             assert los[closing].tobytes() == his[closing].tobytes()
-            assert not halves[closing].any()
-            assert np.all(np.isfinite(halves)) and np.all(halves >= 0)
+            assert not halves[closing].any() and np.all(halves >= 0)
             rules = codes[~closing]
             for code, lo, half in zip(rules.tolist(), los[~closing].tolist(),
                                       halves[~closing].tolist()):
@@ -636,15 +686,12 @@ def lo_brackets(problem, rng, walks=2):
                                 for d in range(problem.m))
                 assert exact == closed[-1]
                 tied += closed[-1] == closed[-2]
-                if lo == math.inf:
-                    unbounded += 1
-                else:
-                    assert lo - half <= exact <= lo + half
-                    finite += 1
+                assert lo - half <= exact <= lo + half
+                checked += 1
             if state.depth == problem.L_max or not len(rules):
                 break
             state = problem.apply(state, int(rng.choice(rules)))
-    return finite, unbounded, tied
+    return checked, tied
 
 
 class TestClosedChildEstimate:
@@ -662,9 +709,7 @@ class TestClosedChildEstimate:
                 ds, cands = small_instance(rng, n_patterns=int(rng.integers(3, 9)), m=m)
             problem = SearchProblem(ds, random_scores(rng, ds), cands, random_weights(rng),
                                     SearchConfig(L_max=3, charge_default_full=full))
-            finite, unbounded, _ = lo_brackets(problem, rng)
-            checked += finite
-            assert not unbounded
+            checked += lo_brackets(problem, rng)[0]
         assert checked > 1000
 
     def test_lo_at_scores_near_a_million(self):
@@ -680,8 +725,8 @@ class TestClosedChildEstimate:
         for full in (False, True):
             problem = SearchProblem(ds, scores, cands, w,
                                     SearchConfig(L_max=2, charge_default_full=full))
-            finite, _, _ = lo_brackets(problem, rng, walks=1)
-            assert finite > 100
+            checked, _ = lo_brackets(problem, rng, walks=1)
+            assert checked > 100
 
     def test_lo_of_an_exact_tie_between_arms(self):
         # arms 1 and 2 have identical scores and costs: their float32 sums
@@ -695,26 +740,42 @@ class TestClosedChildEstimate:
             scores = DRScoreMatrix(base[:, [0, 1, 1]], ds.treatment_names)
             problem = SearchProblem(ds, scores, cands, ObjectiveWeights(lambda2=0.1),
                                     SearchConfig(L_max=3, charge_default_full=full))
-            finite, _, tied = lo_brackets(problem, rng, walks=3)
-            assert finite
+            checked, tied = lo_brackets(problem, rng, walks=3)
+            assert checked
             ties += tied
         assert ties > 0
 
-    def test_overflowed_lo_is_inf_and_always_confirmed(self):
-        # a score beyond float32's range overflows every pattern's sums (see
-        # TestSums), so every rule child's lo is inf: UCT then builds and
-        # scores exactly every full prefix it takes, and backs up that exact
-        # objective
-        rng, ds, cands, scores = shared_instance(1029, 70, 75)
-        scores.scores[int(rng.integers(ds.n_subjects)), 1] = 1e39
-        w = random_weights(rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            problem = SearchProblem(ds, scores, cands, w, SearchConfig(L_max=2))
-            _, unbounded, _ = lo_brackets(problem, rng, walks=1)
-            assert unbounded
-            res = uct_search(ds, scores, cands, w, SearchConfig(iterations=300, L_max=2))
-        assert res.leaves_from_lo == 0 and res.leaves_confirmed > 0
+    def test_lo_of_a_score_beyond_float32_brackets_the_closed_list(self, monkeypatch):
+        # one score beyond float32's range, or every score near it, would
+        # overflow the pattern sums unscaled (see TestSums); every lo stays
+        # finite within s of the exact objective, so UCT finds what it finds
+        # when it builds and scores every full prefix exactly.  One huge
+        # score widens every s past the gaps between the other lists, so
+        # each full prefix is confirmed; with every score huge, s stays
+        # narrow and most are scored by lo alone
+        from_lo = {}
+        for kind in ("one", "every"):
+            rng, ds, cands, scores = shared_instance(1029, 70, 75)
+            if kind == "one":
+                scores.scores[int(rng.integers(ds.n_subjects)), 1] = 1e39
+            else:
+                scores.scores[...] *= 1e37
+            w = random_weights(rng)
+            config = SearchConfig(iterations=300, L_max=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                problem = SearchProblem(ds, scores, cands, w, config)
+                assert lo_brackets(problem, rng, walks=1)[0]
+                res = uct_search(ds, scores, cands, w, config)
+                with monkeypatch.context() as patch:
+                    confirm_every_leaf(patch)
+                    confirmed = uct_search(ds, scores, cands, w, config)
+            assert problem._scale > 1
+            assert confirmed.leaves_from_lo == 0 and confirmed.leaves_confirmed > 0
+            assert res.decision_list == confirmed.decision_list
+            assert res.objective == confirmed.objective
+            from_lo[kind] = res.leaves_from_lo
+        assert from_lo["one"] == 0 and from_lo["every"] > 0
 
 
 def shared_predicate_patterns(rng, ds, n_patterns):
@@ -856,31 +917,36 @@ class TestCoverage:
             assert sum(a.nbytes for a in arrays.values()) <= -(-ds.n_subjects // 8)
             assert sums is None or sums.shape == (ds.n_treatments + 2, len(cands))
 
-    def test_tree_memory_per_node_does_not_grow_with_n(self):
+    def test_tree_memory_per_node_does_not_grow_with_n(self, monkeypatch):
         # only an interior prefix is a node, and its frontier keeps a
-        # window of its children, so what the tree adds per built child
-        # (interior windows and sums, and Python objects) does not grow
-        # with n: between 400 and 1,200 iterations at n = 64,000,
-        # uct_search's traced peak grows by about 0.92 KB per child,
-        # against 1.17 KB when full prefixes and closed lists had nodes,
-        # 2.1 KB when a full prefix kept its state and its closing
-        # children's objectives, and n / 8 + 1 KB when every node kept its
-        # n / 8-byte covered set
+        # window of its children, so what the tree holds per built child
+        # (the search log's entry, the interior nodes' windows, sums and
+        # n / 8-byte covered sets, and Python objects) is about 1.07 KB at
+        # n = 64,000, measured as the traced memory still held when the
+        # search ends, its tree alive, between 400 and 1,200 iterations;
+        # one n / 8-byte covered set kept per built child would add 8 KB
         n = 64000
         ds, _ = generate(default_generator_spec(n_subjects=n, seed=0))
         scores = compute_dr_scores(ds, fit_propensity(ds), fit_outcome(ds))
         cands = mine_patterns(ds, MiningConfig(min_support=0.2, max_predicates=2))
-        peaks = []
+        decision_list, held = SearchProblem.decision_list, []
+
+        def at_the_end(problem, state):
+            # uct_search's last call, while its tree is alive
+            held.append(tracemalloc.get_traced_memory()[0])
+            return decision_list(problem, state)
+
+        monkeypatch.setattr(SearchProblem, "decision_list", at_the_end)
         for iterations in (400, 1200):
             tracemalloc.start()
             try:
                 res = uct_search(ds, scores, cands, ObjectiveWeights(),
                                  SearchConfig(iterations=iterations, L_max=3))
-                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert res.tree_size == iterations + 1
-        assert (peaks[1] - peaks[0]) / 800 < n / 60
+        assert len(held) == 2
+        assert (held[1] - held[0]) / 800 < n / 32
 
     def test_one_default_product_per_state(self, monkeypatch):
         # close sums each arm's row of value_cols over a new child's
@@ -949,23 +1015,33 @@ class TestSums:
             state = problem.apply(state, int(rng.choice(rules)))
         assert n_patterns == 0 or depth > 0
 
-    def test_score_beyond_float32_makes_every_rule_hi_infinite(self):
-        # one subject's float32 table entries overflow to inf; every pattern
-        # either sums it or multiplies it by a 0 bit (nan), at the root and
-        # in the sums its descendants subtract from
+    def test_score_beyond_float32_keeps_every_sum_finite(self):
+        # one subject's table entries lie beyond float32's range unscaled;
+        # every pattern sums it or multiplies it by a 0 bit, at the root and
+        # in the sums its descendants subtract from, and the sums must stay
+        # within the slack of the float64 ones, the bounds finite and sound
         rng, ds, cands, scores = shared_instance(1029, 70, 75)
         scores.scores[int(rng.integers(ds.n_subjects)), 1] = 1e39
+        w = random_weights(rng)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            problem = SearchProblem(ds, scores, cands, random_weights(rng),
-                                    SearchConfig(L_max=4))
+            problem = SearchProblem(ds, scores, cands, w, SearchConfig(L_max=4))
+            covers = oracle_cover_matrix(problem)
+            table = np.column_stack([
+                np.ones(problem.n), problem.optimistic, problem.value_cols.T])
             state = problem.initial_state()
             for depth in range(3):
-                codes, his, *_ = problem.ordered_actions(state)
+                children = codes, his, *_ = problem.ordered_actions(state)
+                assert_finite_children(problem, state, children)
+                newly = covers & ~covered(state, problem.n)[:, None]
+                slack = problem._slack_per_term * (2 * covers.sum(axis=0) - newly.sum(axis=0))
+                assert np.all(np.abs(state.sums[1:] - (table.T @ newly)[1:]) <= slack)
                 rules = codes[codes >= 0]
-                assert len(rules) and np.all(his[codes >= 0] == np.inf)
-                assert np.all(np.isfinite(his[codes < 0]))
+                assert len(rules)
+                assert np.all(his[codes >= 0] >= every_arm_bound(problem, state, scores,
+                                                                 covers, rules.tolist()))
                 state = problem.apply(state, int(rng.choice(rules)))
+        assert problem._scale > 1 and np.abs(table).max() > np.finfo(np.float32).max
 
     def test_root_sums_hold_no_block_per_pattern(self):
         # a block of subjects is unpacked into prefix and predicate columns,
@@ -1570,7 +1646,7 @@ class TestFrontier:
     def window_instances(self):
         """(kind, problem) pairs: random scores; small integer scores and
         costs, whose keys tie across window edges; and scores near float32's
-        largest, whose float32 sums overflow into nan and inf keys."""
+        largest, some of whose pattern sums lie beyond float32's range."""
         for seed in range(4):
             yield "random", self.problem(250 + seed, 3)
         for seed in range(3):
@@ -1580,25 +1656,26 @@ class TestFrontier:
             yield "tied", SearchProblem(ds, scores, cands, ObjectiveWeights(), SearchConfig(L_max=3))
         for seed in range(3):
             rng, ds, cands, scores = shared_instance(300, 40, 360 + seed)
-            # three huge arm-1 values make arm 1 the best default, so a
-            # pattern covering two of them has a nan key, and one covering
-            # the two huge arm-0 values but not two arm-1 ones an inf key
+            # three huge arm-1 values make arm 1 the best default, so the
+            # key of a pattern covering two of them is the difference of two
+            # sums beyond float32's largest
             huge = rng.choice(ds.n_subjects, size=5, replace=False)
             scores.scores[huge[:3], 1] = 3e38
             scores.scores[huge[3:], 0] = 3e38
-            yield "overflow", SearchProblem(ds, scores, cands, ObjectiveWeights(),
-                                            SearchConfig(L_max=3))
+            yield "huge", SearchProblem(ds, scores, cands, ObjectiveWeights(),
+                                        SearchConfig(L_max=3))
 
     @pytest.mark.parametrize("window", [1, 2, 5, 9, 17])
     def test_windowed_frontier_takes_what_a_whole_one_does(self, monkeypatch, window):
         # ordered_actions asked for a window returns the tail of the whole
         # order, bit for bit, for every window, also across tied keys and
-        # nan or inf keys; a windowed frontier orders the state's children
-        # again once it has taken its window, and yields the same children
-        # with the same bounds, and skips the same, as the whole order; the
-        # child's order comes from the sums its parent keeps, both times
+        # keys from sums beyond float32's range, all of them finite; a
+        # windowed frontier orders the state's children again once it has
+        # taken its window, and yields the same children with the same
+        # bounds, and skips the same, as the whole order; the child's order
+        # comes from the sums its parent keeps, both times
         monkeypatch.setattr(search, "WINDOW", window)
-        cut, tied_edges, odd_keys = Counter(), 0, Counter()
+        cut, tied_edges, huge_sums = Counter(), 0, 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kind, problem in self.window_instances():
@@ -1607,9 +1684,9 @@ class TestFrontier:
                 for state in (root, problem.apply(root, int(codes[codes >= 0][-1]))):
                     children = codes, his, los, halves = problem.ordered_actions(state)
                     rules = np.count_nonzero(codes >= 0)
+                    assert_finite_children(problem, state, children)
                     keys = per_pattern_actions(problem, state, state.sums)[2]
-                    odd_keys["nan"] += np.isnan(keys).sum()
-                    odd_keys["inf"] += np.isinf(keys).sum()
+                    huge_sums += np.count_nonzero(np.abs(state.sums[2:]) > np.finfo(np.float32).max)
                     for k in range(1, len(codes) + 2):
                         for kept, whole in zip(problem.ordered_actions(state, k), children):
                             assert kept.tobytes() == whole[-k:].tobytes()
@@ -1620,11 +1697,12 @@ class TestFrontier:
                     for incumbent in (-math.inf, float(np.median(his)), float(his.max())):
                         whole, skipped = self.take_all(
                             problem, Frontier(state, codes, his, los, halves), incumbent)
+                        # the window, behind the sign of earlier children
                         frontier = Frontier.windowed(problem, state)
-                        assert len(frontier.codes) == min(window, len(codes))
+                        assert frontier.earlier == (len(codes) > window)
                         for kept, whole_array in zip((frontier.codes, frontier.his, frontier.los,
                                                       frontier.halves), children):
-                            assert kept.tobytes() == whole_array[-window:].tobytes()
+                            assert kept.tobytes() == whole_array[-window - 1:].tobytes()
                         taken, pruned = self.take_all(problem, frontier, incumbent)
                         assert pruned == skipped
                         assert len(taken) == len(whole)
@@ -1632,8 +1710,8 @@ class TestFrontier:
                             assert same_state(child, want)
                             assert bound.hex() == want_bound.hex()
         # a random instance has at most 5 + 3 children
-        assert cut["tied"] and cut["overflow"] and (cut["random"] or window > 5)
-        assert tied_edges > 0 and odd_keys["nan"] > 0 and odd_keys["inf"] > 0
+        assert cut["tied"] and cut["huge"] and (cut["random"] or window > 5)
+        assert tied_edges > 0 and huge_sums > 0
 
 
 def one_arm_objective(problem, closed):
